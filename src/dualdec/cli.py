@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -57,7 +58,9 @@ def _merge_section(base: dict, override: dict, path: str = "") -> dict:
     for key, value in override.items():
         if key not in base:
             raise ConfigError(f"unknown config key {path + key!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {path + key!r} must hold an object")
             out[key] = _merge_section(base[key], value, f"{path}{key}.")
         else:
             out[key] = value
@@ -78,22 +81,28 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         cfg = _merge_section(cfg, file_cfg)
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        cfg["out_dir"] = args.out
-    if getattr(args, "direction", None) is not None:
-        cfg["direction"] = args.direction
-    if getattr(args, "checkpoints", None) is not None:
-        cfg["checkpoints"] = args.checkpoints
-    if getattr(args, "alpha", None) is not None:
-        cfg["dual"]["alpha"] = args.alpha
-    if getattr(args, "beta", None) is not None:
-        cfg["dual"]["beta"] = args.beta
-    if getattr(args, "beam", None) is not None:
-        cfg["decode"]["beam"] = args.beam
+    for flag, section, key in (
+            ("seed", None, "seed"), ("out", None, "out_dir"), ("direction", None, "direction"),
+            ("checkpoints", None, "checkpoints"), ("alpha", "dual", "alpha"),
+            ("beta", "dual", "beta"), ("beam", "decode", "beam")):
+        value = getattr(args, flag, None)
+        if value is not None:
+            (cfg[section] if section else cfg)[key] = value
     if cfg["direction"] not in ("nlu", "nlg", "both"):
         raise ConfigError(f"direction must be nlu, nlg or both, not {cfg['direction']!r}")
+    dual = cfg["dual"]
+    for key, value, integer, lo, hi in (
+            ("seed", cfg["seed"], True, 0, math.inf), ("dual.alpha", dual["alpha"], False, 0, 1),
+            ("dual.beta", dual["beta"], False, 0, 1),
+            ("decode.beam", cfg["decode"]["beam"], True, 1, math.inf)):
+        if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+                or not lo <= value <= hi):
+            kind = "an integer" if integer else "a number"
+            raise ConfigError(f"{key} must be {kind} in [{lo}, {hi}], not {value!r}")
+    try:
+        decode.grid_intervals(dual["grid_step"])
+    except (DecodeError, TypeError, ArithmeticError):
+        raise ConfigError(f"dual.grid_step must divide 1, not {dual['grid_step']!r}") from None
     return cfg
 
 
@@ -138,7 +147,6 @@ def _load_train_split(cfg: dict):
 
 def cmd_train(args, cfg: dict) -> int:
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     nlu_raw, nlg_raw = _load_train_split(cfg)
     vocabs = build_vocabs(nlu_raw, nlg_raw, cfg["model"]["merges"])
     save_bpe(out_dir / "bpe.txt", vocabs.bpe)
@@ -198,97 +206,68 @@ def _eval_split(cfg: dict, split: str):
     return nlu, nlg
 
 
-def _run_directions(cfg, bundle, nlu_examples, nlg_examples, weights):
+def _decode_settings(cfg: dict) -> dict:
     dec = cfg["decode"]
-    reports: dict[str, metrics.EvalReport] = {}
-    traces: dict[str, list] = {}
-    if nlu_examples is not None:
-        reports["nlu"], traces["nlu"] = decode.evaluate_direction(
-            nlu_examples, bundle, "nlu", weights, beam=dec["beam"],
-            max_len=dec["max_len"], k_intent=dec["k_intent"], seed=cfg["seed"])
-    if nlg_examples is not None:
-        reports["nlg"], traces["nlg"] = decode.evaluate_direction(
-            nlg_examples, bundle, "nlg", weights, beam=dec["beam"],
-            max_len=dec["max_len"], k_intent=dec["k_intent"], seed=cfg["seed"])
-    report = metrics.merge_reports(reports.get("nlu"), reports.get("nlg"))
-    return report, traces
-
-
-def _write_report(out_dir: Path, report: metrics.EvalReport) -> None:
-    (out_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
+    return {"beam": dec["beam"], "max_len": dec["max_len"],
+            "k_intent": dec["k_intent"], "seed": cfg["seed"]}
 
 
 def cmd_eval(args, cfg: dict) -> int:
+    """``eval`` reports the beam's top hypotheses; ``dualinf`` re-ranks them
+    at the configured (alpha, beta) and also writes per-hypothesis traces."""
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     bundle = _load_bundle(cfg)
-    nlu_examples, nlg_examples = _eval_split(cfg, "test")
-    report, _ = _run_directions(cfg, bundle, nlu_examples, nlg_examples, None)
-    _write_report(out_dir, report)
-    _write_manifest(out_dir, "eval", cfg)
-    return 0
-
-
-def cmd_dualinf(args, cfg: dict) -> int:
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    bundle = _load_bundle(cfg)
-    weights = DualWeights(cfg["dual"]["alpha"], cfg["dual"]["beta"])
-    nlu_examples, nlg_examples = _eval_split(cfg, "test")
-    report, traces = _run_directions(cfg, bundle, nlu_examples, nlg_examples, weights)
-    _write_report(out_dir, report)
-    for direction, rows in traces.items():
-        with open(out_dir / f"trace_{direction}.jsonl", "w", encoding="utf-8") as fh:
-            for t in rows:
-                fh.write(json.dumps({
-                    "index": t.index, "input": t.input_text, "selected": t.selected,
-                    "hypotheses": t.hypotheses}, sort_keys=True, ensure_ascii=False) + "\n")
-    _write_manifest(out_dir, "dualinf", cfg)
+    weights = None
+    if args.command == "dualinf":
+        weights = DualWeights(cfg["dual"]["alpha"], cfg["dual"]["beta"])
+    reports: dict[str, metrics.EvalReport] = {}
+    traces: dict[str, list] = {}
+    for direction, examples in zip(("nlu", "nlg"), _eval_split(cfg, "test")):
+        if examples is not None:
+            reports[direction], traces[direction] = decode.evaluate_direction(
+                examples, bundle, direction, weights, **_decode_settings(cfg))
+    report = metrics.merge_reports(reports.get("nlu"), reports.get("nlg"))
+    (out_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
+    if weights is not None:
+        for direction, rows in traces.items():
+            with open(out_dir / f"trace_{direction}.jsonl", "w", encoding="utf-8") as fh:
+                for t in rows:
+                    fh.write(json.dumps(t, sort_keys=True, ensure_ascii=False) + "\n")
+    _write_manifest(out_dir, args.command, cfg)
     return 0
 
 
 def cmd_gridsearch(args, cfg: dict) -> int:
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     bundle = _load_bundle(cfg)
-    dec = cfg["decode"]
-    nlu_valid, nlg_valid = _eval_split(cfg, "valid")
+    settings = _decode_settings(cfg)
     selection: dict[str, dict] = {}
-    results: dict[str, decode.GridResult] = {}
-    for direction, examples in (("nlu", nlu_valid), ("nlg", nlg_valid)):
+    for direction, examples in zip(("nlu", "nlg"), _eval_split(cfg, "valid")):
         if examples is None:
             continue
-        res = grid_search(examples, bundle, direction, beam=dec["beam"],
-                          max_len=dec["max_len"], k_intent=dec["k_intent"],
-                          seed=cfg["seed"], step=cfg["dual"]["grid_step"])
-        results[direction] = res
+        res = grid_search(examples, bundle, direction, step=cfg["dual"]["grid_step"],
+                          **settings)
         (out_dir / f"grid_{direction}.csv").write_text(res.to_csv(), encoding="utf-8")
         selection[direction] = {
             name: {"alpha": alpha, "beta": beta, "value": value}
             for name, (alpha, beta, value) in res.best.items()}
     _write_json(out_dir / "selection.json", selection)
 
-    if getattr(args, "eval_test", False):
+    if args.eval_test:
+        # one decode of the test split per direction, re-ranked for each pair
         test_eval: dict[str, dict] = {}
-        nlu_test, nlg_test = _eval_split(cfg, "test")
-        for direction, examples in (("nlu", nlu_test), ("nlg", nlg_test)):
-            if examples is None or direction not in results:
+        for direction, examples in zip(("nlu", "nlg"), _eval_split(cfg, "test")):
+            if examples is None:
                 continue
-            test_eval[direction] = {}
-            cache: dict[tuple[float, float], metrics.EvalReport] = {}
-            for name, info in selection[direction].items():
-                pair = (info["alpha"], info["beta"])
-                if pair not in cache:
-                    w = DualWeights(*pair)
-                    rep, _ = decode.evaluate_direction(
-                        examples, bundle, direction, w, beam=dec["beam"],
-                        max_len=dec["max_len"], k_intent=dec["k_intent"],
-                        seed=cfg["seed"])
-                    cache[pair] = rep
-                test_eval[direction][name] = {
-                    "alpha": pair[0], "beta": pair[1],
-                    "report": json.loads(cache[pair].to_json())}
+            chosen = selection[direction]
+            cached = decode.precompute(direction, examples, bundle, **settings)
+            res = decode.sweep(examples, bundle, direction, cached,
+                               [(info["alpha"], info["beta"]) for info in chosen.values()])
+            test_eval[direction] = {
+                name: {"alpha": row.alpha, "beta": row.beta,
+                       "report": json.loads(row.report.to_json())}
+                for name, row in zip(chosen, res.rows)}
         _write_json(out_dir / "test_report.json", test_eval)
     _write_manifest(out_dir, "gridsearch", cfg)
     return 0
@@ -296,7 +275,6 @@ def cmd_gridsearch(args, cfg: dict) -> int:
 
 def cmd_synth(args, cfg: dict) -> int:
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     sizes = {"train": args.train_size, "valid": args.valid_size, "test": args.test_size}
     manifest_splits = {}
     for i, (split, size) in enumerate(sizes.items()):
@@ -311,7 +289,7 @@ def cmd_synth(args, cfg: dict) -> int:
     return 0
 
 
-COMMANDS = {"train": cmd_train, "eval": cmd_eval, "dualinf": cmd_dualinf,
+COMMANDS = {"train": cmd_train, "eval": cmd_eval, "dualinf": cmd_eval,
             "gridsearch": cmd_gridsearch, "synth": cmd_synth}
 
 
@@ -351,19 +329,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
+        Path(cfg["out_dir"]).mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](args, cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (DataError, FrameError, BpeError, MetricError, DecodeError) as e:
+    except (DataError, FrameError, BpeError, MetricError, DecodeError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except CheckpointError as e:
         print(f"checkpoint error: {e}", file=sys.stderr)
         return 4
-    except OSError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

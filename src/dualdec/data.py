@@ -12,7 +12,6 @@ save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,17 +21,8 @@ from .frames import SemanticFrame, frame_to_iob, iob_to_frame, repair_iob
 from .tensor import derive_rng
 from .textproc import LabelVocab, Vocabs, bpe_train, word_utterance
 
-log = logging.getLogger(__name__)
-
 CHECKPOINT_VERSION = 1
 MODEL_KINDS = ("nlu", "nlg", "lm", "mfm")
-
-# published corpus sizes used for the sanity warning in check_declared_counts
-KNOWN_COUNTS = {
-    "snips": {"train": 13084, "test": 700},
-    "atis": {"train": 4478, "test": 893},
-    "e2e": {"train": 42063, "test": 4693},
-}
 
 
 class DataError(ValueError):
@@ -124,22 +114,6 @@ def save_nlg(path, examples: Sequence[NlgExample]) -> None:
             fd["slots"] = [[k, " ".join(v)] for k, v in ex.frame.slots]
             fh.write(json.dumps({"frame": fd, "refs": list(ex.refs)},
                                 sort_keys=True, ensure_ascii=False) + "\n")
-
-
-def check_declared_counts(manifest: dict, split: str, n_loaded: int) -> list[str]:
-    """Warn (never fail) when loaded sizes disagree with the manifest or with
-    the published sizes of a known dataset."""
-    warnings = []
-    declared = manifest.get("splits", {}).get(split, {}).get("count")
-    if declared is not None and declared != n_loaded:
-        warnings.append(f"{split}: manifest declares {declared} examples, loaded {n_loaded}")
-    known = KNOWN_COUNTS.get(str(manifest.get("name", "")).lower(), {})
-    if split in known and declared is not None and declared != known[split]:
-        warnings.append(f"{split}: declared {declared} but {manifest['name']} "
-                        f"publishes {known[split]}")
-    for w in warnings:
-        log.warning(w)
-    return warnings
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +289,13 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         fh.write(payload)
 
 
+def _is_param_entry(entry) -> bool:
+    """A header ``params`` entry: [name, shape], the shape a list of sizes."""
+    return (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], list)
+            and all(type(n) is int and n >= 0 for n in entry[1]))
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -325,11 +306,18 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(blob[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header: {e}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported format version {header.get('format_version')!r}")
     if header.get("kind") not in MODEL_KINDS:
         raise CheckpointError(f"{path}: unknown model kind {header.get('kind')!r}")
+    missing = [k for k in ("config", "seed", "vocab", "labels", "params") if k not in header]
+    if missing:
+        raise CheckpointError(f"{path}: header lacks {', '.join(missing)}")
+    if not (isinstance(header["params"], list) and all(map(_is_param_entry, header["params"]))):
+        raise CheckpointError(f"{path}: header params must be [name, shape] pairs")
     payload = blob[nl + 1:]
     params: dict[str, np.ndarray] = {}
     offset = 0

@@ -27,7 +27,7 @@ import numpy as np
 from . import metrics
 from .data import NlgExample, NluExample
 from .frames import (SemanticFrame, align_tags_to_pieces, collapse_piece_tags,
-                     frame_to_iob, iob_to_frame)
+                     format_frame, frame_to_iob, iob_to_frame)
 from .models import (LmModel, MaskedFrameModel, NlgModel, NluModel,
                      lm_score_tokens, masked_frame_score, nlg_features_np,
                      nlg_score, nlg_start, nlg_step, nlu_intent, nlu_score,
@@ -265,10 +265,6 @@ def utterance_from_payload(vocabs, payload: Sequence[int]) -> Utterance:
     return Utterance(detokenize(pieces), tuple(payload), pieces)
 
 
-def hypothesis_utterance(model, hyp: Hypothesis) -> Utterance:
-    return utterance_from_payload(model.vocabs, hyp.payload)
-
-
 def forced_tag_ids(nlu: NluModel, frame: SemanticFrame, utt: Utterance) -> tuple[list[int], object]:
     """Tag targets for reconstructing ``frame`` from ``utt``; slot values the
     utterance does not contain simply leave their tags absent."""
@@ -303,7 +299,7 @@ def frame_marginal(mfm: MaskedFrameModel, frame: SemanticFrame, rng) -> float:
 def dual_components_nlg(candidate: Hypothesis, input_frame: SemanticFrame,
                         nlu: NluModel, lm: LmModel, mfm: MaskedFrameModel,
                         rng) -> Components:
-    cand = hypothesis_utterance(lm, candidate)
+    cand = utterance_from_payload(lm.vocabs, candidate.payload)
     return Components(
         forward=candidate.forward_logprob,
         backward=nlg_backward_logprob(nlu, input_frame, cand),
@@ -376,6 +372,9 @@ class ModelsBundle:
 
 @dataclass
 class CachedExample:
+    """One example's beam and the score components of each hypothesis;
+    plain decoding leaves ``components`` empty."""
+
     hypotheses: list[Hypothesis]
     components: list[Components]
 
@@ -424,14 +423,58 @@ def precompute_nlu(examples: Sequence[NluExample], bundle: ModelsBundle, *,
     return cached
 
 
+def precompute(direction: str, examples, bundle: ModelsBundle, *, beam: int,
+               max_len: int, k_intent: int, seed: int) -> list[CachedExample]:
+    if direction == "nlg":
+        return precompute_nlg(examples, bundle, beam=beam, max_len=max_len, seed=seed)
+    if direction == "nlu":
+        return precompute_nlu(examples, bundle, beam=beam, k_intent=k_intent, seed=seed)
+    raise DecodeError(f"unknown direction {direction!r}")
+
+
+# ---------------------------------------------------------------------------
+# reports of the chosen hypotheses
+
+
+def _reporter(direction: str, examples, vocabs, utts=None):
+    """The report of ``examples`` as a function of the hypotheses chosen for
+    them, one per example. Gold data is gathered and NLU inputs are encoded
+    here, once per split, unless ``utts`` already holds the encoded inputs."""
+    if direction == "nlg":
+        refs = [list(ex.refs) for ex in examples]
+
+        def report_nlg(chosen: Sequence[Hypothesis]) -> metrics.EvalReport:
+            texts = [utterance_from_payload(vocabs, h.payload).surface for h in chosen]
+            return metrics.evaluate_nlg(texts, refs)
+        return report_nlg
+    labels = vocabs.labels
+    if utts is None:
+        utts = [vocabs.bpe.encode(ex.text) for ex in examples]
+    gold_intents = [ex.intent for ex in examples]
+    gold_tags = [list(ex.tags) for ex in examples]
+
+    def report_nlu(chosen: Sequence[Hypothesis]) -> metrics.EvalReport:
+        pred_tags = [collapse_piece_tags([labels.tags[t] for t in h.payload], utt)
+                     for h, utt in zip(chosen, utts)]
+        pred_intents = [None if h.intent is None else labels.intents[h.intent] for h in chosen]
+        return metrics.evaluate_nlu(pred_intents, gold_intents, pred_tags, gold_tags)
+    return report_nlu
+
+
 # ---------------------------------------------------------------------------
 # grid search
 
 
-def weight_grid(step: float = 0.1) -> list[tuple[float, float]]:
-    n = round(1.0 / step)
+def grid_intervals(step: float) -> int:
+    """How many times ``step`` fits into 1.0; it must fit a whole number of times."""
+    n = round(1.0 / step) if step > 0 else 0
     if n < 1 or abs(n * step - 1.0) > 1e-9:
         raise DecodeError(f"grid step {step} must divide 1.0")
+    return n
+
+
+def weight_grid(step: float = 0.1) -> list[tuple[float, float]]:
+    n = grid_intervals(step)
     vals = [i / n for i in range(n + 1)]
     return [(a, b) for a in vals for b in vals]
 
@@ -440,27 +483,31 @@ def weight_grid(step: float = 0.1) -> list[tuple[float, float]]:
 class GridRow:
     alpha: float
     beta: float
-    metrics: dict[str, float]
+    report: metrics.EvalReport
+
+    @property
+    def metrics(self) -> dict[str, float]:
+        """The metrics the report holds, in report field order."""
+        return {k: getattr(self.report, k) for k in metrics.EvalReport.FIELDS
+                if not k.startswith("n_") and getattr(self.report, k) is not None}
 
 
 @dataclass
 class GridResult:
     direction: str
-    metric_names: list[str]
-    rows: list[GridRow]
-    best: dict[str, tuple[float, float, float]] = field(default_factory=dict)
+    rows: list[GridRow] = field(default_factory=list)
     selections: dict[tuple[float, float], list[int]] = field(default_factory=dict)
 
-    def finalize(self):
+    @property
+    def metric_names(self) -> list[str]:
+        return list(self.rows[0].metrics) if self.rows else []
+
+    @property
+    def best(self) -> dict[str, tuple[float, float, float]]:
         """Per-metric argmax; earliest (alpha, beta) in row order wins ties."""
-        for name in self.metric_names:
-            top = None
-            for row in self.rows:
-                v = row.metrics[name]
-                if top is None or v > top[2]:
-                    top = (row.alpha, row.beta, v)
-            self.best[name] = top
-        return self
+        return {name: max(((r.alpha, r.beta, r.metrics[name]) for r in self.rows),
+                          key=lambda top: top[2])
+                for name in self.metric_names}
 
     def to_csv(self) -> str:
         lines = [",".join(["alpha", "beta"] + self.metric_names)]
@@ -469,6 +516,22 @@ class GridResult:
             vals += [repr(row.metrics[name]) for name in self.metric_names]
             lines.append(",".join(vals))
         return "\n".join(lines) + "\n"
+
+
+def sweep(examples, bundle: ModelsBundle, direction: str,
+          cached: Sequence[CachedExample],
+          pairs: Sequence[tuple[float, float]]) -> GridResult:
+    """Re-rank the cached hypotheses at each (alpha, beta) of ``pairs`` and
+    report each selection; a row's columns are its report's metrics."""
+    report = _reporter(direction, examples, bundle.vocabs)
+    result = GridResult(direction)
+    for a, b in pairs:
+        w = DualWeights(a, b)
+        picks = [c.select(w) for c in cached]
+        result.selections[(a, b)] = picks
+        result.rows.append(GridRow(a, b, report(
+            [c.hypotheses[i] for c, i in zip(cached, picks)])))
+    return result
 
 
 def grid_search(examples, bundle: ModelsBundle, direction: str, *, beam: int,
@@ -481,136 +544,60 @@ def grid_search(examples, bundle: ModelsBundle, direction: str, *, beam: int,
     """
     if not examples:
         raise DecodeError("empty validation set")
-    if direction == "nlg":
-        cached = precompute_nlg(examples, bundle, beam=beam, max_len=max_len, seed=seed)
-        return _grid_from_cache_nlg(examples, bundle, cached, step)
-    if direction == "nlu":
-        cached = precompute_nlu(examples, bundle, beam=beam, k_intent=k_intent, seed=seed)
-        return _grid_from_cache_nlu(examples, bundle, cached, step)
-    raise DecodeError(f"unknown direction {direction!r}")
-
-
-def _grid_from_cache_nlg(examples, bundle, cached, step) -> GridResult:
-    names = ["bleu", "rouge1", "rouge2", "rougeL"]
-    result = GridResult("nlg", names, [])
-    ref_sets = [list(ex.refs) for ex in examples]
-    for a, b in weight_grid(step):
-        w = DualWeights(a, b)
-        picks = [c.select(w) for c in cached]
-        hyps = [utterance_from_payload(bundle.vocabs, c.hypotheses[i].payload).surface
-                for c, i in zip(cached, picks)]
-        result.selections[(a, b)] = picks
-        result.rows.append(GridRow(a, b, {
-            "bleu": metrics.bleu(hyps, ref_sets),
-            "rouge1": metrics.rouge_n_corpus(hyps, ref_sets, 1),
-            "rouge2": metrics.rouge_n_corpus(hyps, ref_sets, 2),
-            "rougeL": metrics.rouge_l_corpus(hyps, ref_sets),
-        }))
-    return result.finalize()
-
-
-def _grid_from_cache_nlu(examples, bundle, cached, step) -> GridResult:
-    labels = bundle.vocabs.labels
-    has_intent = labels.n_intents > 0
-    names = (["intent_accuracy"] if has_intent else []) + \
-        ["slot_precision", "slot_recall", "slot_f1"]
-    result = GridResult("nlu", names, [])
-    utts = [bundle.vocabs.bpe.encode(ex.text) for ex in examples]
-    gold_tags = [list(ex.tags) for ex in examples]
-    gold_intents = [ex.intent for ex in examples]
-    for a, b in weight_grid(step):
-        w = DualWeights(a, b)
-        picks = [c.select(w) for c in cached]
-        pred_tags, pred_intents = [], []
-        for c, i, utt in zip(cached, picks, utts):
-            hyp = c.hypotheses[i]
-            piece_tags = [labels.tags[t] for t in hyp.payload]
-            pred_tags.append(collapse_piece_tags(piece_tags, utt))
-            pred_intents.append(labels.intents[hyp.intent]
-                                if hyp.intent is not None else None)
-        result.selections[(a, b)] = picks
-        row = {}
-        if has_intent:
-            row["intent_accuracy"] = metrics.intent_accuracy(pred_intents, gold_intents)
-        prf = metrics.slot_f1(pred_tags, gold_tags)
-        row.update(slot_precision=prf.precision, slot_recall=prf.recall, slot_f1=prf.f1)
-        result.rows.append(GridRow(a, b, row))
-    return result.finalize()
+    cached = precompute(direction, examples, bundle, beam=beam, max_len=max_len,
+                        k_intent=k_intent, seed=seed)
+    return sweep(examples, bundle, direction, cached, weight_grid(step))
 
 
 # ---------------------------------------------------------------------------
 # evaluation passes (plain decoding or one fixed weight pair)
 
 
-@dataclass
-class ExampleTrace:
-    index: int
-    input_text: str
-    selected: int
-    hypotheses: list[dict]
-
-
 def evaluate_direction(examples, bundle: ModelsBundle, direction: str,
                        weights: DualWeights | None, *, beam: int,
                        max_len: int = 60, k_intent: int = 3, seed: int = 0,
-                       ) -> tuple[metrics.EvalReport, list[ExampleTrace]]:
+                       ) -> tuple[metrics.EvalReport, list[dict]]:
     """Decode every example; with ``weights`` given, re-rank dually and record
     all four score components per hypothesis. ``weights=None`` is the plain
-    (alpha = 1) evaluation: beam top-1, no extra scoring."""
-    from .frames import format_frame
+    (alpha = 1) evaluation: beam top-1, no extra scoring.
+
+    Each example's trace is a JSON object: its ``index``, its ``input`` text,
+    the ``selected`` hypothesis rank and the ``hypotheses`` with their scores."""
     if direction not in ("nlu", "nlg"):
         raise DecodeError(f"unknown direction {direction!r}")
-    traces: list[ExampleTrace] = []
-    labels = bundle.vocabs.labels
-
-    if direction == "nlg":
-        if weights is None:
-            picked = []
-            for ex in examples:
-                hyps = nlg_hypotheses(bundle.nlg, ex.frame, beam, max_len)
-                picked.append((hyps, 0, None))
-        else:
-            cached = precompute_nlg(examples, bundle, beam=beam, max_len=max_len,
-                                    seed=seed)
-            picked = [(c.hypotheses, c.select(weights), c.components) for c in cached]
-        hyp_texts = []
-        for idx, (ex, (hyps, sel, comps)) in enumerate(zip(examples, picked)):
-            hyp_texts.append(utterance_from_payload(bundle.vocabs, hyps[sel].payload).surface)
-            traces.append(_trace(idx, format_frame(ex.frame), hyps, sel, comps,
-                                 weights, bundle, direction))
-        return metrics.evaluate_nlg(hyp_texts, [list(ex.refs) for ex in examples]), traces
-
-    utts = [bundle.vocabs.bpe.encode(ex.text) for ex in examples]
-    if weights is None:
-        picked = [(nlu_hypotheses(bundle.nlu, utt, beam, k_intent), 0, None)
-                  for utt in utts]
+    utts = None
+    if direction == "nlu":
+        utts = [bundle.vocabs.bpe.encode(ex.text) for ex in examples]
+    if weights is not None:
+        cached = precompute(direction, examples, bundle, beam=beam, max_len=max_len,
+                            k_intent=k_intent, seed=seed)
+    elif direction == "nlg":
+        cached = [CachedExample(nlg_hypotheses(bundle.nlg, ex.frame, beam, max_len), [])
+                  for ex in examples]
     else:
-        cached = precompute_nlu(examples, bundle, beam=beam, k_intent=k_intent,
-                                seed=seed)
-        picked = [(c.hypotheses, c.select(weights), c.components) for c in cached]
-    pred_tags, pred_intents = [], []
-    for idx, (ex, utt, (hyps, sel, comps)) in enumerate(zip(examples, utts, picked)):
-        hyp = hyps[sel]
-        piece_tags = [labels.tags[t] for t in hyp.payload]
-        pred_tags.append(collapse_piece_tags(piece_tags, utt))
-        pred_intents.append(labels.intents[hyp.intent] if hyp.intent is not None else None)
-        traces.append(_trace(idx, ex.text, hyps, sel, comps, weights, bundle, direction))
-    report = metrics.evaluate_nlu(pred_intents, [ex.intent for ex in examples],
-                                  pred_tags, [list(ex.tags) for ex in examples])
+        cached = [CachedExample(nlu_hypotheses(bundle.nlu, utt, beam, k_intent), [])
+                  for utt in utts]
+    picks = [0] * len(cached) if weights is None else [c.select(weights) for c in cached]
+    report = _reporter(direction, examples, bundle.vocabs, utts)(
+        [c.hypotheses[i] for c, i in zip(cached, picks)])
+    inputs = [format_frame(ex.frame) if direction == "nlg" else ex.text for ex in examples]
+    traces = [_trace(idx, text, c, sel, weights, bundle.vocabs, direction)
+              for idx, (text, c, sel) in enumerate(zip(inputs, cached, picks))]
     return report, traces
 
 
-def _trace(idx, input_text, hyps, sel, comps, weights, bundle, direction) -> ExampleTrace:
+def _trace(idx, input_text, cached: CachedExample, sel, weights, vocabs,
+           direction) -> dict:
     rows = []
-    for i, hyp in enumerate(hyps):
+    for i, hyp in enumerate(cached.hypotheses):
         row = {"payload": list(hyp.payload), "forward": hyp.forward_logprob}
         if direction == "nlg":
-            row["text"] = utterance_from_payload(bundle.vocabs, hyp.payload).surface
+            row["text"] = utterance_from_payload(vocabs, hyp.payload).surface
         if hyp.intent is not None:
-            row["intent"] = bundle.vocabs.labels.intents[hyp.intent]
-        if comps is not None:
-            ds = combine(comps[i], weights)
+            row["intent"] = vocabs.labels.intents[hyp.intent]
+        if weights is not None:
+            ds = combine(cached.components[i], weights)
             row.update(backward=ds.backward, marg_out=ds.marg_out,
                        marg_in=ds.marg_in, combined=ds.combined)
         rows.append(row)
-    return ExampleTrace(index=idx, input_text=input_text, selected=sel, hypotheses=rows)
+    return {"index": idx, "input": input_text, "selected": sel, "hypotheses": rows}

@@ -46,12 +46,6 @@ class SemanticFrame:
     def n_features(self) -> int:
         return len(self.slots) + (1 if self.intent is not None else 0)
 
-    def value_text(self, key: str) -> str:
-        for k, v in self.slots:
-            if k == key:
-                return " ".join(v)
-        raise KeyError(key)
-
 
 def format_frame(frame: SemanticFrame) -> str:
     """Log form: ``intent[v], key[value], ...``."""

@@ -654,9 +654,12 @@ def to_checkpoint(model, seed: int, extra_config: dict | None = None) -> Checkpo
 def model_from_checkpoint(ckpt: Checkpoint):
     if ckpt.kind not in MODEL_CLASSES:
         raise CheckpointError(f"unknown model kind {ckpt.kind!r}")
+    dims = [ckpt.config.get(k) if isinstance(ckpt.config, dict) else None
+            for k in ("hidden", "embedding")]
+    if not all(type(d) is int and d >= 1 for d in dims):
+        raise CheckpointError("checkpoint config needs integer hidden and embedding sizes")
     vocabs = Vocabs(BpeModel.from_dict(ckpt.vocab), LabelVocab.from_dict(ckpt.labels))
-    cfg = ModelConfig(hidden=int(ckpt.config["hidden"]),
-                      embedding=int(ckpt.config["embedding"]))
+    cfg = ModelConfig(hidden=dims[0], embedding=dims[1])
     model = MODEL_CLASSES[ckpt.kind](cfg, vocabs, rng=None)
     expected = set(model.params)
     provided = set(ckpt.params)

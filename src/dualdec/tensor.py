@@ -48,9 +48,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.data).all())
 

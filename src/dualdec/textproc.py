@@ -316,7 +316,3 @@ class Vocabs:
 
     bpe: BpeModel
     labels: LabelVocab
-
-    def compatible_with(self, other: "Vocabs") -> bool:
-        return (self.bpe.to_dict() == other.bpe.to_dict()
-                and self.labels == other.labels)

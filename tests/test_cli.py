@@ -5,7 +5,7 @@ import pytest
 
 from dualdec import data, decode, metrics
 from dualdec.cli import main
-from dualdec.decode import ModelsBundle
+from dualdec.decode import DualWeights, ModelsBundle
 from dualdec.models import model_from_checkpoint
 
 
@@ -15,6 +15,11 @@ def run(*argv) -> int:
 
 def dir_bytes(path: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(path.iterdir()) if p.is_file()}
+
+
+def load_bundle(ckpt_dir: Path) -> ModelsBundle:
+    return ModelsBundle(*(model_from_checkpoint(
+        data.load_checkpoint(ckpt_dir / f"{k}.ckpt")) for k in data.MODEL_KINDS))
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +123,75 @@ def test_incompatible_checkpoints_exit_4(workspace, tmp_path):
                "--out", tmp_path / "o") == 4
 
 
+@pytest.mark.parametrize("flags, file_cfg", [
+    (["synth", "--seed", "-1"], None),
+    (["dualinf", "--alpha", "1.5"], None),
+    (["dualinf", "--beta", "-0.5"], None),
+    (["eval", "--beam", "0"], None),
+    (["eval"], {"seed": -2}),
+    (["eval"], {"seed": 1.5}),
+    (["dualinf"], {"dual": {"alpha": "0.5"}}),
+    (["eval"], {"decode": {"beam": "4"}}),
+    (["gridsearch"], {"dual": {"grid_step": 0.3}}),
+    (["gridsearch"], {"dual": {"grid_step": 0}}),
+    (["gridsearch"], {"dual": {"grid_step": "0.5"}}),
+    (["eval"], {"dual": 5}),
+])
+def test_usage_errors_exit_2_without_traceback(tmp_path, capsys, flags, file_cfg):
+    argv = [*flags, "--out", tmp_path / "o"]
+    if file_cfg is not None:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(file_cfg))
+        argv += ["--config", cfg]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def _drop_params(h):
+    del h["params"]
+
+
+def _drop_config(h):
+    del h["config"]
+
+
+def _bad_param_entry(h):
+    h["params"][0] = h["params"][0][:1]
+
+
+def _negative_shape(h):
+    h["params"][0][1] = [-1]
+
+
+def _no_hidden(h):
+    del h["config"]["hidden"]
+
+
+def _text_embedding(h):
+    h["config"]["embedding"] = "8"
+
+
+@pytest.mark.parametrize("corrupt", [_drop_params, _drop_config, _bad_param_entry,
+                                     _negative_shape, _no_hidden, _text_embedding])
+def test_checkpoint_header_errors_exit_4_without_traceback(workspace, tmp_path, capsys,
+                                                           corrupt):
+    root, cfg_path, ckpt_dir = workspace
+    broken = tmp_path / "ckpt"
+    broken.mkdir()
+    for src in ckpt_dir.glob("*.ckpt"):
+        (broken / src.name).write_bytes(src.read_bytes())
+    blob = (broken / "nlg.ckpt").read_bytes()
+    nl = blob.index(b"\n")
+    header = json.loads(blob[:nl])
+    corrupt(header)
+    (broken / "nlg.ckpt").write_bytes(json.dumps(header).encode() + blob[nl:])
+    assert run("eval", "--config", cfg_path, "--checkpoints", broken,
+               "--out", tmp_path / "o") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error:") and "Traceback" not in err
+
+
 def test_manifest_defaults_match_published_recipe(tmp_path):
     out = tmp_path / "synth"
     assert run("synth", "--out", out, "--seed", "1") == 0
@@ -144,8 +218,7 @@ def test_eval_reports_all_fields_and_matches_api(workspace, tmp_path):
 
     # API parity: the same decode through the library gives the same report
     cfg = json.loads(cfg_path.read_text())
-    bundle = ModelsBundle(*(model_from_checkpoint(
-        data.load_checkpoint(ckpt_dir / f"{k}.ckpt")) for k in data.MODEL_KINDS))
+    bundle = load_bundle(ckpt_dir)
     nlu_test = data.load_nlu(cfg["data"]["nlu_test"])
     nlg_test = data.load_nlg(cfg["data"]["nlg_test"])
     rep_nlu, _ = decode.evaluate_direction(nlu_test, bundle, "nlu", None,
@@ -225,6 +298,29 @@ def test_gridsearch_csv_rows_and_selection_reproducible(workspace, tmp_path):
             top = next(r for r in rows if float(r[name]) == best)
             assert float(top["alpha"]) == info["alpha"]
             assert float(top["beta"]) == info["beta"]
+
+
+def test_gridsearch_eval_test_reports_each_selected_pair(workspace, tmp_path):
+    root, cfg_path, ckpt_dir = workspace
+    out = tmp_path / "grid"
+    assert run("gridsearch", "--config", cfg_path, "--checkpoints", ckpt_dir,
+               "--out", out, "--eval-test") == 0
+    selection = json.loads((out / "selection.json").read_text())
+    test_report = json.loads((out / "test_report.json").read_text())
+    cfg = json.loads(cfg_path.read_text())
+    bundle = load_bundle(ckpt_dir)
+    splits = {"nlu": data.load_nlu(cfg["data"]["nlu_test"]),
+              "nlg": data.load_nlg(cfg["data"]["nlg_test"])}
+    assert set(test_report) == set(splits)
+    for direction, examples in splits.items():
+        assert set(test_report[direction]) == set(selection[direction])
+        for name, info in selection[direction].items():
+            w = DualWeights(info["alpha"], info["beta"])
+            rep, _ = decode.evaluate_direction(examples, bundle, direction, w, beam=4,
+                                               max_len=14, k_intent=2, seed=11)
+            assert test_report[direction][name] == {
+                "alpha": info["alpha"], "beta": info["beta"],
+                "report": json.loads(rep.to_json())}, (direction, name)
 
 
 def test_gridsearch_missing_valid_split_exits_2(workspace, tmp_path):

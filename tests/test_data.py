@@ -1,5 +1,4 @@
 import json
-import logging
 
 import numpy as np
 import pytest
@@ -65,28 +64,16 @@ def test_refs_bounds():
         NlgExample(frame, tuple("abcdef"))
 
 
-def test_declared_count_check_passes_and_warns(tmp_path, caplog):
-    manifest = {"name": "atis", "splits": {"train": {"count": 4478}}}
-    assert data.check_declared_counts(manifest, "train", 4478) == []
-    with caplog.at_level(logging.WARNING):
-        warnings = data.check_declared_counts(manifest, "train", 4000)
-    assert len(warnings) == 1 and "4478" in warnings[0]
-    # a declared count that contradicts the published size also warns
-    manifest2 = {"name": "atis", "splits": {"train": {"count": 12}}}
-    warnings2 = data.check_declared_counts(manifest2, "train", 12)
-    assert len(warnings2) == 1 and "publishes" in warnings2[0]
-
-
 def test_atis_manifest_with_full_train_split(tmp_path):
-    # 4478 generated lines pass the declared-count check silently
+    # an ATIS-sized training split (4478 lines) loads in full
     p = tmp_path / "atis_train.jsonl"
     with open(p, "w") as fh:
         for i in range(4478):
             fh.write(json.dumps({"text": f"word{i} flight", "tags": ["O", "O"],
                                  "intent": "atis_flight"}) + "\n")
     examples = load_nlu(p)
-    manifest = {"name": "atis", "splits": {"train": {"count": 4478}}}
-    assert data.check_declared_counts(manifest, "train", len(examples)) == []
+    assert len(examples) == 4478
+    assert examples[-1] == NluExample("word4477 flight", ("O", "O"), "atis_flight")
 
 
 # ---------------------------------------------------------------------------

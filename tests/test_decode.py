@@ -6,6 +6,7 @@ import pytest
 from conftest import make_model, randomize
 
 from dualdec import decode
+from dualdec.data import NluExample
 from dualdec.decode import (CachedExample, Components, DualWeights, Hypothesis,
                             ModelsBundle, NluTagStepper, beam_search,
                             combine, dual_score_nlg, dual_score_nlu, grid_search,
@@ -365,6 +366,23 @@ def test_grid_search_nlu_direction(tiny_corpus, tiny_vocabs):
     assert len(csv.splitlines()) == 5
 
 
+def test_nlu_split_without_gold_intents_reports_no_intent_accuracy(tiny_corpus, tiny_vocabs):
+    nlu_raw, _ = tiny_corpus
+    assert tiny_vocabs.labels.n_intents > 0
+    examples = [NluExample(ex.text, ex.tags) for ex in nlu_raw[:4]]
+    b = _bundle(tiny_vocabs, seed=17)
+    res = grid_search(examples, b, "nlu", beam=3, k_intent=2, seed=3, step=1.0)
+    assert res.metric_names == ["slot_precision", "slot_recall", "slot_f1"]
+    assert res.to_csv().splitlines()[0] == "alpha,beta,slot_precision,slot_recall,slot_f1"
+    plain, _ = decode.evaluate_direction(examples, b, "nlu", None, beam=3, k_intent=2)
+    assert plain.intent_accuracy is None
+    # every grid row is the report of its pair's re-ranked selection
+    for row in res.rows:
+        rep, _ = decode.evaluate_direction(examples, b, "nlu", DualWeights(row.alpha, row.beta),
+                                           beam=3, k_intent=2, seed=3)
+        assert row.report == rep
+
+
 def test_alpha_one_rerank_equals_beam_top1_property(tiny_corpus, tiny_vocabs):
     nlu_raw, nlg_raw = tiny_corpus
     b = _bundle(tiny_vocabs, seed=19)
@@ -423,8 +441,8 @@ def test_evaluate_direction_plain_equals_alpha_one(tiny_corpus, tiny_vocabs):
     dual, traces = decode.evaluate_direction(nlg_raw[:4], b, "nlg", DualWeights(1.0, 0.5),
                                              beam=3, max_len=6, seed=2)
     assert plain.bleu == dual.bleu and plain.rougeL == dual.rougeL
-    assert all(t.selected == 0 for t in traces)
+    assert all(t["selected"] == 0 for t in traces)
     for t in traces:
-        for row in t.hypotheses:
+        for row in t["hypotheses"]:
             expect = row["forward"]  # alpha = 1
             assert row["combined"] == pytest.approx(expect, abs=0)
