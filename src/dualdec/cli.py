@@ -307,14 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
             ("synth", "generate the synthetic template corpus")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory")
-        p.add_argument("--direction", choices=["nlu", "nlg", "both"])
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--beam", type=int)
+        if name != "eval":  # plain decoding draws no random numbers
+            p.add_argument("--seed", type=int)
         if name in ("eval", "dualinf", "gridsearch"):
+            p.add_argument("--direction", choices=["nlu", "nlg", "both"])
+            p.add_argument("--beam", type=int)
             p.add_argument("--checkpoints", help="directory holding *.ckpt files")
+        if name == "dualinf":
+            p.add_argument("--alpha", type=float)
+            p.add_argument("--beta", type=float)
         if name == "gridsearch":
             p.add_argument("--eval-test", action="store_true", dest="eval_test",
                            help="also evaluate the selected pairs on the test split")

@@ -13,9 +13,13 @@
     Frame density is a pseudo-likelihood: mask a random feature three times
     and sum the log-probabilities of the true labels.
 
-Every model offers two equivalent forward paths: a traced path used for
-training and teacher-forced scoring, and a raw-numpy step path used by beam
-search. Tests pin their agreement.
+All four build on one constructor (config, vocabularies, a parameter store
+whose first entry is the word embedding), and NLG and the masked frame model
+share one frame-feature encoder, ``mfm_features``. Training and
+teacher-forced scoring run on the traced path. Beam search runs on a raw-numpy
+path: ``GruCell.step_np`` and the per-model steps ``nlu_step``, ``nlu_intent``,
+``nlg_start`` and ``nlg_step``; tests pin its agreement with the traced path.
+Beam search encodes a frame once, on the traced path under ``no_grad``.
 """
 from __future__ import annotations
 
@@ -39,9 +43,7 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    hidden: int = 200
-    embedding: int = 50
+class TrainConfig(ModelConfig):
     epochs: int = 10
     batch_size: int = 48
     teacher_forcing: float = 0.9
@@ -141,33 +143,47 @@ def _sum_terms(ts: Sequence[Tensor]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# NLU
+# model construction
 
 
-class NluModel:
-    kind = "nlu"
+class _Model:
+    """Construction shared by the four models. ``word_emb`` is always the first
+    parameter; each model's ``_build`` adds the rest in checkpoint order."""
 
     def __init__(self, cfg: ModelConfig, vocabs: Vocabs,
                  rng: np.random.Generator | None = None):
         self.cfg = cfg
         self.vocabs = vocabs
-        H, E = cfg.hidden, cfg.embedding
-        n_tok = len(vocabs.bpe.pieces)
         store = ParamStore(rng)
-        self.word_emb = store.add("word_emb", (n_tok, E))
-        self.tag_emb = store.add("tag_emb", (vocabs.labels.n_tags, E))
-        self.start_tag = store.add("start_tag", (E,))
-        self.cell = GruCell(store, "gru", 2 * E, H)
-        self.tag_w = store.add("tag_proj.w", (vocabs.labels.n_tags, H))
-        self.tag_b = store.add("tag_proj.b", (vocabs.labels.n_tags,))
-        if vocabs.labels.n_intents:
-            self.int_w = store.add("intent_proj.w", (vocabs.labels.n_intents, H))
-            self.int_b = store.add("intent_proj.b", (vocabs.labels.n_intents,))
+        self.word_emb = store.add("word_emb", (len(vocabs.bpe.pieces), cfg.embedding))
+        self._build(store, cfg.hidden, cfg.embedding)
         self.params = store.params
+
+    def _build(self, store: ParamStore, H: int, E: int) -> None:
+        raise NotImplementedError
 
     @property
     def n_intents(self) -> int:
         return self.vocabs.labels.n_intents
+
+
+# ---------------------------------------------------------------------------
+# NLU
+
+
+class NluModel(_Model):
+    kind = "nlu"
+
+    def _build(self, store: ParamStore, H: int, E: int) -> None:
+        n_tags = self.vocabs.labels.n_tags
+        self.tag_emb = store.add("tag_emb", (n_tags, E))
+        self.start_tag = store.add("start_tag", (E,))
+        self.cell = GruCell(store, "gru", 2 * E, H)
+        self.tag_w = store.add("tag_proj.w", (n_tags, H))
+        self.tag_b = store.add("tag_proj.b", (n_tags,))
+        if self.n_intents:
+            self.int_w = store.add("intent_proj.w", (self.n_intents, H))
+            self.int_b = store.add("intent_proj.b", (self.n_intents,))
 
 
 def nlu_forcing_graph(m: NluModel, utt: Utterance, tags: Sequence[int],
@@ -229,7 +245,7 @@ def nlu_intent(m: NluModel, state: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# feature encoders shared by NLG and the masked frame model
+# the frame-feature encoder shared by NLG and the masked frame model
 
 
 class _PairEncoder:
@@ -251,81 +267,67 @@ class _PairEncoder:
             hb = self.bwd.step(x, hb)
         return T.tanh(T.add(T.matmul(self.feat_w, T.concat([hf, hb])), self.feat_b))
 
-    def encode_np(self, seq: list[np.ndarray]) -> np.ndarray:
-        hf = np.zeros(self.hidden)
-        hb = np.zeros(self.hidden)
-        for x in seq:
-            hf = self.fwd.step_np(x, hf)
-        for x in reversed(seq):
-            hb = self.bwd.step_np(x, hb)
-        return np.tanh(self.feat_w.data @ np.concatenate([hf, hb]) + self.feat_b.data)
+
+class _FrameModel(_Model):
+    """A model that reads frames: slot-key and intent embeddings and the pair
+    encoder, in that parameter order."""
+
+    def _build(self, store: ParamStore, H: int, E: int) -> None:
+        self.key_emb = store.add("key_emb", (max(self.vocabs.labels.n_slot_keys, 1), E))
+        if self.n_intents:
+            self.intent_emb = store.add("intent_emb", (self.n_intents, H))
+        self.encoder = _PairEncoder(store, E, H)
+        self.scale = 1.0 / math.sqrt(H)
 
 
-def _frame_feature_seqs(m, frame: SemanticFrame) -> list[tuple[int, list[int]]]:
-    """(key id, value token ids) per slot, via the shared tokenizer."""
-    out = []
+def mfm_features(m: _FrameModel, frame: SemanticFrame,
+                 ) -> tuple[list[Tensor], list[int]]:
+    """Per-feature encodings and their classifier targets (key or intent id):
+    one pair encoding per slot, then the intent embedding."""
+    labels = m.vocabs.labels
+    feats: list[Tensor] = []
+    targets: list[int] = []
     for key, value in frame.slots:
         try:
-            key_id = m.vocabs.labels.key_id(key)
+            key_id = labels.key_id(key)
         except KeyError:
             raise FrameError(f"slot key {key!r} outside inventory") from None
-        out.append((key_id, list(m.vocabs.bpe.encode_ids(" ".join(value)))))
-    return out
+        value_ids = m.vocabs.bpe.encode_ids(" ".join(value))
+        seq = [T.row(m.key_emb, key_id)] + [T.row(m.word_emb, i) for i in value_ids]
+        feats.append(m.encoder.encode(seq))
+        targets.append(key_id)
+    if frame.intent is not None and m.n_intents:
+        iid = labels.intent_id(frame.intent)
+        feats.append(T.row(m.intent_emb, iid))
+        targets.append(labels.n_slot_keys + iid)
+    return feats, targets
 
 
 # ---------------------------------------------------------------------------
 # NLG
 
 
-class NlgModel:
+class NlgModel(_FrameModel):
     kind = "nlg"
 
-    def __init__(self, cfg: ModelConfig, vocabs: Vocabs,
-                 rng: np.random.Generator | None = None):
-        self.cfg = cfg
-        self.vocabs = vocabs
-        H, E = cfg.hidden, cfg.embedding
-        n_tok = len(vocabs.bpe.pieces)
-        store = ParamStore(rng)
-        self.word_emb = store.add("word_emb", (n_tok, E))
-        self.key_emb = store.add("key_emb", (max(vocabs.labels.n_slot_keys, 1), E))
-        if vocabs.labels.n_intents:
-            self.intent_emb = store.add("intent_emb", (vocabs.labels.n_intents, H))
-        self.encoder = _PairEncoder(store, E, H)
+    def _build(self, store: ParamStore, H: int, E: int) -> None:
+        super()._build(store, H, E)
+        n_tok = len(self.vocabs.bpe.pieces)
         self.empty_feat = store.add("empty_feat", (H,))
         self.cell = GruCell(store, "dec", H + E, H)
         self.out_w = store.add("out.w", (n_tok, H))
         self.out_b = store.add("out.b", (n_tok,))
-        self.params = store.params
-        self.scale = 1.0 / math.sqrt(H)
-
-    @property
-    def n_intents(self) -> int:
-        return self.vocabs.labels.n_intents
 
 
 def nlg_features(m: NlgModel, frame: SemanticFrame) -> list[Tensor]:
-    feats = []
-    for key_id, value_ids in _frame_feature_seqs(m, frame):
-        seq = [T.row(m.key_emb, key_id)] + [T.row(m.word_emb, i) for i in value_ids]
-        feats.append(m.encoder.encode(seq))
-    if frame.intent is not None and m.n_intents:
-        feats.append(T.row(m.intent_emb, m.vocabs.labels.intent_id(frame.intent)))
-    if not feats:
-        feats = [m.empty_feat]
-    return feats
+    """The frame's features; the learned ``empty_feat`` when it has none."""
+    return mfm_features(m, frame)[0] or [m.empty_feat]
 
 
 def nlg_features_np(m: NlgModel, frame: SemanticFrame) -> np.ndarray:
-    feats = []
-    for key_id, value_ids in _frame_feature_seqs(m, frame):
-        seq = [m.key_emb.data[key_id]] + [m.word_emb.data[i] for i in value_ids]
-        feats.append(m.encoder.encode_np(seq))
-    if frame.intent is not None and m.n_intents:
-        feats.append(m.intent_emb.data[m.vocabs.labels.intent_id(frame.intent)])
-    if not feats:
-        feats = [m.empty_feat.data]
-    return np.stack(feats)
+    """``nlg_features`` as a (k, hidden) array, the input of ``nlg_step``."""
+    with T.no_grad():
+        return np.stack([f.data for f in nlg_features(m, frame)])
 
 
 def _attend(m: NlgModel, F: Tensor, h: Tensor) -> Tensor:
@@ -383,21 +385,14 @@ def nlg_step(m: NlgModel, state: np.ndarray, prev_word: int | None,
 # language model
 
 
-class LmModel:
+class LmModel(_Model):
     kind = "lm"
 
-    def __init__(self, cfg: ModelConfig, vocabs: Vocabs,
-                 rng: np.random.Generator | None = None):
-        self.cfg = cfg
-        self.vocabs = vocabs
-        H, E = cfg.hidden, cfg.embedding
-        n_tok = len(vocabs.bpe.pieces)
-        store = ParamStore(rng)
-        self.word_emb = store.add("word_emb", (n_tok, E))
+    def _build(self, store: ParamStore, H: int, E: int) -> None:
+        n_tok = len(self.vocabs.bpe.pieces)
         self.cell = GruCell(store, "gru", E, H)
         self.out_w = store.add("out.w", (n_tok, H))
         self.out_b = store.add("out.b", (n_tok,))
-        self.params = store.params
 
 
 def lm_forcing_graph(m: LmModel, tokens: Sequence[int]) -> list[Tensor]:
@@ -429,60 +424,21 @@ def lm_score_tokens(m: LmModel, tokens: Sequence[int]) -> ScoreBreakdown:
 # masked frame model
 
 
-class MaskedFrameModel:
+class MaskedFrameModel(_FrameModel):
     kind = "mfm"
 
-    def __init__(self, cfg: ModelConfig, vocabs: Vocabs,
-                 rng: np.random.Generator | None = None):
-        self.cfg = cfg
-        self.vocabs = vocabs
-        H, E = cfg.hidden, cfg.embedding
-        n_tok = len(vocabs.bpe.pieces)
-        self.n_labels = vocabs.labels.n_slot_keys + vocabs.labels.n_intents
+    def _build(self, store: ParamStore, H: int, E: int) -> None:
+        self.n_labels = self.vocabs.labels.n_slot_keys + self.n_intents
         if self.n_labels == 0:
             raise FrameError("masked frame model needs a non-empty label inventory")
-        store = ParamStore(rng)
-        self.word_emb = store.add("word_emb", (n_tok, E))
-        self.key_emb = store.add("key_emb", (max(vocabs.labels.n_slot_keys, 1), E))
-        if vocabs.labels.n_intents:
-            self.intent_emb = store.add("intent_emb", (vocabs.labels.n_intents, H))
-        self.encoder = _PairEncoder(store, E, H)
+        super()._build(store, H, E)
         self.mask_vec = store.add("mask", (H,))
-        self.layers = []
-        for li in range(2):
-            self.layers.append({
-                "q": store.add(f"layer{li}.q", (H, H)),
-                "k": store.add(f"layer{li}.k", (H, H)),
-                "v": store.add(f"layer{li}.v", (H, H)),
-                "f1w": store.add(f"layer{li}.f1.w", (H, H)),
-                "f1b": store.add(f"layer{li}.f1.b", (H,)),
-                "f2w": store.add(f"layer{li}.f2.w", (H, H)),
-                "f2b": store.add(f"layer{li}.f2.b", (H,)),
-            })
+        self.layers = [
+            {name: store.add(f"layer{li}.{name}", (H,) if name.endswith(".b") else (H, H))
+             for name in ("q", "k", "v", "f1.w", "f1.b", "f2.w", "f2.b")}
+            for li in range(2)]
         self.cls_w = store.add("cls.w", (self.n_labels, H))
         self.cls_b = store.add("cls.b", (self.n_labels,))
-        self.params = store.params
-        self.scale = 1.0 / math.sqrt(H)
-
-    @property
-    def n_intents(self) -> int:
-        return self.vocabs.labels.n_intents
-
-
-def mfm_features(m: MaskedFrameModel, frame: SemanticFrame,
-                 ) -> tuple[list[Tensor], list[int]]:
-    """Per-feature encodings and their classifier targets (key or intent id)."""
-    feats: list[Tensor] = []
-    targets: list[int] = []
-    for key_id, value_ids in _frame_feature_seqs(m, frame):
-        seq = [T.row(m.key_emb, key_id)] + [T.row(m.word_emb, i) for i in value_ids]
-        feats.append(m.encoder.encode(seq))
-        targets.append(key_id)
-    if frame.intent is not None and m.n_intents:
-        iid = m.vocabs.labels.intent_id(frame.intent)
-        feats.append(T.row(m.intent_emb, iid))
-        targets.append(m.vocabs.labels.n_slot_keys + iid)
-    return feats, targets
 
 
 def mfm_logits(m: MaskedFrameModel, F: Tensor) -> Tensor:
@@ -492,10 +448,10 @@ def mfm_logits(m: MaskedFrameModel, F: Tensor) -> Tensor:
         Q = T.matmul(X, T.transpose(layer["q"]))
         K = T.matmul(X, T.transpose(layer["k"]))
         V = T.matmul(X, T.transpose(layer["v"]))
-        A = T.softmax_rows(T.scale(T.matmul(Q, T.transpose(K)), m.scale))
+        A = T.softmax(T.scale(T.matmul(Q, T.transpose(K)), m.scale))
         X = T.add(X, T.matmul(A, V))
-        inner = T.tanh(T.add(T.matmul(X, T.transpose(layer["f1w"])), layer["f1b"]))
-        X = T.add(X, T.add(T.matmul(inner, T.transpose(layer["f2w"])), layer["f2b"]))
+        inner = T.tanh(T.add(T.matmul(X, T.transpose(layer["f1.w"])), layer["f1.b"]))
+        X = T.add(X, T.add(T.matmul(inner, T.transpose(layer["f2.w"])), layer["f2.b"]))
     return T.add(T.matmul(X, T.transpose(m.cls_w)), m.cls_b)
 
 
@@ -613,7 +569,7 @@ def train_model(kind: str, dataset: Sequence, config: TrainConfig, vocabs: Vocab
     if not dataset:
         raise ValueError("empty training dataset")
     rng = derive_rng(config.seed, "train", kind)
-    model = MODEL_CLASSES[kind](ModelConfig(config.hidden, config.embedding), vocabs, rng)
+    model = MODEL_CLASSES[kind](config, vocabs, rng)
     state = T.AdamState(lr=config.lr)
     losses = []
     for _ in range(config.epochs):
@@ -658,7 +614,10 @@ def model_from_checkpoint(ckpt: Checkpoint):
             for k in ("hidden", "embedding")]
     if not all(type(d) is int and d >= 1 for d in dims):
         raise CheckpointError("checkpoint config needs integer hidden and embedding sizes")
-    vocabs = Vocabs(BpeModel.from_dict(ckpt.vocab), LabelVocab.from_dict(ckpt.labels))
+    try:
+        vocabs = Vocabs(BpeModel.from_dict(ckpt.vocab), LabelVocab.from_dict(ckpt.labels))
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"checkpoint vocabulary or labels are malformed: {e}") from None
     cfg = ModelConfig(hidden=dims[0], embedding=dims[1])
     model = MODEL_CLASSES[ckpt.kind](cfg, vocabs, rng=None)
     expected = set(model.params)

@@ -54,34 +54,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return shift(self, float(other))
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return shift(self, -float(other))
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return shift(scale(self, -1.0), float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
@@ -92,12 +64,16 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, delta) -> None:
+def _accum(t: Tensor, delta, index=None) -> None:
+    """Add ``delta`` into ``t.grad``, or into ``t.grad[index]`` when given."""
     if not t.requires_grad:
         return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += delta
+    if index is None:
+        t.grad += delta
+    else:
+        t.grad[index] += delta
 
 
 def backward(loss: Tensor) -> None:
@@ -180,14 +156,6 @@ def scale(t: Tensor, c: float) -> Tensor:
     return out
 
 
-def shift(t: Tensor, c: float) -> Tensor:
-    def bw():
-        _accum(t, out.grad)
-
-    out = _make(t.data + c, (t,), bw)
-    return out
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     A, B = a.data, b.data
     if A.ndim == 2 and B.ndim == 1:
@@ -241,10 +209,7 @@ def slice1d(t: Tensor, start: int, stop: int) -> Tensor:
         raise ShapeError(f"slice1d [{start}:{stop}] out of range for {t.shape}")
 
     def bw():
-        if t.requires_grad:
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad[start:stop] += out.grad
+        _accum(t, out.grad, slice(start, stop))
 
     out = _make(t.data[start:stop], (t,), bw)
     return out
@@ -272,10 +237,7 @@ def row(t: Tensor, i: int) -> Tensor:
         raise ShapeError(f"row index {i} out of range for {t.shape}")
 
     def bw():
-        if t.requires_grad:
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad[i] += out.grad
+        _accum(t, out.grad, i)
 
     out = _make(t.data[i], (t,), bw)
     return out
@@ -321,10 +283,7 @@ def pick(t: Tensor, i: int) -> Tensor:
         raise ShapeError(f"pick index {i} out of range for {t.shape}")
 
     def bw():
-        if t.requires_grad:
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad[i] += out.grad
+        _accum(t, out.grad, i)
 
     out = _make(np.asarray(t.data[i]), (t,), bw)
     return out
@@ -357,28 +316,15 @@ def sigmoid(t: Tensor) -> Tensor:
 
 
 def softmax(t: Tensor) -> Tensor:
-    if t.data.ndim != 1:
-        raise ShapeError(f"softmax expects a vector, got {t.shape}")
-    e = np.exp(t.data - t.data.max())
-    y = e / e.sum()
+    """Softmax of a vector, or of each row of a matrix."""
+    if t.data.ndim not in (1, 2):
+        raise ShapeError(f"softmax expects a vector or a matrix, got {t.shape}")
+    e = np.exp(t.data - t.data.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def bw():
         g = out.grad
-        _accum(t, y * (g - (g * y).sum()))
-
-    out = _make(y, (t,), bw)
-    return out
-
-
-def softmax_rows(t: Tensor) -> Tensor:
-    if t.data.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a matrix, got {t.shape}")
-    e = np.exp(t.data - t.data.max(axis=1, keepdims=True))
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def bw():
-        g = out.grad
-        _accum(t, y * (g - (g * y).sum(axis=1, keepdims=True)))
+        _accum(t, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
     out = _make(y, (t,), bw)
     return out

@@ -73,7 +73,7 @@ def test_missing_dataset_path_exits_2(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"model": {"hidden": 4, "embedding": 3}}))
     assert run("train", "--config", cfg, "--out", tmp_path / "o") == 2
-    assert "data.nlu_train" in capsys.readouterr().err or True
+    assert "data.nlu_train" in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_2(tmp_path):
@@ -148,6 +148,26 @@ def test_usage_errors_exit_2_without_traceback(tmp_path, capsys, flags, file_cfg
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+# (command, flag) pairs a command does not read: argparse rejects them
+UNREAD_FLAGS = {"train": ("--direction", "--alpha", "--beta", "--beam"),
+                "eval": ("--seed", "--alpha", "--beta"),
+                "gridsearch": ("--alpha", "--beta"),
+                "synth": ("--direction", "--alpha", "--beta", "--beam")}
+FLAG_VALUES = {"--direction": "nlu", "--alpha": "0.3", "--beta": "1", "--beam": "5",
+               "--seed": "1"}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in UNREAD_FLAGS.items()
+                                           for f in flags])
+def test_flag_a_command_does_not_read_exits_2(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(command, flag, FLAG_VALUES[flag], "--out", tmp_path / "o")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def _drop_params(h):
     del h["params"]
 
@@ -172,8 +192,26 @@ def _text_embedding(h):
     h["config"]["embedding"] = "8"
 
 
+def _labels_without_slot_keys(h):
+    h["labels"] = {"intents": ["a"]}
+
+
+def _vocab_without_marker(h):
+    h["vocab"] = {"version": 1}
+
+
+def _vocab_not_an_object(h):
+    h["vocab"] = []
+
+
+# the four checkpoints must share one inventory, so these corrupt all four
+INVENTORY_CORRUPTIONS = (_labels_without_slot_keys, _vocab_without_marker,
+                         _vocab_not_an_object)
+
+
 @pytest.mark.parametrize("corrupt", [_drop_params, _drop_config, _bad_param_entry,
-                                     _negative_shape, _no_hidden, _text_embedding])
+                                     _negative_shape, _no_hidden, _text_embedding,
+                                     *INVENTORY_CORRUPTIONS])
 def test_checkpoint_header_errors_exit_4_without_traceback(workspace, tmp_path, capsys,
                                                            corrupt):
     root, cfg_path, ckpt_dir = workspace
@@ -181,11 +219,13 @@ def test_checkpoint_header_errors_exit_4_without_traceback(workspace, tmp_path, 
     broken.mkdir()
     for src in ckpt_dir.glob("*.ckpt"):
         (broken / src.name).write_bytes(src.read_bytes())
-    blob = (broken / "nlg.ckpt").read_bytes()
-    nl = blob.index(b"\n")
-    header = json.loads(blob[:nl])
-    corrupt(header)
-    (broken / "nlg.ckpt").write_bytes(json.dumps(header).encode() + blob[nl:])
+    kinds = data.MODEL_KINDS if corrupt in INVENTORY_CORRUPTIONS else ("nlg",)
+    for kind in kinds:
+        blob = (broken / f"{kind}.ckpt").read_bytes()
+        nl = blob.index(b"\n")
+        header = json.loads(blob[:nl])
+        corrupt(header)
+        (broken / f"{kind}.ckpt").write_bytes(json.dumps(header).encode() + blob[nl:])
     assert run("eval", "--config", cfg_path, "--checkpoints", broken,
                "--out", tmp_path / "o") == 4
     err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from dualdec.data import (CheckpointError, DataError, NlgExample,
 from dualdec.frames import SemanticFrame
 from dualdec.models import lm_score, model_from_checkpoint, nlg_score, to_checkpoint
 from dualdec.textproc import word_utterance
+
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
 
 
 def test_empty_file_rejected(tmp_path):
@@ -209,6 +212,18 @@ def test_checkpoint_save_load_save_byte_identical(tmp_path):
     save_checkpoint(p1, ckpt)
     save_checkpoint(p2, load_checkpoint(p1))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("kind", data.MODEL_KINDS)
+def test_fixture_checkpoint_round_trips_through_model_byte_identical(tmp_path, kind):
+    """Rebuilding a committed checkpoint through its model pins every
+    parameter's name, shape and order: the checkpoint layout."""
+    path = FIXTURE / f"{kind}.ckpt"
+    ckpt = load_checkpoint(path)
+    model = model_from_checkpoint(ckpt)
+    out = tmp_path / path.name
+    save_checkpoint(out, to_checkpoint(model, seed=ckpt.seed, extra_config=ckpt.config))
+    assert out.read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_corrupted_header_rejected(tmp_path):

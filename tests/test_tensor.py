@@ -86,7 +86,7 @@ def _random_graph_loss(params):
     att = T.softmax(T.matmul(T.stack([h, g, a]), b))
     ctx = T.matmul(att, T.stack([a, g, h]))
     joined = T.concat([ctx, T.slice1d(h, 0, 2)])
-    return T.tsum(T.mul(joined, joined)) + T.cross_entropy(ctx, 1)
+    return T.add(T.tsum(T.mul(joined, joined)), T.cross_entropy(ctx, 1))
 
 
 def test_composed_graph_matches_finite_differences():
