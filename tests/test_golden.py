@@ -1,0 +1,47 @@
+"""Pinned outputs of eval, dualinf and gridsearch on the benchmark fixture.
+
+A refactor of decoding, scoring or re-ranking must leave every byte of these
+reports and traces unchanged. ``manifest.json`` is left out: it embeds the
+output and checkpoint paths.
+"""
+import hashlib
+import json
+from pathlib import Path
+
+from dualdec.cli import main
+
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
+
+GOLDEN = {
+    "eval/report.csv": "20d11e50b8c37c9a966c9c32fef1e870bdc6dbcb85a89b41a43075ef0309e99c",
+    "eval/report.json": "b6bd607839283130b1ec3656f6018da2123a79368864e2caaf73079ac3ade4d1",
+    "dualinf/report.csv": "4fd979a456bd32d4ccfc7722232399054e28932064c91eb62748603eac97bf92",
+    "dualinf/report.json": "76ffbb37fc9e27cdd74d7c4a7c9b635a809347bedd3f8e9cdc8a22b3bbb0d098",
+    "dualinf/trace_nlg.jsonl": "068a7496c0e92c0a259ee3274e69d78ef26083db2040aa92a3cb5baca48470e6",
+    "dualinf/trace_nlu.jsonl": "77b26521b4cadbdf7cf9fc7349035ce4c9c66d2d877c030f28e30d04c89f54cf",
+    "grid/grid_nlg.csv": "aef32a2537fa056f6caf0fa386fc6c02b11b2ab385ac56008af05de305d34902",
+    "grid/grid_nlu.csv": "11ec01ff9f137dd6e3f39e1e3276e4258ab0c0c7bf68f169ae00342538ba276a",
+    "grid/selection.json": "4a2bc2fd051014e156ccacb51d4952aff925a9b37cea72a4d971f402f4e28102",
+    "grid/test_report.json": "8343c8bd466c8def27ecaa3a5db9fbf95ae8bd3ee621a0a0f92f58802ef5bf02",
+}
+
+
+def test_decode_outputs_match_golden_digests(tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--seed", "101", "--train-size", "8",
+                 "--valid-size", "24", "--test-size", "16"]) == 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "data": {f"{d}_{s}": str(data / f"{d}_{s}.jsonl")
+                 for d in ("nlu", "nlg") for s in ("train", "valid", "test")},
+        "decode": {"beam": 10, "max_len": 16, "k_intent": 3},
+    }))
+    common = ["--config", str(cfg), "--checkpoints", str(FIXTURE)]
+    assert main(["eval", *common, "--out", str(tmp_path / "eval")]) == 0
+    assert main(["dualinf", *common, "--alpha", "0.4", "--beta", "0.6",
+                 "--out", str(tmp_path / "dualinf")]) == 0
+    assert main(["gridsearch", *common, "--eval-test", "--out", str(tmp_path / "grid")]) == 0
+    digests = {f"{d}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+               for d in ("eval", "dualinf", "grid")
+               for p in sorted((tmp_path / d).iterdir()) if p.name != "manifest.json"}
+    assert digests == GOLDEN
