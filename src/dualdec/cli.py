@@ -27,7 +27,7 @@ from .decode import DecodeError, DualWeights, ModelsBundle, grid_search
 from .frames import FrameError
 from .metrics import MetricError
 from .models import TrainConfig, model_from_checkpoint, to_checkpoint, train_model
-from .textproc import BpeError, save_bpe
+from .textproc import BpeError
 
 
 class ConfigError(ValueError):
@@ -149,7 +149,6 @@ def cmd_train(args, cfg: dict) -> int:
     out_dir = Path(cfg["out_dir"])
     nlu_raw, nlg_raw = _load_train_split(cfg)
     vocabs = build_vocabs(nlu_raw, nlg_raw, cfg["model"]["merges"])
-    save_bpe(out_dir / "bpe.txt", vocabs.bpe)
 
     tc = TrainConfig(
         hidden=cfg["model"]["hidden"], embedding=cfg["model"]["embedding"],

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .frames import SemanticFrame, frame_to_iob, iob_to_frame, repair_iob
+from .frames import SemanticFrame, frame_to_iob, iob_to_frame, split_tag
 from .tensor import derive_rng
 from .textproc import LabelVocab, Vocabs, bpe_train, word_utterance
 
@@ -59,25 +59,39 @@ class NlgExample:
 # JSONL loaders and savers
 
 
-def _read_lines(path) -> list[str]:
+def _load_lines(path, parse) -> list:
+    """``parse`` of each non-blank JSON line; a failure names the line."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not any(ln.strip() for ln in lines):
         raise DataError(f"{path}: empty dataset file")
-    return lines
+    out = []
+    for no, ln in enumerate(lines, 1):
+        if ln.strip():
+            try:
+                out.append(parse(json.loads(ln)))
+            except (json.JSONDecodeError, AttributeError, KeyError, TypeError,
+                    ValueError) as e:
+                raise DataError(f"{path}:{no}: {e}") from None
+    return out
+
+
+def _strings(d: dict, key: str) -> tuple[str, ...]:
+    value = d[key]
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise DataError(f"{key!r} must be a list of strings")
+    return tuple(value)
+
+
+def _nlu_example(d: dict) -> NluExample:
+    tags = _strings(d, "tags")
+    for tag in tags:
+        split_tag(tag)
+    return NluExample(d["text"], tags, d.get("intent"))
 
 
 def load_nlu(path) -> list[NluExample]:
-    out = []
-    for no, ln in enumerate(_read_lines(path), 1):
-        if not ln.strip():
-            continue
-        try:
-            d = json.loads(ln)
-            out.append(NluExample(d["text"], tuple(d["tags"]), d.get("intent")))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-            raise DataError(f"{path}:{no}: {e}") from None
-    return out
+    return _load_lines(path, _nlu_example)
 
 
 def save_nlu(path, examples: Sequence[NluExample]) -> None:
@@ -89,20 +103,14 @@ def save_nlu(path, examples: Sequence[NluExample]) -> None:
             fh.write(json.dumps(d, sort_keys=True, ensure_ascii=False) + "\n")
 
 
+def _nlg_example(d: dict) -> NlgExample:
+    fd = d["frame"]
+    frame = SemanticFrame.build(fd.get("intent"), [(k, v) for k, v in fd["slots"]])
+    return NlgExample(frame, _strings(d, "refs"))
+
+
 def load_nlg(path) -> list[NlgExample]:
-    out = []
-    for no, ln in enumerate(_read_lines(path), 1):
-        if not ln.strip():
-            continue
-        try:
-            d = json.loads(ln)
-            fd = d["frame"]
-            frame = SemanticFrame.build(fd.get("intent"),
-                                        [(k, v) for k, v in fd["slots"]])
-            out.append(NlgExample(frame, tuple(d["refs"])))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-            raise DataError(f"{path}:{no}: {e}") from None
-    return out
+    return _load_lines(path, _nlg_example)
 
 
 def save_nlg(path, examples: Sequence[NlgExample]) -> None:
@@ -125,7 +133,7 @@ def augment_nlu_to_nlg(examples: Sequence[NluExample]) -> list[NlgExample]:
     out = []
     for ex in examples:
         utt = word_utterance(ex.text)
-        frame = iob_to_frame(repair_iob(ex.tags), ex.intent, utt)
+        frame = iob_to_frame(ex.tags, ex.intent, utt)
         out.append(NlgExample(frame, (utt.surface,)))
     return out
 
@@ -269,9 +277,16 @@ class Checkpoint:
     version: int = CHECKPOINT_VERSION
 
 
+def _require_finite(path, name: str, arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"{path}: parameter {name!r} holds a non-finite value")
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     if ckpt.kind not in MODEL_KINDS:
         raise CheckpointError(f"unknown model kind {ckpt.kind!r}")
+    for name, arr in ckpt.params.items():
+        _require_finite(path, name, arr)
     header = {
         "format_version": ckpt.version,
         "kind": ckpt.kind,
@@ -327,6 +342,7 @@ def load_checkpoint(path) -> Checkpoint:
         if offset + nbytes > len(payload):
             raise CheckpointError(f"{path}: payload truncated at parameter {name!r}")
         arr = np.frombuffer(payload, dtype="<f8", count=n, offset=offset)
+        _require_finite(path, name, arr)
         params[name] = arr.reshape([int(s) for s in shape]).copy()
         offset += nbytes
     if offset != len(payload):

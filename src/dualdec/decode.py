@@ -73,11 +73,7 @@ class Components:
 
 
 @dataclass(frozen=True)
-class DualScore:
-    forward: float
-    backward: float
-    marg_out: float
-    marg_in: float
+class DualScore(Components):
     combined: float
 
 
@@ -297,35 +293,32 @@ def frame_marginal(mfm: MaskedFrameModel, frame: SemanticFrame, rng) -> float:
 
 
 def dual_components_nlg(candidate: Hypothesis, input_frame: SemanticFrame,
-                        nlu: NluModel, lm: LmModel, mfm: MaskedFrameModel,
-                        rng) -> Components:
+                        nlu: NluModel, lm: LmModel, marg_in: float) -> Components:
+    """One NLG hypothesis' components, given its input frame's ``marg_in``."""
     cand = utterance_from_payload(lm.vocabs, candidate.payload)
-    return Components(
-        forward=candidate.forward_logprob,
-        backward=nlg_backward_logprob(nlu, input_frame, cand),
-        marg_out=lm_score_tokens(lm, candidate.payload).total,
-        marg_in=frame_marginal(mfm, input_frame, rng),
-    )
+    return Components(candidate.forward_logprob,
+                      nlg_backward_logprob(nlu, input_frame, cand),
+                      lm_score_tokens(lm, candidate.payload).total, marg_in)
 
 
 def dual_components_nlu(candidate: Hypothesis, input_utt: Utterance,
-                        nlg: NlgModel, mfm: MaskedFrameModel, lm: LmModel,
+                        nlg: NlgModel, mfm: MaskedFrameModel, marg_in: float,
                         rng) -> Components:
+    """One NLU hypothesis' components, given its input's ``marg_in``; ``rng``
+    draws the mask positions of the candidate frame."""
     frame = candidate_frame(nlg, input_utt, candidate)
-    return Components(
-        forward=candidate.forward_logprob,
-        backward=nlg_score(nlg, frame, input_utt).total,
-        marg_out=frame_marginal(mfm, frame, rng),
-        marg_in=lm_score_tokens(lm, input_utt.tokens).total,
-    )
+    return Components(candidate.forward_logprob, nlg_score(nlg, frame, input_utt).total,
+                      frame_marginal(mfm, frame, rng), marg_in)
 
 
 def dual_score_nlg(candidate, input_frame, nlu, lm, mfm, w: DualWeights, rng) -> DualScore:
-    return combine(dual_components_nlg(candidate, input_frame, nlu, lm, mfm, rng), w)
+    marg_in = frame_marginal(mfm, input_frame, rng)
+    return combine(dual_components_nlg(candidate, input_frame, nlu, lm, marg_in), w)
 
 
 def dual_score_nlu(candidate, input_utt, nlg, mfm, lm, w: DualWeights, rng) -> DualScore:
-    return combine(dual_components_nlu(candidate, input_utt, nlg, mfm, lm, rng), w)
+    marg_in = lm_score_tokens(lm, input_utt.tokens).total
+    return combine(dual_components_nlu(candidate, input_utt, nlg, mfm, marg_in, rng), w)
 
 
 def rerank_index(scored: Sequence[tuple[Hypothesis, DualScore]]) -> int:
@@ -373,10 +366,12 @@ class ModelsBundle:
 @dataclass
 class CachedExample:
     """One example's beam and the score components of each hypothesis;
-    plain decoding leaves ``components`` empty."""
+    plain decoding leaves ``components`` empty. ``utt`` is the encoded input
+    of an NLU example."""
 
     hypotheses: list[Hypothesis]
     components: list[Components]
+    utt: Utterance | None = None
 
     def select(self, w: DualWeights) -> int:
         scored = [(h, combine(c, w)) for h, c in zip(self.hypotheses, self.components)]
@@ -389,16 +384,9 @@ def precompute_nlg(examples: Sequence[NlgExample], bundle: ModelsBundle, *,
     for idx, ex in enumerate(examples):
         hyps = nlg_hypotheses(bundle.nlg, ex.frame, beam, max_len)
         marg_in = frame_marginal(bundle.mfm, ex.frame, derive_rng(seed, "mask", idx))
-        comps = []
-        for hyp in hyps:
-            cand = utterance_from_payload(bundle.vocabs, hyp.payload)
-            comps.append(Components(
-                forward=hyp.forward_logprob,
-                backward=nlg_backward_logprob(bundle.nlu, ex.frame, cand),
-                marg_out=lm_score_tokens(bundle.lm, hyp.payload).total,
-                marg_in=marg_in,
-            ))
-        cached.append(CachedExample(hyps, comps))
+        cached.append(CachedExample(hyps, [
+            dual_components_nlg(hyp, ex.frame, bundle.nlu, bundle.lm, marg_in)
+            for hyp in hyps]))
     return cached
 
 
@@ -409,17 +397,10 @@ def precompute_nlu(examples: Sequence[NluExample], bundle: ModelsBundle, *,
         utt = bundle.vocabs.bpe.encode(ex.text)
         hyps = nlu_hypotheses(bundle.nlu, utt, beam, k_intent)
         marg_in = lm_score_tokens(bundle.lm, utt.tokens).total
-        comps = []
-        for rank, hyp in enumerate(hyps):
-            frame = candidate_frame(bundle.nlu, utt, hyp)
-            comps.append(Components(
-                forward=hyp.forward_logprob,
-                backward=nlg_score(bundle.nlg, frame, utt).total,
-                marg_out=frame_marginal(bundle.mfm, frame,
-                                        derive_rng(seed, "mask", idx, rank)),
-                marg_in=marg_in,
-            ))
-        cached.append(CachedExample(hyps, comps))
+        cached.append(CachedExample(hyps, [
+            dual_components_nlu(hyp, utt, bundle.nlg, bundle.mfm, marg_in,
+                                derive_rng(seed, "mask", idx, rank))
+            for rank, hyp in enumerate(hyps)], utt))
     return cached
 
 
@@ -436,26 +417,26 @@ def precompute(direction: str, examples, bundle: ModelsBundle, *, beam: int,
 # reports of the chosen hypotheses
 
 
-def _reporter(direction: str, examples, vocabs, utts=None):
-    """The report of ``examples`` as a function of the hypotheses chosen for
-    them, one per example. Gold data is gathered and NLU inputs are encoded
-    here, once per split, unless ``utts`` already holds the encoded inputs."""
+def _reporter(direction: str, examples, vocabs):
+    """The report of ``examples`` as a function of their cached beams and the
+    rank chosen in each. Gold data is gathered here, once per split; NLU
+    inputs come encoded in the cache."""
     if direction == "nlg":
         refs = [list(ex.refs) for ex in examples]
 
-        def report_nlg(chosen: Sequence[Hypothesis]) -> metrics.EvalReport:
-            texts = [utterance_from_payload(vocabs, h.payload).surface for h in chosen]
+        def report_nlg(cached: Sequence[CachedExample], picks) -> metrics.EvalReport:
+            texts = [utterance_from_payload(vocabs, c.hypotheses[i].payload).surface
+                     for c, i in zip(cached, picks)]
             return metrics.evaluate_nlg(texts, refs)
         return report_nlg
     labels = vocabs.labels
-    if utts is None:
-        utts = [vocabs.bpe.encode(ex.text) for ex in examples]
     gold_intents = [ex.intent for ex in examples]
     gold_tags = [list(ex.tags) for ex in examples]
 
-    def report_nlu(chosen: Sequence[Hypothesis]) -> metrics.EvalReport:
-        pred_tags = [collapse_piece_tags([labels.tags[t] for t in h.payload], utt)
-                     for h, utt in zip(chosen, utts)]
+    def report_nlu(cached: Sequence[CachedExample], picks) -> metrics.EvalReport:
+        chosen = [c.hypotheses[i] for c, i in zip(cached, picks)]
+        pred_tags = [collapse_piece_tags([labels.tags[t] for t in h.payload], c.utt)
+                     for h, c in zip(chosen, cached)]
         pred_intents = [None if h.intent is None else labels.intents[h.intent] for h in chosen]
         return metrics.evaluate_nlu(pred_intents, gold_intents, pred_tags, gold_tags)
     return report_nlu
@@ -529,8 +510,7 @@ def sweep(examples, bundle: ModelsBundle, direction: str,
         w = DualWeights(a, b)
         picks = [c.select(w) for c in cached]
         result.selections[(a, b)] = picks
-        result.rows.append(GridRow(a, b, report(
-            [c.hypotheses[i] for c, i in zip(cached, picks)])))
+        result.rows.append(GridRow(a, b, report(cached, picks)))
     return result
 
 
@@ -565,9 +545,6 @@ def evaluate_direction(examples, bundle: ModelsBundle, direction: str,
     the ``selected`` hypothesis rank and the ``hypotheses`` with their scores."""
     if direction not in ("nlu", "nlg"):
         raise DecodeError(f"unknown direction {direction!r}")
-    utts = None
-    if direction == "nlu":
-        utts = [bundle.vocabs.bpe.encode(ex.text) for ex in examples]
     if weights is not None:
         cached = precompute(direction, examples, bundle, beam=beam, max_len=max_len,
                             k_intent=k_intent, seed=seed)
@@ -575,11 +552,11 @@ def evaluate_direction(examples, bundle: ModelsBundle, direction: str,
         cached = [CachedExample(nlg_hypotheses(bundle.nlg, ex.frame, beam, max_len), [])
                   for ex in examples]
     else:
-        cached = [CachedExample(nlu_hypotheses(bundle.nlu, utt, beam, k_intent), [])
+        utts = [bundle.vocabs.bpe.encode(ex.text) for ex in examples]
+        cached = [CachedExample(nlu_hypotheses(bundle.nlu, utt, beam, k_intent), [], utt)
                   for utt in utts]
     picks = [0] * len(cached) if weights is None else [c.select(weights) for c in cached]
-    report = _reporter(direction, examples, bundle.vocabs, utts)(
-        [c.hypotheses[i] for c, i in zip(cached, picks)])
+    report = _reporter(direction, examples, bundle.vocabs)(cached, picks)
     inputs = [format_frame(ex.frame) if direction == "nlg" else ex.text for ex in examples]
     traces = [_trace(idx, text, c, sel, weights, bundle.vocabs, direction)
               for idx, (text, c, sel) in enumerate(zip(inputs, cached, picks))]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .textproc import Utterance
+from .textproc import MARKER, Utterance
 
 STEM_PREFIX = 4
 
@@ -71,13 +71,7 @@ def split_tag(tag: str) -> tuple[str, str | None]:
 
 
 def is_well_formed(tags: Sequence[str]) -> bool:
-    prev_key = None
-    for tag in tags:
-        prefix, key = split_tag(tag)
-        if prefix == "I" and key != prev_key:
-            return False
-        prev_key = key if prefix in ("B", "I") else None
-    return True
+    return list(tags) == repair_iob(tags)
 
 
 def repair_iob(tags: Sequence[str]) -> IOBSequence:
@@ -138,7 +132,6 @@ class MatchReport:
 
 
 def _token_words(utt: Utterance) -> list[str]:
-    from .textproc import MARKER
     return [p.replace(MARKER, "") for p in utt.pieces]
 
 

@@ -19,6 +19,7 @@ share one frame-feature encoder, ``mfm_features``. Training and
 teacher-forced scoring run on the traced path. Beam search runs on a raw-numpy
 path: ``GruCell.step_np`` and the per-model steps ``nlu_step``, ``nlu_intent``,
 ``nlg_start`` and ``nlg_step``; tests pin its agreement with the traced path.
+Both paths share ``tensor``'s activation kernels.
 Beam search encodes a frame once, on the traced path under ``no_grad``.
 """
 from __future__ import annotations
@@ -94,25 +95,10 @@ class GruCell:
         H = self.hidden
         gi = self.w_ih.data @ x + self.b_ih.data
         gh = self.w_hh.data @ h + self.b_hh.data
-        r = _sigmoid_np(gi[0:H] + gh[0:H])
-        z = _sigmoid_np(gi[H:2 * H] + gh[H:2 * H])
+        r = T.sigmoid_np(gi[0:H] + gh[0:H])
+        z = T.sigmoid_np(gi[H:2 * H] + gh[H:2 * H])
         n = np.tanh(gi[2 * H:] + r * gh[2 * H:])
         return n + z * (h - n)
-
-
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
-
-
-def _log_softmax_np(x: np.ndarray) -> np.ndarray:
-    z = x - x.max()
-    return z - np.log(np.exp(z).sum())
-
-
-def _softmax_np(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max())
-    return e / e.sum()
 
 
 @dataclass(frozen=True)
@@ -235,13 +221,13 @@ def nlu_step(m: NluModel, state: np.ndarray, word: int, prev_tag: int | None,
     prev = m.start_tag.data if prev_tag is None else m.tag_emb.data[prev_tag]
     x = np.concatenate([m.word_emb.data[word], prev])
     h = m.cell.step_np(x, state)
-    return _log_softmax_np(m.tag_w.data @ h + m.tag_b.data), h
+    return T.log_softmax_np(m.tag_w.data @ h + m.tag_b.data), h
 
 
 def nlu_intent(m: NluModel, state: np.ndarray) -> np.ndarray:
     if not m.n_intents:
         raise FrameError("model has no intent inventory")
-    return _log_softmax_np(m.int_w.data @ state + m.int_b.data)
+    return T.log_softmax_np(m.int_w.data @ state + m.int_b.data)
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +359,12 @@ def nlg_step(m: NlgModel, state: np.ndarray, prev_word: int | None,
     """One decoder step; returns (word log-distribution, attention weights, state)."""
     if features.ndim != 2 or features.shape[0] == 0:
         raise FrameError("empty feature set")
-    weights = _softmax_np(features @ state * m.scale)
+    weights = T.softmax_np(features @ state * m.scale)
     ctx = weights @ features
     prev = BOS if prev_word is None else prev_word
     x = np.concatenate([ctx, m.word_emb.data[prev]])
     h = m.cell.step_np(x, state)
-    return _log_softmax_np(m.out_w.data @ h + m.out_b.data), weights, h
+    return T.log_softmax_np(m.out_w.data @ h + m.out_b.data), weights, h
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.data).all())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -303,10 +300,26 @@ def tanh(t: Tensor) -> Tensor:
     return out
 
 
+def sigmoid_np(x: np.ndarray) -> np.ndarray:
+    """Logistic function; exp never sees a positive argument, so it cannot
+    overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def softmax_np(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def log_softmax_np(x: np.ndarray) -> np.ndarray:
+    """Log-softmax of a vector."""
+    z = x - x.max()
+    return z - np.log(np.exp(z).sum())
+
+
 def sigmoid(t: Tensor) -> Tensor:
-    x = t.data
-    with np.errstate(over="ignore"):
-        y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+    y = sigmoid_np(t.data)
 
     def bw():
         _accum(t, y * (1.0 - y) * out.grad)
@@ -319,8 +332,7 @@ def softmax(t: Tensor) -> Tensor:
     """Softmax of a vector, or of each row of a matrix."""
     if t.data.ndim not in (1, 2):
         raise ShapeError(f"softmax expects a vector or a matrix, got {t.shape}")
-    e = np.exp(t.data - t.data.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = softmax_np(t.data)
 
     def bw():
         g = out.grad
@@ -333,9 +345,7 @@ def softmax(t: Tensor) -> Tensor:
 def log_softmax(t: Tensor) -> Tensor:
     if t.data.ndim != 1:
         raise ShapeError(f"log_softmax expects a vector, got {t.shape}")
-    m = t.data.max()
-    z = t.data - m
-    y = z - np.log(np.exp(z).sum())
+    y = log_softmax_np(t.data)
 
     def bw():
         g = out.grad

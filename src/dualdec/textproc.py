@@ -7,7 +7,6 @@ lexicographically smallest pair on ties).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -221,36 +220,6 @@ def bpe_train(corpus: Sequence[str], merge_count: int) -> BpeModel:
             if form not in vocab:
                 vocab[form] = len(vocab)
     return BpeModel(merges=merges, vocab=vocab)
-
-
-def save_bpe(path, model: BpeModel) -> None:
-    """One JSON header line, then one merge pair per line."""
-    d = model.to_dict()
-    header = {k: d[k] for k in ("version", "marker", "specials", "pieces")}
-    lines = [json.dumps(header, sort_keys=True, ensure_ascii=False)]
-    lines += [f"{a} {b}" for a, b in model.merges]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_bpe(path) -> BpeModel:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise BpeError(f"{path}: empty tokenizer file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise BpeError(f"{path}: bad tokenizer header: {e}") from None
-    merges = []
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        parts = ln.split(" ")
-        if len(parts) != 2:
-            raise BpeError(f"{path}: bad merge line {ln!r}")
-        merges.append(parts)
-    return BpeModel.from_dict({**header, "merges": merges})
 
 
 # ---------------------------------------------------------------------------

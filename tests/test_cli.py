@@ -1,4 +1,6 @@
 import json
+import math
+import struct
 from pathlib import Path
 
 import pytest
@@ -230,6 +232,41 @@ def test_checkpoint_header_errors_exit_4_without_traceback(workspace, tmp_path, 
                "--out", tmp_path / "o") == 4
     err = capsys.readouterr().err
     assert err.startswith("checkpoint error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", data.MODEL_KINDS)
+def test_non_finite_checkpoint_parameter_exits_4_without_traceback(workspace, tmp_path,
+                                                                   capsys, kind):
+    root, cfg_path, ckpt_dir = workspace
+    broken = tmp_path / "ckpt"
+    broken.mkdir()
+    for src in ckpt_dir.glob("*.ckpt"):
+        (broken / src.name).write_bytes(src.read_bytes())
+    # the payload ends with the last entry of a bias vector
+    blob = (broken / f"{kind}.ckpt").read_bytes()
+    (broken / f"{kind}.ckpt").write_bytes(blob[:-8] + struct.pack("<d", math.nan))
+    assert run("dualinf", "--config", cfg_path, "--checkpoints", broken,
+               "--out", tmp_path / "o") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error:") and "non-finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("loader, line", [
+    ("nlu_train", {"text": "a b", "tags": "OO"}),
+    ("nlu_train", {"text": "a b", "tags": ["O", "X-k"]}),
+    ("nlg_train", {"frame": {"slots": []}, "refs": "abc"}),
+])
+def test_bad_field_shape_exits_3_with_line(tmp_path, capsys, loader, line):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(line) + "\n")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"data": {loader: str(bad)},
+                               "model": {"hidden": 4, "embedding": 3, "merges": 10},
+                               "train": {"epochs": 1}}))
+    assert run("train", "--config", cfg, "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and f"{bad}:1:" in err
 
 
 def test_manifest_defaults_match_published_recipe(tmp_path):

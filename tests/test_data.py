@@ -35,6 +35,26 @@ def test_malformed_line_reports_line_number(tmp_path):
     assert ":2:" in str(e.value)
 
 
+BAD_LINES = [
+    (load_nlu, {"text": "a b", "tags": "OO"}),
+    (load_nlu, {"text": "a b", "tags": ["O", 1]}),
+    (load_nlu, {"text": "a b", "tags": ["O", "X-k"]}),
+    (load_nlu, {"text": 5, "tags": []}),
+    (load_nlg, {"frame": {"slots": []}, "refs": "abc"}),
+    (load_nlg, {"frame": {"slots": []}, "refs": ["abc", None]}),
+    (load_nlg, {"frame": [], "refs": ["abc"]}),
+]
+
+
+@pytest.mark.parametrize("loader, line", BAD_LINES)
+def test_bad_field_shape_reports_path_and_line(tmp_path, loader, line):
+    p = tmp_path / "bad.jsonl"
+    p.write_text(json.dumps(line) + "\n")
+    with pytest.raises(DataError) as e:
+        loader(p)
+    assert f"{p}:1:" in str(e.value)
+
+
 def test_nlu_round_trip(tmp_path):
     examples = [NluExample("show flights", ("O", "O"), "find_flight"),
                 NluExample("boston please", ("B-city", "O"))]
@@ -224,6 +244,21 @@ def test_fixture_checkpoint_round_trips_through_model_byte_identical(tmp_path, k
     out = tmp_path / path.name
     save_checkpoint(out, to_checkpoint(model, seed=ckpt.seed, extra_config=ckpt.config))
     assert out.read_bytes() == path.read_bytes()
+
+
+def test_non_finite_parameter_never_saved_or_loaded(tmp_path):
+    ckpt, _, _ = _small_ckpt()
+    p = tmp_path / "a.ckpt"
+    save_checkpoint(p, ckpt)
+    name = list(ckpt.params)[-1]
+    ckpt.params[name][0] = np.nan
+    with pytest.raises(CheckpointError, match=repr(name)):
+        save_checkpoint(tmp_path / "nan.ckpt", ckpt)
+    assert not (tmp_path / "nan.ckpt").exists()
+    blob = p.read_bytes()
+    p.write_bytes(blob[:-8] + np.array([np.inf], dtype="<f8").tobytes())
+    with pytest.raises(CheckpointError, match=repr(name)):
+        load_checkpoint(p)
 
 
 def test_checkpoint_corrupted_header_rejected(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,15 @@ def test_softmax_uniform():
     n = 7
     y = T.softmax(Tensor(np.full(n, 3.25)))
     assert np.allclose(y.data, np.full(n, 1.0 / n), atol=0, rtol=0)
+
+
+def test_sigmoid_saturates_without_warning():
+    x = np.array([-800.0, -0.0, 0.0, 800.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = T.sigmoid_np(x)
+        assert list(T.sigmoid(Tensor(x)).data) == list(y)
+    assert list(y) == [0.0, 0.5, 0.5, 1.0]
 
 
 def test_matmul_identity():

@@ -103,24 +103,6 @@ def test_reencoding_canonical_ids_is_identity():
         assert model.encode(model.decode(ids)).tokens == ids
 
 
-def test_model_file_round_trip(tmp_path):
-    model = bpe_train(["the cat sat on the mat", "a cat"], 12)
-    path = tmp_path / "bpe.txt"
-    tp.save_bpe(path, model)
-    loaded = tp.load_bpe(path)
-    assert loaded.merges == model.merges
-    assert loaded.vocab == model.vocab
-    tp.save_bpe(tmp_path / "again.txt", loaded)
-    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
-
-
-def test_model_file_header_validated(tmp_path):
-    path = tmp_path / "bpe.txt"
-    path.write_text("not json\na b\n")
-    with pytest.raises(tp.BpeError):
-        tp.load_bpe(path)
-
-
 def test_specials_are_fixed_and_distinct():
     model = bpe_train(["aa"], 1)
     assert [model.pieces[i] for i in (tp.PAD, tp.BOS, tp.EOS, tp.UNK)] == list(tp.SPECIAL_PIECES)
