@@ -83,11 +83,18 @@ def _strings(d: dict, key: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _intent(d: dict) -> str | None:
+    value = d.get("intent")
+    if not (value is None or isinstance(value, str)):
+        raise DataError(f"'intent' must be a string or null, not {value!r}")
+    return value
+
+
 def _nlu_example(d: dict) -> NluExample:
     tags = _strings(d, "tags")
     for tag in tags:
         split_tag(tag)
-    return NluExample(d["text"], tags, d.get("intent"))
+    return NluExample(d["text"], tags, _intent(d))
 
 
 def load_nlu(path) -> list[NluExample]:
@@ -105,7 +112,11 @@ def save_nlu(path, examples: Sequence[NluExample]) -> None:
 
 def _nlg_example(d: dict) -> NlgExample:
     fd = d["frame"]
-    frame = SemanticFrame.build(fd.get("intent"), [(k, v) for k, v in fd["slots"]])
+    slots = [(k, v) for k, v in fd["slots"]]
+    for k, _ in slots:
+        if not isinstance(k, str):
+            raise DataError(f"slot key must be a string, not {k!r}")
+    frame = SemanticFrame.build(_intent(fd), slots)
     return NlgExample(frame, _strings(d, "refs"))
 
 

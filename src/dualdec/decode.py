@@ -18,6 +18,7 @@ Mask positions for frame scoring are drawn from generators derived from
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
@@ -88,7 +89,6 @@ def combine(c: Components, w: DualWeights) -> DualScore:
 
 
 class Stepper(Protocol):
-    n_symbols: int
     eos: int | None
 
     def start(self) -> tuple[object, np.ndarray]: ...
@@ -100,13 +100,54 @@ def _completion_order(h: Hypothesis):
     return (-h.forward_logprob, len(h.payload), h.payload)
 
 
+def _ranked_extensions(active, eos: int | None, step: int, limit: int | None = None):
+    """The one-symbol extensions of the ``active`` hypotheses, best first, at
+    most ``limit`` of them.
+
+    ``active`` holds (score, payload, per_step, state, dist) entries whose
+    payloads all have the same length. The extensions come as (score, payload,
+    per_step, parent state, symbol) tuples, ordered by (-score, payload):
+    since the parents are equally long, that is one lexsort on (-score, the
+    parent's rank in payload order, symbol). ``eos`` and -inf entries extend
+    nothing; a NaN or +inf log-prob raises DecodeError naming ``step``. Only
+    the extensions taken from the returned iterator are built as tuples.
+    """
+    if not active:
+        return iter(())
+    lp = np.stack([dist for *_, dist in active])
+    bad = np.argwhere(~(lp < math.inf))
+    if len(bad):
+        row, v = bad[0]
+        raise DecodeError(f"log-probability {lp[row, v]} for symbol {v} at decode step {step}")
+    ok = lp > -math.inf
+    if eos is not None:
+        ok[:, eos] = False
+    rows, syms = np.nonzero(ok)
+    scores = np.array([a[0] for a in active])[rows] + lp[rows, syms]
+    if limit is not None and limit < len(scores):
+        # the first ``limit`` all score at least the limit-th best score
+        kth = np.partition(scores, len(scores) - limit)[len(scores) - limit]
+        keep = np.flatnonzero(scores >= kth)
+        rows, syms, scores = rows[keep], syms[keep], scores[keep]
+    payload_rank = np.empty(len(active), dtype=np.intp)
+    payload_rank[sorted(range(len(active)), key=lambda i: active[i][1])] = range(len(active))
+
+    def extension(i):
+        _, payload, per, state, _ = active[rows[i]]
+        v = int(syms[i])
+        return (float(scores[i]), payload + (v,), per + (float(lp[rows[i], v]),), state, v)
+    return map(extension, np.lexsort((syms, payload_rank[rows], -scores))[:limit])
+
+
 def beam_search(stepper: Stepper, beam: int, max_len: int) -> list[Hypothesis]:
     """Standard beam search over log-probs; returns up to ``beam`` completed
     hypotheses, best first (ties: earlier completion, then payload order).
 
-    Sequences reaching ``max_len`` are force-completed with their EOS score.
-    The frontier keeps the top ``beam`` partials per length, so results equal
-    exhaustive enumeration whenever vocab**(max_len-1) <= beam.
+    Each step keeps the ``beam`` best extensions by (-score, payload): equal
+    scores go to the extension of the parent first in payload order, then to
+    the lower symbol. Sequences reaching ``max_len`` are force-completed with
+    their EOS score. The frontier keeps the top ``beam`` partials per length,
+    so results equal exhaustive enumeration whenever vocab**(max_len-1) <= beam.
     """
     if beam < 1:
         raise DecodeError("beam must be >= 1")
@@ -117,38 +158,50 @@ def beam_search(stepper: Stepper, beam: int, max_len: int) -> list[Hypothesis]:
     active = [(0.0, (), (), state, dist)]
     completed: list[Hypothesis] = []
     for t in range(max_len):
-        cand = []
         for score, payload, per, state, dist in active:
             lp_eos = float(dist[eos])
             if lp_eos > -math.inf:
                 completed.append(Hypothesis(payload, score + lp_eos, per + (lp_eos,)))
-            for v in range(stepper.n_symbols):
-                if v == eos:
-                    continue
-                lp = float(dist[v])
-                if lp > -math.inf:
-                    cand.append((score + lp, payload + (v,), per + (lp,), state, v))
-        if not cand:
-            break
-        cand.sort(key=lambda c: (-c[0], c[1]))
         if t == max_len - 1:
-            # no further extension: force-complete every candidate
-            for score, payload, per, state, v in cand:
-                nstate, ndist = stepper.advance(state, v)
-                lp_eos = float(ndist[eos])
-                if lp_eos > -math.inf:
-                    completed.append(Hypothesis(payload, score + lp_eos, per + (lp_eos,)))
+            _force_complete(stepper, _ranked_extensions(active, eos, t), completed, beam, t + 1)
+            break
+        cand = list(_ranked_extensions(active, eos, t, beam))
+        if not cand:
             break
         if len(completed) >= beam:
             kth = sorted(completed, key=_completion_order)[beam - 1].forward_logprob
             if cand[0][0] < kth:
                 break  # extensions only lower scores; nothing can enter the top-k
         active = []
-        for score, payload, per, state, v in cand[:beam]:
+        for score, payload, per, state, v in cand:
             nstate, ndist = stepper.advance(state, v)
             active.append((score, payload, per, nstate, ndist))
     completed.sort(key=_completion_order)
     return completed[:beam]
+
+
+def _force_complete(stepper: Stepper, ranked, completed: list[Hypothesis],
+                    beam: int, step: int) -> None:
+    """Complete the ``ranked`` extensions with their EOS score, best first.
+
+    A completion scores at most its extension, so the walk stops at the first
+    extension below the ``beam``-th best completed score: neither it nor any
+    later one can enter the top ``beam``.
+    """
+    top = heapq.nlargest(beam, (h.forward_logprob for h in completed))
+    heapq.heapify(top)
+    for score, payload, per, state, v in ranked:
+        if len(top) == beam and score < top[0]:
+            return
+        _, ndist = stepper.advance(state, v)
+        lp_eos = float(ndist[stepper.eos])
+        if math.isnan(lp_eos) or lp_eos == math.inf:
+            raise DecodeError(f"log-probability {lp_eos} for EOS at decode step {step}")
+        if lp_eos > -math.inf:
+            completed.append(Hypothesis(payload, score + lp_eos, per + (lp_eos,)))
+            heapq.heappush(top, score + lp_eos)
+            if len(top) > beam:
+                heapq.heappop(top)
 
 
 def _beam_search_fixed(stepper: Stepper, beam: int, length: int,
@@ -161,14 +214,7 @@ def _beam_search_fixed(stepper: Stepper, beam: int, length: int,
     state, dist = stepper.start()
     active = [(0.0, (), (), state, dist)]
     for t in range(length):
-        cand = []
-        for score, payload, per, state, dist in active:
-            for v in range(stepper.n_symbols):
-                lp = float(dist[v])
-                if lp > -math.inf:
-                    cand.append((score + lp, payload + (v,), per + (lp,), state, v))
-        cand.sort(key=lambda c: (-c[0], c[1]))
-        cand = cand[:beam]
+        cand = list(_ranked_extensions(active, None, t, beam))
         if t == length - 1:
             # the stored state already consumed the final input position
             return [(Hypothesis(payload, score, per), state)
@@ -187,7 +233,6 @@ class NlgStepper:
     def __init__(self, model: NlgModel, frame: SemanticFrame):
         self.model = model
         self.features = nlg_features_np(model, frame)
-        self.n_symbols = len(model.vocabs.bpe.pieces)
         self.eos = EOS
 
     def _masked(self, lp: np.ndarray) -> np.ndarray:
@@ -213,7 +258,6 @@ class NluTagStepper:
             raise DecodeError("cannot tag an empty utterance")
         self.model = model
         self.tokens = utt.tokens
-        self.n_symbols = model.vocabs.labels.n_tags
         self.eos = None
         self.length = len(utt.tokens)
 
@@ -326,6 +370,9 @@ def rerank_index(scored: Sequence[tuple[Hypothesis, DualScore]]) -> int:
     (the beam's own payload order)."""
     if not scored:
         raise DecodeError("cannot rerank an empty hypothesis list")
+    for rank, (_, s) in enumerate(scored):
+        if math.isnan(s.combined):
+            raise DecodeError(f"combined score of hypothesis {rank} is NaN")
     best = 0
     for i in range(1, len(scored)):
         cur, inc = scored[best][1], scored[i][1]

@@ -3,6 +3,7 @@ import math
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dualdec import data, decode, metrics
@@ -252,10 +253,36 @@ def test_non_finite_checkpoint_parameter_exits_4_without_traceback(workspace, tm
     assert "Traceback" not in err
 
 
+def test_nan_step_distribution_from_finite_checkpoint_exits_3(workspace, tmp_path, capsys):
+    # a saturated decoder cell holds every hidden unit at exactly 1, so a
+    # finite 1e308 output weight overflows every word logit to +inf and the
+    # log-softmax is NaN
+    root, cfg_path, ckpt_dir = workspace
+    broken = tmp_path / "ckpt"
+    broken.mkdir()
+    for src in ckpt_dir.glob("*.ckpt"):
+        (broken / src.name).write_bytes(src.read_bytes())
+    ckpt = data.load_checkpoint(ckpt_dir / "nlg.ckpt")
+    p = ckpt.params
+    hidden = p["dec.w_hh"].shape[1]
+    for name in ("dec.w_ih", "dec.w_hh", "dec.b_hh", "out.b"):
+        p[name] = np.zeros_like(p[name])
+    p["dec.b_ih"] = np.repeat([0.0, -100.0, 100.0], hidden)
+    p["out.w"] = np.full_like(p["out.w"], 1e308)
+    data.save_checkpoint(broken / "nlg.ckpt", ckpt)
+    assert run("eval", "--config", cfg_path, "--checkpoints", broken,
+               "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "nan" in err and "decode step 0" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("loader, line", [
     ("nlu_train", {"text": "a b", "tags": "OO"}),
     ("nlu_train", {"text": "a b", "tags": ["O", "X-k"]}),
     ("nlg_train", {"frame": {"slots": []}, "refs": "abc"}),
+    ("nlu_train", {"text": "a b", "tags": ["O", "O"], "intent": 5}),
+    ("nlg_train", {"frame": {"slots": [[5, "boston"]]}, "refs": ["boston"]}),
 ])
 def test_bad_field_shape_exits_3_with_line(tmp_path, capsys, loader, line):
     bad = tmp_path / "bad.jsonl"

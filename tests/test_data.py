@@ -43,6 +43,9 @@ BAD_LINES = [
     (load_nlg, {"frame": {"slots": []}, "refs": "abc"}),
     (load_nlg, {"frame": {"slots": []}, "refs": ["abc", None]}),
     (load_nlg, {"frame": [], "refs": ["abc"]}),
+    (load_nlg, {"frame": {"intent": ["i"], "slots": []}, "refs": ["abc"]}),
+    (load_nlg, {"frame": {"slots": [[5, "boston"]]}, "refs": ["abc"]}),
+    (load_nlu, {"text": "a", "tags": ["O"], "intent": 5}),
 ]
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_model, randomize
 
@@ -167,6 +169,168 @@ def test_hypothesis_logprob_equals_per_step_sum():
         assert h.forward_logprob == pytest.approx(sum(h.per_step), abs=1e-9)
 
 
+# The tuple-sort beam search that the lexsort top-k replaced, kept verbatim as
+# the reference for equal results and equal step work.
+
+
+def _reference_completion_order(h: Hypothesis):
+    return (-h.forward_logprob, len(h.payload), h.payload)
+
+
+def reference_beam_search(stepper, beam: int, max_len: int) -> list[Hypothesis]:
+    if beam < 1:
+        raise decode.DecodeError("beam must be >= 1")
+    eos = stepper.eos
+    if eos is None:
+        return [h for h, _ in reference_beam_search_fixed(stepper, beam, max_len)]
+    state, dist = stepper.start()
+    active = [(0.0, (), (), state, dist)]
+    completed: list[Hypothesis] = []
+    for t in range(max_len):
+        cand = []
+        for score, payload, per, state, dist in active:
+            lp_eos = float(dist[eos])
+            if lp_eos > -math.inf:
+                completed.append(Hypothesis(payload, score + lp_eos, per + (lp_eos,)))
+            for v in range(stepper.n_symbols):
+                if v == eos:
+                    continue
+                lp = float(dist[v])
+                if lp > -math.inf:
+                    cand.append((score + lp, payload + (v,), per + (lp,), state, v))
+        if not cand:
+            break
+        cand.sort(key=lambda c: (-c[0], c[1]))
+        if t == max_len - 1:
+            # no further extension: force-complete every candidate
+            for score, payload, per, state, v in cand:
+                nstate, ndist = stepper.advance(state, v)
+                lp_eos = float(ndist[eos])
+                if lp_eos > -math.inf:
+                    completed.append(Hypothesis(payload, score + lp_eos, per + (lp_eos,)))
+            break
+        if len(completed) >= beam:
+            kth = sorted(completed, key=_reference_completion_order)[beam - 1].forward_logprob
+            if cand[0][0] < kth:
+                break  # extensions only lower scores; nothing can enter the top-k
+        active = []
+        for score, payload, per, state, v in cand[:beam]:
+            nstate, ndist = stepper.advance(state, v)
+            active.append((score, payload, per, nstate, ndist))
+    completed.sort(key=_reference_completion_order)
+    return completed[:beam]
+
+
+def reference_beam_search_fixed(stepper, beam: int, length: int):
+    if beam < 1:
+        raise decode.DecodeError("beam must be >= 1")
+    if length < 1:
+        raise decode.DecodeError("fixed-length beam needs length >= 1")
+    state, dist = stepper.start()
+    active = [(0.0, (), (), state, dist)]
+    for t in range(length):
+        cand = []
+        for score, payload, per, state, dist in active:
+            for v in range(stepper.n_symbols):
+                lp = float(dist[v])
+                if lp > -math.inf:
+                    cand.append((score + lp, payload + (v,), per + (lp,), state, v))
+        cand.sort(key=lambda c: (-c[0], c[1]))
+        cand = cand[:beam]
+        if t == length - 1:
+            # the stored state already consumed the final input position
+            return [(Hypothesis(payload, score, per), state)
+                    for score, payload, per, state, v in cand]
+        active = []
+        for score, payload, per, state, v in cand:
+            nstate, ndist = stepper.advance(state, v)
+            active.append((score, payload, per, nstate, ndist))
+    return []
+
+
+class CountingTable:
+    """Log-probs looked up by (step, last symbol), with a count of advances."""
+
+    def __init__(self, table, eos):
+        self.table = table
+        self.n_symbols = table.shape[-1]
+        self.eos = eos
+        self.advances = 0
+
+    def start(self):
+        return (0, self.n_symbols), self.table[0, self.n_symbols]
+
+    def advance(self, state, symbol):
+        self.advances += 1
+        t, _ = state
+        return (t + 1, symbol), self.table[t + 1, symbol]
+
+
+@st.composite
+def table_searches(draw):
+    """A table stepper with integer log-probs (ties across parents and
+    symbols), some -inf entries, EOS or none, and a small beam and length."""
+    n_symbols = draw(st.integers(2, 6))
+    max_len = draw(st.integers(1, 4))
+    eos = draw(st.one_of(st.none(), st.integers(0, n_symbols - 1)))
+    shape = (max_len + 2, n_symbols + 1, n_symbols)
+    values = draw(st.lists(st.sampled_from([0.0, -1.0, -2.0, -3.0, -math.inf]),
+                           min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values).reshape(shape), eos, draw(st.integers(1, 8)), max_len
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_searches())
+def test_lexsort_beam_equals_tuple_sort_reference(case):
+    table, eos, beam, max_len = case
+    ref, new = CountingTable(table, eos), CountingTable(table, eos)
+    want = reference_beam_search(ref, beam, max_len)
+    assert beam_search(new, beam, max_len) == want
+    assert new.advances <= ref.advances
+    if eos is None:
+        ref, new = CountingTable(table, eos), CountingTable(table, eos)
+        assert (decode._beam_search_fixed(new, beam, max_len)
+                == reference_beam_search_fixed(ref, beam, max_len))
+        assert new.advances == ref.advances
+
+
+@pytest.mark.parametrize("eos", [None, 0, 2])
+@pytest.mark.parametrize("max_len", [1, 3])
+def test_all_minus_inf_distributions_give_no_hypotheses(eos, max_len):
+    table = np.full((max_len + 2, 4, 3), -math.inf)
+    assert reference_beam_search(CountingTable(table, eos), 5, max_len) == []
+    stepper = CountingTable(table, eos)
+    assert beam_search(stepper, 5, max_len) == []
+    assert stepper.advances == 0
+    if eos is None:
+        assert decode._beam_search_fixed(CountingTable(table, eos), 5, max_len) == []
+
+
+def test_force_complete_stops_below_kth_completion():
+    # at max_len the walk advances the three extensions of (1,) and stops at
+    # (2, 1), whose -6 is below the second best completion's -1
+    table = np.full((4, 5, 4), -math.inf)
+    table[0, 4] = [-math.inf, 0.0, -5.0, -5.0]
+    table[1:, :, 0] = 0.0
+    table[1:, :, 1:] = -1.0
+    stepper, ref = CountingTable(table, 0), CountingTable(table, 0)
+    got = beam_search(stepper, 2, 2)
+    assert got == reference_beam_search(ref, 2, 2)
+    assert [h.payload for h in got] == [(1,), (1, 1)]
+    assert (stepper.advances, ref.advances) == (2 + 3, 2 + 6)
+
+
+@pytest.mark.parametrize("bad_step, bad_symbol, eos", [
+    (0, 1, 0), (0, 0, 0), (1, 2, 0), (2, 0, 0), (0, 1, None), (1, 0, None)])
+def test_nan_log_prob_raises_naming_the_step(bad_step, bad_symbol, eos):
+    # a NaN anywhere a search reads it, EOS column and force-completion
+    # included, raises instead of being dropped as -inf
+    table = np.full((4, 4, 3), -1.0)
+    table[bad_step, :, bad_symbol] = math.nan
+    with pytest.raises(decode.DecodeError, match=f"decode step {bad_step}"):
+        beam_search(CountingTable(table, eos), 3, 2)
+
+
 def test_nlu_beam_matches_exhaustive_tags(tiny_vocabs, tiny_models):
     # 3-token utterance; restrict to a 3-tag inventory by masking the rest
     m = tiny_models["nlu"]
@@ -306,6 +470,15 @@ def test_rerank_trivials_and_sort_oracle():
     assert rerank_index(scored) == oracle
     with pytest.raises(decode.DecodeError):
         rerank([])
+
+
+def test_rerank_rejects_nan_combined_score():
+    h = [Hypothesis((i,), -float(i), (-float(i),)) for i in range(3)]
+    scored = [(h[0], decode.DualScore(-1.0, 0, 0, 0, -2.0)),
+              (h[1], decode.DualScore(-2.0, 0, 0, 0, math.nan)),
+              (h[2], decode.DualScore(-3.0, 0, 0, 0, -4.0))]
+    with pytest.raises(decode.DecodeError, match="NaN"):
+        rerank_index(scored)
 
 
 # ---------------------------------------------------------------------------
