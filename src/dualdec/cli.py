@@ -18,6 +18,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, data, decode, metrics, models
 from .data import (Checkpoint, CheckpointError, DataError, augment_nlg_to_nlu,
                    augment_nlu_to_nlg, build_vocabs, load_checkpoint, load_nlg,
@@ -331,7 +333,10 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         Path(cfg["out_dir"]).mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](args, cfg)
+        # an overflowing logit or a NaN parameter reaches an explicit check
+        # that exits 3 or 4 and names it; numpy need not warn on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            return COMMANDS[args.command](args, cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -70,10 +70,6 @@ def split_tag(tag: str) -> tuple[str, str | None]:
     raise FrameError(f"unknown tag {tag!r}")
 
 
-def is_well_formed(tags: Sequence[str]) -> bool:
-    return list(tags) == repair_iob(tags)
-
-
 def repair_iob(tags: Sequence[str]) -> IOBSequence:
     """Rewrite a leading or key-switching I-k to B-k."""
     out: IOBSequence = []

@@ -15,12 +15,14 @@
 
 All four build on one constructor (config, vocabularies, a parameter store
 whose first entry is the word embedding), and NLG and the masked frame model
-share one frame-feature encoder, ``mfm_features``. Training and
-teacher-forced scoring run on the traced path. Beam search runs on a raw-numpy
-path: ``GruCell.step_np`` and the per-model steps ``nlu_step``, ``nlu_intent``,
-``nlg_start`` and ``nlg_step``; tests pin its agreement with the traced path.
-Both paths share ``tensor``'s activation kernels.
-Beam search encodes a frame once, on the traced path under ``no_grad``.
+share one frame-feature encoder, ``mfm_features``.
+
+Each model's arithmetic is written once, against an ``ops`` namespace and a
+name-to-parameter map: ``tensor`` with ``model.params`` for training (the
+``*_forcing_graph`` functions and ``mfm_loss_graph``), or ``tensor.nd`` with
+``model.arrays``, the same parameters as plain ndarrays, for the scorers and
+the beam-search steps (``nlu_step``, ``nlu_intent``, ``nlg_step``). The two
+give the same floats bit for bit.
 """
 from __future__ import annotations
 
@@ -31,9 +33,9 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .data import Checkpoint, CheckpointError, NlgExample, NluExample
+from .data import MODEL_KINDS, Checkpoint, CheckpointError, NlgExample, NluExample
 from .frames import FrameError, SemanticFrame, align_tags_to_pieces
-from .tensor import Tensor, derive_rng
+from .tensor import Tensor, derive_rng, nd
 from .textproc import BOS, EOS, BpeModel, LabelVocab, Utterance, Vocabs
 
 
@@ -60,45 +62,39 @@ class ParamStore:
         self._rng = rng
         self.params: dict[str, Tensor] = {}
 
-    def add(self, name: str, shape: tuple[int, ...]) -> Tensor:
+    def add(self, name: str, shape: tuple[int, ...]) -> None:
         if name in self.params:
             raise ValueError(f"duplicate parameter {name!r}")
         if self._rng is None:
-            p = Tensor(np.zeros(shape), requires_grad=True)
+            self.params[name] = Tensor(np.zeros(shape), requires_grad=True)
         else:
-            p = T.parameter(shape, self._rng)
-        self.params[name] = p
-        return p
+            self.params[name] = T.parameter(shape, self._rng)
+
+    def add_gru(self, prefix: str, in_dim: int, hidden: int) -> None:
+        """The parameters of the gated recurrent cell that ``_gru_step`` runs."""
+        self.add(f"{prefix}.w_ih", (3 * hidden, in_dim))
+        self.add(f"{prefix}.w_hh", (3 * hidden, hidden))
+        self.add(f"{prefix}.b_ih", (3 * hidden,))
+        self.add(f"{prefix}.b_hh", (3 * hidden,))
 
 
-class GruCell:
-    """Gated recurrent cell, gates ordered (reset, update, candidate)."""
+def _gru_step(ops, P, prefix: str, x, h):
+    """One step of the gated recurrent cell ``prefix``, gates ordered (reset,
+    update, candidate). ``ops`` is ``tensor`` or ``tensor.nd``, and ``P`` maps
+    parameter names to Tensors or ndarrays to match; so for every step below."""
+    H = h.shape[0]
+    gi = ops.add(ops.matmul(P[prefix + ".w_ih"], x), P[prefix + ".b_ih"])
+    gh = ops.add(ops.matmul(P[prefix + ".w_hh"], h), P[prefix + ".b_hh"])
+    r = ops.sigmoid(ops.add(ops.slice1d(gi, 0, H), ops.slice1d(gh, 0, H)))
+    z = ops.sigmoid(ops.add(ops.slice1d(gi, H, 2 * H), ops.slice1d(gh, H, 2 * H)))
+    n = ops.tanh(ops.add(ops.slice1d(gi, 2 * H, 3 * H),
+                         ops.mul(r, ops.slice1d(gh, 2 * H, 3 * H))))
+    return ops.add(n, ops.mul(z, ops.sub(h, n)))
 
-    def __init__(self, store: ParamStore, prefix: str, in_dim: int, hidden: int):
-        self.hidden = hidden
-        self.w_ih = store.add(f"{prefix}.w_ih", (3 * hidden, in_dim))
-        self.w_hh = store.add(f"{prefix}.w_hh", (3 * hidden, hidden))
-        self.b_ih = store.add(f"{prefix}.b_ih", (3 * hidden,))
-        self.b_hh = store.add(f"{prefix}.b_hh", (3 * hidden,))
 
-    def step(self, x: Tensor, h: Tensor) -> Tensor:
-        H = self.hidden
-        gi = T.add(T.matmul(self.w_ih, x), self.b_ih)
-        gh = T.add(T.matmul(self.w_hh, h), self.b_hh)
-        r = T.sigmoid(T.add(T.slice1d(gi, 0, H), T.slice1d(gh, 0, H)))
-        z = T.sigmoid(T.add(T.slice1d(gi, H, 2 * H), T.slice1d(gh, H, 2 * H)))
-        n = T.tanh(T.add(T.slice1d(gi, 2 * H, 3 * H),
-                         T.mul(r, T.slice1d(gh, 2 * H, 3 * H))))
-        return T.add(n, T.mul(z, T.sub(h, n)))
-
-    def step_np(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        H = self.hidden
-        gi = self.w_ih.data @ x + self.b_ih.data
-        gh = self.w_hh.data @ h + self.b_hh.data
-        r = T.sigmoid_np(gi[0:H] + gh[0:H])
-        z = T.sigmoid_np(gi[H:2 * H] + gh[H:2 * H])
-        n = np.tanh(gi[2 * H:] + r * gh[2 * H:])
-        return n + z * (h - n)
+def _log_probs(ops, P, head: str, h):
+    """Log-distribution of the affine output layer ``head`` on ``h``."""
+    return ops.log_softmax(ops.add(ops.matmul(P[head + ".w"], h), P[head + ".b"]))
 
 
 @dataclass(frozen=True)
@@ -117,15 +113,17 @@ class ScoreBreakdown:
         return self.seq_total + (self.intent_logprob or 0.0)
 
 
-def _floats(ts: Sequence[Tensor]) -> tuple[float, ...]:
-    return tuple(float(t.data) for t in ts)
-
-
 def _sum_terms(ts: Sequence[Tensor]) -> Tensor:
     acc = ts[0]
     for t in ts[1:]:
         acc = T.add(acc, t)
     return acc
+
+
+def _teacher_forced(tf_ratio: float, rng: np.random.Generator | None) -> bool:
+    """Whether training feeds the gold symbol at this step rather than the
+    model's own argmax; scoring (no ``rng``) always does."""
+    return rng is None or tf_ratio >= 1.0 or rng.random() < tf_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +132,19 @@ def _sum_terms(ts: Sequence[Tensor]) -> Tensor:
 
 class _Model:
     """Construction shared by the four models. ``word_emb`` is always the first
-    parameter; each model's ``_build`` adds the rest in checkpoint order."""
+    parameter; each model's ``_build`` adds the rest in checkpoint order.
+    ``arrays`` maps the same names to the parameters' ndarrays; every write to
+    a parameter is in place, so it stays current."""
 
     def __init__(self, cfg: ModelConfig, vocabs: Vocabs,
                  rng: np.random.Generator | None = None):
         self.cfg = cfg
         self.vocabs = vocabs
         store = ParamStore(rng)
-        self.word_emb = store.add("word_emb", (len(vocabs.bpe.pieces), cfg.embedding))
+        store.add("word_emb", (len(vocabs.bpe.pieces), cfg.embedding))
         self._build(store, cfg.hidden, cfg.embedding)
         self.params = store.params
+        self.arrays = {name: p.data for name, p in self.params.items()}
 
     def _build(self, store: ParamStore, H: int, E: int) -> None:
         raise NotImplementedError
@@ -162,14 +163,44 @@ class NluModel(_Model):
 
     def _build(self, store: ParamStore, H: int, E: int) -> None:
         n_tags = self.vocabs.labels.n_tags
-        self.tag_emb = store.add("tag_emb", (n_tags, E))
-        self.start_tag = store.add("start_tag", (E,))
-        self.cell = GruCell(store, "gru", 2 * E, H)
-        self.tag_w = store.add("tag_proj.w", (n_tags, H))
-        self.tag_b = store.add("tag_proj.b", (n_tags,))
+        store.add("tag_emb", (n_tags, E))
+        store.add("start_tag", (E,))
+        store.add_gru("gru", 2 * E, H)
+        store.add("tag_proj.w", (n_tags, H))
+        store.add("tag_proj.b", (n_tags,))
         if self.n_intents:
-            self.int_w = store.add("intent_proj.w", (self.n_intents, H))
-            self.int_b = store.add("intent_proj.b", (self.n_intents,))
+            store.add("intent_proj.w", (self.n_intents, H))
+            store.add("intent_proj.b", (self.n_intents,))
+
+
+def _nlu_step(ops, P, h, word: int, prev_tag: int | None):
+    prev = P["start_tag"] if prev_tag is None else ops.row(P["tag_emb"], prev_tag)
+    h = _gru_step(ops, P, "gru", ops.concat([ops.row(P["word_emb"], word), prev]), h)
+    return _log_probs(ops, P, "tag_proj", h), h
+
+
+def _nlu_forward(m: NluModel, ops, P, utt: Utterance, tags: Sequence[int],
+                 intent: int | None, tf_ratio: float = 1.0,
+                 rng: np.random.Generator | None = None) -> tuple[list, object]:
+    if len(tags) != len(utt.tokens):
+        raise FrameError(f"{len(tags)} tags for {len(utt.tokens)} tokens")
+    n_tags = m.vocabs.labels.n_tags
+    if any(not 0 <= t < n_tags for t in tags):
+        raise FrameError(f"tag id outside inventory of size {n_tags}")
+    h = ops.zeros(m.cfg.hidden)
+    prev = None
+    steps = []
+    for tok, tag in zip(utt.tokens, tags):
+        lp, h = _nlu_step(ops, P, h, tok, prev)
+        steps.append(ops.pick(lp, tag))
+        # only training passes an rng, and it runs on Tensors
+        prev = tag if _teacher_forced(tf_ratio, rng) else int(np.argmax(lp.data))
+    intent_lp = None
+    if m.n_intents and intent is not None:
+        if not 0 <= intent < m.n_intents:
+            raise FrameError(f"intent id {intent} outside inventory of size {m.n_intents}")
+        intent_lp = ops.pick(_log_probs(ops, P, "intent_proj", h), intent)
+    return steps, intent_lp
 
 
 def nlu_forcing_graph(m: NluModel, utt: Utterance, tags: Sequence[int],
@@ -177,38 +208,14 @@ def nlu_forcing_graph(m: NluModel, utt: Utterance, tags: Sequence[int],
                       rng: np.random.Generator | None = None,
                       ) -> tuple[list[Tensor], Tensor | None]:
     """Teacher-forced per-step tag log-probs and the intent log-prob."""
-    if len(tags) != len(utt.tokens):
-        raise FrameError(f"{len(tags)} tags for {len(utt.tokens)} tokens")
-    n_tags = m.vocabs.labels.n_tags
-    if any(not 0 <= t < n_tags for t in tags):
-        raise FrameError(f"tag id outside inventory of size {n_tags}")
-    h = Tensor(np.zeros(m.cfg.hidden))
-    prev = m.start_tag
-    steps: list[Tensor] = []
-    for tok, tag in zip(utt.tokens, tags):
-        x = T.concat([T.row(m.word_emb, tok), prev])
-        h = m.cell.step(x, h)
-        lp = T.log_softmax(T.add(T.matmul(m.tag_w, h), m.tag_b))
-        steps.append(T.pick(lp, tag))
-        feed = tag
-        if rng is not None and tf_ratio < 1.0 and rng.random() >= tf_ratio:
-            feed = int(np.argmax(lp.data))
-        prev = T.row(m.tag_emb, feed)
-    intent_lp = None
-    if m.n_intents and intent is not None:
-        if not 0 <= intent < m.n_intents:
-            raise FrameError(f"intent id {intent} outside inventory of size {m.n_intents}")
-        dist = T.log_softmax(T.add(T.matmul(m.int_w, h), m.int_b))
-        intent_lp = T.pick(dist, intent)
-    return steps, intent_lp
+    return _nlu_forward(m, T, m.params, utt, tags, intent, tf_ratio, rng)
 
 
 def nlu_score(m: NluModel, utt: Utterance, tags: Sequence[int],
               intent: int | None = None) -> ScoreBreakdown:
-    with T.no_grad():
-        steps, intent_lp = nlu_forcing_graph(m, utt, tags, intent)
-    return ScoreBreakdown(_floats(steps),
-                          None if intent_lp is None else float(intent_lp.data))
+    steps, intent_lp = _nlu_forward(m, nd, m.arrays, utt, tags, intent)
+    return ScoreBreakdown(tuple(map(float, steps)),
+                          None if intent_lp is None else float(intent_lp))
 
 
 def nlu_start(m: NluModel) -> np.ndarray:
@@ -218,40 +225,17 @@ def nlu_start(m: NluModel) -> np.ndarray:
 def nlu_step(m: NluModel, state: np.ndarray, word: int, prev_tag: int | None,
              ) -> tuple[np.ndarray, np.ndarray]:
     """One recurrence step; returns (tag log-distribution, new state)."""
-    prev = m.start_tag.data if prev_tag is None else m.tag_emb.data[prev_tag]
-    x = np.concatenate([m.word_emb.data[word], prev])
-    h = m.cell.step_np(x, state)
-    return T.log_softmax_np(m.tag_w.data @ h + m.tag_b.data), h
+    return _nlu_step(nd, m.arrays, state, word, prev_tag)
 
 
 def nlu_intent(m: NluModel, state: np.ndarray) -> np.ndarray:
     if not m.n_intents:
         raise FrameError("model has no intent inventory")
-    return T.log_softmax_np(m.int_w.data @ state + m.int_b.data)
+    return _log_probs(nd, m.arrays, "intent_proj", state)
 
 
 # ---------------------------------------------------------------------------
 # the frame-feature encoder shared by NLG and the masked frame model
-
-
-class _PairEncoder:
-    """Bidirectional recurrence over [key ; value tokens] -> one feature."""
-
-    def __init__(self, store: ParamStore, emb: int, hidden: int):
-        self.fwd = GruCell(store, "enc_f", emb, hidden)
-        self.bwd = GruCell(store, "enc_b", emb, hidden)
-        self.feat_w = store.add("feat.w", (hidden, 2 * hidden))
-        self.feat_b = store.add("feat.b", (hidden,))
-        self.hidden = hidden
-
-    def encode(self, seq: list[Tensor]) -> Tensor:
-        hf = Tensor(np.zeros(self.hidden))
-        hb = Tensor(np.zeros(self.hidden))
-        for x in seq:
-            hf = self.fwd.step(x, hf)
-        for x in reversed(seq):
-            hb = self.bwd.step(x, hb)
-        return T.tanh(T.add(T.matmul(self.feat_w, T.concat([hf, hb])), self.feat_b))
 
 
 class _FrameModel(_Model):
@@ -259,19 +243,31 @@ class _FrameModel(_Model):
     encoder, in that parameter order."""
 
     def _build(self, store: ParamStore, H: int, E: int) -> None:
-        self.key_emb = store.add("key_emb", (max(self.vocabs.labels.n_slot_keys, 1), E))
+        store.add("key_emb", (max(self.vocabs.labels.n_slot_keys, 1), E))
         if self.n_intents:
-            self.intent_emb = store.add("intent_emb", (self.n_intents, H))
-        self.encoder = _PairEncoder(store, E, H)
+            store.add("intent_emb", (self.n_intents, H))
+        store.add_gru("enc_f", E, H)
+        store.add_gru("enc_b", E, H)
+        store.add("feat.w", (H, 2 * H))
+        store.add("feat.b", (H,))
         self.scale = 1.0 / math.sqrt(H)
 
 
-def mfm_features(m: _FrameModel, frame: SemanticFrame,
-                 ) -> tuple[list[Tensor], list[int]]:
+def _pair_feature(m: _FrameModel, ops, P, seq: list):
+    """Bidirectional recurrence over [key ; value tokens] -> one feature."""
+    hf, hb = ops.zeros(m.cfg.hidden), ops.zeros(m.cfg.hidden)
+    for x in seq:
+        hf = _gru_step(ops, P, "enc_f", x, hf)
+    for x in reversed(seq):
+        hb = _gru_step(ops, P, "enc_b", x, hb)
+    return ops.tanh(ops.add(ops.matmul(P["feat.w"], ops.concat([hf, hb])), P["feat.b"]))
+
+
+def mfm_features(m: _FrameModel, ops, P, frame: SemanticFrame) -> tuple[list, list[int]]:
     """Per-feature encodings and their classifier targets (key or intent id):
     one pair encoding per slot, then the intent embedding."""
     labels = m.vocabs.labels
-    feats: list[Tensor] = []
+    feats = []
     targets: list[int] = []
     for key, value in frame.slots:
         try:
@@ -279,12 +275,12 @@ def mfm_features(m: _FrameModel, frame: SemanticFrame,
         except KeyError:
             raise FrameError(f"slot key {key!r} outside inventory") from None
         value_ids = m.vocabs.bpe.encode_ids(" ".join(value))
-        seq = [T.row(m.key_emb, key_id)] + [T.row(m.word_emb, i) for i in value_ids]
-        feats.append(m.encoder.encode(seq))
+        seq = [ops.row(P["key_emb"], key_id)] + [ops.row(P["word_emb"], i) for i in value_ids]
+        feats.append(_pair_feature(m, ops, P, seq))
         targets.append(key_id)
     if frame.intent is not None and m.n_intents:
         iid = labels.intent_id(frame.intent)
-        feats.append(T.row(m.intent_emb, iid))
+        feats.append(ops.row(P["intent_emb"], iid))
         targets.append(labels.n_slot_keys + iid)
     return feats, targets
 
@@ -299,53 +295,52 @@ class NlgModel(_FrameModel):
     def _build(self, store: ParamStore, H: int, E: int) -> None:
         super()._build(store, H, E)
         n_tok = len(self.vocabs.bpe.pieces)
-        self.empty_feat = store.add("empty_feat", (H,))
-        self.cell = GruCell(store, "dec", H + E, H)
-        self.out_w = store.add("out.w", (n_tok, H))
-        self.out_b = store.add("out.b", (n_tok,))
+        store.add("empty_feat", (H,))
+        store.add_gru("dec", H + E, H)
+        store.add("out.w", (n_tok, H))
+        store.add("out.b", (n_tok,))
 
 
-def nlg_features(m: NlgModel, frame: SemanticFrame) -> list[Tensor]:
+def _nlg_features(m: NlgModel, ops, P, frame: SemanticFrame) -> list:
     """The frame's features; the learned ``empty_feat`` when it has none."""
-    return mfm_features(m, frame)[0] or [m.empty_feat]
+    return mfm_features(m, ops, P, frame)[0] or [P["empty_feat"]]
 
 
-def nlg_features_np(m: NlgModel, frame: SemanticFrame) -> np.ndarray:
-    """``nlg_features`` as a (k, hidden) array, the input of ``nlg_step``."""
-    with T.no_grad():
-        return np.stack([f.data for f in nlg_features(m, frame)])
+def _nlg_step(m: NlgModel, ops, P, F, h, prev_word: int):
+    weights = ops.softmax(ops.scale(ops.matmul(F, h), m.scale))
+    x = ops.concat([ops.matmul(weights, F), ops.row(P["word_emb"], prev_word)])
+    h = _gru_step(ops, P, "dec", x, h)
+    return _log_probs(ops, P, "out", h), weights, h
 
 
-def _attend(m: NlgModel, F: Tensor, h: Tensor) -> Tensor:
-    weights = T.softmax(T.scale(T.matmul(F, h), m.scale))
-    return T.matmul(weights, F)
+def _nlg_forward(m: NlgModel, ops, P, frame: SemanticFrame, utt: Utterance,
+                 tf_ratio: float = 1.0, rng: np.random.Generator | None = None) -> list:
+    F = ops.stack(_nlg_features(m, ops, P, frame))
+    h = ops.mean_rows(F)
+    prev = BOS
+    steps = []
+    for tok in list(utt.tokens) + [EOS]:
+        lp, _, h = _nlg_step(m, ops, P, F, h, prev)
+        steps.append(ops.pick(lp, tok))
+        # only training passes an rng, and it runs on Tensors
+        prev = tok if _teacher_forced(tf_ratio, rng) else int(np.argmax(lp.data))
+    return steps
 
 
 def nlg_forcing_graph(m: NlgModel, frame: SemanticFrame, utt: Utterance,
                       tf_ratio: float = 1.0,
                       rng: np.random.Generator | None = None) -> list[Tensor]:
     """Teacher-forced log-probs for every token of ``utt`` plus EOS."""
-    F = T.stack(nlg_features(m, frame))
-    h = T.mean_rows(F)
-    prev = BOS
-    steps: list[Tensor] = []
-    for tok in list(utt.tokens) + [EOS]:
-        ctx = _attend(m, F, h)
-        x = T.concat([ctx, T.row(m.word_emb, prev)])
-        h = m.cell.step(x, h)
-        lp = T.log_softmax(T.add(T.matmul(m.out_w, h), m.out_b))
-        steps.append(T.pick(lp, tok))
-        feed = tok
-        if rng is not None and tf_ratio < 1.0 and rng.random() >= tf_ratio:
-            feed = int(np.argmax(lp.data))
-        prev = feed
-    return steps
+    return _nlg_forward(m, T, m.params, frame, utt, tf_ratio, rng)
 
 
 def nlg_score(m: NlgModel, frame: SemanticFrame, utt: Utterance) -> ScoreBreakdown:
-    with T.no_grad():
-        steps = nlg_forcing_graph(m, frame, utt)
-    return ScoreBreakdown(_floats(steps))
+    return ScoreBreakdown(tuple(map(float, _nlg_forward(m, nd, m.arrays, frame, utt))))
+
+
+def nlg_features_np(m: NlgModel, frame: SemanticFrame) -> np.ndarray:
+    """The frame's features as a (k, hidden) array, the input of ``nlg_step``."""
+    return np.stack(_nlg_features(m, nd, m.arrays, frame))
 
 
 def nlg_start(m: NlgModel, features: np.ndarray) -> np.ndarray:
@@ -359,12 +354,8 @@ def nlg_step(m: NlgModel, state: np.ndarray, prev_word: int | None,
     """One decoder step; returns (word log-distribution, attention weights, state)."""
     if features.ndim != 2 or features.shape[0] == 0:
         raise FrameError("empty feature set")
-    weights = T.softmax_np(features @ state * m.scale)
-    ctx = weights @ features
-    prev = BOS if prev_word is None else prev_word
-    x = np.concatenate([ctx, m.word_emb.data[prev]])
-    h = m.cell.step_np(x, state)
-    return T.log_softmax_np(m.out_w.data @ h + m.out_b.data), weights, h
+    return _nlg_step(m, nd, m.arrays, features, state,
+                     BOS if prev_word is None else prev_word)
 
 
 # ---------------------------------------------------------------------------
@@ -376,34 +367,29 @@ class LmModel(_Model):
 
     def _build(self, store: ParamStore, H: int, E: int) -> None:
         n_tok = len(self.vocabs.bpe.pieces)
-        self.cell = GruCell(store, "gru", E, H)
-        self.out_w = store.add("out.w", (n_tok, H))
-        self.out_b = store.add("out.b", (n_tok,))
+        store.add_gru("gru", E, H)
+        store.add("out.w", (n_tok, H))
+        store.add("out.b", (n_tok,))
 
 
-def lm_forcing_graph(m: LmModel, tokens: Sequence[int]) -> list[Tensor]:
-    h = Tensor(np.zeros(m.cfg.hidden))
+def _lm_forward(m: LmModel, ops, P, tokens: Sequence[int]) -> list:
+    """BOS-initialized token log-probs plus the closing EOS term."""
+    h = ops.zeros(m.cfg.hidden)
     prev = BOS
-    steps: list[Tensor] = []
+    steps = []
     for tok in list(tokens) + [EOS]:
-        h = m.cell.step(T.row(m.word_emb, prev), h)
-        lp = T.log_softmax(T.add(T.matmul(m.out_w, h), m.out_b))
-        steps.append(T.pick(lp, tok))
+        h = _gru_step(ops, P, "gru", ops.row(P["word_emb"], prev), h)
+        steps.append(ops.pick(_log_probs(ops, P, "out", h), tok))
         prev = tok
     return steps
 
 
-def lm_score(m: LmModel, utt: Utterance) -> ScoreBreakdown:
-    """BOS-initialized token log-probs plus the closing EOS term."""
-    if not utt.tokens:
-        raise FrameError("cannot score an empty utterance")
-    return lm_score_tokens(m, utt.tokens)
+def lm_forcing_graph(m: LmModel, tokens: Sequence[int]) -> list[Tensor]:
+    return _lm_forward(m, T, m.params, tokens)
 
 
 def lm_score_tokens(m: LmModel, tokens: Sequence[int]) -> ScoreBreakdown:
-    with T.no_grad():
-        steps = lm_forcing_graph(m, tokens)
-    return ScoreBreakdown(_floats(steps))
+    return ScoreBreakdown(tuple(map(float, _lm_forward(m, nd, m.arrays, tokens))))
 
 
 # ---------------------------------------------------------------------------
@@ -418,83 +404,71 @@ class MaskedFrameModel(_FrameModel):
         if self.n_labels == 0:
             raise FrameError("masked frame model needs a non-empty label inventory")
         super()._build(store, H, E)
-        self.mask_vec = store.add("mask", (H,))
-        self.layers = [
-            {name: store.add(f"layer{li}.{name}", (H,) if name.endswith(".b") else (H, H))
-             for name in ("q", "k", "v", "f1.w", "f1.b", "f2.w", "f2.b")}
-            for li in range(2)]
-        self.cls_w = store.add("cls.w", (self.n_labels, H))
-        self.cls_b = store.add("cls.b", (self.n_labels,))
+        store.add("mask", (H,))
+        for li in range(2):
+            for name in ("q", "k", "v", "f1.w", "f1.b", "f2.w", "f2.b"):
+                store.add(f"layer{li}.{name}", (H,) if name.endswith(".b") else (H, H))
+        store.add("cls.w", (self.n_labels, H))
+        store.add("cls.b", (self.n_labels,))
 
 
-def mfm_logits(m: MaskedFrameModel, F: Tensor) -> Tensor:
+def mfm_logits(m: MaskedFrameModel, ops, P, X):
     """Two self-attention layers with residual feed-forward, then classify."""
-    X = F
-    for layer in m.layers:
-        Q = T.matmul(X, T.transpose(layer["q"]))
-        K = T.matmul(X, T.transpose(layer["k"]))
-        V = T.matmul(X, T.transpose(layer["v"]))
-        A = T.softmax(T.scale(T.matmul(Q, T.transpose(K)), m.scale))
-        X = T.add(X, T.matmul(A, V))
-        inner = T.tanh(T.add(T.matmul(X, T.transpose(layer["f1.w"])), layer["f1.b"]))
-        X = T.add(X, T.add(T.matmul(inner, T.transpose(layer["f2.w"])), layer["f2.b"]))
-    return T.add(T.matmul(X, T.transpose(m.cls_w)), m.cls_b)
+    for layer in ("layer0.", "layer1."):
+        Q = ops.matmul(X, ops.transpose(P[layer + "q"]))
+        K = ops.matmul(X, ops.transpose(P[layer + "k"]))
+        V = ops.matmul(X, ops.transpose(P[layer + "v"]))
+        A = ops.softmax(ops.scale(ops.matmul(Q, ops.transpose(K)), m.scale))
+        X = ops.add(X, ops.matmul(A, V))
+        inner = ops.tanh(ops.add(ops.matmul(X, ops.transpose(P[layer + "f1.w"])),
+                                 P[layer + "f1.b"]))
+        X = ops.add(X, ops.add(ops.matmul(inner, ops.transpose(P[layer + "f2.w"])),
+                               P[layer + "f2.b"]))
+    return ops.add(ops.matmul(X, ops.transpose(P["cls.w"])), P["cls.b"])
 
 
-def _mfm_masked_logprob(m: MaskedFrameModel, feats: list[Tensor],
-                        targets: list[int], pos: int) -> Tensor:
+def _masked_logits(m: MaskedFrameModel, ops, P, feats: list, picks: Sequence[int]):
     masked = list(feats)
-    masked[pos] = m.mask_vec
-    logits = mfm_logits(m, T.stack(masked))
-    return T.pick(T.log_softmax(T.row(logits, pos)), targets[pos])
-
-
-def mfm_single_mask_score(m: MaskedFrameModel, frame: SemanticFrame, pos: int) -> float:
-    with T.no_grad():
-        feats, targets = mfm_features(m, frame)
-        if not feats:
-            raise FrameError("frame has no features to mask")
-        return float(_mfm_masked_logprob(m, feats, targets, pos).data)
+    for i in picks:
+        masked[i] = P["mask"]
+    return mfm_logits(m, ops, P, ops.stack(masked))
 
 
 def masked_frame_score(m: MaskedFrameModel, frame: SemanticFrame,
                        rng: np.random.Generator) -> float:
     """Pseudo log-likelihood: three uniform mask draws (with replacement),
     summing log P(true label at the masked position | the rest)."""
-    with T.no_grad():
-        feats, targets = mfm_features(m, frame)
-        if not feats:
-            raise FrameError("frame has no features to mask")
-        draws = rng.integers(0, len(feats), size=3)
-        return float(sum(float(_mfm_masked_logprob(m, feats, targets, int(p)).data)
-                         for p in draws))
+    feats, targets = mfm_features(m, nd, m.arrays, frame)
+    if not feats:
+        raise FrameError("frame has no features to mask")
+    total = 0.0
+    for pos in rng.integers(0, len(feats), size=3):
+        logits = _masked_logits(m, nd, m.arrays, feats, [pos])
+        total += float(nd.log_softmax(logits[pos])[targets[pos]])
+    return total
 
 
 def mfm_loss_graph(m: MaskedFrameModel, frame: SemanticFrame,
                    rng: np.random.Generator) -> Tensor:
     """Mask each feature independently with p=0.3 (redrawn while empty) and
     sum cross-entropy over the masked positions."""
-    feats, targets = mfm_features(m, frame)
+    feats, targets = mfm_features(m, T, m.params, frame)
     if not feats:
         raise FrameError("frame has no features to mask")
     while True:
         picks = [i for i in range(len(feats)) if rng.random() < 0.3]
         if picks:
             break
-    masked = list(feats)
-    for i in picks:
-        masked[i] = m.mask_vec
-    logits = mfm_logits(m, T.stack(masked))
-    losses = [T.cross_entropy(T.row(logits, i), targets[i]) for i in picks]
-    return _sum_terms(losses)
+    logits = _masked_logits(m, T, m.params, feats, picks)
+    return _sum_terms([T.cross_entropy(T.row(logits, i), targets[i]) for i in picks])
 
 
 # ---------------------------------------------------------------------------
 # training
 
 
-MODEL_CLASSES = {"nlu": NluModel, "nlg": NlgModel, "lm": LmModel,
-                 "mfm": MaskedFrameModel}
+MODEL_CLASSES = dict(zip(MODEL_KINDS, (NluModel, NlgModel, LmModel, MaskedFrameModel)))
+assert all(cls.kind == kind for kind, cls in MODEL_CLASSES.items())
 
 
 @dataclass(frozen=True)

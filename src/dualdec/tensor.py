@@ -1,15 +1,18 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Covers exactly the shapes the recurrent/attention models need: scalars,
-vectors, and matrices. Each op records a backward closure while gradient
-tracking is enabled; ``backward`` replays the trace in reverse topological
-order. Inference code wraps calls in ``no_grad()`` to skip trace recording.
+vectors, and matrices. Each op records a backward closure when an operand
+requires a gradient; ``backward`` replays the trace in reverse topological
+order. ``nd`` holds the same ops on plain ndarrays, with the same forward
+arithmetic and no trace: model code written once against an ops namespace
+trains on this module and runs inference on ``nd``, with the same floats.
 """
 from __future__ import annotations
 
-import contextlib
+import operator
 import zlib
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -17,21 +20,6 @@ import numpy as np
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested op."""
-
-
-_grad_enabled = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable trace recording inside the block (inference mode)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 class Tensor:
@@ -54,7 +42,7 @@ class Tensor:
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -264,6 +252,11 @@ def mean_rows(t: Tensor) -> Tensor:
     return out
 
 
+def zeros(n: int) -> Tensor:
+    """A constant zero vector, the initial recurrent state."""
+    return Tensor(np.zeros(n))
+
+
 def tsum(t: Tensor) -> Tensor:
     def bw():
         _accum(t, out.grad)
@@ -362,6 +355,20 @@ def cross_entropy(logits: Tensor, target: int) -> Tensor:
     if not 0 <= target < logits.shape[0]:
         raise ValueError(f"target {target} out of range for {logits.shape[0]} classes")
     return scale(pick(log_softmax(logits), target), -1.0)
+
+
+# ---------------------------------------------------------------------------
+# the ops above on plain ndarrays: each is the numpy call its Tensor op runs on
+# ``.data``, so both namespaces compute the same floats bit for bit
+
+nd = SimpleNamespace(
+    add=np.add, sub=np.subtract, mul=np.multiply, scale=np.multiply,
+    matmul=np.matmul, concat=np.concatenate, stack=np.stack,
+    transpose=np.transpose, row=operator.getitem, pick=operator.getitem,
+    slice1d=lambda t, start, stop: t[start:stop],
+    mean_rows=lambda t: t.mean(axis=0), zeros=np.zeros,
+    tanh=np.tanh, sigmoid=sigmoid_np, softmax=softmax_np, log_softmax=log_softmax_np,
+)
 
 
 # ---------------------------------------------------------------------------

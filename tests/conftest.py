@@ -51,9 +51,7 @@ def finite_difference_check(kind, model, samples, rng, n_params=20, h=1e-5):
 
     def loss_value():
         mask_rng = derive_rng(55, "mask")
-        with T.no_grad():
-            terms = [models._example_loss(kind, model, s, 1.0, mask_rng)
-                     for s in samples]
+        terms = [models._example_loss(kind, model, s, 1.0, mask_rng) for s in samples]
         return float(sum(float(t.data) for t in terms))
 
     T.zero_grad(model.params.values())

@@ -12,7 +12,7 @@ from dualdec.data import (CheckpointError, DataError, NlgExample,
                           load_checkpoint, load_nlg, load_nlu, merge_dedup,
                           save_checkpoint, save_nlg, save_nlu, synth_corpus)
 from dualdec.frames import SemanticFrame
-from dualdec.models import lm_score, model_from_checkpoint, nlg_score, to_checkpoint
+from dualdec.models import lm_score_tokens, model_from_checkpoint, nlg_score, to_checkpoint
 from dualdec.textproc import word_utterance
 
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
@@ -321,7 +321,8 @@ def test_reloaded_model_scores_identically(tmp_path):
     save_checkpoint(p, ckpt)
     reloaded = model_from_checkpoint(load_checkpoint(p))
     utt = vocabs.bpe.encode("show flights from boston")
-    assert lm_score(model, utt).total == lm_score(reloaded, utt).total
+    assert (lm_score_tokens(model, utt.tokens).total
+            == lm_score_tokens(reloaded, utt.tokens).total)
 
 
 def test_cross_checkpoint_dual_inference_matches_in_memory(tmp_path):

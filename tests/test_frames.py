@@ -156,9 +156,9 @@ def test_stem_needs_four_shared_characters():
 def test_repair_rewrites_bad_i_tags():
     assert fr.repair_iob(["I-a", "I-a", "O", "B-a", "I-b"]) == \
         ["B-a", "I-a", "O", "B-a", "B-b"]
-    assert fr.is_well_formed(["B-a", "I-a", "O"])
-    assert not fr.is_well_formed(["I-a"])
-    assert not fr.is_well_formed(["B-a", "I-b"])
+    assert fr.repair_iob(["B-a", "I-a", "O"]) == ["B-a", "I-a", "O"]
+    assert fr.repair_iob(["I-a"]) != ["I-a"]
+    assert fr.repair_iob(["B-a", "I-b"]) != ["B-a", "I-b"]
 
 
 def test_frame_invariants_enforced():

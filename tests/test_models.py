@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ import pytest
 from conftest import build_vocabs, make_model, randomize
 
 from dualdec import data, models
+from dualdec import tensor as T
 from dualdec.frames import FrameError, SemanticFrame
-from dualdec.models import (TrainConfig, lm_score, masked_frame_score,
-                            mfm_single_mask_score, nlg_score, nlg_step, nlu_intent,
-                            nlu_score, nlu_step, train_model)
-from dualdec.tensor import derive_rng
+from dualdec.models import (TrainConfig, lm_score_tokens, masked_frame_score, nlg_score,
+                            nlg_step, nlu_intent, nlu_score, nlu_step, train_model)
+from dualdec.tensor import derive_rng, nd
 from dualdec.textproc import BOS, EOS, LabelVocab, Vocabs, bpe_train
 
 
@@ -99,14 +100,41 @@ def manual_lm_score(m, tokens):
     return total
 
 
+def manual_mfm_single_mask(m, frame, pos):
+    """log P(true label at ``pos`` | the frame with ``pos`` masked)."""
+    ps = {k: p.data for k, p in m.params.items()}
+    labels = m.vocabs.labels
+    feats, targets = [], []
+    for key, value in frame.slots:
+        ids = m.vocabs.bpe.encode_ids(" ".join(value))
+        key_id = labels.key_id(key)
+        feats.append(manual_pair_feature(ps, [ps["key_emb"][key_id]]
+                                         + [ps["word_emb"][i] for i in ids]))
+        targets.append(key_id)
+    if frame.intent is not None and labels.n_intents:
+        feats.append(ps["intent_emb"][labels.intent_id(frame.intent)])
+        targets.append(labels.n_slot_keys + labels.intent_id(frame.intent))
+    feats[pos] = ps["mask"]
+    X = np.stack(feats)
+    for li in range(2):
+        L = {n: ps[f"layer{li}.{n}"] for n in ("q", "k", "v", "f1.w", "f1.b", "f2.w", "f2.b")}
+        scores = (X @ L["q"].T) @ (X @ L["k"].T).T / math.sqrt(m.cfg.hidden)
+        A = np.exp(scores - scores.max(axis=1, keepdims=True))
+        A /= A.sum(axis=1, keepdims=True)
+        X = X + A @ (X @ L["v"].T)
+        X = X + np.tanh(X @ L["f1.w"].T + L["f1.b"]) @ L["f2.w"].T + L["f2.b"]
+    logits = X @ ps["cls.w"].T + ps["cls.b"]
+    return np_log_softmax(logits[pos])[targets[pos]]
+
+
 # ---------------------------------------------------------------------------
 # NLU
 
 
 def force_one_hot_tags(m, tag_for_all: int):
-    m.tag_w.data[...] = 0.0
-    m.tag_b.data[...] = -2000.0
-    m.tag_b.data[tag_for_all] = 2000.0
+    m.params["tag_proj.w"].data[...] = 0.0
+    m.params["tag_proj.b"].data[...] = -2000.0
+    m.params["tag_proj.b"].data[tag_for_all] = 2000.0
 
 
 def test_nlu_one_hot_forcing_scores_exactly_zero(tiny_vocabs):
@@ -178,21 +206,22 @@ def test_nlu_inventory_mismatch_rejected(tiny_vocabs, tiny_models):
 def test_nlg_one_hot_forcing_scores_exactly_zero(tiny_vocabs):
     m = make_model("nlg", tiny_vocabs)
     utt = tiny_vocabs.bpe.encode("play something")
-    m.out_w.data[...] = 0.0
-    m.out_b.data[...] = -2000.0
+    out_b = m.params["out.b"].data
+    m.params["out.w"].data[...] = 0.0
+    out_b[...] = -2000.0
     # force the gold token at every step, EOS included
     frame = SemanticFrame.build("play_music", [("artist", "nina simone")])
     seq = list(utt.tokens) + [EOS]
     for tok in seq:
-        m.out_b.data[tok] = 2000.0
+        out_b[tok] = 2000.0
     # only exact when all steps share one target; use a repeated single token
     rep = tiny_vocabs.bpe.encode("play play play")
-    m.out_b.data[...] = -2000.0
-    m.out_b.data[rep.tokens[0]] = 2000.0
-    m.out_b.data[EOS] = 2000.0
+    out_b[...] = -2000.0
+    out_b[rep.tokens[0]] = 2000.0
+    out_b[EOS] = 2000.0
     # two-way tie between the token and EOS gives log(1/2) per step, so pin
     # the token alone and score a sequence without the EOS competition
-    m.out_b.data[EOS] = -2000.0
+    out_b[EOS] = -2000.0
     score = nlg_score(m, frame, rep)
     assert score.steps[0] == 0.0
     assert all(s == 0.0 for s in score.steps[:-1])
@@ -262,7 +291,7 @@ def test_nlg_empty_feature_fallback(tiny_vocabs, tiny_models):
     degenerate = SemanticFrame(None, ())
     F = models.nlg_features_np(m, degenerate)
     assert F.shape == (1, m.cfg.hidden)
-    assert np.array_equal(F[0], m.empty_feat.data)
+    assert np.array_equal(F[0], m.params["empty_feat"].data)
     utt = tiny_vocabs.bpe.encode("play")
     assert math.isfinite(nlg_score(m, degenerate, utt).total)
 
@@ -279,20 +308,21 @@ def test_nlg_step_rejects_empty_features(tiny_models):
 
 def test_lm_uniform_forced_score(tiny_vocabs):
     m = make_model("lm", tiny_vocabs)
-    m.out_w.data[...] = 0.0
-    m.out_b.data[...] = 0.0
+    m.params["out.w"].data[...] = 0.0
+    m.params["out.b"].data[...] = 0.0
     utt = tiny_vocabs.bpe.encode("play something by chet baker")
     V = len(tiny_vocabs.bpe.pieces)
     L = len(utt.tokens)
-    assert lm_score(m, utt).total == pytest.approx(-(L + 1) * math.log(V), rel=1e-12)
+    assert lm_score_tokens(m, utt.tokens).total == pytest.approx(-(L + 1) * math.log(V),
+                                                                 rel=1e-12)
 
 
 def test_lm_appending_token_decreases_prefix_logprob(tiny_vocabs, tiny_models):
     m = tiny_models["lm"]
     utt = tiny_vocabs.bpe.encode("show flights from boston")
     longer = tiny_vocabs.bpe.encode("show flights from boston boston")
-    short_prefix = sum(lm_score(m, utt).steps[:-1])
-    long_prefix = sum(lm_score(m, longer).steps[:-1])
+    short_prefix = sum(lm_score_tokens(m, utt.tokens).steps[:-1])
+    long_prefix = sum(lm_score_tokens(m, longer.tokens).steps[:-1])
     assert long_prefix < short_prefix
 
 
@@ -300,12 +330,8 @@ def test_lm_matches_manual_forward_oracle(tiny_vocabs):
     m = make_model("lm", tiny_vocabs, hidden=2, embedding=3, seed=7)
     randomize(m, derive_rng(10, "rand"))
     utt = tiny_vocabs.bpe.encode("how is the weather in orlando")
-    assert lm_score(m, utt).total == pytest.approx(manual_lm_score(m, utt.tokens), rel=1e-12)
-
-
-def test_lm_rejects_empty_utterance(tiny_models, tiny_vocabs):
-    with pytest.raises(FrameError):
-        lm_score(tiny_models["lm"], tiny_vocabs.bpe.encode(""))
+    assert lm_score_tokens(m, utt.tokens).total == pytest.approx(
+        manual_lm_score(m, utt.tokens), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +341,9 @@ def test_lm_rejects_empty_utterance(tiny_models, tiny_vocabs):
 def test_mfm_forced_certain_classifier_scores_zero(tiny_vocabs):
     m = make_model("mfm", tiny_vocabs)
     frame = SemanticFrame.build(None, [("city", "boston")])
-    m.cls_w.data[...] = 0.0
-    m.cls_b.data[...] = -2000.0
-    m.cls_b.data[tiny_vocabs.labels.key_id("city")] = 2000.0
+    m.params["cls.w"].data[...] = 0.0
+    m.params["cls.b"].data[...] = -2000.0
+    m.params["cls.b"].data[tiny_vocabs.labels.key_id("city")] = 2000.0
     assert masked_frame_score(m, frame, derive_rng(0, "mask")) == 0.0
 
 
@@ -336,7 +362,7 @@ def test_mfm_same_seed_same_score(tiny_vocabs, tiny_models):
 def test_mfm_single_feature_equals_three_single_masks(tiny_vocabs, tiny_models):
     m = tiny_models["mfm"]
     frame = SemanticFrame.build(None, [("cuisine", "ramen")])
-    single = mfm_single_mask_score(m, frame, 0)
+    single = manual_mfm_single_mask(m, frame, 0)
     total = masked_frame_score(m, frame, derive_rng(12, "mask"))
     assert total == pytest.approx(3 * single, rel=1e-12)
 
@@ -350,7 +376,7 @@ def test_mfm_zero_features_rejected(tiny_models):
 def test_mfm_intent_feature_counts(tiny_vocabs, tiny_models):
     m = tiny_models["mfm"]
     with_intent = SemanticFrame.build("weather", [("city", "denver")])
-    feats, targets = models.mfm_features(m, with_intent)
+    feats, targets = models.mfm_features(m, nd, m.arrays, with_intent)
     assert len(feats) == 2
     assert targets[1] == tiny_vocabs.labels.n_slot_keys + tiny_vocabs.labels.intent_id("weather")
 
@@ -422,7 +448,7 @@ def test_lm_overfits_repetitive_corpus_to_low_perplexity():
     nll = 0.0
     n_tok = 0
     for s in samples:
-        sc = lm_score(m, s)
+        sc = lm_score_tokens(m, s.tokens)
         nll -= sc.total
         n_tok += len(sc.steps)
     ppl = math.exp(nll / n_tok)
@@ -444,3 +470,64 @@ def test_gradients_match_finite_differences_all_kinds():
         checked, worst = finite_difference_check(kind, model, samples, rng)
         assert checked >= 20
         assert worst < 1e-4, f"{kind}: worst relative error {worst}"
+
+
+# ---------------------------------------------------------------------------
+# the tensor and ndarray backends run the same model code
+
+
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
+
+
+def _tensor_mfm_score(m, frame, rng):
+    """``masked_frame_score`` computed on the tensor backend."""
+    feats, targets = models.mfm_features(m, T, m.params, frame)
+    total = 0.0
+    for pos in rng.integers(0, len(feats), size=3):
+        logits = models._masked_logits(m, T, m.params, feats, [pos])
+        total += float(T.pick(T.log_softmax(T.row(logits, pos)), targets[pos]).data)
+    return total
+
+
+def _assert_backends_agree(kind, m, nlu_raw, nlg_raw):
+    vocabs = m.vocabs
+    if kind == "nlu":
+        for s in models.prepare_nlu_samples(nlu_raw, vocabs):
+            steps, intent_lp = models.nlu_forcing_graph(m, s.utt, s.tags, s.intent)
+            got = nlu_score(m, s.utt, s.tags, s.intent)
+            assert got.steps == tuple(float(t.data) for t in steps)
+            assert got.intent_logprob == (None if intent_lp is None else float(intent_lp.data))
+    elif kind == "nlg":
+        for s in models.prepare_nlg_samples(nlg_raw, vocabs):
+            steps = models.nlg_forcing_graph(m, s.frame, s.ref)
+            assert nlg_score(m, s.frame, s.ref).steps == tuple(float(t.data) for t in steps)
+            F = T.stack(models._nlg_features(m, T, m.params, s.frame))
+            assert np.array_equal(models.nlg_features_np(m, s.frame), F.data)
+    elif kind == "lm":
+        for s in models.prepare_lm_samples([ex.text for ex in nlu_raw], vocabs):
+            steps = models.lm_forcing_graph(m, s.tokens)
+            assert lm_score_tokens(m, s.tokens).steps == tuple(float(t.data) for t in steps)
+    else:
+        for i, ex in enumerate(nlg_raw):
+            got = masked_frame_score(m, ex.frame, derive_rng(i, "mask"))
+            assert got == _tensor_mfm_score(m, ex.frame, derive_rng(i, "mask"))
+
+
+@pytest.mark.parametrize("kind", data.MODEL_KINDS)
+def test_backends_agree_bitwise(kind, tiny_corpus, tiny_vocabs):
+    nlu_raw, nlg_raw = tiny_corpus
+    # a randomized tiny model
+    m = randomize(make_model(kind, tiny_vocabs), derive_rng(31, "rand", kind))
+    _assert_backends_agree(kind, m, nlu_raw[:6], nlg_raw[:6])
+    # the benchmark fixture's trained checkpoint
+    m = models.model_from_checkpoint(data.load_checkpoint(FIXTURE / f"{kind}.ckpt"))
+    _assert_backends_agree(kind, m, nlu_raw[:6], nlg_raw[:6])
+    # straight after training, which writes the parameters in place
+    nlu_raw, nlg_raw, vocabs = small_train_setup()
+    samples = {"nlu": lambda: models.prepare_nlu_samples(nlu_raw, vocabs),
+               "nlg": lambda: models.prepare_nlg_samples(nlg_raw, vocabs),
+               "lm": lambda: models.prepare_lm_samples([ex.text for ex in nlu_raw], vocabs),
+               "mfm": lambda: [ex.frame for ex in nlg_raw]}[kind]()
+    cfg = TrainConfig(hidden=8, embedding=6, epochs=1, batch_size=4, seed=13)
+    m, _ = train_model(kind, samples, cfg, vocabs)
+    _assert_backends_agree(kind, m, nlu_raw, nlg_raw)

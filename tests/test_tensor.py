@@ -111,8 +111,7 @@ def test_composed_graph_matches_finite_differences():
         def f(flat, k=k):
             vals = [d.copy() for d in datas]
             vals[k] = flat.reshape(shapes[k])
-            with T.no_grad():
-                return float(_random_graph_loss([Tensor(v) for v in vals]).data)
+            return float(_random_graph_loss([Tensor(v) for v in vals]).data)
 
         num = numeric_grad(f, datas[k].reshape(-1))
         ana = params[k].grad.reshape(-1)
@@ -143,13 +142,6 @@ def test_bias_broadcast_add_backward():
     T.backward(T.tsum(T.add(m, b)))
     assert np.array_equal(b.grad, np.full(3, 4.0))
     assert np.array_equal(m.grad, np.ones((4, 3)))
-
-
-def test_no_grad_suppresses_trace():
-    x = Tensor(np.ones(2), requires_grad=True)
-    with T.no_grad():
-        y = T.tanh(x)
-    assert not y.requires_grad and y._parents == ()
 
 
 # ---------------------------------------------------------------------------
