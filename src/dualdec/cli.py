@@ -55,6 +55,25 @@ DEFAULTS: dict = {
 }
 
 
+# (key, integer, lo, hi): every numeric config value and its closed range
+NUMERIC_KEYS = (
+    ("seed", True, 0, math.inf),
+    ("model.hidden", True, 1, math.inf), ("model.embedding", True, 1, math.inf),
+    ("model.merges", True, 0, math.inf),
+    ("train.epochs", True, 0, math.inf), ("train.batch_size", True, 1, math.inf),
+    ("train.teacher_forcing", False, 0, 1), ("train.lr", False, 0, math.inf),
+    ("train.clip", False, 0, math.inf),
+    ("decode.beam", True, 1, math.inf), ("decode.max_len", True, 1, math.inf),
+    ("decode.k_intent", True, 1, math.inf),
+    ("dual.alpha", False, 0, 1), ("dual.beta", False, 0, 1),
+)
+
+
+def _lookup(cfg: dict, key: str):
+    section, _, name = key.rpartition(".")
+    return (cfg[section] if section else cfg)[name]
+
+
 def _merge_section(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -92,19 +111,25 @@ def resolve_config(args: argparse.Namespace) -> dict:
             (cfg[section] if section else cfg)[key] = value
     if cfg["direction"] not in ("nlu", "nlg", "both"):
         raise ConfigError(f"direction must be nlu, nlg or both, not {cfg['direction']!r}")
-    dual = cfg["dual"]
-    for key, value, integer, lo, hi in (
-            ("seed", cfg["seed"], True, 0, math.inf), ("dual.alpha", dual["alpha"], False, 0, 1),
-            ("dual.beta", dual["beta"], False, 0, 1),
-            ("decode.beam", cfg["decode"]["beam"], True, 1, math.inf)):
+    for key, integer, lo, hi in NUMERIC_KEYS:
+        value = _lookup(cfg, key)
         if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
                 or not lo <= value <= hi):
             kind = "an integer" if integer else "a number"
             raise ConfigError(f"{key} must be {kind} in [{lo}, {hi}], not {value!r}")
+    grid_step = cfg["dual"]["grid_step"]
     try:
-        decode.grid_intervals(dual["grid_step"])
+        decode.grid_intervals(grid_step)
     except (DecodeError, TypeError, ArithmeticError):
-        raise ConfigError(f"dual.grid_step must divide 1, not {dual['grid_step']!r}") from None
+        raise ConfigError(f"dual.grid_step must divide 1, not {grid_step!r}") from None
+    for key in ("out_dir", "checkpoints", *(f"data.{k}" for k in cfg["data"])):
+        value = _lookup(cfg, key)
+        if not isinstance(value, str) and (value is not None or key == "out_dir"):
+            raise ConfigError(f"{key} must be a string, not {value!r}")
+    kinds = cfg["train"]["models"]
+    if not isinstance(kinds, list) or not all(k in data.MODEL_KINDS for k in kinds):
+        raise ConfigError(f"train.models must be a list drawn from "
+                          f"{', '.join(data.MODEL_KINDS)}, not {kinds!r}")
     return cfg
 
 
@@ -170,8 +195,6 @@ def cmd_train(args, cfg: dict) -> int:
             "teacher_forcing": tc.teacher_forcing, "lr": tc.lr, "clip": tc.clip}
     losses: dict[str, list[float]] = {}
     for kind in cfg["train"]["models"]:
-        if kind not in datasets:
-            raise ConfigError(f"unknown model kind {kind!r} in train.models")
         model, kind_losses = train_model(kind, datasets[kind](), tc, vocabs)
         losses[kind] = kind_losses
         save_checkpoint(out_dir / f"{kind}.ckpt",

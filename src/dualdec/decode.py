@@ -318,7 +318,7 @@ def nlg_backward_logprob(nlu: NluModel, frame: SemanticFrame, cand: Utterance) -
     intent = None
     if frame.intent is not None and nlu.n_intents:
         intent = nlu.vocabs.labels.intent_id(frame.intent)
-    return nlu_score(nlu, cand, tag_ids, intent).total
+    return nlu_score(nlu, cand, tag_ids, intent)
 
 
 def candidate_frame(nlu_like, input_utt: Utterance, hyp: Hypothesis) -> SemanticFrame:
@@ -342,7 +342,7 @@ def dual_components_nlg(candidate: Hypothesis, input_frame: SemanticFrame,
     cand = utterance_from_payload(lm.vocabs, candidate.payload)
     return Components(candidate.forward_logprob,
                       nlg_backward_logprob(nlu, input_frame, cand),
-                      lm_score_tokens(lm, candidate.payload).total, marg_in)
+                      lm_score_tokens(lm, candidate.payload), marg_in)
 
 
 def dual_components_nlu(candidate: Hypothesis, input_utt: Utterance,
@@ -351,7 +351,7 @@ def dual_components_nlu(candidate: Hypothesis, input_utt: Utterance,
     """One NLU hypothesis' components, given its input's ``marg_in``; ``rng``
     draws the mask positions of the candidate frame."""
     frame = candidate_frame(nlg, input_utt, candidate)
-    return Components(candidate.forward_logprob, nlg_score(nlg, frame, input_utt).total,
+    return Components(candidate.forward_logprob, nlg_score(nlg, frame, input_utt),
                       frame_marginal(mfm, frame, rng), marg_in)
 
 
@@ -361,7 +361,7 @@ def dual_score_nlg(candidate, input_frame, nlu, lm, mfm, w: DualWeights, rng) ->
 
 
 def dual_score_nlu(candidate, input_utt, nlg, mfm, lm, w: DualWeights, rng) -> DualScore:
-    marg_in = lm_score_tokens(lm, input_utt.tokens).total
+    marg_in = lm_score_tokens(lm, input_utt.tokens)
     return combine(dual_components_nlu(candidate, input_utt, nlg, mfm, marg_in, rng), w)
 
 
@@ -443,7 +443,7 @@ def precompute_nlu(examples: Sequence[NluExample], bundle: ModelsBundle, *,
     for idx, ex in enumerate(examples):
         utt = bundle.vocabs.bpe.encode(ex.text)
         hyps = nlu_hypotheses(bundle.nlu, utt, beam, k_intent)
-        marg_in = lm_score_tokens(bundle.lm, utt.tokens).total
+        marg_in = lm_score_tokens(bundle.lm, utt.tokens)
         cached.append(CachedExample(hyps, [
             dual_components_nlu(hyp, utt, bundle.nlg, bundle.mfm, marg_in,
                                 derive_rng(seed, "mask", idx, rank))
@@ -584,12 +584,11 @@ def evaluate_direction(examples, bundle: ModelsBundle, direction: str,
                        weights: DualWeights | None, *, beam: int,
                        max_len: int = 60, k_intent: int = 3, seed: int = 0,
                        ) -> tuple[metrics.EvalReport, list[dict]]:
-    """Decode every example; with ``weights`` given, re-rank dually and record
-    all four score components per hypothesis. ``weights=None`` is the plain
-    (alpha = 1) evaluation: beam top-1, no extra scoring.
-
-    Each example's trace is a JSON object: its ``index``, its ``input`` text,
-    the ``selected`` hypothesis rank and the ``hypotheses`` with their scores."""
+    """Decode every example. ``weights=None`` is the plain (alpha = 1)
+    evaluation: beam top-1, no extra scoring, and no traces. With ``weights``
+    given, re-rank dually and trace every example as a JSON object: its
+    ``index``, its ``input`` text, the ``selected`` hypothesis rank and the
+    ``hypotheses`` with all four score components and the combined score."""
     if direction not in ("nlu", "nlg"):
         raise DecodeError(f"unknown direction {direction!r}")
     if weights is not None:
@@ -604,24 +603,25 @@ def evaluate_direction(examples, bundle: ModelsBundle, direction: str,
                   for utt in utts]
     picks = [0] * len(cached) if weights is None else [c.select(weights) for c in cached]
     report = _reporter(direction, examples, bundle.vocabs)(cached, picks)
+    if weights is None:
+        return report, []
     inputs = [format_frame(ex.frame) if direction == "nlg" else ex.text for ex in examples]
     traces = [_trace(idx, text, c, sel, weights, bundle.vocabs, direction)
               for idx, (text, c, sel) in enumerate(zip(inputs, cached, picks))]
     return report, traces
 
 
-def _trace(idx, input_text, cached: CachedExample, sel, weights, vocabs,
+def _trace(idx, input_text, cached: CachedExample, sel, weights: DualWeights, vocabs,
            direction) -> dict:
     rows = []
-    for i, hyp in enumerate(cached.hypotheses):
+    for hyp, comps in zip(cached.hypotheses, cached.components):
         row = {"payload": list(hyp.payload), "forward": hyp.forward_logprob}
         if direction == "nlg":
             row["text"] = utterance_from_payload(vocabs, hyp.payload).surface
         if hyp.intent is not None:
             row["intent"] = vocabs.labels.intents[hyp.intent]
-        if weights is not None:
-            ds = combine(cached.components[i], weights)
-            row.update(backward=ds.backward, marg_out=ds.marg_out,
-                       marg_in=ds.marg_in, combined=ds.combined)
+        ds = combine(comps, weights)
+        row.update(backward=ds.backward, marg_out=ds.marg_out,
+                   marg_in=ds.marg_in, combined=ds.combined)
         rows.append(row)
     return {"index": idx, "input": input_text, "selected": sel, "hypotheses": rows}

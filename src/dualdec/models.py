@@ -23,6 +23,10 @@ name-to-parameter map: ``tensor`` with ``model.params`` for training (the
 ``model.arrays``, the same parameters as plain ndarrays, for the scorers and
 the beam-search steps (``nlu_step``, ``nlu_intent``, ``nlg_step``). The two
 give the same floats bit for bit.
+
+The four scorers (``nlu_score``, ``nlg_score``, ``lm_score_tokens``,
+``masked_frame_score``) each return one float log-probability: the sum of the
+per-step terms as Python floats in step order, plus the intent term for NLU.
 """
 from __future__ import annotations
 
@@ -97,20 +101,9 @@ def _log_probs(ops, P, head: str, h):
     return ops.log_softmax(ops.add(ops.matmul(P[head + ".w"], h), P[head + ".b"]))
 
 
-@dataclass(frozen=True)
-class ScoreBreakdown:
-    """Per-position log-probabilities plus an optional intent term."""
-
-    steps: tuple[float, ...]
-    intent_logprob: float | None = None
-
-    @property
-    def seq_total(self) -> float:
-        return float(sum(self.steps))
-
-    @property
-    def total(self) -> float:
-        return self.seq_total + (self.intent_logprob or 0.0)
+def _total(steps) -> float:
+    """The sum of per-step log-probabilities, as Python floats in step order."""
+    return float(sum(map(float, steps)))
 
 
 def _sum_terms(ts: Sequence[Tensor]) -> Tensor:
@@ -212,10 +205,10 @@ def nlu_forcing_graph(m: NluModel, utt: Utterance, tags: Sequence[int],
 
 
 def nlu_score(m: NluModel, utt: Utterance, tags: Sequence[int],
-              intent: int | None = None) -> ScoreBreakdown:
+              intent: int | None = None) -> float:
+    """log P(tags, intent | utt): the tag log-probs, then the intent term."""
     steps, intent_lp = _nlu_forward(m, nd, m.arrays, utt, tags, intent)
-    return ScoreBreakdown(tuple(map(float, steps)),
-                          None if intent_lp is None else float(intent_lp))
+    return _total(steps) + (0.0 if intent_lp is None else float(intent_lp))
 
 
 def nlu_start(m: NluModel) -> np.ndarray:
@@ -334,8 +327,9 @@ def nlg_forcing_graph(m: NlgModel, frame: SemanticFrame, utt: Utterance,
     return _nlg_forward(m, T, m.params, frame, utt, tf_ratio, rng)
 
 
-def nlg_score(m: NlgModel, frame: SemanticFrame, utt: Utterance) -> ScoreBreakdown:
-    return ScoreBreakdown(tuple(map(float, _nlg_forward(m, nd, m.arrays, frame, utt))))
+def nlg_score(m: NlgModel, frame: SemanticFrame, utt: Utterance) -> float:
+    """log P(utt, EOS | frame)."""
+    return _total(_nlg_forward(m, nd, m.arrays, frame, utt))
 
 
 def nlg_features_np(m: NlgModel, frame: SemanticFrame) -> np.ndarray:
@@ -388,8 +382,9 @@ def lm_forcing_graph(m: LmModel, tokens: Sequence[int]) -> list[Tensor]:
     return _lm_forward(m, T, m.params, tokens)
 
 
-def lm_score_tokens(m: LmModel, tokens: Sequence[int]) -> ScoreBreakdown:
-    return ScoreBreakdown(tuple(map(float, _lm_forward(m, nd, m.arrays, tokens))))
+def lm_score_tokens(m: LmModel, tokens: Sequence[int]) -> float:
+    """log P(tokens, EOS)."""
+    return _total(_lm_forward(m, nd, m.arrays, tokens))
 
 
 # ---------------------------------------------------------------------------

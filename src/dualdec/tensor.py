@@ -161,12 +161,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def bw():
             _accum(a, out.grad @ B.T)
             _accum(b, A.T @ out.grad)
-    elif A.ndim == 1 and B.ndim == 1:
-        if A.shape[0] != B.shape[0]:
-            raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-        def bw():
-            _accum(a, out.grad * B)
-            _accum(b, out.grad * A)
     else:
         raise ShapeError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
     out = _make(A @ B, (a, b), bw)
@@ -297,7 +291,7 @@ def sigmoid_np(x: np.ndarray) -> np.ndarray:
     """Logistic function; exp never sees a positive argument, so it cannot
     overflow."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax_np(x: np.ndarray) -> np.ndarray:

@@ -35,12 +35,6 @@ class Utterance:
             raise BpeError(
                 f"tokens/pieces length mismatch: {len(self.tokens)} vs {len(self.pieces)}")
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def words(self) -> list[str]:
-        return detokenize(self.pieces).split()
-
     def word_spans(self) -> list[tuple[int, int]]:
         """Half-open piece index ranges, one per word."""
         spans = []
@@ -137,17 +131,6 @@ class BpeModel:
 
     def encode_ids(self, text: str) -> tuple[int, ...]:
         return self.encode(text).tokens
-
-    def decode(self, tokens: Sequence[int]) -> str:
-        """Inverse of encode; specials other than UNK are dropped."""
-        out = []
-        for t in tokens:
-            if not 0 <= t < len(self.pieces):
-                raise BpeError(f"unknown token id {t}")
-            if t in (PAD, BOS, EOS):
-                continue
-            out.append(self.pieces[t] if t != UNK else SPECIAL_PIECES[UNK] + MARKER)
-        return detokenize(out)
 
     def piece_of(self, token: int) -> str:
         if not 0 <= token < len(self.pieces):
@@ -274,9 +257,6 @@ class LabelVocab:
     @classmethod
     def from_dict(cls, d: dict) -> "LabelVocab":
         return cls(d["intents"], d["slot_keys"])
-
-    def __eq__(self, other):
-        return isinstance(other, LabelVocab) and self.to_dict() == other.to_dict()
 
 
 @dataclass

@@ -168,6 +168,7 @@ def read_grid_csv(path: Path):
 # criteria
 
 
+@pytest.mark.slow
 def test_criterion_01_alpha_one_reduction(scored_split):
     s = scored_split
     mismatches = 0
@@ -191,6 +192,7 @@ def test_criterion_01_alpha_one_reduction(scored_split):
           f"({s['elapsed']:.1f}s < 120s)")
 
 
+@pytest.mark.slow
 def test_criterion_02_input_marginal_invariance(scored_split):
     s = scored_split
     weights = [DualWeights(a, b) for a in (0.0, 0.3, 0.5, 0.7, 1.0)
@@ -378,6 +380,7 @@ def test_criterion_08_worked_augmentation_examples():
     ok(8, "flight-query frame and restaurant tagging both reproduced")
 
 
+@pytest.mark.slow
 def test_criterion_09_grid_protocol(lift_run, tiny_corpus, tiny_vocabs):
     # (a) the CLI sweep emits exactly 121 data rows
     csv_path = lift_run["grid_out"] / "grid_nlg.csv"

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualdec import data, decode, metrics
 from dualdec.cli import main
@@ -139,6 +144,19 @@ def test_incompatible_checkpoints_exit_4(workspace, tmp_path):
     (["gridsearch"], {"dual": {"grid_step": 0}}),
     (["gridsearch"], {"dual": {"grid_step": "0.5"}}),
     (["eval"], {"dual": 5}),
+    (["train"], {"model": {"hidden": 0}}),
+    (["train"], {"model": {"embedding": 2.5}}),
+    (["train"], {"model": {"merges": -1}}),
+    (["train"], {"train": {"epochs": "x"}}),
+    (["train"], {"train": {"batch_size": 0}}),
+    (["train"], {"train": {"teacher_forcing": 2.5}}),
+    (["train"], {"train": {"lr": "fast"}}),
+    (["train"], {"train": {"clip": -1}}),
+    (["train"], {"train": {"models": ["nlu", "x"]}}),
+    (["eval"], {"decode": {"max_len": 0}}),
+    (["eval"], {"decode": {"k_intent": None}}),
+    (["eval"], {"checkpoints": 5}),
+    (["train"], {"data": {"nlu_train": []}}),
 ])
 def test_usage_errors_exit_2_without_traceback(tmp_path, capsys, flags, file_cfg):
     argv = [*flags, "--out", tmp_path / "o"]
@@ -149,6 +167,67 @@ def test_usage_errors_exit_2_without_traceback(tmp_path, capsys, flags, file_cfg
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+    key = []
+    while isinstance(file_cfg, dict):
+        (name, file_cfg), = file_cfg.items()
+        key.append(name)
+    assert ".".join(key) in err
+
+
+# each fuzzed config key and a command that reads it
+FUZZ_COMMANDS = {
+    "seed": ["dualinf"], "direction": ["eval"], "checkpoints": ["eval"],
+    "data.nlu_train": ["train"], "data.nlg_test": ["eval"], "data.augment": ["train"],
+    "model.hidden": ["train"], "model.embedding": ["train"], "model.merges": ["train"],
+    "train.epochs": ["train"], "train.batch_size": ["train"],
+    "train.teacher_forcing": ["train"], "train.lr": ["train"], "train.clip": ["train"],
+    "train.models": ["train"], "decode.beam": ["eval"], "decode.max_len": ["eval"],
+    "decode.k_intent": ["eval"], "dual.alpha": ["dualinf"], "dual.beta": ["dualinf"],
+    "dual.grid_step": ["gridsearch"],
+}
+# wrong types, negatives, zero and small positives; no size that allocates much
+FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.sampled_from([-1.0, 0.0, 0.5, 2.5]),
+    st.sampled_from(["", "x", "nlu", "auto"]), st.lists(st.sampled_from(["nlu", "x", 1]),
+                                                        max_size=2), st.just({}))
+
+
+@pytest.fixture(scope="module")
+def fuzz_workspace(tmp_path_factory):
+    """A tiny corpus, a config that works with it and checkpoints it trained."""
+    root = tmp_path_factory.mktemp("fuzz")
+    assert run("synth", "--out", root, "--seed", "2", "--train-size", "4",
+               "--valid-size", "2", "--test-size", "2") == 0
+    config = {
+        "seed": 1, "checkpoints": str(root / "ckpt"),
+        "data": {p: str(root / f"{p}.jsonl")
+                 for p in ("nlu_train", "nlg_train", "nlu_valid", "nlg_valid",
+                           "nlu_test", "nlg_test")},
+        "model": {"hidden": 3, "embedding": 2, "merges": 10},
+        "train": {"epochs": 1, "batch_size": 4},
+        "decode": {"beam": 2, "max_len": 3, "k_intent": 1},
+    }
+    cfg_path = root / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run("train", "--config", cfg_path, "--out", root / "ckpt") == 0
+    return root, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(key=st.sampled_from(sorted(FUZZ_COMMANDS)), value=FUZZ_VALUES)
+def test_fuzzed_config_value_exits_with_a_documented_code(fuzz_workspace, key, value):
+    root, config = fuzz_workspace
+    config = json.loads(json.dumps(config))
+    section, _, name = key.rpartition(".")
+    (config.setdefault(section, {}) if section else config)[name] = value
+    with tempfile.TemporaryDirectory(dir=root) as tmp:
+        cfg_path = Path(tmp) / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(*FUZZ_COMMANDS[key], "--config", cfg_path, "--out", Path(tmp) / "out")
+    assert code in (0, 2, 3, 4), (key, value, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 # (command, flag) pairs a command does not read: argparse rejects them

@@ -609,8 +609,9 @@ def test_empty_validation_set_rejected(tiny_vocabs):
 def test_evaluate_direction_plain_equals_alpha_one(tiny_corpus, tiny_vocabs):
     nlu_raw, nlg_raw = tiny_corpus
     b = _bundle(tiny_vocabs, seed=37)
-    plain, _ = decode.evaluate_direction(nlg_raw[:4], b, "nlg", None,
-                                         beam=3, max_len=6, seed=2)
+    plain, plain_traces = decode.evaluate_direction(nlg_raw[:4], b, "nlg", None,
+                                                    beam=3, max_len=6, seed=2)
+    assert plain_traces == []
     dual, traces = decode.evaluate_direction(nlg_raw[:4], b, "nlg", DualWeights(1.0, 0.5),
                                              beam=3, max_len=6, seed=2)
     assert plain.bleu == dual.bleu and plain.rougeL == dual.rougeL

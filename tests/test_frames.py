@@ -69,7 +69,7 @@ def test_unknown_tag_rejected():
 def test_bibimbap_house_tagging_with_fallbacks():
     utt = word_utterance(E2E_SENTENCE)
     tags, report = frame_to_iob(E2E_FRAME, utt)
-    words = utt.words()
+    words = utt.surface.split()
     expected = ["O"] * len(words)
     expected[words.index("Bibimbap")] = "B-name"
     expected[words.index("House")] = "I-name"
@@ -125,7 +125,7 @@ def test_longest_value_first_then_leftmost():
     tags, report = frame_to_iob(frame, utt)
     assert tags == ["B-a", "I-a", "B-b"]
     assert report.unmatched == []
-    assert tags == brute_force_best_assignment(frame.slots, utt.words())
+    assert tags == brute_force_best_assignment(frame.slots, utt.surface.split())
 
 
 def test_matching_never_overlaps_claimed_tokens():

@@ -141,16 +141,16 @@ def test_nlu_one_hot_forcing_scores_exactly_zero(tiny_vocabs):
     m = make_model("nlu", tiny_vocabs)
     force_one_hot_tags(m, 0)
     utt = tiny_vocabs.bpe.encode("show flights from boston")
-    score = nlu_score(m, utt, [0] * len(utt.tokens))
-    assert score.total == 0.0
+    assert nlu_score(m, utt, [0] * len(utt.tokens)) == 0.0
 
 
 def test_nlu_score_additivity(tiny_vocabs, tiny_models):
     m = tiny_models["nlu"]
     utt = tiny_vocabs.bpe.encode("book a thai table in denver")
     tags = [i % 3 for i in range(len(utt.tokens))]
-    score = nlu_score(m, utt, tags, intent=1)
-    assert score.total == pytest.approx(sum(score.steps) + score.intent_logprob, abs=1e-12)
+    steps, intent_lp = models.nlu_forcing_graph(m, utt, tags, intent=1)
+    terms = [float(t.data) for t in steps] + [float(intent_lp.data)]
+    assert nlu_score(m, utt, tags, intent=1) == pytest.approx(sum(terms), abs=1e-12)
 
 
 def test_nlu_matches_manual_forward_oracle(tiny_vocabs):
@@ -160,7 +160,7 @@ def test_nlu_matches_manual_forward_oracle(tiny_vocabs):
     tags = [(i * 2) % tiny_vocabs.labels.n_tags for i in range(len(utt.tokens))]
     got = nlu_score(m, utt, tags, intent=2)
     want = manual_nlu_score(m, utt, tags, 2)
-    assert got.total == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_nlu_step_normalizes_and_is_deterministic(tiny_models):
@@ -186,8 +186,7 @@ def test_nlu_step_chain_agrees_with_score(tiny_vocabs, tiny_models):
         total += lp[tag]
         prev = tag
     total += nlu_intent(m, state)[0]
-    score = nlu_score(m, utt, tags, intent=0)
-    assert total == pytest.approx(score.total, abs=1e-12)
+    assert total == pytest.approx(nlu_score(m, utt, tags, intent=0), abs=1e-12)
 
 
 def test_nlu_inventory_mismatch_rejected(tiny_vocabs, tiny_models):
@@ -222,9 +221,9 @@ def test_nlg_one_hot_forcing_scores_exactly_zero(tiny_vocabs):
     # two-way tie between the token and EOS gives log(1/2) per step, so pin
     # the token alone and score a sequence without the EOS competition
     out_b[EOS] = -2000.0
-    score = nlg_score(m, frame, rep)
-    assert score.steps[0] == 0.0
-    assert all(s == 0.0 for s in score.steps[:-1])
+    steps = [float(s) for s in models._nlg_forward(m, nd, m.arrays, frame, rep)]
+    assert steps[0] == 0.0
+    assert all(s == 0.0 for s in steps[:-1])
 
 
 def test_nlg_slot_permutation_with_identical_features(tiny_vocabs):
@@ -239,7 +238,7 @@ def test_nlg_slot_permutation_with_identical_features(tiny_vocabs):
     frame_b = SemanticFrame.build("find_flight",
                                   [("destination", "denver"), ("origin", "boston")])
     utt = tiny_vocabs.bpe.encode("show flights from boston to denver")
-    assert nlg_score(m, frame_a, utt).total == nlg_score(m, frame_b, utt).total
+    assert nlg_score(m, frame_a, utt) == nlg_score(m, frame_b, utt)
 
 
 def test_nlg_slot_permutation_invariance_random_model(tiny_vocabs, tiny_models):
@@ -247,8 +246,8 @@ def test_nlg_slot_permutation_invariance_random_model(tiny_vocabs, tiny_models):
     frame_a = SemanticFrame.build("book_table", [("cuisine", "thai"), ("city", "austin")])
     frame_b = SemanticFrame.build("book_table", [("city", "austin"), ("cuisine", "thai")])
     utt = tiny_vocabs.bpe.encode("book a thai table in austin")
-    a = nlg_score(m, frame_a, utt).total
-    b = nlg_score(m, frame_b, utt).total
+    a = nlg_score(m, frame_a, utt)
+    b = nlg_score(m, frame_b, utt)
     assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -257,7 +256,7 @@ def test_nlg_matches_manual_forward_oracle(tiny_vocabs):
     randomize(m, derive_rng(9, "rand"))
     frame = SemanticFrame.build("weather", [("city", "portland"), ("day", "friday")])
     utt = tiny_vocabs.bpe.encode("what is the forecast for portland on friday")
-    got = nlg_score(m, frame, utt).total
+    got = nlg_score(m, frame, utt)
     assert got == pytest.approx(manual_nlg_score(m, frame, utt), rel=1e-12)
 
 
@@ -275,7 +274,7 @@ def test_nlg_step_chain_agrees_with_score(tiny_vocabs, tiny_models):
         assert np.exp(lp).sum() == pytest.approx(1.0, abs=1e-9)
         total += lp[tok]
         prev = tok
-    assert total == pytest.approx(nlg_score(m, frame, utt).total, abs=1e-12)
+    assert total == pytest.approx(nlg_score(m, frame, utt), abs=1e-12)
 
 
 def test_nlg_single_feature_gets_full_attention(tiny_vocabs, tiny_models):
@@ -293,7 +292,7 @@ def test_nlg_empty_feature_fallback(tiny_vocabs, tiny_models):
     assert F.shape == (1, m.cfg.hidden)
     assert np.array_equal(F[0], m.params["empty_feat"].data)
     utt = tiny_vocabs.bpe.encode("play")
-    assert math.isfinite(nlg_score(m, degenerate, utt).total)
+    assert math.isfinite(nlg_score(m, degenerate, utt))
 
 
 def test_nlg_step_rejects_empty_features(tiny_models):
@@ -313,16 +312,15 @@ def test_lm_uniform_forced_score(tiny_vocabs):
     utt = tiny_vocabs.bpe.encode("play something by chet baker")
     V = len(tiny_vocabs.bpe.pieces)
     L = len(utt.tokens)
-    assert lm_score_tokens(m, utt.tokens).total == pytest.approx(-(L + 1) * math.log(V),
-                                                                 rel=1e-12)
+    assert lm_score_tokens(m, utt.tokens) == pytest.approx(-(L + 1) * math.log(V), rel=1e-12)
 
 
 def test_lm_appending_token_decreases_prefix_logprob(tiny_vocabs, tiny_models):
     m = tiny_models["lm"]
     utt = tiny_vocabs.bpe.encode("show flights from boston")
     longer = tiny_vocabs.bpe.encode("show flights from boston boston")
-    short_prefix = sum(lm_score_tokens(m, utt.tokens).steps[:-1])
-    long_prefix = sum(lm_score_tokens(m, longer.tokens).steps[:-1])
+    short_prefix = sum(map(float, models._lm_forward(m, nd, m.arrays, utt.tokens)[:-1]))
+    long_prefix = sum(map(float, models._lm_forward(m, nd, m.arrays, longer.tokens)[:-1]))
     assert long_prefix < short_prefix
 
 
@@ -330,7 +328,7 @@ def test_lm_matches_manual_forward_oracle(tiny_vocabs):
     m = make_model("lm", tiny_vocabs, hidden=2, embedding=3, seed=7)
     randomize(m, derive_rng(10, "rand"))
     utt = tiny_vocabs.bpe.encode("how is the weather in orlando")
-    assert lm_score_tokens(m, utt.tokens).total == pytest.approx(
+    assert lm_score_tokens(m, utt.tokens) == pytest.approx(
         manual_lm_score(m, utt.tokens), rel=1e-12)
 
 
@@ -448,9 +446,8 @@ def test_lm_overfits_repetitive_corpus_to_low_perplexity():
     nll = 0.0
     n_tok = 0
     for s in samples:
-        sc = lm_score_tokens(m, s.tokens)
-        nll -= sc.total
-        n_tok += len(sc.steps)
+        nll -= lm_score_tokens(m, s.tokens)
+        n_tok += len(s.tokens) + 1  # the closing EOS is scored too
     ppl = math.exp(nll / n_tok)
     assert ppl < 1.1
 
@@ -489,24 +486,38 @@ def _tensor_mfm_score(m, frame, rng):
     return total
 
 
+def _floats(terms):
+    """Per-step log-probs of either backend as Python floats."""
+    return [float(t.data if isinstance(t, T.Tensor) else t) for t in terms]
+
+
 def _assert_backends_agree(kind, m, nlu_raw, nlg_raw):
+    """Step by step, the ndarray forward equals the tensor graph with ``==``,
+    and each scorer returns the sum of the graph's steps."""
     vocabs = m.vocabs
     if kind == "nlu":
         for s in models.prepare_nlu_samples(nlu_raw, vocabs):
             steps, intent_lp = models.nlu_forcing_graph(m, s.utt, s.tags, s.intent)
-            got = nlu_score(m, s.utt, s.tags, s.intent)
-            assert got.steps == tuple(float(t.data) for t in steps)
-            assert got.intent_logprob == (None if intent_lp is None else float(intent_lp.data))
+            nd_steps, nd_intent = models._nlu_forward(m, nd, m.arrays, s.utt, s.tags, s.intent)
+            assert _floats(nd_steps) == _floats(steps)
+            assert ((None if nd_intent is None else float(nd_intent))
+                    == (None if intent_lp is None else float(intent_lp.data)))
+            intent_term = 0.0 if intent_lp is None else float(intent_lp.data)
+            assert (nlu_score(m, s.utt, s.tags, s.intent)
+                    == float(sum(_floats(steps))) + intent_term)
     elif kind == "nlg":
         for s in models.prepare_nlg_samples(nlg_raw, vocabs):
             steps = models.nlg_forcing_graph(m, s.frame, s.ref)
-            assert nlg_score(m, s.frame, s.ref).steps == tuple(float(t.data) for t in steps)
+            nd_steps = models._nlg_forward(m, nd, m.arrays, s.frame, s.ref)
+            assert _floats(nd_steps) == _floats(steps)
+            assert nlg_score(m, s.frame, s.ref) == float(sum(_floats(steps)))
             F = T.stack(models._nlg_features(m, T, m.params, s.frame))
             assert np.array_equal(models.nlg_features_np(m, s.frame), F.data)
     elif kind == "lm":
         for s in models.prepare_lm_samples([ex.text for ex in nlu_raw], vocabs):
             steps = models.lm_forcing_graph(m, s.tokens)
-            assert lm_score_tokens(m, s.tokens).steps == tuple(float(t.data) for t in steps)
+            assert _floats(models._lm_forward(m, nd, m.arrays, s.tokens)) == _floats(steps)
+            assert lm_score_tokens(m, s.tokens) == float(sum(_floats(steps)))
     else:
         for i, ex in enumerate(nlg_raw):
             got = masked_frame_score(m, ex.frame, derive_rng(i, "mask"))
