@@ -28,7 +28,8 @@ from .data import (Checkpoint, CheckpointError, DataError, augment_nlg_to_nlu,
 from .decode import DecodeError, DualWeights, ModelsBundle, grid_search
 from .frames import FrameError
 from .metrics import MetricError
-from .models import TrainConfig, model_from_checkpoint, to_checkpoint, train_model
+from .models import (TrainConfig, TrainingError, model_from_checkpoint, to_checkpoint,
+                     train_model)
 from .textproc import BpeError
 
 
@@ -154,27 +155,31 @@ def _require_path(cfg: dict, key: str) -> str:
 
 def _load_train_split(cfg: dict):
     """Training examples for both shapes, filling a missing direction by
-    augmentation when data.augment is 'auto'."""
+    augmentation when data.augment is 'auto'; also returns the kept and
+    dropped counts of each augmentation that ran."""
     d = cfg["data"]
     nlu = load_nlu(d["nlu_train"]) if d.get("nlu_train") else None
     nlg = load_nlg(d["nlg_train"]) if d.get("nlg_train") else None
     if nlu is None and nlg is None:
         raise ConfigError("config needs data.nlu_train and/or data.nlg_train")
+    augmentation = {}
     if cfg["data"]["augment"] == "auto":
         if nlu is None:
-            nlu, _ = augment_nlg_to_nlu(nlg)
+            nlu, dropped = augment_nlg_to_nlu(nlg)
+            augmentation["nlg_to_nlu"] = {"kept": len(nlu), "dropped": dropped}
             if not nlu:
                 raise DataError("augmentation produced no usable tagged examples")
         if nlg is None:
             nlg = augment_nlu_to_nlg(nlu)
+            augmentation["nlu_to_nlg"] = {"kept": len(nlg), "dropped": 0}
     if nlu is None or nlg is None:
         raise ConfigError("both data shapes are required when data.augment is not 'auto'")
-    return nlu, nlg
+    return nlu, nlg, augmentation
 
 
 def cmd_train(args, cfg: dict) -> int:
     out_dir = Path(cfg["out_dir"])
-    nlu_raw, nlg_raw = _load_train_split(cfg)
+    nlu_raw, nlg_raw, augmentation = _load_train_split(cfg)
     vocabs = build_vocabs(nlu_raw, nlg_raw, cfg["model"]["merges"])
 
     tc = TrainConfig(
@@ -199,7 +204,10 @@ def cmd_train(args, cfg: dict) -> int:
         losses[kind] = kind_losses
         save_checkpoint(out_dir / f"{kind}.ckpt",
                         to_checkpoint(model, seed=cfg["seed"], extra_config=echo))
-    _write_manifest(out_dir, "train", cfg, {"losses": losses})
+    extra = {"losses": losses}
+    if augmentation:
+        extra["augmentation"] = augmentation
+    _write_manifest(out_dir, "train", cfg, extra)
     return 0
 
 
@@ -365,6 +373,9 @@ def main(argv=None) -> int:
         return 2
     except (DataError, FrameError, BpeError, MetricError, DecodeError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
+        return 3
+    except TrainingError as e:
+        print(f"training error: {e}", file=sys.stderr)
         return 3
     except CheckpointError as e:
         print(f"checkpoint error: {e}", file=sys.stderr)

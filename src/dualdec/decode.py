@@ -78,10 +78,13 @@ class DualScore(Components):
     combined: float
 
 
-def combine(c: Components, w: DualWeights) -> DualScore:
-    combined = w.alpha * c.forward + (1.0 - w.alpha) * (
+def _combined(c: Components, w: DualWeights) -> float:
+    return w.alpha * c.forward + (1.0 - w.alpha) * (
         c.backward + w.beta * c.marg_out - w.beta * c.marg_in)
-    return DualScore(c.forward, c.backward, c.marg_out, c.marg_in, combined)
+
+
+def combine(c: Components, w: DualWeights) -> DualScore:
+    return DualScore(c.forward, c.backward, c.marg_out, c.marg_in, _combined(c, w))
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +332,12 @@ def candidate_frame(nlu_like, input_utt: Utterance, hyp: Hypothesis) -> Semantic
     return iob_to_frame(word_tags, intent, word_utterance(input_utt.surface))
 
 
-def frame_marginal(mfm: MaskedFrameModel, frame: SemanticFrame, rng) -> float:
+def frame_marginal(mfm: MaskedFrameModel, frame: SemanticFrame, rng,
+                   memo: dict | None = None) -> float:
     # a frame with no features has an empty pseudo-likelihood product: log 1
     if frame.n_features == 0:
         return 0.0
-    return masked_frame_score(mfm, frame, rng)
+    return masked_frame_score(mfm, frame, rng, memo)
 
 
 def dual_components_nlg(candidate: Hypothesis, input_frame: SemanticFrame,
@@ -347,12 +351,14 @@ def dual_components_nlg(candidate: Hypothesis, input_frame: SemanticFrame,
 
 def dual_components_nlu(candidate: Hypothesis, input_utt: Utterance,
                         nlg: NlgModel, mfm: MaskedFrameModel, marg_in: float,
-                        rng) -> Components:
+                        rng, memos: tuple[dict, dict] | None = None) -> Components:
     """One NLU hypothesis' components, given its input's ``marg_in``; ``rng``
-    draws the mask positions of the candidate frame."""
+    draws the mask positions of the candidate frame. ``memos`` are the pair
+    memos of ``nlg`` and ``mfm`` (see ``models.mfm_features``)."""
+    nlg_memo, mfm_memo = memos or (None, None)
     frame = candidate_frame(nlg, input_utt, candidate)
-    return Components(candidate.forward_logprob, nlg_score(nlg, frame, input_utt),
-                      frame_marginal(mfm, frame, rng), marg_in)
+    return Components(candidate.forward_logprob, nlg_score(nlg, frame, input_utt, nlg_memo),
+                      frame_marginal(mfm, frame, rng, mfm_memo), marg_in)
 
 
 def dual_score_nlg(candidate, input_frame, nlu, lm, mfm, w: DualWeights, rng) -> DualScore:
@@ -365,20 +371,25 @@ def dual_score_nlu(candidate, input_utt, nlg, mfm, lm, w: DualWeights, rng) -> D
     return combine(dual_components_nlu(candidate, input_utt, nlg, mfm, marg_in, rng), w)
 
 
+def _best_index(keys: Sequence[tuple[float, float]]) -> int:
+    """Argmax of (combined, forward) pairs: ties on the combined score fall
+    back to forward, then to list order (the beam's own payload order)."""
+    if not keys:
+        raise DecodeError("cannot rerank an empty hypothesis list")
+    for rank, (combined, _) in enumerate(keys):
+        if math.isnan(combined):
+            raise DecodeError(f"combined score of hypothesis {rank} is NaN")
+    best = 0
+    for i in range(1, len(keys)):
+        if keys[i] > keys[best]:
+            best = i
+    return best
+
+
 def rerank_index(scored: Sequence[tuple[Hypothesis, DualScore]]) -> int:
     """Argmax of combined score; ties fall back to forward, then list order
     (the beam's own payload order)."""
-    if not scored:
-        raise DecodeError("cannot rerank an empty hypothesis list")
-    for rank, (_, s) in enumerate(scored):
-        if math.isnan(s.combined):
-            raise DecodeError(f"combined score of hypothesis {rank} is NaN")
-    best = 0
-    for i in range(1, len(scored)):
-        cur, inc = scored[best][1], scored[i][1]
-        if (inc.combined, inc.forward) > (cur.combined, cur.forward):
-            best = i
-    return best
+    return _best_index([(s.combined, s.forward) for _, s in scored])
 
 
 def rerank(scored: Sequence[tuple[Hypothesis, DualScore]]) -> Hypothesis:
@@ -421,8 +432,8 @@ class CachedExample:
     utt: Utterance | None = None
 
     def select(self, w: DualWeights) -> int:
-        scored = [(h, combine(c, w)) for h, c in zip(self.hypotheses, self.components)]
-        return rerank_index(scored)
+        """The rank ``rerank_index`` picks at ``w``."""
+        return _best_index([(_combined(c, w), c.forward) for c in self.components])
 
 
 def precompute_nlg(examples: Sequence[NlgExample], bundle: ModelsBundle, *,
@@ -439,6 +450,9 @@ def precompute_nlg(examples: Sequence[NlgExample], bundle: ModelsBundle, *,
 
 def precompute_nlu(examples: Sequence[NluExample], bundle: ModelsBundle, *,
                    beam: int, k_intent: int, seed: int) -> list[CachedExample]:
+    # candidate frames share most (slot key, value) pairs; each pair is
+    # encoded once per model and call
+    memos = ({}, {})
     cached = []
     for idx, ex in enumerate(examples):
         utt = bundle.vocabs.bpe.encode(ex.text)
@@ -446,7 +460,7 @@ def precompute_nlu(examples: Sequence[NluExample], bundle: ModelsBundle, *,
         marg_in = lm_score_tokens(bundle.lm, utt.tokens)
         cached.append(CachedExample(hyps, [
             dual_components_nlu(hyp, utt, bundle.nlg, bundle.mfm, marg_in,
-                                derive_rng(seed, "mask", idx, rank))
+                                derive_rng(seed, "mask", idx, rank), memos)
             for rank, hyp in enumerate(hyps)], utt))
     return cached
 
@@ -464,29 +478,39 @@ def precompute(direction: str, examples, bundle: ModelsBundle, *, beam: int,
 # reports of the chosen hypotheses
 
 
-def _reporter(direction: str, examples, vocabs):
-    """The report of ``examples`` as a function of their cached beams and the
-    rank chosen in each. Gold data is gathered here, once per split; NLU
-    inputs come encoded in the cache."""
+def _reporter(direction: str, examples, vocabs, cached: Sequence[CachedExample]):
+    """The report of ``examples`` as a function of the rank chosen in each of
+    their ``cached`` beams. Gold data is gathered here, once per split; NLU
+    inputs come encoded in the cache. Each (example, rank)'s metric
+    statistics are computed the first time a selection picks it, then reused."""
     if direction == "nlg":
-        refs = [list(ex.refs) for ex in examples]
+        def stats_of(idx: int, hyp: Hypothesis) -> metrics.NlgStats:
+            text = utterance_from_payload(vocabs, hyp.payload).surface
+            return metrics.nlg_stats(text, examples[idx].refs)
+        report = metrics.report_nlg
+    else:
+        labels = vocabs.labels
+        with_intents = any(ex.intent is not None for ex in examples)
 
-        def report_nlg(cached: Sequence[CachedExample], picks) -> metrics.EvalReport:
-            texts = [utterance_from_payload(vocabs, c.hypotheses[i].payload).surface
-                     for c, i in zip(cached, picks)]
-            return metrics.evaluate_nlg(texts, refs)
-        return report_nlg
-    labels = vocabs.labels
-    gold_intents = [ex.intent for ex in examples]
-    gold_tags = [list(ex.tags) for ex in examples]
+        def stats_of(idx: int, hyp: Hypothesis) -> metrics.NluStats:
+            ex = examples[idx]
+            pred_tags = collapse_piece_tags([labels.tags[t] for t in hyp.payload],
+                                            cached[idx].utt)
+            pred_intent = None if hyp.intent is None else labels.intents[hyp.intent]
+            return metrics.nlu_stats(pred_intent, ex.intent, pred_tags, ex.tags)
 
-    def report_nlu(cached: Sequence[CachedExample], picks) -> metrics.EvalReport:
-        chosen = [c.hypotheses[i] for c, i in zip(cached, picks)]
-        pred_tags = [collapse_piece_tags([labels.tags[t] for t in h.payload], c.utt)
-                     for h, c in zip(chosen, cached)]
-        pred_intents = [None if h.intent is None else labels.intents[h.intent] for h in chosen]
-        return metrics.evaluate_nlu(pred_intents, gold_intents, pred_tags, gold_tags)
-    return report_nlu
+        def report(stats):
+            return metrics.report_nlu(stats, with_intents)
+    memo: dict[tuple[int, int], object] = {}
+
+    def report_of(picks: Sequence[int]) -> metrics.EvalReport:
+        stats = []
+        for idx, rank in enumerate(picks):
+            if (idx, rank) not in memo:
+                memo[idx, rank] = stats_of(idx, cached[idx].hypotheses[rank])
+            stats.append(memo[idx, rank])
+        return report(stats)
+    return report_of
 
 
 # ---------------------------------------------------------------------------
@@ -550,14 +574,19 @@ def sweep(examples, bundle: ModelsBundle, direction: str,
           cached: Sequence[CachedExample],
           pairs: Sequence[tuple[float, float]]) -> GridResult:
     """Re-rank the cached hypotheses at each (alpha, beta) of ``pairs`` and
-    report each selection; a row's columns are its report's metrics."""
-    report = _reporter(direction, examples, bundle.vocabs)
+    report each selection; a row's columns are its report's metrics. Pairs
+    that select the same hypotheses share one report."""
+    report_of = _reporter(direction, examples, bundle.vocabs, cached)
+    reports: dict[tuple[int, ...], metrics.EvalReport] = {}
     result = GridResult(direction)
     for a, b in pairs:
         w = DualWeights(a, b)
         picks = [c.select(w) for c in cached]
         result.selections[(a, b)] = picks
-        result.rows.append(GridRow(a, b, report(cached, picks)))
+        key = tuple(picks)
+        if key not in reports:
+            reports[key] = report_of(picks)
+        result.rows.append(GridRow(a, b, reports[key]))
     return result
 
 
@@ -602,7 +631,7 @@ def evaluate_direction(examples, bundle: ModelsBundle, direction: str,
         cached = [CachedExample(nlu_hypotheses(bundle.nlu, utt, beam, k_intent), [], utt)
                   for utt in utts]
     picks = [0] * len(cached) if weights is None else [c.select(weights) for c in cached]
-    report = _reporter(direction, examples, bundle.vocabs)(cached, picks)
+    report = _reporter(direction, examples, bundle.vocabs, cached)(picks)
     if weights is None:
         return report, []
     inputs = [format_frame(ex.frame) if direction == "nlg" else ex.text for ex in examples]

@@ -256,9 +256,15 @@ def _pair_feature(m: _FrameModel, ops, P, seq: list):
     return ops.tanh(ops.add(ops.matmul(P["feat.w"], ops.concat([hf, hb])), P["feat.b"]))
 
 
-def mfm_features(m: _FrameModel, ops, P, frame: SemanticFrame) -> tuple[list, list[int]]:
+def mfm_features(m: _FrameModel, ops, P, frame: SemanticFrame,
+                 memo: dict | None = None) -> tuple[list, list[int]]:
     """Per-feature encodings and their classifier targets (key or intent id):
-    one pair encoding per slot, then the intent embedding."""
+    one pair encoding per slot, then the intent embedding.
+
+    ``memo``, when given, maps (key id, value words) to the pair's encoding
+    on ``nd``. It holds read-only arrays that are only valid while the
+    parameters do not change, so a caller keeps one for a single pass of
+    scoring; training passes none."""
     labels = m.vocabs.labels
     feats = []
     targets: list[int] = []
@@ -267,9 +273,16 @@ def mfm_features(m: _FrameModel, ops, P, frame: SemanticFrame) -> tuple[list, li
             key_id = labels.key_id(key)
         except KeyError:
             raise FrameError(f"slot key {key!r} outside inventory") from None
-        value_ids = m.vocabs.bpe.encode_ids(" ".join(value))
-        seq = [ops.row(P["key_emb"], key_id)] + [ops.row(P["word_emb"], i) for i in value_ids]
-        feats.append(_pair_feature(m, ops, P, seq))
+        feat = None if memo is None else memo.get((key_id, value))
+        if feat is None:
+            value_ids = m.vocabs.bpe.encode_ids(" ".join(value))
+            seq = [ops.row(P["key_emb"], key_id)] + [ops.row(P["word_emb"], i)
+                                                     for i in value_ids]
+            feat = _pair_feature(m, ops, P, seq)
+            if memo is not None:
+                feat.flags.writeable = False
+                memo[key_id, value] = feat
+        feats.append(feat)
         targets.append(key_id)
     if frame.intent is not None and m.n_intents:
         iid = labels.intent_id(frame.intent)
@@ -294,9 +307,9 @@ class NlgModel(_FrameModel):
         store.add("out.b", (n_tok,))
 
 
-def _nlg_features(m: NlgModel, ops, P, frame: SemanticFrame) -> list:
+def _nlg_features(m: NlgModel, ops, P, frame: SemanticFrame, memo: dict | None = None) -> list:
     """The frame's features; the learned ``empty_feat`` when it has none."""
-    return mfm_features(m, ops, P, frame)[0] or [P["empty_feat"]]
+    return mfm_features(m, ops, P, frame, memo)[0] or [P["empty_feat"]]
 
 
 def _nlg_step(m: NlgModel, ops, P, F, h, prev_word: int):
@@ -307,8 +320,9 @@ def _nlg_step(m: NlgModel, ops, P, F, h, prev_word: int):
 
 
 def _nlg_forward(m: NlgModel, ops, P, frame: SemanticFrame, utt: Utterance,
-                 tf_ratio: float = 1.0, rng: np.random.Generator | None = None) -> list:
-    F = ops.stack(_nlg_features(m, ops, P, frame))
+                 tf_ratio: float = 1.0, rng: np.random.Generator | None = None,
+                 memo: dict | None = None) -> list:
+    F = ops.stack(_nlg_features(m, ops, P, frame, memo))
     h = ops.mean_rows(F)
     prev = BOS
     steps = []
@@ -327,9 +341,10 @@ def nlg_forcing_graph(m: NlgModel, frame: SemanticFrame, utt: Utterance,
     return _nlg_forward(m, T, m.params, frame, utt, tf_ratio, rng)
 
 
-def nlg_score(m: NlgModel, frame: SemanticFrame, utt: Utterance) -> float:
-    """log P(utt, EOS | frame)."""
-    return _total(_nlg_forward(m, nd, m.arrays, frame, utt))
+def nlg_score(m: NlgModel, frame: SemanticFrame, utt: Utterance,
+              memo: dict | None = None) -> float:
+    """log P(utt, EOS | frame); ``memo`` is ``mfm_features``' pair memo."""
+    return _total(_nlg_forward(m, nd, m.arrays, frame, utt, memo=memo))
 
 
 def nlg_features_np(m: NlgModel, frame: SemanticFrame) -> np.ndarray:
@@ -430,10 +445,11 @@ def _masked_logits(m: MaskedFrameModel, ops, P, feats: list, picks: Sequence[int
 
 
 def masked_frame_score(m: MaskedFrameModel, frame: SemanticFrame,
-                       rng: np.random.Generator) -> float:
+                       rng: np.random.Generator, memo: dict | None = None) -> float:
     """Pseudo log-likelihood: three uniform mask draws (with replacement),
-    summing log P(true label at the masked position | the rest)."""
-    feats, targets = mfm_features(m, nd, m.arrays, frame)
+    summing log P(true label at the masked position | the rest). ``memo`` is
+    ``mfm_features``' pair memo."""
+    feats, targets = mfm_features(m, nd, m.arrays, frame, memo)
     if not feats:
         raise FrameError("frame has no features to mask")
     total = 0.0
@@ -516,9 +532,15 @@ def _example_loss(kind: str, model, sample, tf_ratio: float,
     raise ValueError(f"unknown model kind {kind!r}")
 
 
+class TrainingError(ValueError):
+    pass
+
+
 def train_model(kind: str, dataset: Sequence, config: TrainConfig, vocabs: Vocabs,
                 ) -> tuple[object, list[float]]:
-    """MLE training; returns the model and the mean per-example loss per epoch."""
+    """MLE training; returns the model and the mean per-example loss per epoch.
+    A non-finite batch loss or gradient norm stops it with a TrainingError
+    that names the epoch and batch (both counted from 1)."""
     if kind not in MODEL_CLASSES:
         raise ValueError(f"unknown model kind {kind!r}")
     if not dataset:
@@ -527,21 +549,30 @@ def train_model(kind: str, dataset: Sequence, config: TrainConfig, vocabs: Vocab
     model = MODEL_CLASSES[kind](config, vocabs, rng)
     state = T.AdamState(lr=config.lr)
     losses = []
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(dataset))
         epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
+        for n_batch, start in enumerate(range(0, len(order), config.batch_size), 1):
             batch = order[start:start + config.batch_size]
             T.zero_grad(model.params.values())
             terms = [_example_loss(kind, model, dataset[i], config.teacher_forcing, rng)
                      for i in batch]
             loss = T.scale(_sum_terms(terms), 1.0 / len(batch))
+            batch_loss = float(loss.data)
+            _check_finite(kind, "batch loss", batch_loss, epoch, n_batch)
             T.backward(loss)
-            T.clip_grad_norm(model.params.values(), config.clip)
+            norm = T.clip_grad_norm(model.params.values(), config.clip)
+            _check_finite(kind, "gradient norm", norm, epoch, n_batch)
             T.adam_step(model.params, {k: p.grad for k, p in model.params.items()}, state)
-            epoch_loss += float(loss.data) * len(batch)
+            epoch_loss += batch_loss * len(batch)
         losses.append(epoch_loss / len(dataset))
     return model, losses
+
+
+def _check_finite(kind: str, what: str, value: float, epoch: int, batch: int) -> None:
+    if not math.isfinite(value):
+        raise TrainingError(f"{kind} training diverged: {what} is {value} "
+                            f"at epoch {epoch}, batch {batch}")
 
 
 # ---------------------------------------------------------------------------

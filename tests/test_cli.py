@@ -541,3 +541,42 @@ def test_train_with_nlu_only_augments_nlg(workspace, tmp_path):
     out = tmp_path / "aug"
     assert run("train", "--config", cfg2, "--out", out) == 0
     assert (out / "nlg.ckpt").exists() and (out / "mfm.ckpt").exists()
+
+
+def test_diverging_training_exits_3_naming_the_batch_and_writes_no_checkpoint(
+        workspace, tmp_path, capsys):
+    root, cfg_path, _ = workspace
+    cfg = json.loads(cfg_path.read_text())
+    cfg["train"].update(lr=1e300, epochs=3, models=["nlg", "nlu"])
+    cfg["model"].update(hidden=6, embedding=4)
+    diverge = tmp_path / "diverge.json"
+    diverge.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run("train", "--config", diverge, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("training error: nlg training diverged:")
+    assert "at epoch 1, batch 2" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_train_manifest_records_augmentation_drops(workspace, tmp_path):
+    root, cfg_path, _ = workspace
+    # the second reference names neither slot value, so augmentation drops it
+    nlg_train = tmp_path / "nlg_train.jsonl"
+    nlg_train.write_text(json.dumps({
+        "frame": {"intent": "find_flight",
+                  "slots": [["origin", "boston"], ["destination", "denver"]]},
+        "refs": ["flights from boston to denver", "show me some flights"]}) + "\n")
+    cfg = json.loads(cfg_path.read_text())
+    cfg["data"].update(nlu_train=None, nlg_train=str(nlg_train))
+    cfg["train"]["epochs"] = 0
+    cfg2 = tmp_path / "c.json"
+    cfg2.write_text(json.dumps(cfg))
+    manifests = []
+    for name in ("a", "b"):
+        assert run("train", "--config", cfg2, "--out", tmp_path / name) == 0
+        manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+    assert manifests[0]["augmentation"] == {"nlg_to_nlu": {"kept": 1, "dropped": 1}}
+    assert manifests[1]["augmentation"] == manifests[0]["augmentation"]
+    full = json.loads((workspace[2] / "manifest.json").read_text())
+    assert "augmentation" not in full

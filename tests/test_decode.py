@@ -15,7 +15,8 @@ from dualdec.decode import (CachedExample, Components, DualWeights, Hypothesis,
                             nlg_hypotheses, nlu_hypotheses, rerank, rerank_index,
                             weight_grid)
 from dualdec.frames import SemanticFrame
-from dualdec.tensor import derive_rng
+from dualdec.models import mfm_features
+from dualdec.tensor import derive_rng, nd
 
 
 def log_softmax(x):
@@ -620,3 +621,111 @@ def test_evaluate_direction_plain_equals_alpha_one(tiny_corpus, tiny_vocabs):
         for row in t["hypotheses"]:
             expect = row["forward"]  # alpha = 1
             assert row["combined"] == pytest.approx(expect, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# the grid sweep's selections and reports, and the pair-encoding memo
+
+
+TIE_VALUES = st.sampled_from([-2.0, -1.0, -0.5, 0.0])
+
+
+def _drawn_caches(draw, direction, examples, vocabs):
+    """Beams with random payloads whose components come from TIE_VALUES, so
+    equal combined and forward scores occur often."""
+    labels = vocabs.labels
+    cached = []
+    for ex in examples:
+        utt = None
+        if direction == "nlu":
+            utt = vocabs.bpe.encode(ex.text)
+        hyps, comps = [], []
+        for _ in range(draw(st.integers(1, 5))):
+            if direction == "nlu":
+                payload = tuple(draw(st.lists(st.integers(0, labels.n_tags - 1),
+                                              min_size=len(utt.tokens),
+                                              max_size=len(utt.tokens))))
+                intent = draw(st.integers(0, labels.n_intents - 1))
+            else:
+                payload = tuple(draw(st.lists(st.integers(4, len(vocabs.bpe.pieces) - 1),
+                                              max_size=6)))
+                intent = None
+            c = Components(*(draw(TIE_VALUES) for _ in range(4)))
+            hyps.append(Hypothesis(payload, c.forward, (c.forward,), intent))
+            comps.append(c)
+        cached.append(CachedExample(hyps, comps, utt))
+    return cached
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.sampled_from(["nlg", "nlu"]))
+def test_sweep_picks_and_reports_equal_rerank_and_fresh_reports(tiny_corpus, tiny_vocabs,
+                                                                data, direction):
+    nlu_raw, nlg_raw = tiny_corpus
+    examples = (nlg_raw if direction == "nlg" else nlu_raw)[:4]
+    bundle = ModelsBundle(make_model("nlu", tiny_vocabs), None, None, None)
+    cached = _drawn_caches(data.draw, direction, examples, tiny_vocabs)
+    pairs = weight_grid(0.25)
+    res = decode.sweep(examples, bundle, direction, cached, pairs)
+    assert [(r.alpha, r.beta) for r in res.rows] == pairs
+    for row in res.rows:
+        w = DualWeights(row.alpha, row.beta)
+        picks = [rerank_index([(h, combine(comp, w)) for h, comp in
+                               zip(c.hypotheses, c.components)]) for c in cached]
+        assert res.selections[(row.alpha, row.beta)] == picks
+        fresh = decode._reporter(direction, examples, tiny_vocabs, cached)(picks)
+        assert row.report == fresh
+
+
+def test_nan_component_raises_in_the_sweep(tiny_corpus, tiny_vocabs):
+    _, nlg_raw = tiny_corpus
+    hyps = [Hypothesis((5,), -1.0, (-1.0,)), Hypothesis((6,), -2.0, (-2.0,))]
+    comps = [Components(-1.0, -1.0, 0.0, 0.0), Components(-2.0, math.nan, 0.0, 0.0)]
+    cached = [CachedExample(hyps, comps)]
+    bundle = ModelsBundle(make_model("nlu", tiny_vocabs), None, None, None)
+    with pytest.raises(decode.DecodeError, match="hypothesis 1 is NaN"):
+        decode.sweep(nlg_raw[:1], bundle, "nlg", cached, [(0.5, 0.5)])
+
+
+def _unmemoized_components(examples, b, beam, k_intent, seed):
+    out = []
+    for idx, ex in enumerate(examples):
+        utt = b.vocabs.bpe.encode(ex.text)
+        marg_in = decode.lm_score_tokens(b.lm, utt.tokens)
+        out.append([decode.dual_components_nlu(h, utt, b.nlg, b.mfm, marg_in,
+                                               derive_rng(seed, "mask", idx, rank))
+                    for rank, h in enumerate(nlu_hypotheses(b.nlu, utt, beam, k_intent))])
+    return out
+
+
+def test_precompute_nlu_memo_equals_unmemoized_components(tiny_corpus, tiny_vocabs):
+    nlu_raw, _ = tiny_corpus
+    b = _bundle(tiny_vocabs, seed=41)
+    examples = nlu_raw[:5]
+    cached = decode.precompute_nlu(examples, b, beam=6, k_intent=3, seed=9)
+    assert [c.components for c in cached] == _unmemoized_components(examples, b, 6, 3, 9)
+    # the candidates of one input share pairs, so the memo has work to save
+    frames = [decode.candidate_frame(b.nlg, c.utt, h)
+              for c in cached for h in c.hypotheses]
+    pairs = [(k, v) for f in frames for k, v in f.slots]
+    assert len(set(pairs)) < len(pairs)
+    # a memo hands out the same read-only array for a repeated pair
+    frame = next(f for f in frames if f.slots)
+    memo = {}
+    first, _ = mfm_features(b.nlg, nd, b.nlg.arrays, frame, memo)
+    again, _ = mfm_features(b.nlg, nd, b.nlg.arrays, frame, memo)
+    n = len(frame.slots)
+    assert all(x is y and not x.flags.writeable for x, y in zip(first[:n], again[:n]))
+
+
+def test_pair_memo_does_not_outlive_its_precompute_call(tiny_corpus, tiny_vocabs):
+    nlu_raw, _ = tiny_corpus
+    b = _bundle(tiny_vocabs, seed=43)
+    examples = nlu_raw[:3]
+    first = decode.precompute_nlu(examples, b, beam=4, k_intent=2, seed=4)
+    for m in (b.nlg, b.mfm):
+        m.arrays["enc_f.w_ih"] += 0.25  # in place, as an optimizer step writes
+    second = decode.precompute_nlu(examples, b, beam=4, k_intent=2, seed=4)
+    fresh = _unmemoized_components(examples, b, 4, 2, 4)
+    assert [c.components for c in second] == fresh
+    assert [c.components for c in first] != fresh

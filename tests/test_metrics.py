@@ -1,10 +1,13 @@
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualdec import metrics as M
+from dualdec.frames import iob_spans
 
 
 def test_intent_accuracy_boundaries():
@@ -160,3 +163,121 @@ def test_merge_reports_combines_directions():
     rep = M.merge_reports(nlu, nlg)
     assert rep.intent_accuracy == 1.0 and rep.rouge1 == 1.0
     assert rep.n_nlu == 1 and rep.n_nlg == 1
+
+
+# ---------------------------------------------------------------------------
+# the statistic-based metrics against the text-level implementations they
+# replaced, kept here verbatim
+
+
+def old_slot_f1(pred_tags, gold_tags):
+    if len(pred_tags) != len(gold_tags):
+        raise M.MetricError(f"{len(pred_tags)} predictions vs {len(gold_tags)} golds")
+    tp = n_pred = n_gold = 0
+    for pred, gold in zip(pred_tags, gold_tags):
+        if len(pred) != len(gold):
+            raise M.MetricError(f"tag length mismatch: {len(pred)} vs {len(gold)}")
+        p_spans = set(iob_spans(pred))
+        g_spans = set(iob_spans(gold))
+        tp += len(p_spans & g_spans)
+        n_pred += len(p_spans)
+        n_gold += len(g_spans)
+    precision = tp / n_pred if n_pred else 0.0
+    recall = tp / n_gold if n_gold else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return M.SlotPRF(precision, recall, f1)
+
+
+def old_bleu(hyps, ref_sets, max_n=4):
+    """Corpus BLEU with multiple references and no smoothing."""
+    if len(hyps) != len(ref_sets):
+        raise M.MetricError(f"{len(hyps)} hypotheses vs {len(ref_sets)} reference sets")
+    matched = [0] * max_n
+    total = [0] * max_n
+    hyp_len = 0
+    ref_len = 0
+    for hyp, refs in zip(hyps, ref_sets):
+        if not refs:
+            raise M.MetricError("empty reference set")
+        h = hyp.split()
+        rs = [r.split() for r in refs]
+        hyp_len += len(h)
+        ref_len += min((abs(len(r) - len(h)), len(r)) for r in rs)[1]
+        for n in range(1, max_n + 1):
+            hc = M._ngrams(h, n)
+            if not hc:
+                continue
+            clip = Counter()
+            for r in rs:
+                rc = M._ngrams(r, n)
+                for g in hc:
+                    clip[g] = max(clip[g], rc.get(g, 0))
+            matched[n - 1] += sum(min(c, clip[g]) for g, c in hc.items())
+            total[n - 1] += sum(hc.values())
+    if hyp_len == 0 or any(t == 0 for t in total):
+        return 0.0
+    if any(m == 0 for m in matched):
+        return 0.0
+    log_prec = sum(math.log(m / t) for m, t in zip(matched, total)) / max_n
+    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return bp * math.exp(log_prec)
+
+
+def old_rouge_n_corpus(hyps, ref_sets, n):
+    if len(hyps) != len(ref_sets) or not hyps:
+        raise M.MetricError("hypothesis/reference count mismatch or empty corpus")
+    return sum(M.rouge_n(h, rs, n) for h, rs in zip(hyps, ref_sets)) / len(hyps)
+
+
+def old_rouge_l_corpus(hyps, ref_sets):
+    if len(hyps) != len(ref_sets) or not hyps:
+        raise M.MetricError("hypothesis/reference count mismatch or empty corpus")
+    return sum(M.rouge_l(h, rs) for h, rs in zip(hyps, ref_sets)) / len(hyps)
+
+
+# short words from a small vocabulary, so n-grams repeat; hypotheses may be
+# empty or shorter than four words
+WORDS = st.lists(st.sampled_from("abcde"), min_size=0, max_size=9).map(" ".join)
+REF_SET = st.lists(WORDS.filter(bool), min_size=1, max_size=3).flatmap(
+    lambda refs: st.lists(st.sampled_from(refs), min_size=0, max_size=2).map(
+        lambda dups: refs + dups))
+TAGS = st.sampled_from(["O", "B-a", "I-a", "B-b", "I-b"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(WORDS, REF_SET), min_size=1, max_size=6))
+def test_statistic_text_metrics_equal_the_text_level_originals(pairs):
+    hyps = [h for h, _ in pairs]
+    refs = [r for _, r in pairs]
+    assert M.bleu(hyps, refs) == old_bleu(hyps, refs)
+    assert M.bleu(hyps, refs, 2) == old_bleu(hyps, refs, 2)
+    for n in (1, 2):
+        assert M.rouge_n_corpus(hyps, refs, n) == old_rouge_n_corpus(hyps, refs, n)
+    assert M.rouge_l_corpus(hyps, refs) == old_rouge_l_corpus(hyps, refs)
+    assert M.evaluate_nlg(hyps, refs) == M.EvalReport(
+        bleu=old_bleu(hyps, refs), rouge1=old_rouge_n_corpus(hyps, refs, 1),
+        rouge2=old_rouge_n_corpus(hyps, refs, 2), rougeL=old_rouge_l_corpus(hyps, refs),
+        n_nlg=len(hyps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 7).flatmap(
+    lambda n: st.tuples(st.lists(TAGS, min_size=n, max_size=n),
+                        st.lists(TAGS, min_size=n, max_size=n),
+                        st.sampled_from([None, "x", "y"]), st.sampled_from([None, "x", "y"]))),
+    min_size=0, max_size=6))
+def test_statistic_slot_metrics_equal_the_text_level_originals(examples):
+    preds = [p for p, _, _, _ in examples]
+    golds = [g for _, g, _, _ in examples]
+    assert M.slot_f1(preds, golds) == old_slot_f1(preds, golds)
+    pred_intents = [i for *_, i, _ in examples]
+    gold_intents = [i for *_, i in examples]
+    report = M.evaluate_nlu(pred_intents, gold_intents, preds, golds)
+    prf = old_slot_f1(preds, golds)
+    assert (report.slot_precision, report.slot_recall, report.slot_f1) == (
+        prf.precision, prf.recall, prf.f1)
+    if any(g is not None for g in gold_intents):
+        assert report.intent_accuracy == (
+            sum(p == g for p, g in zip(pred_intents, gold_intents)) / len(examples))
+    else:
+        assert report.intent_accuracy is None
