@@ -25,8 +25,21 @@ GOLDEN = {
     "grid/test_report.json": "8343c8bd466c8def27ecaa3a5db9fbf95ae8bd3ee621a0a0f92f58802ef5bf02",
 }
 
+# eval and dualinf at the benchmark's dualinf settings, where the hypotheses
+# of one beam end at very different lengths
+GOLDEN_LONG_BEAM = {
+    "eval/report.csv": "20d11e50b8c37c9a966c9c32fef1e870bdc6dbcb85a89b41a43075ef0309e99c",
+    "eval/report.json": "b6bd607839283130b1ec3656f6018da2123a79368864e2caaf73079ac3ade4d1",
+    "dualinf/report.csv": "7d044777e2dd9ff980ec550cb733e14d5ce6f67af932f6c8d02b1a81d0f5d779",
+    "dualinf/report.json": "5f9ed53ebc826132a76fa6009dc686985392f687630c0ba9b21303b4af32c604",
+    "dualinf/trace_nlg.jsonl": "9bfb45a911ccf455d6ac6e7e7d761eb797d2261377b12b307bc283466c7e7252",
+    "dualinf/trace_nlu.jsonl": "862bae47c62b77c2bd2504d20cc9bc81ec68ee8546804f769496289b2cc01eb2",
+}
 
-def test_decode_outputs_match_golden_digests(tmp_path):
+
+def _decode_digests(tmp_path, decode_cfg, grid):
+    """sha256 of each output file of eval, dualinf and (with ``grid``)
+    gridsearch --eval-test, run on a seed-101 synthetic split."""
     data = tmp_path / "data"
     assert main(["synth", "--out", str(data), "--seed", "101", "--train-size", "8",
                  "--valid-size", "24", "--test-size", "16"]) == 0
@@ -34,14 +47,26 @@ def test_decode_outputs_match_golden_digests(tmp_path):
     cfg.write_text(json.dumps({
         "data": {f"{d}_{s}": str(data / f"{d}_{s}.jsonl")
                  for d in ("nlu", "nlg") for s in ("train", "valid", "test")},
-        "decode": {"beam": 10, "max_len": 16, "k_intent": 3},
+        "decode": decode_cfg,
     }))
     common = ["--config", str(cfg), "--checkpoints", str(FIXTURE)]
     assert main(["eval", *common, "--out", str(tmp_path / "eval")]) == 0
     assert main(["dualinf", *common, "--alpha", "0.4", "--beta", "0.6",
                  "--out", str(tmp_path / "dualinf")]) == 0
-    assert main(["gridsearch", *common, "--eval-test", "--out", str(tmp_path / "grid")]) == 0
-    digests = {f"{d}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
-               for d in ("eval", "dualinf", "grid")
-               for p in sorted((tmp_path / d).iterdir()) if p.name != "manifest.json"}
+    commands = ("eval", "dualinf")
+    if grid:
+        assert main(["gridsearch", *common, "--eval-test", "--out", str(tmp_path / "grid")]) == 0
+        commands += ("grid",)
+    return {f"{d}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+            for d in commands
+            for p in sorted((tmp_path / d).iterdir()) if p.name != "manifest.json"}
+
+
+def test_decode_outputs_match_golden_digests(tmp_path):
+    digests = _decode_digests(tmp_path, {"beam": 10, "max_len": 16, "k_intent": 3}, grid=True)
     assert digests == GOLDEN
+
+
+def test_long_beam_outputs_match_golden_digests(tmp_path):
+    digests = _decode_digests(tmp_path, {"beam": 20, "max_len": 60, "k_intent": 3}, grid=False)
+    assert digests == GOLDEN_LONG_BEAM
