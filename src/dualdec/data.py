@@ -113,9 +113,11 @@ def save_nlu(path, examples: Sequence[NluExample]) -> None:
 def _nlg_example(d: dict) -> NlgExample:
     fd = d["frame"]
     slots = [(k, v) for k, v in fd["slots"]]
-    for k, _ in slots:
+    for k, v in slots:
         if not isinstance(k, str):
             raise DataError(f"slot key must be a string, not {k!r}")
+        if not (isinstance(v, str) or isinstance(v, list) and all(isinstance(w, str) for w in v)):
+            raise DataError(f"value of slot {k!r} must be a string or a list of strings, not {v!r}")
     frame = SemanticFrame.build(_intent(fd), slots)
     return NlgExample(frame, _strings(d, "refs"))
 

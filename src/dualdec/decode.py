@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import islice, takewhile
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -92,32 +93,39 @@ def combine(c: Components, w: DualWeights) -> DualScore:
 
 
 class Stepper(Protocol):
+    """The model a beam decodes with. States come as a stack, one per row,
+    that an integer array of row numbers indexes. ``start`` returns the stack
+    of the one empty prefix and its (1, V) log-prob matrix; ``advance`` steps
+    every row by its own symbol and returns the new stack and an (n, V)
+    log-prob matrix."""
+
     eos: int | None
 
     def start(self) -> tuple[object, np.ndarray]: ...
 
-    def advance(self, state, symbol: int) -> tuple[object, np.ndarray]: ...
+    def advance(self, states, symbols: np.ndarray) -> tuple[object, np.ndarray]: ...
 
 
 def _completion_order(h: Hypothesis):
     return (-h.forward_logprob, len(h.payload), h.payload)
 
 
-def _ranked_extensions(active, eos: int | None, step: int, limit: int | None = None):
+def _ranked_extensions(active, lp: np.ndarray, eos: int | None, step: int,
+                       limit: int | None = None):
     """The one-symbol extensions of the ``active`` hypotheses, best first, at
     most ``limit`` of them.
 
-    ``active`` holds (score, payload, per_step, state, dist) entries whose
-    payloads all have the same length. The extensions come as (score, payload,
-    per_step, parent state, symbol) tuples, ordered by (-score, payload):
-    since the parents are equally long, that is one lexsort on (-score, the
-    parent's rank in payload order, symbol). ``eos`` and -inf entries extend
-    nothing; a NaN or +inf log-prob raises DecodeError naming ``step``. Only
-    the extensions taken from the returned iterator are built as tuples.
+    ``active`` holds (score, payload, per_step) entries whose payloads all
+    have the same length, and row i of ``lp`` is entry i's log-prob
+    distribution. The extensions come as (score, payload, per_step, parent
+    row, symbol) tuples, ordered by (-score, payload): since the parents are
+    equally long, that is one lexsort on (-score, the parent's rank in payload
+    order, symbol). ``eos`` and -inf entries extend nothing; a NaN or +inf
+    log-prob raises DecodeError naming ``step``. Only the extensions taken
+    from the returned iterator are built as tuples.
     """
     if not active:
         return iter(())
-    lp = np.stack([dist for *_, dist in active])
     bad = np.argwhere(~(lp < math.inf))
     if len(bad):
         row, v = bad[0]
@@ -136,9 +144,9 @@ def _ranked_extensions(active, eos: int | None, step: int, limit: int | None = N
     payload_rank[sorted(range(len(active)), key=lambda i: active[i][1])] = range(len(active))
 
     def extension(i):
-        _, payload, per, state, _ = active[rows[i]]
-        v = int(syms[i])
-        return (float(scores[i]), payload + (v,), per + (float(lp[rows[i], v]),), state, v)
+        row, v = int(rows[i]), int(syms[i])
+        _, payload, per = active[row]
+        return (float(scores[i]), payload + (v,), per + (float(lp[row, v]),), row, v)
     return map(extension, np.lexsort((syms, payload_rank[rows], -scores))[:limit])
 
 
@@ -157,100 +165,127 @@ def beam_search(stepper: Stepper, beam: int, max_len: int) -> list[Hypothesis]:
     eos = stepper.eos
     if eos is None:
         return [h for h, _ in _beam_search_fixed(stepper, beam, max_len)]
-    state, dist = stepper.start()
-    active = [(0.0, (), (), state, dist)]
+    states, lp = stepper.start()
+    active = [(0.0, (), ())]
     completed: list[Hypothesis] = []
     for t in range(max_len):
-        for score, payload, per, state, dist in active:
-            lp_eos = float(dist[eos])
+        for (score, payload, per), lp_eos in zip(active, lp[:, eos].tolist()):
             if lp_eos > -math.inf:
                 completed.append(Hypothesis(payload, score + lp_eos, per + (lp_eos,)))
         if t == max_len - 1:
-            _force_complete(stepper, _ranked_extensions(active, eos, t), completed, beam, t + 1)
+            _force_complete(stepper, states, _ranked_extensions(active, lp, eos, t),
+                            completed, beam, t + 1)
             break
-        cand = list(_ranked_extensions(active, eos, t, beam))
+        cand = list(_ranked_extensions(active, lp, eos, t, beam))
         if not cand:
             break
         if len(completed) >= beam:
             kth = sorted(completed, key=_completion_order)[beam - 1].forward_logprob
             if cand[0][0] < kth:
                 break  # extensions only lower scores; nothing can enter the top-k
-        active = []
-        for score, payload, per, state, v in cand:
-            nstate, ndist = stepper.advance(state, v)
-            active.append((score, payload, per, nstate, ndist))
+        states, lp = _advance(stepper, states, cand)
+        active = [c[:3] for c in cand]
     completed.sort(key=_completion_order)
     return completed[:beam]
 
 
-def _force_complete(stepper: Stepper, ranked, completed: list[Hypothesis],
+def _advance(stepper: Stepper, states, extensions):
+    """Step the parent row of each extension by its symbol, as one stack."""
+    rows = np.array([e[3] for e in extensions])
+    return stepper.advance(states[rows], np.array([e[4] for e in extensions]))
+
+
+def _force_complete(stepper: Stepper, states, ranked, completed: list[Hypothesis],
                     beam: int, step: int) -> None:
     """Complete the ``ranked`` extensions with their EOS score, best first.
 
     A completion scores at most its extension, so the walk stops at the first
     extension below the ``beam``-th best completed score: neither it nor any
-    later one can enter the top ``beam``.
+    later one can enter the top ``beam``. The extensions still above that
+    score are advanced up to ``beam`` at a time; the walk over each batch
+    stops where the one-at-a-time walk would.
     """
     top = heapq.nlargest(beam, (h.forward_logprob for h in completed))
     heapq.heapify(top)
-    for score, payload, per, state, v in ranked:
-        if len(top) == beam and score < top[0]:
+
+    def may_enter(score: float) -> bool:
+        return len(top) < beam or score >= top[0]
+
+    while True:
+        batch = list(islice(takewhile(lambda e: may_enter(e[0]), ranked), beam))
+        if not batch:
             return
-        _, ndist = stepper.advance(state, v)
-        lp_eos = float(ndist[stepper.eos])
-        if math.isnan(lp_eos) or lp_eos == math.inf:
-            raise DecodeError(f"log-probability {lp_eos} for EOS at decode step {step}")
-        if lp_eos > -math.inf:
-            completed.append(Hypothesis(payload, score + lp_eos, per + (lp_eos,)))
-            heapq.heappush(top, score + lp_eos)
-            if len(top) > beam:
-                heapq.heappop(top)
+        _, lp = _advance(stepper, states, batch)
+        for (score, payload, per, _, _), lp_eos in zip(batch, lp[:, stepper.eos].tolist()):
+            if not may_enter(score):
+                return
+            if math.isnan(lp_eos) or lp_eos == math.inf:
+                raise DecodeError(f"log-probability {lp_eos} for EOS at decode step {step}")
+            if lp_eos > -math.inf:
+                completed.append(Hypothesis(payload, score + lp_eos, per + (lp_eos,)))
+                heapq.heappush(top, score + lp_eos)
+                if len(top) > beam:
+                    heapq.heappop(top)
+        if len(batch) < beam:
+            return
 
 
 def _beam_search_fixed(stepper: Stepper, beam: int, length: int,
                        ) -> list[tuple[Hypothesis, object]]:
-    """Fixed-length beam (no EOS); returns (hypothesis, final state) pairs."""
+    """Fixed-length beam (no EOS); returns (hypothesis, final state) pairs,
+    the states being the rows of a stack."""
     if beam < 1:
         raise DecodeError("beam must be >= 1")
     if length < 1:
         raise DecodeError("fixed-length beam needs length >= 1")
-    state, dist = stepper.start()
-    active = [(0.0, (), (), state, dist)]
+    states, lp = stepper.start()
+    active = [(0.0, (), ())]
     for t in range(length):
-        cand = list(_ranked_extensions(active, None, t, beam))
+        cand = list(_ranked_extensions(active, lp, None, t, beam))
+        if not cand:
+            return []
         if t == length - 1:
-            # the stored state already consumed the final input position
+            # the parent states already consumed the final input position
+            finals = states[np.array([c[3] for c in cand])]
             return [(Hypothesis(payload, score, per), state)
-                    for score, payload, per, state, v in cand]
-        active = []
-        for score, payload, per, state, v in cand:
-            nstate, ndist = stepper.advance(state, v)
-            active.append((score, payload, per, nstate, ndist))
+                    for (score, payload, per, _, _), state in zip(cand, finals)]
+        states, lp = _advance(stepper, states, cand)
+        active = [c[:3] for c in cand]
     return []
 
 
 class NlgStepper:
-    """Word decoding for one frame. PAD, BOS and UNK are masked out so every
-    hypothesis detokenizes to a clean word sequence."""
+    """Word decoding for one frame; a state stack is an (n, hidden) array.
+    PAD, BOS and UNK are masked out so every hypothesis detokenizes to a clean
+    word sequence."""
 
     def __init__(self, model: NlgModel, frame: SemanticFrame):
         self.model = model
         self.features = nlg_features_np(model, frame)
         self.eos = EOS
 
-    def _masked(self, lp: np.ndarray) -> np.ndarray:
-        lp = lp.copy()
-        lp[[PAD, BOS, UNK]] = -math.inf
-        return lp
-
     def start(self):
-        h = nlg_start(self.model, self.features)
-        lp, _, h = nlg_step(self.model, h, None, self.features)
-        return h, self._masked(lp)
+        return self.advance(nlg_start(self.model, self.features)[None], None)
 
-    def advance(self, state, symbol: int):
-        lp, _, h = nlg_step(self.model, state, symbol, self.features)
-        return h, self._masked(lp)
+    def advance(self, states: np.ndarray, symbols: np.ndarray | None):
+        lp, _, h = nlg_step(self.model, states, symbols, self.features)
+        lp[:, [PAD, BOS, UNK]] = -math.inf
+        return h, lp
+
+
+@dataclass(frozen=True)
+class TagStates:
+    """A stack of tagger states: hidden rows ``h``, which all read the input
+    token at ``pos`` next."""
+
+    h: np.ndarray
+    pos: int
+
+    def __getitem__(self, rows) -> TagStates:
+        return TagStates(self.h[rows], self.pos)
+
+    def __iter__(self):
+        return iter(self.h)
 
 
 class NluTagStepper:
@@ -265,13 +300,12 @@ class NluTagStepper:
         self.length = len(utt.tokens)
 
     def start(self):
-        lp, h = nlu_step(self.model, nlu_start(self.model), self.tokens[0], None)
-        return (h, 1), lp
+        lp, h = nlu_step(self.model, nlu_start(self.model)[None], self.tokens[0], None)
+        return TagStates(h, 1), lp
 
-    def advance(self, state, symbol: int):
-        h, pos = state
-        lp, h2 = nlu_step(self.model, h, self.tokens[pos], symbol)
-        return (h2, pos + 1), lp
+    def advance(self, states: TagStates, symbols: np.ndarray):
+        lp, h = nlu_step(self.model, states.h, self.tokens[states.pos], symbols)
+        return TagStates(h, states.pos + 1), lp
 
 
 def nlg_hypotheses(model: NlgModel, frame: SemanticFrame, beam: int,
@@ -285,11 +319,11 @@ def nlu_hypotheses(model: NluModel, utt: Utterance, beam: int,
     the hypothesis' final state; truncated to ``beam`` total."""
     stepper = NluTagStepper(model, utt)
     items = _beam_search_fixed(stepper, beam, stepper.length)
-    if not model.n_intents:
+    if not model.n_intents or not items:
         return [h for h, _ in items]
     out = []
-    for hyp, (h, _pos) in items:
-        ilp = nlu_intent(model, h)
+    intent_lps = nlu_intent(model, np.array([h for _, h in items]))
+    for (hyp, _), ilp in zip(items, intent_lps):
         order = np.argsort(-ilp, kind="stable")[:max(1, k_intent)]
         for ii in order:
             lp = float(ilp[int(ii)])
@@ -316,12 +350,14 @@ def forced_tag_ids(nlu: NluModel, frame: SemanticFrame, utt: Utterance) -> tuple
     return [nlu.vocabs.labels.tag_id(t) for t in piece_tags], report
 
 
-def nlg_backward_logprob(nlu: NluModel, frame: SemanticFrame, cand: Utterance) -> float:
-    tag_ids, _ = forced_tag_ids(nlu, frame, cand)
+def nlg_backward_logprob(nlu: NluModel, frame: SemanticFrame,
+                         cands: Sequence[Utterance]) -> list[float]:
+    """log P(frame | cand) under ``nlu`` for each candidate of a beam."""
     intent = None
     if frame.intent is not None and nlu.n_intents:
         intent = nlu.vocabs.labels.intent_id(frame.intent)
-    return nlu_score(nlu, cand, tag_ids, intent)
+    tags = [forced_tag_ids(nlu, frame, cand)[0] for cand in cands]
+    return nlu_score(nlu, cands, tags, [intent] * len(cands))
 
 
 def candidate_frame(nlu_like, input_utt: Utterance, hyp: Hypothesis) -> SemanticFrame:
@@ -332,43 +368,55 @@ def candidate_frame(nlu_like, input_utt: Utterance, hyp: Hypothesis) -> Semantic
     return iob_to_frame(word_tags, intent, word_utterance(input_utt.surface))
 
 
-def frame_marginal(mfm: MaskedFrameModel, frame: SemanticFrame, rng,
-                   memo: dict | None = None) -> float:
+def frame_marginal(mfm: MaskedFrameModel, frames: Sequence[SemanticFrame], rngs,
+                   memo: dict | None = None) -> list[float]:
+    """Each frame's pseudo log-likelihood, its masks drawn from its own
+    generator in ``rngs``."""
     # a frame with no features has an empty pseudo-likelihood product: log 1
-    if frame.n_features == 0:
-        return 0.0
-    return masked_frame_score(mfm, frame, rng, memo)
+    out = [0.0] * len(frames)
+    scored = [i for i, frame in enumerate(frames) if frame.n_features]
+    if scored:
+        values = masked_frame_score(mfm, [frames[i] for i in scored],
+                                    [rngs[i] for i in scored], memo)
+        for i, value in zip(scored, values):
+            out[i] = value
+    return out
 
 
-def dual_components_nlg(candidate: Hypothesis, input_frame: SemanticFrame,
-                        nlu: NluModel, lm: LmModel, marg_in: float) -> Components:
-    """One NLG hypothesis' components, given its input frame's ``marg_in``."""
-    cand = utterance_from_payload(lm.vocabs, candidate.payload)
-    return Components(candidate.forward_logprob,
-                      nlg_backward_logprob(nlu, input_frame, cand),
-                      lm_score_tokens(lm, candidate.payload), marg_in)
+def dual_components_nlg(candidates: Sequence[Hypothesis], input_frame: SemanticFrame,
+                        nlu: NluModel, lm: LmModel, marg_in: float) -> list[Components]:
+    """The components of an NLG beam, given its input frame's ``marg_in``."""
+    cands = [utterance_from_payload(lm.vocabs, h.payload) for h in candidates]
+    backward = nlg_backward_logprob(nlu, input_frame, cands)
+    marg_out = lm_score_tokens(lm, [h.payload for h in candidates])
+    return [Components(h.forward_logprob, b, o, marg_in)
+            for h, b, o in zip(candidates, backward, marg_out)]
 
 
-def dual_components_nlu(candidate: Hypothesis, input_utt: Utterance,
+def dual_components_nlu(candidates: Sequence[Hypothesis], input_utt: Utterance,
                         nlg: NlgModel, mfm: MaskedFrameModel, marg_in: float,
-                        rng, memos: tuple[dict, dict] | None = None) -> Components:
-    """One NLU hypothesis' components, given its input's ``marg_in``; ``rng``
-    draws the mask positions of the candidate frame. ``memos`` are the pair
+                        rngs, memos: tuple[dict, dict] | None = None) -> list[Components]:
+    """The components of an NLU beam, given its input's ``marg_in``; ``rngs``
+    draw the mask positions of each candidate frame. ``memos`` are the pair
     memos of ``nlg`` and ``mfm`` (see ``models.mfm_features``)."""
     nlg_memo, mfm_memo = memos or (None, None)
-    frame = candidate_frame(nlg, input_utt, candidate)
-    return Components(candidate.forward_logprob, nlg_score(nlg, frame, input_utt, nlg_memo),
-                      frame_marginal(mfm, frame, rng, mfm_memo), marg_in)
+    frames = [candidate_frame(nlg, input_utt, h) for h in candidates]
+    backward = nlg_score(nlg, frames, [input_utt] * len(frames), nlg_memo)
+    marg_out = frame_marginal(mfm, frames, rngs, mfm_memo)
+    return [Components(h.forward_logprob, b, o, marg_in)
+            for h, b, o in zip(candidates, backward, marg_out)]
 
 
 def dual_score_nlg(candidate, input_frame, nlu, lm, mfm, w: DualWeights, rng) -> DualScore:
-    marg_in = frame_marginal(mfm, input_frame, rng)
-    return combine(dual_components_nlg(candidate, input_frame, nlu, lm, marg_in), w)
+    [marg_in] = frame_marginal(mfm, [input_frame], [rng])
+    [c] = dual_components_nlg([candidate], input_frame, nlu, lm, marg_in)
+    return combine(c, w)
 
 
 def dual_score_nlu(candidate, input_utt, nlg, mfm, lm, w: DualWeights, rng) -> DualScore:
-    marg_in = lm_score_tokens(lm, input_utt.tokens)
-    return combine(dual_components_nlu(candidate, input_utt, nlg, mfm, marg_in, rng), w)
+    [marg_in] = lm_score_tokens(lm, [input_utt.tokens])
+    [c] = dual_components_nlu([candidate], input_utt, nlg, mfm, marg_in, [rng])
+    return combine(c, w)
 
 
 def _best_index(keys: Sequence[tuple[float, float]]) -> int:
@@ -441,10 +489,9 @@ def precompute_nlg(examples: Sequence[NlgExample], bundle: ModelsBundle, *,
     cached = []
     for idx, ex in enumerate(examples):
         hyps = nlg_hypotheses(bundle.nlg, ex.frame, beam, max_len)
-        marg_in = frame_marginal(bundle.mfm, ex.frame, derive_rng(seed, "mask", idx))
-        cached.append(CachedExample(hyps, [
-            dual_components_nlg(hyp, ex.frame, bundle.nlu, bundle.lm, marg_in)
-            for hyp in hyps]))
+        [marg_in] = frame_marginal(bundle.mfm, [ex.frame], [derive_rng(seed, "mask", idx)])
+        cached.append(CachedExample(hyps, dual_components_nlg(
+            hyps, ex.frame, bundle.nlu, bundle.lm, marg_in)))
     return cached
 
 
@@ -457,11 +504,10 @@ def precompute_nlu(examples: Sequence[NluExample], bundle: ModelsBundle, *,
     for idx, ex in enumerate(examples):
         utt = bundle.vocabs.bpe.encode(ex.text)
         hyps = nlu_hypotheses(bundle.nlu, utt, beam, k_intent)
-        marg_in = lm_score_tokens(bundle.lm, utt.tokens)
-        cached.append(CachedExample(hyps, [
-            dual_components_nlu(hyp, utt, bundle.nlg, bundle.mfm, marg_in,
-                                derive_rng(seed, "mask", idx, rank), memos)
-            for rank, hyp in enumerate(hyps)], utt))
+        [marg_in] = lm_score_tokens(bundle.lm, [utt.tokens])
+        rngs = [derive_rng(seed, "mask", idx, rank) for rank in range(len(hyps))]
+        cached.append(CachedExample(hyps, dual_components_nlu(
+            hyps, utt, bundle.nlg, bundle.mfm, marg_in, rngs, memos), utt))
     return cached
 
 

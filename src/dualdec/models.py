@@ -17,16 +17,20 @@ All four build on one constructor (config, vocabularies, a parameter store
 whose first entry is the word embedding), and NLG and the masked frame model
 share one frame-feature encoder, ``mfm_features``.
 
-Each model's arithmetic is written once, against an ``ops`` namespace and a
-name-to-parameter map: ``tensor`` with ``model.params`` for training (the
-``*_forcing_graph`` functions and ``mfm_loss_graph``), or ``tensor.nd`` with
-``model.arrays``, the same parameters as plain ndarrays, for the scorers and
-the beam-search steps (``nlu_step``, ``nlu_intent``, ``nlg_step``). The two
-give the same floats bit for bit.
+Each model's step arithmetic is written once, against an ``ops`` namespace
+and a name-to-parameter map: ``tensor`` with ``model.params`` for training
+(the ``*_forcing_graph`` functions and ``mfm_loss_graph``, one example at a
+time), or ``tensor.nd`` with ``model.arrays``, the same parameters as plain
+ndarrays, for the scorers and the beam-search steps (``nlu_step``,
+``nlu_intent``, ``nlg_step``). On ``nd`` a state may be a stack of rows, and
+every row gets the floats it would get alone, which are the training floats.
 
 The four scorers (``nlu_score``, ``nlg_score``, ``lm_score_tokens``,
-``masked_frame_score``) each return one float log-probability: the sum of the
-per-step terms as Python floats in step order, plus the intent term for NLU.
+``masked_frame_score``) each take a beam as parallel lists of rows and return
+one float log-probability per row: the sum of the row's per-step terms as
+Python floats in step order, plus the intent term for NLU. Each runs its rows
+as one stack; rows of different lengths run in lockstep, longest first, and
+leave the stack as they end.
 """
 from __future__ import annotations
 
@@ -86,9 +90,9 @@ def _gru_step(ops, P, prefix: str, x, h):
     """One step of the gated recurrent cell ``prefix``, gates ordered (reset,
     update, candidate). ``ops`` is ``tensor`` or ``tensor.nd``, and ``P`` maps
     parameter names to Tensors or ndarrays to match; so for every step below."""
-    H = h.shape[0]
-    gi = ops.add(ops.matmul(P[prefix + ".w_ih"], x), P[prefix + ".b_ih"])
-    gh = ops.add(ops.matmul(P[prefix + ".w_hh"], h), P[prefix + ".b_hh"])
+    H = h.shape[-1]
+    gi = ops.add(ops.matvec(P[prefix + ".w_ih"], x), P[prefix + ".b_ih"])
+    gh = ops.add(ops.matvec(P[prefix + ".w_hh"], h), P[prefix + ".b_hh"])
     r = ops.sigmoid(ops.add(ops.slice1d(gi, 0, H), ops.slice1d(gh, 0, H)))
     z = ops.sigmoid(ops.add(ops.slice1d(gi, H, 2 * H), ops.slice1d(gh, H, 2 * H)))
     n = ops.tanh(ops.add(ops.slice1d(gi, 2 * H, 3 * H),
@@ -98,12 +102,43 @@ def _gru_step(ops, P, prefix: str, x, h):
 
 def _log_probs(ops, P, head: str, h):
     """Log-distribution of the affine output layer ``head`` on ``h``."""
-    return ops.log_softmax(ops.add(ops.matmul(P[head + ".w"], h), P[head + ".b"]))
+    return ops.log_softmax(ops.add(ops.matvec(P[head + ".w"], h), P[head + ".b"]))
 
 
 def _total(steps) -> float:
     """The sum of per-step log-probabilities, as Python floats in step order."""
     return float(sum(map(float, steps)))
+
+
+def _by_length(lengths: Sequence[int]) -> list[int]:
+    """Row order of a lockstep pass: longest first, ties in input order. The
+    rows still running at any step are then a prefix of the stack."""
+    return sorted(range(len(lengths)), key=lambda i: -lengths[i])
+
+
+def _columns(seqs: Sequence[Sequence[int]], order: Sequence[int]) -> list[np.ndarray]:
+    """Per step t, the symbol at t of each row of ``order`` still running."""
+    longest = len(seqs[order[0]]) if order else 0
+    return [np.array([seqs[i][t] for i in order if len(seqs[i]) > t]) for t in range(longest)]
+
+
+def _by_size(items: Sequence[Sequence]) -> list[list[int]]:
+    """Indices of ``items`` grouped by item length, groups in order of first
+    appearance: the rows of one group stack into one array."""
+    groups: dict[int, list[int]] = {}
+    for i, item in enumerate(items):
+        groups.setdefault(len(item), []).append(i)
+    return list(groups.values())
+
+
+def _row_totals(order: Sequence[int], lengths: Sequence[int], steps: list[list[float]],
+                ) -> list[float]:
+    """Each row's ``_total`` of its own terms, in input order; ``steps[t]``
+    holds the terms of the rows running at step t, in ``order``."""
+    out = [0.0] * len(order)
+    for j, i in enumerate(order):
+        out[i] = _total(col[j] for col in steps[:lengths[i]])
+    return out
 
 
 def _sum_terms(ts: Sequence[Tensor]) -> Tensor:
@@ -172,14 +207,21 @@ def _nlu_step(ops, P, h, word: int, prev_tag: int | None):
     return _log_probs(ops, P, "tag_proj", h), h
 
 
-def _nlu_forward(m: NluModel, ops, P, utt: Utterance, tags: Sequence[int],
-                 intent: int | None, tf_ratio: float = 1.0,
-                 rng: np.random.Generator | None = None) -> tuple[list, object]:
+def _check_nlu_row(m: NluModel, utt: Utterance, tags: Sequence[int],
+                   intent: int | None) -> None:
     if len(tags) != len(utt.tokens):
         raise FrameError(f"{len(tags)} tags for {len(utt.tokens)} tokens")
     n_tags = m.vocabs.labels.n_tags
     if any(not 0 <= t < n_tags for t in tags):
         raise FrameError(f"tag id outside inventory of size {n_tags}")
+    if m.n_intents and intent is not None and not 0 <= intent < m.n_intents:
+        raise FrameError(f"intent id {intent} outside inventory of size {m.n_intents}")
+
+
+def _nlu_forward(m: NluModel, ops, P, utt: Utterance, tags: Sequence[int],
+                 intent: int | None, tf_ratio: float = 1.0,
+                 rng: np.random.Generator | None = None) -> tuple[list, object]:
+    _check_nlu_row(m, utt, tags, intent)
     h = ops.zeros(m.cfg.hidden)
     prev = None
     steps = []
@@ -190,8 +232,6 @@ def _nlu_forward(m: NluModel, ops, P, utt: Utterance, tags: Sequence[int],
         prev = tag if _teacher_forced(tf_ratio, rng) else int(np.argmax(lp.data))
     intent_lp = None
     if m.n_intents and intent is not None:
-        if not 0 <= intent < m.n_intents:
-            raise FrameError(f"intent id {intent} outside inventory of size {m.n_intents}")
         intent_lp = ops.pick(_log_probs(ops, P, "intent_proj", h), intent)
     return steps, intent_lp
 
@@ -204,24 +244,53 @@ def nlu_forcing_graph(m: NluModel, utt: Utterance, tags: Sequence[int],
     return _nlu_forward(m, T, m.params, utt, tags, intent, tf_ratio, rng)
 
 
-def nlu_score(m: NluModel, utt: Utterance, tags: Sequence[int],
-              intent: int | None = None) -> float:
-    """log P(tags, intent | utt): the tag log-probs, then the intent term."""
-    steps, intent_lp = _nlu_forward(m, nd, m.arrays, utt, tags, intent)
-    return _total(steps) + (0.0 if intent_lp is None else float(intent_lp))
+def nlu_score(m: NluModel, utts: Sequence[Utterance], tags: Sequence[Sequence[int]],
+              intents: Sequence[int | None] | None = None) -> list[float]:
+    """log P(tags, intent | utt) of each row: its tag log-probs, then its
+    intent term. The rows run as one stack; a row leaves it when its
+    utterance ends, and its final state feeds the intent head."""
+    intents = [None] * len(utts) if intents is None else intents
+    for utt, row_tags, intent in zip(utts, tags, intents, strict=True):
+        _check_nlu_row(m, utt, row_tags, intent)
+    P = m.arrays
+    lengths = [len(utt.tokens) for utt in utts]
+    order = _by_length(lengths)
+    h = np.zeros((len(utts), m.cfg.hidden))
+    finals = h.copy()
+    prev = None
+    steps = []
+    for words, gold in zip(_columns([utt.tokens for utt in utts], order),
+                           _columns(tags, order)):
+        n = len(words)
+        finals[n:len(h)] = h[n:]
+        lp, h = _nlu_step(nd, P, h[:n], words, None if prev is None else prev[:n])
+        steps.append(nd.pick(lp, gold).tolist())
+        prev = gold
+    finals[:len(h)] = h
+    intent_terms = {}
+    rows = [j for j, i in enumerate(order) if m.n_intents and intents[i] is not None]
+    if rows:
+        lp = _log_probs(nd, P, "intent_proj", finals[rows])
+        picked = nd.pick(lp, np.array([intents[order[j]] for j in rows])).tolist()
+        intent_terms = {order[j]: v for j, v in zip(rows, picked)}
+    return [total + intent_terms.get(i, 0.0)
+            for i, total in enumerate(_row_totals(order, lengths, steps))]
 
 
 def nlu_start(m: NluModel) -> np.ndarray:
     return np.zeros(m.cfg.hidden)
 
 
-def nlu_step(m: NluModel, state: np.ndarray, word: int, prev_tag: int | None,
+def nlu_step(m: NluModel, state: np.ndarray, word, prev_tag,
              ) -> tuple[np.ndarray, np.ndarray]:
-    """One recurrence step; returns (tag log-distribution, new state)."""
+    """One recurrence step of a state or a stack of states; ``word`` and
+    ``prev_tag`` are ids, or per-row id arrays (``prev_tag`` None before the
+    first tag). Returns (tag log-distributions, new states)."""
     return _nlu_step(nd, m.arrays, state, word, prev_tag)
 
 
 def nlu_intent(m: NluModel, state: np.ndarray) -> np.ndarray:
+    """Intent log-distributions of a final state or a stack of them."""
     if not m.n_intents:
         raise FrameError("model has no intent inventory")
     return _log_probs(nd, m.arrays, "intent_proj", state)
@@ -253,7 +322,7 @@ def _pair_feature(m: _FrameModel, ops, P, seq: list):
         hf = _gru_step(ops, P, "enc_f", x, hf)
     for x in reversed(seq):
         hb = _gru_step(ops, P, "enc_b", x, hb)
-    return ops.tanh(ops.add(ops.matmul(P["feat.w"], ops.concat([hf, hb])), P["feat.b"]))
+    return ops.tanh(ops.add(ops.matvec(P["feat.w"], ops.concat([hf, hb])), P["feat.b"]))
 
 
 def mfm_features(m: _FrameModel, ops, P, frame: SemanticFrame,
@@ -285,7 +354,10 @@ def mfm_features(m: _FrameModel, ops, P, frame: SemanticFrame,
         feats.append(feat)
         targets.append(key_id)
     if frame.intent is not None and m.n_intents:
-        iid = labels.intent_id(frame.intent)
+        try:
+            iid = labels.intent_id(frame.intent)
+        except KeyError:
+            raise FrameError(f"intent {frame.intent!r} outside inventory") from None
         feats.append(ops.row(P["intent_emb"], iid))
         targets.append(labels.n_slot_keys + iid)
     return feats, targets
@@ -313,8 +385,8 @@ def _nlg_features(m: NlgModel, ops, P, frame: SemanticFrame, memo: dict | None =
 
 
 def _nlg_step(m: NlgModel, ops, P, F, h, prev_word: int):
-    weights = ops.softmax(ops.scale(ops.matmul(F, h), m.scale))
-    x = ops.concat([ops.matmul(weights, F), ops.row(P["word_emb"], prev_word)])
+    weights = ops.softmax(ops.scale(ops.matvec(F, h), m.scale))
+    x = ops.concat([ops.vecmat(weights, F), ops.row(P["word_emb"], prev_word)])
     h = _gru_step(ops, P, "dec", x, h)
     return _log_probs(ops, P, "out", h), weights, h
 
@@ -341,10 +413,30 @@ def nlg_forcing_graph(m: NlgModel, frame: SemanticFrame, utt: Utterance,
     return _nlg_forward(m, T, m.params, frame, utt, tf_ratio, rng)
 
 
-def nlg_score(m: NlgModel, frame: SemanticFrame, utt: Utterance,
-              memo: dict | None = None) -> float:
-    """log P(utt, EOS | frame); ``memo`` is ``mfm_features``' pair memo."""
-    return _total(_nlg_forward(m, nd, m.arrays, frame, utt, memo=memo))
+def nlg_score(m: NlgModel, frames: Sequence[SemanticFrame], utts: Sequence[Utterance],
+              memo: dict | None = None) -> list[float]:
+    """log P(utt, EOS | frame) of each (frame, utt) row; ``memo`` is
+    ``mfm_features``' pair memo. Rows whose frames have the same number of
+    features run as one stack, each leaving it when its utterance ends."""
+    P = m.arrays
+    feats = [_nlg_features(m, nd, P, frame, memo) for frame in frames]
+    out = [0.0] * len(feats)
+    for rows in _by_size(feats):
+        seqs = [list(utts[i].tokens) + [EOS] for i in rows]
+        lengths = [len(seq) for seq in seqs]
+        order = _by_length(lengths)
+        F = np.array([feats[rows[j]] for j in order])
+        h = nd.mean_rows(F)
+        prev = np.full(len(rows), BOS)
+        steps = []
+        for gold in _columns(seqs, order):
+            n = len(gold)
+            lp, _, h = _nlg_step(m, nd, P, F[:n], h[:n], prev[:n])
+            steps.append(nd.pick(lp, gold).tolist())
+            prev = gold
+        for i, total in zip(rows, _row_totals(order, lengths, steps)):
+            out[i] = total
+    return out
 
 
 def nlg_features_np(m: NlgModel, frame: SemanticFrame) -> np.ndarray:
@@ -358,9 +450,11 @@ def nlg_start(m: NlgModel, features: np.ndarray) -> np.ndarray:
     return features.mean(axis=0)
 
 
-def nlg_step(m: NlgModel, state: np.ndarray, prev_word: int | None,
+def nlg_step(m: NlgModel, state: np.ndarray, prev_word,
              features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One decoder step; returns (word log-distribution, attention weights, state)."""
+    """One decoder step of a state or a stack of states over one frame's
+    features; ``prev_word`` is an id or a per-row id array (None for BOS).
+    Returns (word log-distributions, attention weights, states)."""
     if features.ndim != 2 or features.shape[0] == 0:
         raise FrameError("empty feature set")
     return _nlg_step(m, nd, m.arrays, features, state,
@@ -397,9 +491,22 @@ def lm_forcing_graph(m: LmModel, tokens: Sequence[int]) -> list[Tensor]:
     return _lm_forward(m, T, m.params, tokens)
 
 
-def lm_score_tokens(m: LmModel, tokens: Sequence[int]) -> float:
-    """log P(tokens, EOS)."""
-    return _total(_lm_forward(m, nd, m.arrays, tokens))
+def lm_score_tokens(m: LmModel, tokens: Sequence[Sequence[int]]) -> list[float]:
+    """log P(tokens, EOS) of each row. The rows run as one stack, each
+    leaving it after its EOS term."""
+    P = m.arrays
+    seqs = [list(row) + [EOS] for row in tokens]
+    lengths = [len(seq) for seq in seqs]
+    order = _by_length(lengths)
+    h = np.zeros((len(seqs), m.cfg.hidden))
+    prev = np.full(len(seqs), BOS)
+    steps = []
+    for gold in _columns(seqs, order):
+        n = len(gold)
+        h = _gru_step(nd, P, "gru", nd.row(P["word_emb"], prev[:n]), h[:n])
+        steps.append(nd.pick(_log_probs(nd, P, "out", h), gold).tolist())
+        prev = gold
+    return _row_totals(order, lengths, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -444,19 +551,35 @@ def _masked_logits(m: MaskedFrameModel, ops, P, feats: list, picks: Sequence[int
     return mfm_logits(m, ops, P, ops.stack(masked))
 
 
-def masked_frame_score(m: MaskedFrameModel, frame: SemanticFrame,
-                       rng: np.random.Generator, memo: dict | None = None) -> float:
-    """Pseudo log-likelihood: three uniform mask draws (with replacement),
-    summing log P(true label at the masked position | the rest). ``memo`` is
-    ``mfm_features``' pair memo."""
-    feats, targets = mfm_features(m, nd, m.arrays, frame, memo)
-    if not feats:
+def masked_frame_score(m: MaskedFrameModel, frames: Sequence[SemanticFrame],
+                       rngs: Sequence[np.random.Generator],
+                       memo: dict | None = None) -> list[float]:
+    """Pseudo log-likelihood of each frame: three uniform mask draws from its
+    generator (with replacement), summing log P(true label at the masked
+    position | the rest) in draw order. ``memo`` is ``mfm_features``' pair
+    memo. The masked copies of all frames with the same number of features
+    run as one stack."""
+    P = m.arrays
+    encoded = [mfm_features(m, nd, P, frame, memo) for frame in frames]
+    if any(not feats for feats, _ in encoded):
         raise FrameError("frame has no features to mask")
-    total = 0.0
-    for pos in rng.integers(0, len(feats), size=3):
-        logits = _masked_logits(m, nd, m.arrays, feats, [pos])
-        total += float(nd.log_softmax(logits[pos])[targets[pos]])
-    return total
+    draws = [rng.integers(0, len(feats), size=3)
+             for (feats, _), rng in zip(encoded, rngs, strict=True)]
+    out = [0.0] * len(encoded)
+    for rows in _by_size([feats for feats, _ in encoded]):
+        X = np.repeat(np.array([encoded[i][0] for i in rows]), 3, axis=0)
+        pos = np.concatenate([draws[i] for i in rows])
+        copies = np.arange(len(pos))
+        X[copies, pos] = P["mask"]
+        logits = mfm_logits(m, nd, P, X)[copies, pos]
+        targets = np.array([encoded[i][1][p] for i in rows for p in draws[i]])
+        terms = nd.pick(nd.log_softmax(logits), targets).tolist()
+        for j, i in enumerate(rows):
+            total = 0.0
+            for term in terms[3 * j:3 * j + 3]:
+                total += term
+            out[i] = total
+    return out
 
 
 def mfm_loss_graph(m: MaskedFrameModel, frame: SemanticFrame,

@@ -6,6 +6,14 @@ requires a gradient; ``backward`` replays the trace in reverse topological
 order. ``nd`` holds the same ops on plain ndarrays, with the same forward
 arithmetic and no trace: model code written once against an ops namespace
 trains on this module and runs inference on ``nd``, with the same floats.
+
+``nd`` also takes a stack of rows, any leading batch axes before the operand
+this module would see: its ops act on the last axis (``transpose`` swaps the
+last two, ``mean_rows`` reduces the second to last), and each row of a result
+equals, bit for bit, the op applied to that row alone. Vector products are
+named ``matvec(W, x)`` and ``vecmat(w, F)``; on a stack ``np.matmul`` issues
+one BLAS gemv per row, the call a single row makes. A per-row product is never
+written ``X @ W.T``: that one gemm sums in another order and drifts by ulps.
 """
 from __future__ import annotations
 
@@ -300,9 +308,9 @@ def softmax_np(x: np.ndarray) -> np.ndarray:
 
 
 def log_softmax_np(x: np.ndarray) -> np.ndarray:
-    """Log-softmax of a vector."""
-    z = x - x.max()
-    return z - np.log(np.exp(z).sum())
+    """Log-softmax along the last axis."""
+    z = x - x.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def sigmoid(t: Tensor) -> Tensor:
@@ -351,16 +359,45 @@ def cross_entropy(logits: Tensor, target: int) -> Tensor:
     return scale(pick(log_softmax(logits), target), -1.0)
 
 
+# the model code's two vector products: W @ x and w @ F
+matvec = vecmat = matmul
+
+
 # ---------------------------------------------------------------------------
 # the ops above on plain ndarrays: each is the numpy call its Tensor op runs on
-# ``.data``, so both namespaces compute the same floats bit for bit
+# ``.data``, so both namespaces compute the same floats bit for bit, and on a
+# stack of rows every row gets the floats it would get alone
+
+
+def _matvec(W: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """W @ x for each row x (and each matrix W of a stack); one gemv per row."""
+    return np.matmul(W, x[..., None])[..., 0]
+
+
+def _vecmat(w: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """w @ F for each row w (and each matrix F of a stack); one gemv per row."""
+    return np.matmul(w[..., None, :], F)[..., 0, :]
+
+
+def _concat(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Join along the last axis; a part without the batch axes (a parameter
+    vector, or a row shared by the stack) is repeated for every row."""
+    lead = max(parts, key=np.ndim).shape[:-1]
+    return np.concatenate([p if p.shape[:-1] == lead else np.broadcast_to(p, lead + p.shape[-1:])
+                           for p in parts], axis=-1)
+
+
+def _pick(t: np.ndarray, i) -> np.ndarray:
+    """Entry ``i`` of a vector, or entry ``i[r]`` of each row r of a stack."""
+    return np.take_along_axis(t, np.expand_dims(i, -1), axis=-1)[..., 0]
+
 
 nd = SimpleNamespace(
     add=np.add, sub=np.subtract, mul=np.multiply, scale=np.multiply,
-    matmul=np.matmul, concat=np.concatenate, stack=np.stack,
-    transpose=np.transpose, row=operator.getitem, pick=operator.getitem,
-    slice1d=lambda t, start, stop: t[start:stop],
-    mean_rows=lambda t: t.mean(axis=0), zeros=np.zeros,
+    matmul=np.matmul, matvec=_matvec, vecmat=_vecmat, concat=_concat, stack=np.stack,
+    transpose=lambda t: np.swapaxes(t, -1, -2), row=operator.getitem, pick=_pick,
+    slice1d=lambda t, start, stop: t[..., start:stop],
+    mean_rows=lambda t: t.mean(axis=-2), zeros=np.zeros,
     tanh=np.tanh, sigmoid=sigmoid_np, softmax=softmax_np, log_softmax=log_softmax_np,
 )
 

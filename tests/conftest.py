@@ -1,4 +1,5 @@
 """Shared fixtures: a tiny synthetic domain with trained-size knobs kept small."""
+import numpy as np
 import pytest
 
 from dualdec import data, models
@@ -84,3 +85,26 @@ def finite_difference_check(kind, model, samples, rng, n_params=20, h=1e-5):
         worst = max(worst, abs(numeric - analytic)
                     / max(abs(numeric), abs(analytic)))
     return checked, worst
+
+
+class Rows(list):
+    """A stack of one-row states, indexed by an array of row numbers."""
+
+    def __getitem__(self, rows):
+        if isinstance(rows, np.ndarray):
+            return Rows(list.__getitem__(self, int(i)) for i in rows)
+        return list.__getitem__(self, rows)
+
+
+class RowStepper:
+    """``decode.Stepper``'s stacked ``start`` and ``advance`` over a test
+    stepper's one-row ``start_one()`` and ``step(state, symbol)``, which the
+    exhaustive and reference oracles call directly."""
+
+    def start(self):
+        state, dist = self.start_one()
+        return Rows([state]), np.stack([dist])
+
+    def advance(self, states, symbols):
+        out = [self.step(state, int(v)) for state, v in zip(states, symbols)]
+        return Rows(s for s, _ in out), np.stack([d for _, d in out])

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import finite_difference_check, make_model
+from conftest import RowStepper, finite_difference_check, make_model
 
 from dualdec import data, decode, metrics, models
 from dualdec.cli import main as cli_main
@@ -217,16 +217,16 @@ def log_softmax_np(x):
     return z - math.log(np.exp(z).sum())
 
 
-class TableStepper:
+class TableStepper(RowStepper):
     def __init__(self, rng, n_symbols, eos, max_steps, spread=1.5):
         self.n_symbols = n_symbols
         self.eos = eos
         self.table = rng.normal(size=(max_steps + 2, n_symbols + 1, n_symbols)) * spread
 
-    def start(self):
+    def start_one(self):
         return (0, self.n_symbols), log_softmax_np(self.table[0, self.n_symbols])
 
-    def advance(self, state, symbol):
+    def step(self, state, symbol):
         t, _ = state
         return (t + 1, symbol), log_softmax_np(self.table[t + 1, symbol])
 
@@ -242,10 +242,10 @@ def exhaustive_completions(stepper, max_len):
         for v in range(stepper.n_symbols):
             if v == stepper.eos:
                 continue
-            ns, nd = stepper.advance(state, v)
+            ns, nd = stepper.step(state, v)
             rec(ns, nd, payload + (v,), per + (float(dist[v]),), score + float(dist[v]))
 
-    state, dist = stepper.start()
+    state, dist = stepper.start_one()
     rec(state, dist, (), (), 0.0)
     out.sort(key=lambda h: (-h.forward_logprob, len(h.payload), h.payload))
     return out

@@ -375,6 +375,82 @@ def test_bad_field_shape_exits_3_with_line(tmp_path, capsys, loader, line):
     assert err.startswith("data error:") and f"{bad}:1:" in err
 
 
+# one drawn line as the whole test split of eval on the benchmark fixture
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                        st.sampled_from([0.5, -1.0]), st.text(max_size=6))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+TEXTS = st.lists(st.sampled_from(["show", "flights", "boston", "zq", "", " ", "\u00e9"]),
+                 max_size=4).map(" ".join)
+INTENTS = st.one_of(st.sampled_from(["weather", "find_flight", "zzz", ""]), JSON_VALUES)
+NLU_LINES = st.fixed_dictionaries({}, optional={
+    "text": st.one_of(TEXTS, JSON_VALUES),
+    "tags": st.one_of(st.lists(st.sampled_from(["O", "B-city", "I-city", "B-zzz", "B-", "X-city",
+                                                "", "O-"]), max_size=4), JSON_VALUES),
+    "intent": INTENTS})
+SLOTS = st.lists(st.tuples(st.one_of(st.sampled_from(["city", "day", "zzz", ""]), JSON_LEAVES),
+                           st.one_of(TEXTS, st.lists(st.one_of(TEXTS, JSON_LEAVES), max_size=3),
+                                     JSON_VALUES)).map(list), max_size=3)
+NLG_LINES = st.fixed_dictionaries({}, optional={
+    "frame": st.one_of(st.fixed_dictionaries({}, optional={
+        "intent": INTENTS, "slots": st.one_of(SLOTS, JSON_VALUES)}), JSON_VALUES),
+    "refs": st.one_of(st.lists(TEXTS, max_size=6), JSON_VALUES)})
+
+
+@pytest.fixture(scope="module")
+def line_workspace(tmp_path_factory):
+    root = tmp_path_factory.mktemp("lines")
+    assert run("synth", "--out", root, "--seed", "2", "--train-size", "2",
+               "--valid-size", "1", "--test-size", "1") == 0
+    return root
+
+
+def _eval_one_line(root: Path, direction: str, line: str) -> tuple[int, str]:
+    """Exit code and stderr of ``eval`` at beam 2 whose ``direction`` test
+    split is the one ``line``."""
+    with tempfile.TemporaryDirectory(dir=root) as tmp:
+        split = Path(tmp) / "test.jsonl"
+        split.write_text(line + "\n", encoding="utf-8")
+        paths = {f"{d}_{s}": str(root / f"{d}_{s}.jsonl")
+                 for d in ("nlu", "nlg") for s in ("train", "valid", "test")}
+        paths[f"{direction}_test"] = str(split)
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps({"data": paths,
+                                   "decode": {"beam": 2, "max_len": 4, "k_intent": 1}}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run("eval", "--config", cfg, "--checkpoints", FIXTURE,
+                       "--direction", direction, "--out", Path(tmp) / "out")
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.one_of(
+    st.tuples(st.just("nlu"), st.one_of(NLU_LINES, JSON_VALUES).map(json.dumps)),
+    st.tuples(st.just("nlg"), st.one_of(NLG_LINES, JSON_VALUES).map(json.dumps)),
+    st.tuples(st.sampled_from(["nlu", "nlg"]), st.text(max_size=12))))
+def test_fuzzed_jsonl_line_exits_with_a_documented_code(line_workspace, case):
+    code, err = _eval_one_line(line_workspace, *case)
+    assert code in (0, 2, 3, 4), (case, err)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line, message", [
+    ({"frame": {"intent": "zzz", "slots": []}, "refs": ["hi"]},
+     "intent 'zzz' outside inventory"),
+    ({"frame": {"slots": [["city", ["a", 1]]]}, "refs": ["x"]},
+     "value of slot 'city' must be a string or a list of strings"),
+    ({"frame": {"slots": [["city", {"a": "b"}]]}, "refs": ["x"]},
+     "value of slot 'city' must be a string or a list of strings"),
+])
+def test_nlg_test_line_with_unknown_intent_or_non_string_value_exits_3(line_workspace,
+                                                                       line, message):
+    code, err = _eval_one_line(line_workspace, "nlg", json.dumps(line))
+    assert code == 3 and err.startswith("data error:") and message in err, err
+
+
 def test_manifest_defaults_match_published_recipe(tmp_path):
     out = tmp_path / "synth"
     assert run("synth", "--out", out, "--seed", "1") == 0

@@ -321,7 +321,7 @@ def test_reloaded_model_scores_identically(tmp_path):
     save_checkpoint(p, ckpt)
     reloaded = model_from_checkpoint(load_checkpoint(p))
     utt = vocabs.bpe.encode("show flights from boston")
-    assert lm_score_tokens(model, utt.tokens) == lm_score_tokens(reloaded, utt.tokens)
+    assert lm_score_tokens(model, [utt.tokens]) == lm_score_tokens(reloaded, [utt.tokens])
 
 
 def test_cross_checkpoint_dual_inference_matches_in_memory(tmp_path):
@@ -338,4 +338,4 @@ def test_cross_checkpoint_dual_inference_matches_in_memory(tmp_path):
     nlg_r = model_from_checkpoint(load_checkpoint(pa))
     frame = nlg_raw[0].frame
     utt = vocabs.bpe.encode(nlg_raw[0].refs[0])
-    assert nlg_score(nlg_a, frame, utt) == nlg_score(nlg_r, frame, utt)
+    assert nlg_score(nlg_a, [frame], [utt]) == nlg_score(nlg_r, [frame], [utt])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_model, randomize
+from conftest import RowStepper, make_model, randomize
 
 from dualdec import decode
 from dualdec.data import NluExample
@@ -24,7 +24,7 @@ def log_softmax(x):
     return z - math.log(np.exp(z).sum())
 
 
-class TableStepper:
+class TableStepper(RowStepper):
     """Deterministic random stepper: logits indexed by (step, last symbol)."""
 
     def __init__(self, rng, n_symbols, eos, max_steps, spread=1.0):
@@ -32,10 +32,10 @@ class TableStepper:
         self.eos = eos
         self.table = rng.normal(size=(max_steps + 2, n_symbols + 1, n_symbols)) * spread
 
-    def start(self):
+    def start_one(self):
         return (0, self.n_symbols), log_softmax(self.table[0, self.n_symbols])
 
-    def advance(self, state, symbol):
+    def step(self, state, symbol):
         t, _ = state
         return (t + 1, symbol), log_softmax(self.table[t + 1, symbol])
 
@@ -52,11 +52,11 @@ def exhaustive_eos(stepper, max_len):
         for v in range(stepper.n_symbols):
             if v == stepper.eos:
                 continue
-            nstate, ndist = stepper.advance(state, v)
+            nstate, ndist = stepper.step(state, v)
             rec(nstate, ndist, payload + (v,), per + (float(dist[v]),),
                 score + float(dist[v]))
 
-    state, dist = stepper.start()
+    state, dist = stepper.start_one()
     rec(state, dist, (), (), 0.0)
     out.sort(key=lambda h: (-h.forward_logprob, len(h.payload), h.payload))
     return out
@@ -74,10 +74,10 @@ def exhaustive_fixed(stepper, length):
             if len(payload) + 1 == length:
                 rec(state, None, *step)
             else:
-                nstate, ndist = stepper.advance(state, v)
+                nstate, ndist = stepper.step(state, v)
                 rec(nstate, ndist, *step)
 
-    state, dist = stepper.start()
+    state, dist = stepper.start_one()
     rec(state, dist, (), (), 0.0)
     out.sort(key=lambda h: (-h.forward_logprob, len(h.payload), h.payload))
     return out
@@ -99,7 +99,7 @@ def test_beam_one_is_greedy():
     got = beam_search(stepper, 1, 5)
     assert len(got) == 1
     # independent greedy walk
-    state, dist = stepper.start()
+    state, dist = stepper.start_one()
     payload, score = (), 0.0
     while len(payload) < 5:
         v = int(np.argmax(dist))
@@ -107,7 +107,7 @@ def test_beam_one_is_greedy():
             break
         score += dist[v]
         payload += (v,)
-        state, dist = stepper.advance(state, v)
+        state, dist = stepper.step(state, v)
     score += dist[stepper.eos]
     # greedy can be beaten by stopping earlier, so only check consistency
     # when the greedy walk is the argmax at every point it visits
@@ -115,16 +115,16 @@ def test_beam_one_is_greedy():
 
 
 def test_one_hot_model_single_hypothesis_logprob_zero():
-    class OneHot:
+    class OneHot(RowStepper):
         n_symbols = 3
         eos = 2
 
-        def start(self):
+        def start_one(self):
             lp = np.full(3, -math.inf)
             lp[0] = 0.0
             return 0, lp
 
-        def advance(self, state, symbol):
+        def step(self, state, symbol):
             lp = np.full(3, -math.inf)
             lp[2 if state >= 1 else 1] = 0.0
             return state + 1, lp
@@ -147,14 +147,14 @@ def test_beam20_equals_exhaustive_vocab3_maxlen3():
 
 
 def test_tie_break_shorter_then_lexicographic():
-    class Uniform:
+    class Uniform(RowStepper):
         n_symbols = 3
         eos = 2
 
-        def start(self):
+        def start_one(self):
             return None, np.log(np.full(3, 1 / 3))
 
-        def advance(self, state, symbol):
+        def step(self, state, symbol):
             return None, np.log(np.full(3, 1 / 3))
 
     got = beam_search(Uniform(), 20, 3)
@@ -184,7 +184,7 @@ def reference_beam_search(stepper, beam: int, max_len: int) -> list[Hypothesis]:
     eos = stepper.eos
     if eos is None:
         return [h for h, _ in reference_beam_search_fixed(stepper, beam, max_len)]
-    state, dist = stepper.start()
+    state, dist = stepper.start_one()
     active = [(0.0, (), (), state, dist)]
     completed: list[Hypothesis] = []
     for t in range(max_len):
@@ -205,7 +205,7 @@ def reference_beam_search(stepper, beam: int, max_len: int) -> list[Hypothesis]:
         if t == max_len - 1:
             # no further extension: force-complete every candidate
             for score, payload, per, state, v in cand:
-                nstate, ndist = stepper.advance(state, v)
+                nstate, ndist = stepper.step(state, v)
                 lp_eos = float(ndist[eos])
                 if lp_eos > -math.inf:
                     completed.append(Hypothesis(payload, score + lp_eos, per + (lp_eos,)))
@@ -216,7 +216,7 @@ def reference_beam_search(stepper, beam: int, max_len: int) -> list[Hypothesis]:
                 break  # extensions only lower scores; nothing can enter the top-k
         active = []
         for score, payload, per, state, v in cand[:beam]:
-            nstate, ndist = stepper.advance(state, v)
+            nstate, ndist = stepper.step(state, v)
             active.append((score, payload, per, nstate, ndist))
     completed.sort(key=_reference_completion_order)
     return completed[:beam]
@@ -227,7 +227,7 @@ def reference_beam_search_fixed(stepper, beam: int, length: int):
         raise decode.DecodeError("beam must be >= 1")
     if length < 1:
         raise decode.DecodeError("fixed-length beam needs length >= 1")
-    state, dist = stepper.start()
+    state, dist = stepper.start_one()
     active = [(0.0, (), (), state, dist)]
     for t in range(length):
         cand = []
@@ -244,13 +244,14 @@ def reference_beam_search_fixed(stepper, beam: int, length: int):
                     for score, payload, per, state, v in cand]
         active = []
         for score, payload, per, state, v in cand:
-            nstate, ndist = stepper.advance(state, v)
+            nstate, ndist = stepper.step(state, v)
             active.append((score, payload, per, nstate, ndist))
     return []
 
 
-class CountingTable:
-    """Log-probs looked up by (step, last symbol), with a count of advances."""
+class CountingTable(RowStepper):
+    """Log-probs looked up by (step, last symbol), with a count of the rows
+    advanced."""
 
     def __init__(self, table, eos):
         self.table = table
@@ -258,10 +259,10 @@ class CountingTable:
         self.eos = eos
         self.advances = 0
 
-    def start(self):
+    def start_one(self):
         return (0, self.n_symbols), self.table[0, self.n_symbols]
 
-    def advance(self, state, symbol):
+    def step(self, state, symbol):
         self.advances += 1
         t, _ = state
         return (t + 1, symbol), self.table[t + 1, symbol]
@@ -338,17 +339,17 @@ def test_nlu_beam_matches_exhaustive_tags(tiny_vocabs, tiny_models):
     utt = tiny_vocabs.bpe.encode("show flights boston")
     stepper = NluTagStepper(m, utt)
 
-    class Restricted:
+    class Restricted(RowStepper):
         n_symbols = 3
         eos = None
 
-        def start(self):
+        def start_one(self):
             state, lp = stepper.start()
-            return state, lp[:3] - np.log(np.exp(lp[:3]).sum())
+            return state, lp[0, :3] - np.log(np.exp(lp[0, :3]).sum())
 
-        def advance(self, state, symbol):
-            nstate, lp = stepper.advance(state, symbol)
-            return nstate, lp[:3] - np.log(np.exp(lp[:3]).sum())
+        def step(self, state, symbol):
+            nstate, lp = stepper.advance(state, np.array([symbol]))
+            return nstate, lp[0, :3] - np.log(np.exp(lp[0, :3]).sum())
 
     r = Restricted()
     got = decode._beam_search_fixed(r, 20, 3)
@@ -691,9 +692,10 @@ def _unmemoized_components(examples, b, beam, k_intent, seed):
     out = []
     for idx, ex in enumerate(examples):
         utt = b.vocabs.bpe.encode(ex.text)
-        marg_in = decode.lm_score_tokens(b.lm, utt.tokens)
-        out.append([decode.dual_components_nlu(h, utt, b.nlg, b.mfm, marg_in,
-                                               derive_rng(seed, "mask", idx, rank))
+        [marg_in] = decode.lm_score_tokens(b.lm, [utt.tokens])
+        # each hypothesis scored alone, as a beam of one
+        out.append([decode.dual_components_nlu([h], utt, b.nlg, b.mfm, marg_in,
+                                               [derive_rng(seed, "mask", idx, rank)])[0]
                     for rank, h in enumerate(nlu_hypotheses(b.nlu, utt, beam, k_intent))])
     return out
 

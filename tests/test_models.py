@@ -3,10 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_vocabs, make_model, randomize
 
-from dualdec import data, models
+from dualdec import data, decode, models
 from dualdec import tensor as T
 from dualdec.frames import FrameError, SemanticFrame
 from dualdec.models import (TrainConfig, lm_score_tokens, masked_frame_score, nlg_score,
@@ -141,7 +143,7 @@ def test_nlu_one_hot_forcing_scores_exactly_zero(tiny_vocabs):
     m = make_model("nlu", tiny_vocabs)
     force_one_hot_tags(m, 0)
     utt = tiny_vocabs.bpe.encode("show flights from boston")
-    assert nlu_score(m, utt, [0] * len(utt.tokens)) == 0.0
+    assert nlu_score(m, [utt], [[0] * len(utt.tokens)])[0] == 0.0
 
 
 def test_nlu_score_additivity(tiny_vocabs, tiny_models):
@@ -150,7 +152,7 @@ def test_nlu_score_additivity(tiny_vocabs, tiny_models):
     tags = [i % 3 for i in range(len(utt.tokens))]
     steps, intent_lp = models.nlu_forcing_graph(m, utt, tags, intent=1)
     terms = [float(t.data) for t in steps] + [float(intent_lp.data)]
-    assert nlu_score(m, utt, tags, intent=1) == pytest.approx(sum(terms), abs=1e-12)
+    assert nlu_score(m, [utt], [tags], [1])[0] == pytest.approx(sum(terms), abs=1e-12)
 
 
 def test_nlu_matches_manual_forward_oracle(tiny_vocabs):
@@ -158,7 +160,7 @@ def test_nlu_matches_manual_forward_oracle(tiny_vocabs):
     randomize(m, derive_rng(8, "rand"))
     utt = tiny_vocabs.bpe.encode("play something by nina simone")
     tags = [(i * 2) % tiny_vocabs.labels.n_tags for i in range(len(utt.tokens))]
-    got = nlu_score(m, utt, tags, intent=2)
+    got = nlu_score(m, [utt], [tags], [2])[0]
     want = manual_nlu_score(m, utt, tags, 2)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -186,16 +188,16 @@ def test_nlu_step_chain_agrees_with_score(tiny_vocabs, tiny_models):
         total += lp[tag]
         prev = tag
     total += nlu_intent(m, state)[0]
-    assert total == pytest.approx(nlu_score(m, utt, tags, intent=0), abs=1e-12)
+    assert total == pytest.approx(nlu_score(m, [utt], [tags], [0])[0], abs=1e-12)
 
 
 def test_nlu_inventory_mismatch_rejected(tiny_vocabs, tiny_models):
     m = tiny_models["nlu"]
     utt = tiny_vocabs.bpe.encode("play")
     with pytest.raises(FrameError):
-        nlu_score(m, utt, [10_000] * len(utt.tokens))
+        nlu_score(m, [utt], [[10_000] * len(utt.tokens)])
     with pytest.raises(FrameError):
-        nlu_score(m, utt, [0] * (len(utt.tokens) + 1))
+        nlu_score(m, [utt], [[0] * (len(utt.tokens) + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +240,7 @@ def test_nlg_slot_permutation_with_identical_features(tiny_vocabs):
     frame_b = SemanticFrame.build("find_flight",
                                   [("destination", "denver"), ("origin", "boston")])
     utt = tiny_vocabs.bpe.encode("show flights from boston to denver")
-    assert nlg_score(m, frame_a, utt) == nlg_score(m, frame_b, utt)
+    assert nlg_score(m, [frame_a], [utt]) == nlg_score(m, [frame_b], [utt])
 
 
 def test_nlg_slot_permutation_invariance_random_model(tiny_vocabs, tiny_models):
@@ -246,8 +248,8 @@ def test_nlg_slot_permutation_invariance_random_model(tiny_vocabs, tiny_models):
     frame_a = SemanticFrame.build("book_table", [("cuisine", "thai"), ("city", "austin")])
     frame_b = SemanticFrame.build("book_table", [("city", "austin"), ("cuisine", "thai")])
     utt = tiny_vocabs.bpe.encode("book a thai table in austin")
-    a = nlg_score(m, frame_a, utt)
-    b = nlg_score(m, frame_b, utt)
+    [a] = nlg_score(m, [frame_a], [utt])
+    [b] = nlg_score(m, [frame_b], [utt])
     assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -256,7 +258,7 @@ def test_nlg_matches_manual_forward_oracle(tiny_vocabs):
     randomize(m, derive_rng(9, "rand"))
     frame = SemanticFrame.build("weather", [("city", "portland"), ("day", "friday")])
     utt = tiny_vocabs.bpe.encode("what is the forecast for portland on friday")
-    got = nlg_score(m, frame, utt)
+    [got] = nlg_score(m, [frame], [utt])
     assert got == pytest.approx(manual_nlg_score(m, frame, utt), rel=1e-12)
 
 
@@ -274,7 +276,7 @@ def test_nlg_step_chain_agrees_with_score(tiny_vocabs, tiny_models):
         assert np.exp(lp).sum() == pytest.approx(1.0, abs=1e-9)
         total += lp[tok]
         prev = tok
-    assert total == pytest.approx(nlg_score(m, frame, utt), abs=1e-12)
+    assert [total] == pytest.approx(nlg_score(m, [frame], [utt]), abs=1e-12)
 
 
 def test_nlg_single_feature_gets_full_attention(tiny_vocabs, tiny_models):
@@ -292,7 +294,7 @@ def test_nlg_empty_feature_fallback(tiny_vocabs, tiny_models):
     assert F.shape == (1, m.cfg.hidden)
     assert np.array_equal(F[0], m.params["empty_feat"].data)
     utt = tiny_vocabs.bpe.encode("play")
-    assert math.isfinite(nlg_score(m, degenerate, utt))
+    assert math.isfinite(nlg_score(m, [degenerate], [utt])[0])
 
 
 def test_nlg_step_rejects_empty_features(tiny_models):
@@ -312,7 +314,7 @@ def test_lm_uniform_forced_score(tiny_vocabs):
     utt = tiny_vocabs.bpe.encode("play something by chet baker")
     V = len(tiny_vocabs.bpe.pieces)
     L = len(utt.tokens)
-    assert lm_score_tokens(m, utt.tokens) == pytest.approx(-(L + 1) * math.log(V), rel=1e-12)
+    assert lm_score_tokens(m, [utt.tokens])[0] == pytest.approx(-(L + 1) * math.log(V), rel=1e-12)
 
 
 def test_lm_appending_token_decreases_prefix_logprob(tiny_vocabs, tiny_models):
@@ -328,7 +330,7 @@ def test_lm_matches_manual_forward_oracle(tiny_vocabs):
     m = make_model("lm", tiny_vocabs, hidden=2, embedding=3, seed=7)
     randomize(m, derive_rng(10, "rand"))
     utt = tiny_vocabs.bpe.encode("how is the weather in orlando")
-    assert lm_score_tokens(m, utt.tokens) == pytest.approx(
+    assert lm_score_tokens(m, [utt.tokens])[0] == pytest.approx(
         manual_lm_score(m, utt.tokens), rel=1e-12)
 
 
@@ -342,7 +344,7 @@ def test_mfm_forced_certain_classifier_scores_zero(tiny_vocabs):
     m.params["cls.w"].data[...] = 0.0
     m.params["cls.b"].data[...] = -2000.0
     m.params["cls.b"].data[tiny_vocabs.labels.key_id("city")] = 2000.0
-    assert masked_frame_score(m, frame, derive_rng(0, "mask")) == 0.0
+    assert masked_frame_score(m, [frame], [derive_rng(0, "mask")]) == [0.0]
 
 
 def test_mfm_same_seed_same_score(tiny_vocabs, tiny_models):
@@ -350,10 +352,10 @@ def test_mfm_same_seed_same_score(tiny_vocabs, tiny_models):
     frame = SemanticFrame.build("find_flight",
                                 [("origin", "boston"), ("destination", "austin"),
                                  ("day", "monday")])
-    a = masked_frame_score(m, frame, derive_rng(4, "mask"))
-    b = masked_frame_score(m, frame, derive_rng(4, "mask"))
+    a = masked_frame_score(m, [frame], [derive_rng(4, "mask")])
+    b = masked_frame_score(m, [frame], [derive_rng(4, "mask")])
     assert a == b
-    scores = {masked_frame_score(m, frame, derive_rng(s, "mask")) for s in range(8)}
+    scores = {masked_frame_score(m, [frame], [derive_rng(s, "mask")])[0] for s in range(8)}
     assert len(scores) > 1
 
 
@@ -361,14 +363,14 @@ def test_mfm_single_feature_equals_three_single_masks(tiny_vocabs, tiny_models):
     m = tiny_models["mfm"]
     frame = SemanticFrame.build(None, [("cuisine", "ramen")])
     single = manual_mfm_single_mask(m, frame, 0)
-    total = masked_frame_score(m, frame, derive_rng(12, "mask"))
+    [total] = masked_frame_score(m, [frame], [derive_rng(12, "mask")])
     assert total == pytest.approx(3 * single, rel=1e-12)
 
 
 def test_mfm_zero_features_rejected(tiny_models):
     with pytest.raises(FrameError):
-        masked_frame_score(tiny_models["mfm"], SemanticFrame(None, ()),
-                           derive_rng(0, "mask"))
+        masked_frame_score(tiny_models["mfm"], [SemanticFrame(None, ())],
+                           [derive_rng(0, "mask")])
 
 
 def test_mfm_intent_feature_counts(tiny_vocabs, tiny_models):
@@ -377,6 +379,54 @@ def test_mfm_intent_feature_counts(tiny_vocabs, tiny_models):
     feats, targets = models.mfm_features(m, nd, m.arrays, with_intent)
     assert len(feats) == 2
     assert targets[1] == tiny_vocabs.labels.n_slot_keys + tiny_vocabs.labels.intent_id("weather")
+
+
+# ---------------------------------------------------------------------------
+# each scorer runs a beam as one stack
+
+
+def _drawn_frame(draw, pool):
+    """A drawn subset of a corpus frame's slots, with or without its intent:
+    from zero features up to the frame's own count."""
+    base = draw(st.sampled_from(pool))
+    slots = draw(st.lists(st.sampled_from(base.slots), unique=True)) if base.slots else []
+    return SemanticFrame(draw(st.sampled_from([None, base.intent])), tuple(slots))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_stacked_scorers_equal_one_row_calls(tiny_corpus, tiny_vocabs, drawn):
+    _, nlg_raw = tiny_corpus
+    labels = tiny_vocabs.labels
+    ms = {k: randomize(make_model(k, tiny_vocabs), derive_rng(61, "stack", k))
+          for k in data.MODEL_KINDS}
+    n = drawn.draw(st.integers(1, 8))
+    payloads = [tuple(drawn.draw(st.lists(st.integers(4, len(tiny_vocabs.bpe.pieces) - 1),
+                                          max_size=12))) for _ in range(n)]
+    utts = [decode.utterance_from_payload(tiny_vocabs, p) for p in payloads]
+    tags = [drawn.draw(st.lists(st.integers(0, labels.n_tags - 1),
+                                min_size=len(p), max_size=len(p))) for p in payloads]
+    intents = [drawn.draw(st.one_of(st.none(), st.integers(0, labels.n_intents - 1)))
+               for _ in range(n)]
+    frames = [_drawn_frame(drawn.draw, [ex.frame for ex in nlg_raw]) for _ in range(n)]
+
+    assert models.nlu_score(ms["nlu"], utts, tags, intents) == [
+        models.nlu_score(ms["nlu"], [u], [t], [i])[0] for u, t, i in zip(utts, tags, intents)]
+    assert models.lm_score_tokens(ms["lm"], payloads) == [
+        models.lm_score_tokens(ms["lm"], [p])[0] for p in payloads]
+    one_row_nlg = [models.nlg_score(ms["nlg"], [f], [u])[0] for f, u in zip(frames, utts)]
+    assert models.nlg_score(ms["nlg"], frames, utts) == one_row_nlg
+    assert models.nlg_score(ms["nlg"], frames, utts, memo={}) == one_row_nlg
+
+    def rngs():
+        return [derive_rng(5, "mask", i) for i in range(n)]
+    one_row_marginals = [decode.frame_marginal(ms["mfm"], [f], [r])[0]
+                         for f, r in zip(frames, rngs())]
+    assert decode.frame_marginal(ms["mfm"], frames, rngs()) == one_row_marginals
+    featured = [i for i, f in enumerate(frames) if f.n_features]
+    assert models.masked_frame_score(ms["mfm"], [frames[i] for i in featured],
+                                     [rngs()[i] for i in featured]) == [
+        one_row_marginals[i] for i in featured]
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +496,7 @@ def test_lm_overfits_repetitive_corpus_to_low_perplexity():
     nll = 0.0
     n_tok = 0
     for s in samples:
-        nll -= lm_score_tokens(m, s.tokens)
+        nll -= lm_score_tokens(m, [s.tokens])[0]
         n_tok += len(s.tokens) + 1  # the closing EOS is scored too
     ppl = math.exp(nll / n_tok)
     assert ppl < 1.1
@@ -503,24 +553,24 @@ def _assert_backends_agree(kind, m, nlu_raw, nlg_raw):
             assert ((None if nd_intent is None else float(nd_intent))
                     == (None if intent_lp is None else float(intent_lp.data)))
             intent_term = 0.0 if intent_lp is None else float(intent_lp.data)
-            assert (nlu_score(m, s.utt, s.tags, s.intent)
-                    == float(sum(_floats(steps))) + intent_term)
+            assert (nlu_score(m, [s.utt], [s.tags], [s.intent])
+                    == [float(sum(_floats(steps))) + intent_term])
     elif kind == "nlg":
         for s in models.prepare_nlg_samples(nlg_raw, vocabs):
             steps = models.nlg_forcing_graph(m, s.frame, s.ref)
             nd_steps = models._nlg_forward(m, nd, m.arrays, s.frame, s.ref)
             assert _floats(nd_steps) == _floats(steps)
-            assert nlg_score(m, s.frame, s.ref) == float(sum(_floats(steps)))
+            assert nlg_score(m, [s.frame], [s.ref]) == [float(sum(_floats(steps)))]
             F = T.stack(models._nlg_features(m, T, m.params, s.frame))
             assert np.array_equal(models.nlg_features_np(m, s.frame), F.data)
     elif kind == "lm":
         for s in models.prepare_lm_samples([ex.text for ex in nlu_raw], vocabs):
             steps = models.lm_forcing_graph(m, s.tokens)
             assert _floats(models._lm_forward(m, nd, m.arrays, s.tokens)) == _floats(steps)
-            assert lm_score_tokens(m, s.tokens) == float(sum(_floats(steps)))
+            assert lm_score_tokens(m, [s.tokens]) == [float(sum(_floats(steps)))]
     else:
         for i, ex in enumerate(nlg_raw):
-            got = masked_frame_score(m, ex.frame, derive_rng(i, "mask"))
+            [got] = masked_frame_score(m, [ex.frame], [derive_rng(i, "mask")])
             assert got == _tensor_mfm_score(m, ex.frame, derive_rng(i, "mask"))
 
 

@@ -3,9 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualdec import tensor as T
-from dualdec.tensor import Tensor
+from dualdec.tensor import Tensor, nd
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -253,3 +255,66 @@ def test_parameter_init_range_and_determinism():
     assert np.array_equal(a.data, b.data)
     assert a.requires_grad
     assert np.all(np.abs(a.data) <= T.INIT_RANGE)
+
+
+# ---------------------------------------------------------------------------
+# ``nd`` on a stack of rows
+
+
+def _stack(rng, lead, n, strided, scale=1.0):
+    """A (*lead, n) array; ``strided`` takes it as a view with gaps between
+    its rows and between its entries."""
+    if strided:
+        big = rng.normal(size=(*lead[:-1], 2 * lead[-1], 2 * n)) * scale
+        return big[..., ::2, ::2]
+    return rng.normal(size=(*lead, n)) * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(B=st.integers(1, 25), n=st.integers(1, 200), m=st.integers(1, 200),
+       k=st.integers(1, 9), strided=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_nd_ops_on_a_stack_equal_the_ops_on_each_row(B, n, m, k, strided, seed):
+    rng = np.random.default_rng(seed)
+    X = _stack(rng, (B,), n, strided, scale=4.0)
+    Y = _stack(rng, (B,), n, strided)
+    w = _stack(rng, (B,), k, strided)
+    F = _stack(rng, (B, k), n, strided)
+    W = rng.normal(size=(m, n))
+    Wsq = rng.normal(size=(n, n))
+    v = rng.normal(size=m)
+    picks = rng.integers(0, n, size=B)
+    lo = int(rng.integers(0, n + 1))
+    hi = int(rng.integers(lo, n + 1))
+    # (name, the op on the stack, the op on row b alone)
+    cases = [
+        ("add", nd.add(X, Y), lambda b: nd.add(X[b], Y[b])),
+        ("sub", nd.sub(X, Y), lambda b: nd.sub(X[b], Y[b])),
+        ("mul", nd.mul(X, Y), lambda b: nd.mul(X[b], Y[b])),
+        ("scale", nd.scale(X, 0.37), lambda b: nd.scale(X[b], 0.37)),
+        ("matvec", nd.matvec(W, X), lambda b: nd.matvec(W, X[b])),
+        ("matvec, a matrix per row", nd.matvec(F, X), lambda b: nd.matvec(F[b], X[b])),
+        ("vecmat", nd.vecmat(w, F), lambda b: nd.vecmat(w[b], F[b])),
+        ("vecmat, one shared matrix", nd.vecmat(w, F[0]), lambda b: nd.vecmat(w[b], F[0])),
+        ("matmul", nd.matmul(F, nd.transpose(Wsq)),
+         lambda b: nd.matmul(F[b], nd.transpose(Wsq))),
+        ("concat", nd.concat([X, v, Y]), lambda b: nd.concat([X[b], v, Y[b]])),
+        ("slice1d", nd.slice1d(X, lo, hi), lambda b: nd.slice1d(X[b], lo, hi)),
+        ("row", nd.row(Wsq, picks), lambda b: nd.row(Wsq, int(picks[b]))),
+        ("pick", nd.pick(X, picks), lambda b: nd.pick(X[b], int(picks[b]))),
+        ("transpose", nd.transpose(F), lambda b: nd.transpose(F[b])),
+        ("mean_rows", nd.mean_rows(F), lambda b: nd.mean_rows(F[b])),
+        ("tanh", nd.tanh(X), lambda b: nd.tanh(X[b])),
+        ("sigmoid", nd.sigmoid(X), lambda b: nd.sigmoid(X[b])),
+        ("softmax", nd.softmax(X), lambda b: nd.softmax(X[b])),
+        ("log_softmax", nd.log_softmax(X), lambda b: nd.log_softmax(X[b])),
+    ]
+    for name, stacked, one_row in cases:
+        for b in range(B):
+            assert np.array_equal(stacked[b], one_row(b)), (name, b)
+
+
+def test_nd_one_row_products_are_the_tensor_products():
+    rng = np.random.default_rng(5)
+    W, x, F = rng.normal(size=(7, 5)), rng.normal(size=5), rng.normal(size=(5, 3))
+    assert np.array_equal(nd.matvec(W, x), T.matvec(Tensor(W), Tensor(x)).data)
+    assert np.array_equal(nd.vecmat(x, F), T.vecmat(Tensor(x), Tensor(F)).data)
