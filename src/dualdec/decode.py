@@ -21,7 +21,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from itertools import islice, takewhile
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -201,33 +200,22 @@ def _force_complete(stepper: Stepper, states, ranked, completed: list[Hypothesis
 
     A completion scores at most its extension, so the walk stops at the first
     extension below the ``beam``-th best completed score: neither it nor any
-    later one can enter the top ``beam``. The extensions still above that
-    score are advanced up to ``beam`` at a time; the walk over each batch
-    stops where the one-at-a-time walk would.
+    later one can enter the top ``beam``.
     """
     top = heapq.nlargest(beam, (h.forward_logprob for h in completed))
     heapq.heapify(top)
-
-    def may_enter(score: float) -> bool:
-        return len(top) < beam or score >= top[0]
-
-    while True:
-        batch = list(islice(takewhile(lambda e: may_enter(e[0]), ranked), beam))
-        if not batch:
+    for score, payload, per, row, v in ranked:
+        if len(top) == beam and score < top[0]:
             return
-        _, lp = _advance(stepper, states, batch)
-        for (score, payload, per, _, _), lp_eos in zip(batch, lp[:, stepper.eos].tolist()):
-            if not may_enter(score):
-                return
-            if math.isnan(lp_eos) or lp_eos == math.inf:
-                raise DecodeError(f"log-probability {lp_eos} for EOS at decode step {step}")
-            if lp_eos > -math.inf:
-                completed.append(Hypothesis(payload, score + lp_eos, per + (lp_eos,)))
-                heapq.heappush(top, score + lp_eos)
-                if len(top) > beam:
-                    heapq.heappop(top)
-        if len(batch) < beam:
-            return
+        _, lp = stepper.advance(states[np.array([row])], np.array([v]))
+        lp_eos = float(lp[0, stepper.eos])
+        if math.isnan(lp_eos) or lp_eos == math.inf:
+            raise DecodeError(f"log-probability {lp_eos} for EOS at decode step {step}")
+        if lp_eos > -math.inf:
+            completed.append(Hypothesis(payload, score + lp_eos, per + (lp_eos,)))
+            heapq.heappush(top, score + lp_eos)
+            if len(top) > beam:
+                heapq.heappop(top)
 
 
 def _beam_search_fixed(stepper: Stepper, beam: int, length: int,

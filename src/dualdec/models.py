@@ -418,6 +418,8 @@ def nlg_score(m: NlgModel, frames: Sequence[SemanticFrame], utts: Sequence[Utter
     """log P(utt, EOS | frame) of each (frame, utt) row; ``memo`` is
     ``mfm_features``' pair memo. Rows whose frames have the same number of
     features run as one stack, each leaving it when its utterance ends."""
+    if len(frames) != len(utts):
+        raise FrameError(f"{len(frames)} frames for {len(utts)} utterances")
     P = m.arrays
     feats = [_nlg_features(m, nd, P, frame, memo) for frame in frames]
     out = [0.0] * len(feats)
@@ -575,10 +577,7 @@ def masked_frame_score(m: MaskedFrameModel, frames: Sequence[SemanticFrame],
         targets = np.array([encoded[i][1][p] for i in rows for p in draws[i]])
         terms = nd.pick(nd.log_softmax(logits), targets).tolist()
         for j, i in enumerate(rows):
-            total = 0.0
-            for term in terms[3 * j:3 * j + 3]:
-                total += term
-            out[i] = total
+            out[i] = _total(terms[3 * j:3 * j + 3])
     return out
 
 

@@ -303,6 +303,15 @@ def test_nlg_step_rejects_empty_features(tiny_models):
         nlg_step(m, np.zeros(m.cfg.hidden), None, np.zeros((0, m.cfg.hidden)))
 
 
+def test_nlg_score_rejects_unequal_beams(tiny_vocabs, tiny_models):
+    m = tiny_models["nlg"]
+    frame = SemanticFrame.build(None, [("cuisine", "ramen")])
+    utt = tiny_vocabs.bpe.encode("play")
+    for frames, utts in (([frame], [utt, utt]), ([frame, frame], [utt])):
+        with pytest.raises(FrameError):
+            nlg_score(m, frames, utts)
+
+
 # ---------------------------------------------------------------------------
 # LM
 
