@@ -66,7 +66,7 @@ NUMERIC_KEYS = (
     ("train.clip", False, 0, math.inf),
     ("decode.beam", True, 1, math.inf), ("decode.max_len", True, 1, math.inf),
     ("decode.k_intent", True, 1, math.inf),
-    ("dual.alpha", False, 0, 1), ("dual.beta", False, 0, 1),
+    ("dual.alpha", False, 0, 1), ("dual.beta", False, 0, 1), ("dual.grid_step", False, 0, 1),
 )
 
 
@@ -121,7 +121,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     grid_step = cfg["dual"]["grid_step"]
     try:
         decode.grid_intervals(grid_step)
-    except (DecodeError, TypeError, ArithmeticError):
+    except (DecodeError, ArithmeticError):
         raise ConfigError(f"dual.grid_step must divide 1, not {grid_step!r}") from None
     for key in ("out_dir", "checkpoints", *(f"data.{k}" for k in cfg["data"])):
         value = _lookup(cfg, key)

@@ -167,21 +167,19 @@ def beam_search(stepper: Stepper, beam: int, max_len: int) -> list[Hypothesis]:
     states, lp = stepper.start()
     active = [(0.0, (), ())]
     completed: list[Hypothesis] = []
+    top = [-math.inf] * beam  # min-heap of the ``beam`` best completion scores
     for t in range(max_len):
         for (score, payload, per), lp_eos in zip(active, lp[:, eos].tolist()):
             if lp_eos > -math.inf:
                 completed.append(Hypothesis(payload, score + lp_eos, per + (lp_eos,)))
+                heapq.heappushpop(top, score + lp_eos)
         if t == max_len - 1:
             _force_complete(stepper, states, _ranked_extensions(active, lp, eos, t),
-                            completed, beam, t + 1)
+                            completed, top, t + 1)
             break
         cand = list(_ranked_extensions(active, lp, eos, t, beam))
-        if not cand:
-            break
-        if len(completed) >= beam:
-            kth = sorted(completed, key=_completion_order)[beam - 1].forward_logprob
-            if cand[0][0] < kth:
-                break  # extensions only lower scores; nothing can enter the top-k
+        if not cand or cand[0][0] < top[0]:
+            break  # extensions only lower scores; nothing can enter the top-k
         states, lp = _advance(stepper, states, cand)
         active = [c[:3] for c in cand]
     completed.sort(key=_completion_order)
@@ -195,17 +193,16 @@ def _advance(stepper: Stepper, states, extensions):
 
 
 def _force_complete(stepper: Stepper, states, ranked, completed: list[Hypothesis],
-                    beam: int, step: int) -> None:
+                    top: list[float], step: int) -> None:
     """Complete the ``ranked`` extensions with their EOS score, best first.
 
-    A completion scores at most its extension, so the walk stops at the first
-    extension below the ``beam``-th best completed score: neither it nor any
-    later one can enter the top ``beam``.
+    ``top`` is beam search's min-heap of the best completion scores, so
+    ``top[0]`` is the ``beam``-th best. A completion scores at most its
+    extension, so the walk stops at the first extension below it: neither it
+    nor any later one can enter the top ``beam``.
     """
-    top = heapq.nlargest(beam, (h.forward_logprob for h in completed))
-    heapq.heapify(top)
     for score, payload, per, row, v in ranked:
-        if len(top) == beam and score < top[0]:
+        if score < top[0]:
             return
         _, lp = stepper.advance(states[np.array([row])], np.array([v]))
         lp_eos = float(lp[0, stepper.eos])
@@ -213,9 +210,7 @@ def _force_complete(stepper: Stepper, states, ranked, completed: list[Hypothesis
             raise DecodeError(f"log-probability {lp_eos} for EOS at decode step {step}")
         if lp_eos > -math.inf:
             completed.append(Hypothesis(payload, score + lp_eos, per + (lp_eos,)))
-            heapq.heappush(top, score + lp_eos)
-            if len(top) > beam:
-                heapq.heappop(top)
+            heapq.heappushpop(top, score + lp_eos)
 
 
 def _beam_search_fixed(stepper: Stepper, beam: int, length: int,

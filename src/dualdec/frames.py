@@ -38,7 +38,7 @@ class SemanticFrame:
     def build(cls, intent: str | None, slots: Sequence[tuple[str, str | Sequence[str]]]) -> "SemanticFrame":
         norm = []
         for k, v in slots:
-            words = tuple(v.split()) if isinstance(v, str) else tuple(v)
+            words = tuple((v if isinstance(v, str) else " ".join(v)).split())
             norm.append((k, words))
         return cls(intent, tuple(norm))
 

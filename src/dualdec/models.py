@@ -29,8 +29,9 @@ The four scorers (``nlu_score``, ``nlg_score``, ``lm_score_tokens``,
 ``masked_frame_score``) each take a beam as parallel lists of rows and return
 one float log-probability per row: the sum of the row's per-step terms as
 Python floats in step order, plus the intent term for NLU. Each runs its rows
-as one stack; rows of different lengths run in lockstep, longest first, and
-leave the stack as they end.
+as one stack. The three recurrent scorers share one teacher-forcing driver,
+``_teacher_force``: rows stay in input order, and at each step the rows whose
+gold sequence is still running advance together.
 """
 from __future__ import annotations
 
@@ -110,18 +111,6 @@ def _total(steps) -> float:
     return float(sum(map(float, steps)))
 
 
-def _by_length(lengths: Sequence[int]) -> list[int]:
-    """Row order of a lockstep pass: longest first, ties in input order. The
-    rows still running at any step are then a prefix of the stack."""
-    return sorted(range(len(lengths)), key=lambda i: -lengths[i])
-
-
-def _columns(seqs: Sequence[Sequence[int]], order: Sequence[int]) -> list[np.ndarray]:
-    """Per step t, the symbol at t of each row of ``order`` still running."""
-    longest = len(seqs[order[0]]) if order else 0
-    return [np.array([seqs[i][t] for i in order if len(seqs[i]) > t]) for t in range(longest)]
-
-
 def _by_size(items: Sequence[Sequence]) -> list[list[int]]:
     """Indices of ``items`` grouped by item length, groups in order of first
     appearance: the rows of one group stack into one array."""
@@ -131,14 +120,25 @@ def _by_size(items: Sequence[Sequence]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _row_totals(order: Sequence[int], lengths: Sequence[int], steps: list[list[float]],
-                ) -> list[float]:
-    """Each row's ``_total`` of its own terms, in input order; ``steps[t]``
-    holds the terms of the rows running at step t, in ``order``."""
-    out = [0.0] * len(order)
-    for j, i in enumerate(order):
-        out[i] = _total(col[j] for col in steps[:lengths[i]])
-    return out
+def _teacher_force(golds: Sequence[Sequence[int]], h: np.ndarray, step) -> list[float]:
+    """Teacher-force the rows of ``golds`` as one stack, rows in input order.
+
+    At step t the rows still running are ``run``, and ``step(h[run], t, run,
+    prev)`` returns their log-prob stack and new states; ``prev`` holds their
+    gold symbols at t - 1, or None at t = 0. The new states are written back,
+    so ``h`` ends holding each row's last state. Returns each row's ``_total``
+    of its gold symbols' log-probs.
+    """
+    lengths = np.array([len(seq) for seq in golds], dtype=np.intp)
+    gold = np.zeros((len(golds), lengths.max(initial=0)), dtype=np.intp)
+    for i, seq in enumerate(golds):
+        gold[i, :len(seq)] = seq
+    terms = np.zeros(gold.shape[::-1])
+    for t in range(gold.shape[1]):
+        run = np.flatnonzero(lengths > t)
+        lp, h[run] = step(h[run], t, run, gold[run, t - 1] if t else None)
+        terms[t, run] = nd.pick(lp, gold[run, t])
+    return [_total(row[:n]) for row, n in zip(terms.T.tolist(), lengths)]
 
 
 def _sum_terms(ts: Sequence[Tensor]) -> Tensor:
@@ -150,7 +150,7 @@ def _sum_terms(ts: Sequence[Tensor]) -> Tensor:
 
 def _teacher_forced(tf_ratio: float, rng: np.random.Generator | None) -> bool:
     """Whether training feeds the gold symbol at this step rather than the
-    model's own argmax; scoring (no ``rng``) always does."""
+    model's own argmax; a forcing graph built without an ``rng`` always does."""
     return rng is None or tf_ratio >= 1.0 or rng.random() < tf_ratio
 
 
@@ -248,33 +248,23 @@ def nlu_score(m: NluModel, utts: Sequence[Utterance], tags: Sequence[Sequence[in
               intents: Sequence[int | None] | None = None) -> list[float]:
     """log P(tags, intent | utt) of each row: its tag log-probs, then its
     intent term. The rows run as one stack; a row leaves it when its
-    utterance ends, and its final state feeds the intent head."""
+    utterance ends, and its last state feeds the intent head."""
     intents = [None] * len(utts) if intents is None else intents
     for utt, row_tags, intent in zip(utts, tags, intents, strict=True):
         _check_nlu_row(m, utt, row_tags, intent)
     P = m.arrays
-    lengths = [len(utt.tokens) for utt in utts]
-    order = _by_length(lengths)
+
+    def step(h, t, run, prev):
+        words = np.array([utts[i].tokens[t] for i in run])
+        return _nlu_step(nd, P, h, words, prev)
     h = np.zeros((len(utts), m.cfg.hidden))
-    finals = h.copy()
-    prev = None
-    steps = []
-    for words, gold in zip(_columns([utt.tokens for utt in utts], order),
-                           _columns(tags, order)):
-        n = len(words)
-        finals[n:len(h)] = h[n:]
-        lp, h = _nlu_step(nd, P, h[:n], words, None if prev is None else prev[:n])
-        steps.append(nd.pick(lp, gold).tolist())
-        prev = gold
-    finals[:len(h)] = h
-    intent_terms = {}
-    rows = [j for j, i in enumerate(order) if m.n_intents and intents[i] is not None]
+    totals = _teacher_force(tags, h, step)
+    rows = [i for i, intent in enumerate(intents) if m.n_intents and intent is not None]
     if rows:
-        lp = _log_probs(nd, P, "intent_proj", finals[rows])
-        picked = nd.pick(lp, np.array([intents[order[j]] for j in rows])).tolist()
-        intent_terms = {order[j]: v for j, v in zip(rows, picked)}
-    return [total + intent_terms.get(i, 0.0)
-            for i, total in enumerate(_row_totals(order, lengths, steps))]
+        picked = nd.pick(nlu_intent(m, h[rows]), np.array([intents[i] for i in rows]))
+        for i, term in zip(rows, picked.tolist()):
+            totals[i] += term
+    return totals
 
 
 def nlu_start(m: NluModel) -> np.ndarray:
@@ -392,9 +382,8 @@ def _nlg_step(m: NlgModel, ops, P, F, h, prev_word: int):
 
 
 def _nlg_forward(m: NlgModel, ops, P, frame: SemanticFrame, utt: Utterance,
-                 tf_ratio: float = 1.0, rng: np.random.Generator | None = None,
-                 memo: dict | None = None) -> list:
-    F = ops.stack(_nlg_features(m, ops, P, frame, memo))
+                 tf_ratio: float = 1.0, rng: np.random.Generator | None = None) -> list:
+    F = ops.stack(_nlg_features(m, ops, P, frame))
     h = ops.mean_rows(F)
     prev = BOS
     steps = []
@@ -424,19 +413,13 @@ def nlg_score(m: NlgModel, frames: Sequence[SemanticFrame], utts: Sequence[Utter
     feats = [_nlg_features(m, nd, P, frame, memo) for frame in frames]
     out = [0.0] * len(feats)
     for rows in _by_size(feats):
-        seqs = [list(utts[i].tokens) + [EOS] for i in rows]
-        lengths = [len(seq) for seq in seqs]
-        order = _by_length(lengths)
-        F = np.array([feats[rows[j]] for j in order])
-        h = nd.mean_rows(F)
-        prev = np.full(len(rows), BOS)
-        steps = []
-        for gold in _columns(seqs, order):
-            n = len(gold)
-            lp, _, h = _nlg_step(m, nd, P, F[:n], h[:n], prev[:n])
-            steps.append(nd.pick(lp, gold).tolist())
-            prev = gold
-        for i, total in zip(rows, _row_totals(order, lengths, steps)):
+        F = np.array([feats[i] for i in rows])
+
+        def step(h, t, run, prev):
+            lp, _, h = _nlg_step(m, nd, P, F[run], h, BOS if prev is None else prev)
+            return lp, h
+        golds = [list(utts[i].tokens) + [EOS] for i in rows]
+        for i, total in zip(rows, _teacher_force(golds, nd.mean_rows(F), step)):
             out[i] = total
     return out
 
@@ -497,18 +480,12 @@ def lm_score_tokens(m: LmModel, tokens: Sequence[Sequence[int]]) -> list[float]:
     """log P(tokens, EOS) of each row. The rows run as one stack, each
     leaving it after its EOS term."""
     P = m.arrays
-    seqs = [list(row) + [EOS] for row in tokens]
-    lengths = [len(seq) for seq in seqs]
-    order = _by_length(lengths)
-    h = np.zeros((len(seqs), m.cfg.hidden))
-    prev = np.full(len(seqs), BOS)
-    steps = []
-    for gold in _columns(seqs, order):
-        n = len(gold)
-        h = _gru_step(nd, P, "gru", nd.row(P["word_emb"], prev[:n]), h[:n])
-        steps.append(nd.pick(_log_probs(nd, P, "out", h), gold).tolist())
-        prev = gold
-    return _row_totals(order, lengths, steps)
+
+    def step(h, t, run, prev):
+        h = _gru_step(nd, P, "gru", nd.row(P["word_emb"], BOS if prev is None else prev), h)
+        return _log_probs(nd, P, "out", h), h
+    return _teacher_force([list(row) + [EOS] for row in tokens],
+                          np.zeros((len(tokens), m.cfg.hidden)), step)
 
 
 # ---------------------------------------------------------------------------

@@ -388,8 +388,8 @@ def _concat(parts: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _pick(t: np.ndarray, i) -> np.ndarray:
-    """Entry ``i`` of a vector, or entry ``i[r]`` of each row r of a stack."""
-    return np.take_along_axis(t, np.expand_dims(i, -1), axis=-1)[..., 0]
+    """Entry ``i`` of a vector, or entry ``i[r]`` of each row r of a 2-D stack."""
+    return t[np.arange(len(t)), i] if t.ndim == 2 else t[i]
 
 
 nd = SimpleNamespace(

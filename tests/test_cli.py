@@ -143,6 +143,7 @@ def test_incompatible_checkpoints_exit_4(workspace, tmp_path):
     (["gridsearch"], {"dual": {"grid_step": 0.3}}),
     (["gridsearch"], {"dual": {"grid_step": 0}}),
     (["gridsearch"], {"dual": {"grid_step": "0.5"}}),
+    (["gridsearch"], {"dual": {"grid_step": True}}),
     (["eval"], {"dual": 5}),
     (["train"], {"model": {"hidden": 0}}),
     (["train"], {"model": {"embedding": 2.5}}),
@@ -362,6 +363,7 @@ def test_nan_step_distribution_from_finite_checkpoint_exits_3(workspace, tmp_pat
     ("nlg_train", {"frame": {"slots": []}, "refs": "abc"}),
     ("nlu_train", {"text": "a b", "tags": ["O", "O"], "intent": 5}),
     ("nlg_train", {"frame": {"slots": [[5, "boston"]]}, "refs": ["boston"]}),
+    ("nlg_train", {"frame": {"slots": [["city", [""]]]}, "refs": ["boston"]}),
 ])
 def test_bad_field_shape_exits_3_with_line(tmp_path, capsys, loader, line):
     bad = tmp_path / "bad.jsonl"

@@ -46,6 +46,8 @@ BAD_LINES = [
     (load_nlg, {"frame": {"intent": ["i"], "slots": []}, "refs": ["abc"]}),
     (load_nlg, {"frame": {"slots": [[5, "boston"]]}, "refs": ["abc"]}),
     (load_nlu, {"text": "a", "tags": ["O"], "intent": 5}),
+    (load_nlg, {"frame": {"slots": [["city", [""]]]}, "refs": ["abc"]}),
+    (load_nlg, {"frame": {"slots": [["city", [" "]]]}, "refs": ["abc"]}),
 ]
 
 
@@ -75,6 +77,18 @@ def test_nlg_round_trip(tmp_path):
     p = tmp_path / "nlg.jsonl"
     save_nlg(p, examples)
     assert load_nlg(p) == examples
+
+
+def test_list_slot_values_split_into_words_as_strings_do(tmp_path):
+    p = tmp_path / "nlg.jsonl"
+    p.write_text("".join(json.dumps({"frame": {"slots": [["city", value]]},
+                                     "refs": ["to new york"]}) + "\n"
+                         for value in ("new york", ["new york"], ["new", "york"])))
+    examples = load_nlg(p)
+    assert examples[0] == examples[1] == examples[2]
+    assert examples[0].frame.slots == (("city", ("new", "york")),)
+    save_nlg(tmp_path / "again.jsonl", examples)
+    assert load_nlg(tmp_path / "again.jsonl") == examples
 
 
 def test_tag_length_validated():

@@ -322,6 +322,18 @@ def test_force_complete_stops_below_kth_completion():
     assert (stepper.advances, ref.advances) == (2 + 3, 2 + 6)
 
 
+def test_beam_stops_once_completions_fill_the_beam():
+    # the empty prefix completes at 0 and every extension scores -1, so with
+    # beam 1 no extension can enter the top 1 and nothing is advanced
+    table = np.full((4, 4, 3), -1.0)
+    table[:, :, 0] = 0.0
+    stepper, ref = CountingTable(table, 0), CountingTable(table, 0)
+    got = beam_search(stepper, 1, 3)
+    assert got == reference_beam_search(ref, 1, 3)
+    assert [h.payload for h in got] == [()]
+    assert stepper.advances == ref.advances == 0
+
+
 @pytest.mark.parametrize("bad_step, bad_symbol, eos", [
     (0, 1, 0), (0, 0, 0), (1, 2, 0), (2, 0, 0), (0, 1, None), (1, 0, None)])
 def test_nan_log_prob_raises_naming_the_step(bad_step, bad_symbol, eos):
