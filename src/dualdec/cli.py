@@ -110,6 +110,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
         value = getattr(args, flag, None)
         if value is not None:
             (cfg[section] if section else cfg)[key] = value
+    for split in ("train", "valid", "test"):
+        size = getattr(args, f"{split}_size", None)
+        if size is not None and size < 1:
+            raise ConfigError(f"--{split}-size must be at least 1, not {size}")
     if cfg["direction"] not in ("nlu", "nlg", "both"):
         raise ConfigError(f"direction must be nlu, nlg or both, not {cfg['direction']!r}")
     for key, integer, lo, hi in NUMERIC_KEYS:

@@ -24,6 +24,8 @@ time), or ``tensor.nd`` with ``model.arrays``, the same parameters as plain
 ndarrays, for the scorers and the beam-search steps (``nlu_step``,
 ``nlu_intent``, ``nlg_step``). On ``nd`` a state may be a stack of rows, and
 every row gets the floats it would get alone, which are the training floats.
+On ``tensor`` a gated recurrent step (``_gru_step``) is three graph nodes, two
+``linear`` and one ``gru_gates``, and each affine layer is one ``linear``.
 
 The four scorers (``nlu_score``, ``nlg_score``, ``lm_score_tokens``,
 ``masked_frame_score``) each take a beam as parallel lists of rows and return
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -65,19 +67,31 @@ class TrainConfig(ModelConfig):
 
 
 class ParamStore:
-    """Ordered named-parameter map; the checkpoint layout follows its order."""
+    """Ordered named-parameter map; the checkpoint layout follows its order.
 
-    def __init__(self, rng: np.random.Generator | None):
+    Each parameter is drawn from ``rng``, or copied from ``source``, a
+    checkpoint's name-to-array map, once its shape is checked. So a checkpoint
+    whose config sizes disagree with its arrays fails before anything of the
+    config's sizes is allocated."""
+
+    def __init__(self, rng: np.random.Generator | None,
+                 source: Mapping[str, np.ndarray] | None = None):
         self._rng = rng
+        self._source = source
         self.params: dict[str, Tensor] = {}
 
     def add(self, name: str, shape: tuple[int, ...]) -> None:
         if name in self.params:
             raise ValueError(f"duplicate parameter {name!r}")
-        if self._rng is None:
-            self.params[name] = Tensor(np.zeros(shape), requires_grad=True)
-        else:
+        if self._source is None:
             self.params[name] = T.parameter(shape, self._rng)
+            return
+        if name not in self._source:
+            raise CheckpointError(f"checkpoint lacks parameter {name!r}")
+        arr = self._source[name]
+        if arr.shape != shape:
+            raise CheckpointError(f"shape mismatch for {name!r}: {arr.shape} vs {shape}")
+        self.params[name] = Tensor(np.array(arr, dtype=np.float64), requires_grad=True)
 
     def add_gru(self, prefix: str, in_dim: int, hidden: int) -> None:
         """The parameters of the gated recurrent cell that ``_gru_step`` runs."""
@@ -90,20 +104,18 @@ class ParamStore:
 def _gru_step(ops, P, prefix: str, x, h):
     """One step of the gated recurrent cell ``prefix``, gates ordered (reset,
     update, candidate). ``ops`` is ``tensor`` or ``tensor.nd``, and ``P`` maps
-    parameter names to Tensors or ndarrays to match; so for every step below."""
-    H = h.shape[-1]
-    gi = ops.add(ops.matvec(P[prefix + ".w_ih"], x), P[prefix + ".b_ih"])
-    gh = ops.add(ops.matvec(P[prefix + ".w_hh"], h), P[prefix + ".b_hh"])
-    r = ops.sigmoid(ops.add(ops.slice1d(gi, 0, H), ops.slice1d(gh, 0, H)))
-    z = ops.sigmoid(ops.add(ops.slice1d(gi, H, 2 * H), ops.slice1d(gh, H, 2 * H)))
-    n = ops.tanh(ops.add(ops.slice1d(gi, 2 * H, 3 * H),
-                         ops.mul(r, ops.slice1d(gh, 2 * H, 3 * H))))
-    return ops.add(n, ops.mul(z, ops.sub(h, n)))
+    parameter names to Tensors or ndarrays to match; so for every step below.
+
+    The state product stays a node of its own: ``h`` gets its gradient terms
+    one at a time, in the order the node-by-node graph added them (in the NLG
+    decoder, the attention's term comes before this product's)."""
+    return ops.gru_gates(ops.linear(P[prefix + ".w_ih"], x, P[prefix + ".b_ih"]),
+                         ops.linear(P[prefix + ".w_hh"], h, P[prefix + ".b_hh"]), h)
 
 
 def _log_probs(ops, P, head: str, h):
     """Log-distribution of the affine output layer ``head`` on ``h``."""
-    return ops.log_softmax(ops.add(ops.matvec(P[head + ".w"], h), P[head + ".b"]))
+    return ops.log_softmax(ops.linear(P[head + ".w"], h, P[head + ".b"]))
 
 
 def _total(steps) -> float:
@@ -165,10 +177,11 @@ class _Model:
     a parameter is in place, so it stays current."""
 
     def __init__(self, cfg: ModelConfig, vocabs: Vocabs,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None,
+                 source: Mapping[str, np.ndarray] | None = None):
         self.cfg = cfg
         self.vocabs = vocabs
-        store = ParamStore(rng)
+        store = ParamStore(rng, source)
         store.add("word_emb", (len(vocabs.bpe.pieces), cfg.embedding))
         self._build(store, cfg.hidden, cfg.embedding)
         self.params = store.params
@@ -312,7 +325,7 @@ def _pair_feature(m: _FrameModel, ops, P, seq: list):
         hf = _gru_step(ops, P, "enc_f", x, hf)
     for x in reversed(seq):
         hb = _gru_step(ops, P, "enc_b", x, hb)
-    return ops.tanh(ops.add(ops.matvec(P["feat.w"], ops.concat([hf, hb])), P["feat.b"]))
+    return ops.tanh(ops.linear(P["feat.w"], ops.concat([hf, hb]), P["feat.b"]))
 
 
 def mfm_features(m: _FrameModel, ops, P, frame: SemanticFrame,
@@ -704,17 +717,8 @@ def model_from_checkpoint(ckpt: Checkpoint):
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"checkpoint vocabulary or labels are malformed: {e}") from None
     cfg = ModelConfig(hidden=dims[0], embedding=dims[1])
-    model = MODEL_CLASSES[ckpt.kind](cfg, vocabs, rng=None)
-    expected = set(model.params)
-    provided = set(ckpt.params)
-    if expected != provided:
-        missing = sorted(expected - provided)
-        extra = sorted(provided - expected)
-        raise CheckpointError(f"parameter set mismatch: missing {missing}, extra {extra}")
-    for name, p in model.params.items():
-        arr = ckpt.params[name]
-        if arr.shape != p.data.shape:
-            raise CheckpointError(
-                f"shape mismatch for {name!r}: {arr.shape} vs {p.data.shape}")
-        p.data[...] = arr
+    model = MODEL_CLASSES[ckpt.kind](cfg, vocabs, source=ckpt.params)
+    extra = sorted(set(ckpt.params) - set(model.params))
+    if extra:
+        raise CheckpointError(f"checkpoint has unknown parameters {extra}")
     return model

@@ -2,10 +2,21 @@
 
 Covers exactly the shapes the recurrent/attention models need: scalars,
 vectors, and matrices. Each op records a backward closure when an operand
-requires a gradient; ``backward`` replays the trace in reverse topological
-order. ``nd`` holds the same ops on plain ndarrays, with the same forward
-arithmetic and no trace: model code written once against an ops namespace
-trains on this module and runs inference on ``nd``, with the same floats.
+requires a gradient; the closure takes the output's gradient and holds no
+reference to the output, so a graph is freed as soon as it is dropped.
+``backward`` replays the trace in reverse topological order. ``nd`` holds the
+same ops on plain ndarrays, with the same forward arithmetic and no trace:
+model code written once against an ops namespace trains on this module and
+runs inference on ``nd``, with the same floats.
+
+Two fused ops stand for subgraphs the models build at every step:
+``linear(W, x, b)`` for ``add(matvec(W, x), b)``, and ``gru_gates(gi, gh, h)``
+for a gated recurrent step after its two affine products (six slices, two
+sigmoids, a tanh and the state update). Each is one node, not 2 or 17. Its
+backward repeats the subgraph's float operations, and it adds into each
+operand's ``.grad`` in the order the subgraph's nodes did, so the gradients
+are bit for bit the node graph's. Training floats and checkpoints do not
+depend on which of the two graphs built them.
 
 ``nd`` also takes a stack of rows, any leading batch axes before the operand
 this module would see: its ops act on the last axis (``transpose`` swaps the
@@ -50,10 +61,12 @@ class Tensor:
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            out._backward = backward
+            break
     return out
 
 
@@ -62,6 +75,10 @@ def _accum(t: Tensor, delta, index=None) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
+        if index is None and t.data.ndim < 2:
+            # bitwise zeros + delta; a matrix's grad keeps its data's layout
+            t.grad = np.asarray(delta + 0.0)
+            return
         t.grad = np.zeros_like(t.data)
     if index is None:
         t.grad += delta
@@ -73,27 +90,29 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` for every tensor the scalar ``loss`` depends on."""
     if loss.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    topo: list[Tensor] = []
+    # Depth first from the loss, last parent first; a node is pushed again,
+    # in a 1-tuple, as its exit marker, and the nodes' backward closures run
+    # in reverse exit order. Leaves have no closure and are never pushed.
+    exits: list[Tensor] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list = [loss] if loss._backward is not None else []
     while stack:
-        node, emitted = stack.pop()
-        if emitted:
-            topo.append(node)
+        node = stack.pop()
+        if node.__class__ is tuple:
+            exits.append(node[0])
             continue
         if id(node) in seen:
             continue
         seen.add(id(node))
-        stack.append((node, True))
+        stack.append((node,))
         for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
+            if p._backward is not None and id(p) not in seen:
+                stack.append(p)
     if loss.grad is None:
         loss.grad = np.zeros_like(loss.data)
     loss.grad += 1.0
-    for node in reversed(topo):
-        if node._backward is not None:
-            node._backward()
+    for node in reversed(exits):
+        node._backward(node.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -102,18 +121,16 @@ def backward(loss: Tensor) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape == b.shape:
-        def bw():
-            _accum(a, out.grad)
-            _accum(b, out.grad)
-        out = _make(a.data + b.data, (a, b), bw)
-        return out
+        def bw(g):
+            _accum(a, g)
+            _accum(b, g)
+        return _make(a.data + b.data, (a, b), bw)
     if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
         # bias row-broadcast
-        def bw():
-            _accum(a, out.grad)
-            _accum(b, out.grad.sum(axis=0))
-        out = _make(a.data + b.data, (a, b), bw)
-        return out
+        def bw(g):
+            _accum(a, g)
+            _accum(b, g.sum(axis=0))
+        return _make(a.data + b.data, (a, b), bw)
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
 
@@ -121,32 +138,29 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
 
-    def bw():
-        _accum(a, out.grad)
-        _accum(b, -out.grad)
+    def bw(g):
+        _accum(a, g)
+        _accum(b, -g)
 
-    out = _make(a.data - b.data, (a, b), bw)
-    return out
+    return _make(a.data - b.data, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
 
-    def bw():
-        _accum(a, out.grad * b.data)
-        _accum(b, out.grad * a.data)
+    def bw(g):
+        _accum(a, g * b.data)
+        _accum(b, g * a.data)
 
-    out = _make(a.data * b.data, (a, b), bw)
-    return out
+    return _make(a.data * b.data, (a, b), bw)
 
 
 def scale(t: Tensor, c: float) -> Tensor:
-    def bw():
-        _accum(t, out.grad * c)
+    def bw(g):
+        _accum(t, g * c)
 
-    out = _make(t.data * c, (t,), bw)
-    return out
+    return _make(t.data * c, (t,), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -154,39 +168,38 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if A.ndim == 2 and B.ndim == 1:
         if A.shape[1] != B.shape[0]:
             raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-        def bw():
-            _accum(a, np.outer(out.grad, B))
-            _accum(b, A.T @ out.grad)
+        def bw(g):
+            _accum(a, g[:, None] * B)
+            _accum(b, A.T @ g)
     elif A.ndim == 1 and B.ndim == 2:
         if A.shape[0] != B.shape[0]:
             raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-        def bw():
-            _accum(a, B @ out.grad)
-            _accum(b, np.outer(A, out.grad))
+        def bw(g):
+            _accum(a, B @ g)
+            _accum(b, A[:, None] * g)
     elif A.ndim == 2 and B.ndim == 2:
         if A.shape[1] != B.shape[0]:
             raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-        def bw():
-            _accum(a, out.grad @ B.T)
-            _accum(b, A.T @ out.grad)
+        def bw(g):
+            _accum(a, g @ B.T)
+            _accum(b, A.T @ g)
     else:
         raise ShapeError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
-    out = _make(A @ B, (a, b), bw)
-    return out
+    return _make(A @ B, (a, b), bw)
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
     if not parts or any(p.data.ndim != 1 for p in parts):
         raise ShapeError("concat expects a non-empty list of vectors")
-    sizes = [p.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    sizes = [p.data.shape[0] for p in parts]
 
-    def bw():
-        for p, o, n in zip(parts, offsets, sizes):
-            _accum(p, out.grad[o:o + n])
+    def bw(g):
+        o = 0
+        for p, n in zip(parts, sizes):
+            _accum(p, g[o:o + n])
+            o += n
 
-    out = _make(np.concatenate([p.data for p in parts]), tuple(parts), bw)
-    return out
+    return _make(np.concatenate([p.data for p in parts]), tuple(parts), bw)
 
 
 def slice1d(t: Tensor, start: int, stop: int) -> Tensor:
@@ -195,11 +208,10 @@ def slice1d(t: Tensor, start: int, stop: int) -> Tensor:
     if not 0 <= start <= stop <= t.shape[0]:
         raise ShapeError(f"slice1d [{start}:{stop}] out of range for {t.shape}")
 
-    def bw():
-        _accum(t, out.grad, slice(start, stop))
+    def bw(g):
+        _accum(t, g, slice(start, stop))
 
-    out = _make(t.data[start:stop], (t,), bw)
-    return out
+    return _make(t.data[start:stop], (t,), bw)
 
 
 def stack(rows: Sequence[Tensor]) -> Tensor:
@@ -208,12 +220,11 @@ def stack(rows: Sequence[Tensor]) -> Tensor:
     if len({r.shape[0] for r in rows}) != 1:
         raise ShapeError("stack expects equal-length vectors")
 
-    def bw():
+    def bw(g):
         for i, r in enumerate(rows):
-            _accum(r, out.grad[i])
+            _accum(r, g[i])
 
-    out = _make(np.stack([r.data for r in rows]), tuple(rows), bw)
-    return out
+    return _make(np.stack([r.data for r in rows]), tuple(rows), bw)
 
 
 def row(t: Tensor, i: int) -> Tensor:
@@ -223,22 +234,20 @@ def row(t: Tensor, i: int) -> Tensor:
     if not 0 <= i < t.shape[0]:
         raise ShapeError(f"row index {i} out of range for {t.shape}")
 
-    def bw():
-        _accum(t, out.grad, i)
+    def bw(g):
+        _accum(t, g, i)
 
-    out = _make(t.data[i], (t,), bw)
-    return out
+    return _make(t.data[i], (t,), bw)
 
 
 def transpose(t: Tensor) -> Tensor:
     if t.data.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, got {t.shape}")
 
-    def bw():
-        _accum(t, out.grad.T)
+    def bw(g):
+        _accum(t, g.T)
 
-    out = _make(t.data.T, (t,), bw)
-    return out
+    return _make(t.data.T, (t,), bw)
 
 
 def mean_rows(t: Tensor) -> Tensor:
@@ -247,11 +256,10 @@ def mean_rows(t: Tensor) -> Tensor:
         raise ShapeError(f"mean_rows expects a matrix, got {t.shape}")
     k = t.shape[0]
 
-    def bw():
-        _accum(t, np.broadcast_to(out.grad / k, t.shape))
+    def bw(g):
+        _accum(t, np.broadcast_to(g / k, t.shape))
 
-    out = _make(t.data.mean(axis=0), (t,), bw)
-    return out
+    return _make(t.data.mean(axis=0), (t,), bw)
 
 
 def zeros(n: int) -> Tensor:
@@ -260,11 +268,10 @@ def zeros(n: int) -> Tensor:
 
 
 def tsum(t: Tensor) -> Tensor:
-    def bw():
-        _accum(t, out.grad)
+    def bw(g):
+        _accum(t, np.broadcast_to(g, t.shape))
 
-    out = _make(np.asarray(t.data.sum()), (t,), bw)
-    return out
+    return _make(np.asarray(t.data.sum()), (t,), bw)
 
 
 def pick(t: Tensor, i: int) -> Tensor:
@@ -274,11 +281,10 @@ def pick(t: Tensor, i: int) -> Tensor:
     if not 0 <= i < t.shape[0]:
         raise ShapeError(f"pick index {i} out of range for {t.shape}")
 
-    def bw():
-        _accum(t, out.grad, i)
+    def bw(g):
+        _accum(t, g, i)
 
-    out = _make(np.asarray(t.data[i]), (t,), bw)
-    return out
+    return _make(np.asarray(t.data[i]), (t,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +294,10 @@ def pick(t: Tensor, i: int) -> Tensor:
 def tanh(t: Tensor) -> Tensor:
     y = np.tanh(t.data)
 
-    def bw():
-        _accum(t, (1.0 - y * y) * out.grad)
+    def bw(g):
+        _accum(t, (1.0 - y * y) * g)
 
-    out = _make(y, (t,), bw)
-    return out
+    return _make(y, (t,), bw)
 
 
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -316,11 +321,10 @@ def log_softmax_np(x: np.ndarray) -> np.ndarray:
 def sigmoid(t: Tensor) -> Tensor:
     y = sigmoid_np(t.data)
 
-    def bw():
-        _accum(t, y * (1.0 - y) * out.grad)
+    def bw(g):
+        _accum(t, y * (1.0 - y) * g)
 
-    out = _make(y, (t,), bw)
-    return out
+    return _make(y, (t,), bw)
 
 
 def softmax(t: Tensor) -> Tensor:
@@ -329,12 +333,10 @@ def softmax(t: Tensor) -> Tensor:
         raise ShapeError(f"softmax expects a vector or a matrix, got {t.shape}")
     y = softmax_np(t.data)
 
-    def bw():
-        g = out.grad
+    def bw(g):
         _accum(t, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
-    out = _make(y, (t,), bw)
-    return out
+    return _make(y, (t,), bw)
 
 
 def log_softmax(t: Tensor) -> Tensor:
@@ -342,12 +344,10 @@ def log_softmax(t: Tensor) -> Tensor:
         raise ShapeError(f"log_softmax expects a vector, got {t.shape}")
     y = log_softmax_np(t.data)
 
-    def bw():
-        g = out.grad
+    def bw(g):
         _accum(t, g - np.exp(y) * g.sum())
 
-    out = _make(y, (t,), bw)
-    return out
+    return _make(y, (t,), bw)
 
 
 def cross_entropy(logits: Tensor, target: int) -> Tensor:
@@ -357,6 +357,65 @@ def cross_entropy(logits: Tensor, target: int) -> Tensor:
     if not 0 <= target < logits.shape[0]:
         raise ValueError(f"target {target} out of range for {logits.shape[0]} classes")
     return scale(pick(log_softmax(logits), target), -1.0)
+
+
+# ---------------------------------------------------------------------------
+# fused layers: one node for a subgraph of the ops above, with a backward that
+# repeats that subgraph's float operations in its order, so every gradient
+# is the one the subgraph would give
+
+
+def linear(W: Tensor, x: Tensor, b: Tensor) -> Tensor:
+    """The affine layer W @ x + b, one node for ``add(matvec(W, x), b)``."""
+    Wd, xd = W.data, x.data
+    if Wd.ndim != 2 or xd.ndim != 1 or Wd.shape != b.data.shape + xd.shape:
+        raise ShapeError(f"linear: {W.shape} @ {x.shape} + {b.shape}")
+
+    def bw(g):
+        _accum(b, g)
+        _accum(W, g[:, None] * xd)
+        if x.requires_grad:
+            _accum(x, Wd.T @ g)
+
+    return _make(Wd @ xd + b.data, (W, x, b), bw)
+
+
+def gru_gates_np(gi: np.ndarray, gh: np.ndarray, h: np.ndarray):
+    """The gates of one gated recurrent step, ordered (reset, update,
+    candidate), from its input product ``gi`` and state product ``gh``.
+    Returns the new state and the values its backward needs: the reset and
+    update gates side by side, the candidate and ``h - candidate``."""
+    H = h.shape[-1]
+    rz = sigmoid_np(gi[..., :2 * H] + gh[..., :2 * H])
+    n = np.tanh(gi[..., 2 * H:] + rz[..., :H] * gh[..., 2 * H:])
+    d = h - n
+    return n + rz[..., H:] * d, rz, n, d
+
+
+def gru_gates(gi: Tensor, gh: Tensor, h: Tensor) -> Tensor:
+    """One node for a gated recurrent step after its two affine products:
+    the slices, the gates and the new state ``n + z * (h - n)``."""
+    H = h.data.shape[-1]
+    if h.data.ndim != 1 or gi.data.shape != (3 * H,) or gh.data.shape != (3 * H,):
+        raise ShapeError(f"gru_gates: {gi.shape}, {gh.shape} for state {h.shape}")
+    new, rz, n, d = gru_gates_np(gi.data, gh.data, h.data)
+    r, z, ghn = rz[:H], rz[H:], gh.data[2 * H:]
+
+    def bw(g):
+        # the old nodes' formulas with their operand order: z * (h - n) sends
+        # g * z to h and -(g * z) to n; tanh is (1 - y * y) * g, sigmoid
+        # y * (1 - y) * g; the reset gate's product sends to r and to gh
+        gz = g * z
+        _accum(h, gz)
+        dn = (1.0 - n * n) * (g + -gz)
+        drz = np.concatenate([dn * ghn, g * d])
+        dgi = np.concatenate([rz * (1.0 - rz) * drz, dn])
+        _accum(gi, dgi)
+        dgh = dgi.copy()
+        dgh[2 * H:] = dn * r
+        _accum(gh, dgh)
+
+    return _make(new, (gi, gh, h), bw)
 
 
 # the model code's two vector products: W @ x and w @ F
@@ -395,6 +454,8 @@ def _pick(t: np.ndarray, i) -> np.ndarray:
 nd = SimpleNamespace(
     add=np.add, sub=np.subtract, mul=np.multiply, scale=np.multiply,
     matmul=np.matmul, matvec=_matvec, vecmat=_vecmat, concat=_concat, stack=np.stack,
+    linear=lambda W, x, b: np.add(_matvec(W, x), b),
+    gru_gates=lambda gi, gh, h: gru_gates_np(gi, gh, h)[0],
     transpose=lambda t: np.swapaxes(t, -1, -2), row=operator.getitem, pick=_pick,
     slice1d=lambda t, start, stop: t[..., start:stop],
     mean_rows=lambda t: t.mean(axis=-2), zeros=np.zeros,
@@ -451,8 +512,10 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
         g = grads[name]
         if g.shape != p.data.shape:
             raise ShapeError(f"adam_step: grad {g.shape} vs param {p.data.shape} for {name!r}")
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2

@@ -1,9 +1,21 @@
-"""Shared fixtures: a tiny synthetic domain with trained-size knobs kept small."""
-import numpy as np
-import pytest
+"""Shared fixtures: a tiny synthetic domain with trained-size knobs kept small.
 
-from dualdec import data, models
-from dualdec.tensor import derive_rng
+BLAS runs on one thread, as in ``bench/make_fixture.py``: the pinned training
+digests are only byte-reproducible there. The variables are read once, when
+numpy loads its library, so they are set before numpy is imported.
+"""
+import os
+
+PINNED_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                      "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+for _var in PINNED_THREAD_VARS:
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from dualdec import data, models  # noqa: E402
+from dualdec.tensor import derive_rng  # noqa: E402
 
 
 def build_vocabs(nlu_examples, nlg_examples, merges=400):

@@ -133,6 +133,9 @@ def test_incompatible_checkpoints_exit_4(workspace, tmp_path):
 
 @pytest.mark.parametrize("flags, file_cfg", [
     (["synth", "--seed", "-1"], None),
+    (["synth", "--train-size", "-1"], None),
+    (["synth", "--valid-size", "-3"], None),
+    (["synth", "--test-size", "0"], None),
     (["dualinf", "--alpha", "1.5"], None),
     (["dualinf", "--beta", "-0.5"], None),
     (["eval", "--beam", "0"], None),
@@ -275,6 +278,11 @@ def _text_embedding(h):
     h["config"]["embedding"] = "8"
 
 
+def _huge_hidden(h):
+    # about 38 GB per hidden-sized row if anything were allocated from it
+    h["config"]["hidden"] = 4800000000
+
+
 def _labels_without_slot_keys(h):
     h["labels"] = {"intents": ["a"]}
 
@@ -294,7 +302,7 @@ INVENTORY_CORRUPTIONS = (_labels_without_slot_keys, _vocab_without_marker,
 
 @pytest.mark.parametrize("corrupt", [_drop_params, _drop_config, _bad_param_entry,
                                      _negative_shape, _no_hidden, _text_embedding,
-                                     *INVENTORY_CORRUPTIONS])
+                                     _huge_hidden, *INVENTORY_CORRUPTIONS])
 def test_checkpoint_header_errors_exit_4_without_traceback(workspace, tmp_path, capsys,
                                                            corrupt):
     root, cfg_path, ckpt_dir = workspace

@@ -1,13 +1,20 @@
-"""Pinned outputs of eval, dualinf and gridsearch on the benchmark fixture.
+"""Pinned outputs of train, and of eval, dualinf and gridsearch on the
+benchmark fixture.
 
-A refactor of decoding, scoring or re-ranking must leave every byte of these
-reports and traces unchanged. ``manifest.json`` is left out: it embeds the
-output and checkpoint paths.
+A refactor of training, decoding, scoring or re-ranking must leave every byte
+of these checkpoints, reports and traces unchanged. ``manifest.json`` is left
+out: it embeds the output and checkpoint paths.
 """
+import ctypes
+import glob
 import hashlib
 import json
+import os
 from pathlib import Path
 
+import numpy as np
+
+from conftest import PINNED_THREAD_VARS
 from dualdec.cli import main
 
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
@@ -70,3 +77,46 @@ def test_decode_outputs_match_golden_digests(tmp_path):
 def test_long_beam_outputs_match_golden_digests(tmp_path):
     digests = _decode_digests(tmp_path, {"beam": 20, "max_len": 60, "k_intent": 3}, grid=False)
     assert digests == GOLDEN_LONG_BEAM
+
+
+# dualdec train at the lift run's model and optimizer settings on a small
+# corpus; teacher forcing 0.9 so the argmax branch of the forcing graphs runs
+GOLDEN_TRAIN = {
+    "nlu.ckpt": "c54ef8e6c51b10760a2508bb63efbab138cdf599475b9f6ce9b0b07741b2bab7",
+    "nlg.ckpt": "4698548c0c2fbcf9bd6afd5dabf4013f68d046ceb7bb03dd2be68f26f1f4da2c",
+    "lm.ckpt": "b88a3616602afaf297ee40d7e6e789b3f708d83a7793dddf5d104b1e3422627c",
+    "mfm.ckpt": "a40e51703eeda82092706afcc73cba262e66f774c3ac9717c941ab28e2880a08",
+}
+
+
+def test_trained_checkpoints_match_golden_digests(tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--seed", "7", "--train-size", "16",
+                 "--valid-size", "1", "--test-size", "1"]) == 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "seed": 5,
+        "data": {f"{d}_train": str(data / f"{d}_train.jsonl") for d in ("nlu", "nlg")},
+        "model": {"hidden": 48, "embedding": 24, "merges": 600},
+        "train": {"epochs": 2, "batch_size": 4, "lr": 3e-3, "teacher_forcing": 0.9},
+    }))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "train")]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted((tmp_path / "train").glob("*.ckpt"))}
+    assert digests == GOLDEN_TRAIN
+
+
+def test_blas_runs_on_one_thread():
+    """conftest pins BLAS before numpy loads; OpenBLAS, when numpy bundles
+    it, reports the one thread."""
+    assert all(os.environ[v] == "1" for v in PINNED_THREAD_VARS)
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(glob.glob(str(libs / "*openblas*.so*"))):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                assert fn() == 1
+                return

@@ -601,3 +601,59 @@ def test_backends_agree_bitwise(kind, tiny_corpus, tiny_vocabs):
     cfg = TrainConfig(hidden=8, embedding=6, epochs=1, batch_size=4, seed=13)
     m, _ = train_model(kind, samples, cfg, vocabs)
     _assert_backends_agree(kind, m, nlu_raw, nlg_raw)
+
+
+# ---------------------------------------------------------------------------
+# the fused training graph against the node-by-node graph it replaced
+
+
+def _node_by_node_gru_step(ops, P, prefix: str, x, h):
+    """``models._gru_step`` before ``tensor.gru_gates`` and ``tensor.linear``:
+    20 graph nodes on ``tensor``."""
+    H = h.shape[-1]
+    gi = ops.add(ops.matvec(P[prefix + ".w_ih"], x), P[prefix + ".b_ih"])
+    gh = ops.add(ops.matvec(P[prefix + ".w_hh"], h), P[prefix + ".b_hh"])
+    r = ops.sigmoid(ops.add(ops.slice1d(gi, 0, H), ops.slice1d(gh, 0, H)))
+    z = ops.sigmoid(ops.add(ops.slice1d(gi, H, 2 * H), ops.slice1d(gh, H, 2 * H)))
+    n = ops.tanh(ops.add(ops.slice1d(gi, 2 * H, 3 * H),
+                         ops.mul(r, ops.slice1d(gh, 2 * H, 3 * H))))
+    return ops.add(n, ops.mul(z, ops.sub(h, n)))
+
+
+def _batch_loss_and_grads(kind, m, samples):
+    """One training batch's loss and gradients, built as ``train_model``
+    builds them; teacher forcing 0.5, so the argmax branch runs too."""
+    T.zero_grad(m.params.values())
+    rng = derive_rng(3, "batch", kind)
+    terms = [models._example_loss(kind, m, s, 0.5, rng) for s in samples]
+    loss = T.scale(models._sum_terms(terms), 1.0 / len(terms))
+    T.backward(loss)
+    return float(loss.data), {name: p.grad.copy() for name, p in m.params.items()}
+
+
+def _assert_fused_graph_equals_node_graph(kind, m, nlu_raw, nlg_raw, monkeypatch):
+    samples = {"nlu": lambda: models.prepare_nlu_samples(nlu_raw, m.vocabs),
+               "nlg": lambda: models.prepare_nlg_samples(nlg_raw, m.vocabs),
+               "lm": lambda: models.prepare_lm_samples([ex.text for ex in nlu_raw], m.vocabs),
+               "mfm": lambda: [ex.frame for ex in nlg_raw]}[kind]()
+    loss, grads = _batch_loss_and_grads(kind, m, samples)
+    with monkeypatch.context() as patch:
+        patch.setattr(models, "_gru_step", _node_by_node_gru_step)
+        patch.setattr(T, "linear", lambda W, x, b: T.add(T.matvec(W, x), b))
+        ref_loss, ref_grads = _batch_loss_and_grads(kind, m, samples)
+    assert loss == ref_loss
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        assert np.array_equal(g, ref_grads[name]), (kind, name)
+
+
+@pytest.mark.parametrize("kind", data.MODEL_KINDS)
+def test_fused_gradients_equal_the_node_by_node_graph(kind, tiny_corpus, tiny_vocabs,
+                                                      monkeypatch):
+    """The fused ops add into each ``.grad`` in the node graph's order, so the
+    loss and every gradient are bit for bit the node graph's."""
+    nlu_raw, nlg_raw = tiny_corpus
+    m = randomize(make_model(kind, tiny_vocabs), derive_rng(37, "rand", kind))
+    _assert_fused_graph_equals_node_graph(kind, m, nlu_raw[:6], nlg_raw[:6], monkeypatch)
+    m = models.model_from_checkpoint(data.load_checkpoint(FIXTURE / f"{kind}.ckpt"))
+    _assert_fused_graph_equals_node_graph(kind, m, nlu_raw[:6], nlg_raw[:6], monkeypatch)

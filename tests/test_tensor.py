@@ -121,6 +121,60 @@ def test_composed_graph_matches_finite_differences():
             assert rel_err(a, b) < 1e-4
 
 
+def _fused_graph_loss(params):
+    """Two recurrent steps through the fused ops; the first state feeds the
+    second step's ``linear`` and ``gru_gates`` and a loss term of its own."""
+    w_ih, w_hh, b_ih, b_hh, x, h = params
+    h1 = T.gru_gates(T.linear(w_ih, x, b_ih), T.linear(w_hh, h, b_hh), h)
+    h2 = T.gru_gates(T.linear(w_ih, T.tanh(h1), b_ih), T.linear(w_hh, h1, b_hh), h1)
+    return T.add(T.tsum(T.mul(h2, h2)), T.cross_entropy(h1, 1))
+
+
+def test_fused_ops_match_finite_differences():
+    rng = np.random.default_rng(9)
+    shapes = [(9, 3), (9, 3), (9,), (9,), (3,), (3,)]
+    datas = [rng.normal(size=s) for s in shapes]
+
+    params = [Tensor(d.copy(), requires_grad=True) for d in datas]
+    T.backward(_fused_graph_loss(params))
+
+    for k in range(len(shapes)):
+        def f(flat, k=k):
+            vals = [d.copy() for d in datas]
+            vals[k] = flat.reshape(shapes[k])
+            return float(_fused_graph_loss([Tensor(v) for v in vals]).data)
+
+        num = numeric_grad(f, datas[k].reshape(-1))
+        ana = params[k].grad.reshape(-1)
+        for a, b in zip(ana, num):
+            assert rel_err(a, b) < 1e-4
+
+
+def test_fused_ops_reject_mismatched_shapes():
+    with pytest.raises(T.ShapeError):
+        T.linear(Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)), Tensor(np.zeros(3)))
+    with pytest.raises(T.ShapeError):
+        T.gru_gates(Tensor(np.zeros(9)), Tensor(np.zeros(6)), Tensor(np.zeros(3)))
+
+
+def test_fanout_through_add_keeps_gradients_apart():
+    # add(u, v) passes one array to both of its operands; u = tanh(v) also
+    # feeds a product, and its accumulation must not reach v's gradient
+    x0 = np.array([0.3, -1.2, 0.7])
+    c, d = np.array([1.5, -0.5, 2.0]), np.array([-1.0, 0.25, 3.0])
+
+    def loss(x):
+        v = T.sigmoid(x)
+        u = T.tanh(v)
+        return T.add(T.tsum(T.mul(T.add(u, v), Tensor(c))), T.tsum(T.mul(u, Tensor(d))))
+
+    x = Tensor(x0, requires_grad=True)
+    T.backward(loss(x))
+    num = numeric_grad(lambda v: float(loss(Tensor(v)).data), x0)
+    for a, b in zip(x.grad, num):
+        assert rel_err(a, b) < 1e-6
+
+
 def test_fanout_accumulation_is_additive():
     # z = x*a + x*b reuses x; grad must be a + b regardless of visit order
     x = Tensor(np.asarray(2.0), requires_grad=True)
@@ -285,6 +339,8 @@ def test_nd_ops_on_a_stack_equal_the_ops_on_each_row(B, n, m, k, strided, seed):
     picks = rng.integers(0, n, size=B)
     lo = int(rng.integers(0, n + 1))
     hi = int(rng.integers(lo, n + 1))
+    Gi = _stack(rng, (B,), 3 * n, strided, scale=4.0)
+    Gh = _stack(rng, (B,), 3 * n, strided, scale=4.0)
     # (name, the op on the stack, the op on row b alone)
     cases = [
         ("add", nd.add(X, Y), lambda b: nd.add(X[b], Y[b])),
@@ -307,6 +363,8 @@ def test_nd_ops_on_a_stack_equal_the_ops_on_each_row(B, n, m, k, strided, seed):
         ("sigmoid", nd.sigmoid(X), lambda b: nd.sigmoid(X[b])),
         ("softmax", nd.softmax(X), lambda b: nd.softmax(X[b])),
         ("log_softmax", nd.log_softmax(X), lambda b: nd.log_softmax(X[b])),
+        ("linear", nd.linear(W, X, v), lambda b: nd.linear(W, X[b], v)),
+        ("gru_gates", nd.gru_gates(Gi, Gh, Y), lambda b: nd.gru_gates(Gi[b], Gh[b], Y[b])),
     ]
     for name, stacked, one_row in cases:
         for b in range(B):
