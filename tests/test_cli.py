@@ -133,9 +133,6 @@ def test_incompatible_checkpoints_exit_4(workspace, tmp_path):
 
 @pytest.mark.parametrize("flags, file_cfg", [
     (["synth", "--seed", "-1"], None),
-    (["synth", "--train-size", "-1"], None),
-    (["synth", "--valid-size", "-3"], None),
-    (["synth", "--test-size", "0"], None),
     (["dualinf", "--alpha", "1.5"], None),
     (["dualinf", "--beta", "-0.5"], None),
     (["eval", "--beam", "0"], None),
@@ -161,6 +158,9 @@ def test_incompatible_checkpoints_exit_4(workspace, tmp_path):
     (["eval"], {"decode": {"k_intent": None}}),
     (["eval"], {"checkpoints": 5}),
     (["train"], {"data": {"nlu_train": []}}),
+    (["synth", "--train-size", "-1"], None),
+    (["synth", "--valid-size", "-3"], None),
+    (["synth", "--test-size", "0"], None),
 ])
 def test_usage_errors_exit_2_without_traceback(tmp_path, capsys, flags, file_cfg):
     argv = [*flags, "--out", tmp_path / "o"]
