@@ -56,15 +56,18 @@ DEFAULTS: dict = {
 }
 
 
-# (key, integer, lo, hi): every numeric config value and its closed range
+# (key, integer, lo, hi): every numeric config value and its closed range.
+# The size keys are capped, so an absurd size exits 2 instead of exhausting
+# memory: at the caps, one beam step's log-probs or one weight matrix takes
+# tens of MB.
 NUMERIC_KEYS = (
     ("seed", True, 0, math.inf),
-    ("model.hidden", True, 1, math.inf), ("model.embedding", True, 1, math.inf),
+    ("model.hidden", True, 1, 1024), ("model.embedding", True, 1, 1024),
     ("model.merges", True, 0, math.inf),
     ("train.epochs", True, 0, math.inf), ("train.batch_size", True, 1, math.inf),
     ("train.teacher_forcing", False, 0, 1), ("train.lr", False, 0, math.inf),
     ("train.clip", False, 0, math.inf),
-    ("decode.beam", True, 1, math.inf), ("decode.max_len", True, 1, math.inf),
+    ("decode.beam", True, 1, 1000), ("decode.max_len", True, 1, math.inf),
     ("decode.k_intent", True, 1, math.inf),
     ("dual.alpha", False, 0, 1), ("dual.beta", False, 0, 1), ("dual.grid_step", False, 0, 1),
 )

@@ -105,136 +105,110 @@ class Stepper(Protocol):
     def advance(self, states, symbols: np.ndarray) -> tuple[object, np.ndarray]: ...
 
 
-def _completion_order(h: Hypothesis):
-    return (-h.forward_logprob, len(h.payload), h.payload)
-
-
-def _ranked_extensions(active, lp: np.ndarray, eos: int | None, step: int,
-                       limit: int | None = None):
-    """The one-symbol extensions of the ``active`` hypotheses, best first, at
-    most ``limit`` of them.
-
-    ``active`` holds (score, payload, per_step) entries whose payloads all
-    have the same length, and row i of ``lp`` is entry i's log-prob
-    distribution. The extensions come as (score, payload, per_step, parent
-    row, symbol) tuples, ordered by (-score, payload): since the parents are
-    equally long, that is one lexsort on (-score, the parent's rank in payload
-    order, symbol). ``eos`` and -inf entries extend nothing; a NaN or +inf
-    log-prob raises DecodeError naming ``step``. Only the extensions taken
-    from the returned iterator are built as tuples.
-    """
-    if not active:
-        return iter(())
-    bad = np.argwhere(~(lp < math.inf))
-    if len(bad):
-        row, v = bad[0]
-        raise DecodeError(f"log-probability {lp[row, v]} for symbol {v} at decode step {step}")
-    ok = lp > -math.inf
-    if eos is not None:
-        ok[:, eos] = False
-    rows, syms = np.nonzero(ok)
-    scores = np.array([a[0] for a in active])[rows] + lp[rows, syms]
-    if limit is not None and limit < len(scores):
-        # the first ``limit`` all score at least the limit-th best score
-        kth = np.partition(scores, len(scores) - limit)[len(scores) - limit]
-        keep = np.flatnonzero(scores >= kth)
-        rows, syms, scores = rows[keep], syms[keep], scores[keep]
-    payload_rank = np.empty(len(active), dtype=np.intp)
-    payload_rank[sorted(range(len(active)), key=lambda i: active[i][1])] = range(len(active))
-
-    def extension(i):
-        row, v = int(rows[i]), int(syms[i])
-        _, payload, per = active[row]
-        return (float(scores[i]), payload + (v,), per + (float(lp[row, v]),), row, v)
-    return map(extension, np.lexsort((syms, payload_rank[rows], -scores))[:limit])
-
-
 def beam_search(stepper: Stepper, beam: int, max_len: int) -> list[Hypothesis]:
-    """Standard beam search over log-probs; returns up to ``beam`` completed
-    hypotheses, best first (ties: earlier completion, then payload order).
+    """Standard beam search over log-probs, for both directions; returns up to
+    ``beam`` hypotheses, best first. ``max_len`` must be at least 1.
 
-    Each step keeps the ``beam`` best extensions by (-score, payload): equal
-    scores go to the extension of the parent first in payload order, then to
-    the lower symbol. Sequences reaching ``max_len`` are force-completed with
-    their EOS score. The frontier keeps the top ``beam`` partials per length,
-    so results equal exhaustive enumeration whenever vocab**(max_len-1) <= beam.
+    A stepper with EOS yields completions, ordered by (-score, length,
+    payload); sequences reaching ``max_len`` are force-completed with their
+    EOS score. A stepper whose ``eos`` is None decodes exactly ``max_len``
+    symbols. Each step keeps the ``beam`` best extensions by (-score,
+    payload): equal scores go to the extension of the parent first in payload
+    order, then to the lower symbol. The frontier keeps the top ``beam``
+    partials per length, so results equal exhaustive enumeration whenever
+    vocab**(max_len-1) <= beam.
+    """
+    return _search(stepper, beam, max_len)[0]
+
+
+def _search(stepper: Stepper, beam: int, max_len: int) -> tuple[list[Hypothesis], object]:
+    """``beam_search``'s hypotheses and, for a stepper without EOS, the state
+    stack of their final rows (else None).
+
+    The frontier is arrays: each row's score and its rank in payload order.
+    Rows are equally long, so a child's payload order is (parent rank,
+    symbol) and both orders are lexsorts. Payloads and per-step log-probs are
+    rebuilt from per-step backpointers only for the hypotheses kept. A NaN or
+    +inf log-prob raises DecodeError naming the step.
     """
     if beam < 1:
         raise DecodeError("beam must be >= 1")
+    if max_len < 1:
+        raise DecodeError("max_len must be >= 1")
     eos = stepper.eos
-    if eos is None:
-        return [h for h, _ in _beam_search_fixed(stepper, beam, max_len)]
     states, lp = stepper.start()
-    active = [(0.0, (), ())]
-    completed: list[Hypothesis] = []
-    top = [-math.inf] * beam  # min-heap of the ``beam`` best completion scores
+    scores, rank = np.zeros(1), np.zeros(1, dtype=np.intp)
+    back = []  # per step: the kept rows' parent rows, symbols and log-probs
+    # the ``beam`` best completions, worst at the root: (score, -length,
+    # -payload order, the step and row they extend, the symbols and log-probs
+    # they add). Completions of one length come from one step, so their
+    # payload order is their row's rank, or at max_len (parent rank, symbol).
+    top: list[tuple] = []
+
+    def hypothesis(step, row, score, syms, lps) -> Hypothesis:
+        payload, per = [], []
+        for parents, symbols, logprobs in reversed(back[:step]):
+            payload.append(symbols[row])
+            per.append(logprobs[row])
+            row = parents[row]
+        return Hypothesis(tuple(payload[::-1]) + syms, score, tuple(per[::-1]) + lps)
+
+    def complete(entry) -> None:
+        # a completion pushed out of the ``beam`` best can never be returned
+        (heapq.heappush if len(top) < beam else heapq.heappushpop)(top, entry)
+
     for t in range(max_len):
-        for (score, payload, per), lp_eos in zip(active, lp[:, eos].tolist()):
-            if lp_eos > -math.inf:
-                completed.append(Hypothesis(payload, score + lp_eos, per + (lp_eos,)))
-                heapq.heappushpop(top, score + lp_eos)
-        if t == max_len - 1:
-            _force_complete(stepper, states, _ranked_extensions(active, lp, eos, t),
-                            completed, top, t + 1)
-            break
-        cand = list(_ranked_extensions(active, lp, eos, t, beam))
-        if not cand or cand[0][0] < top[0]:
-            break  # extensions only lower scores; nothing can enter the top-k
-        states, lp = _advance(stepper, states, cand)
-        active = [c[:3] for c in cand]
-    completed.sort(key=_completion_order)
-    return completed[:beam]
-
-
-def _advance(stepper: Stepper, states, extensions):
-    """Step the parent row of each extension by its symbol, as one stack."""
-    rows = np.array([e[3] for e in extensions])
-    return stepper.advance(states[rows], np.array([e[4] for e in extensions]))
-
-
-def _force_complete(stepper: Stepper, states, ranked, completed: list[Hypothesis],
-                    top: list[float], step: int) -> None:
-    """Complete the ``ranked`` extensions with their EOS score, best first.
-
-    ``top`` is beam search's min-heap of the best completion scores, so
-    ``top[0]`` is the ``beam``-th best. A completion scores at most its
-    extension, so the walk stops at the first extension below it: neither it
-    nor any later one can enter the top ``beam``.
-    """
-    for score, payload, per, row, v in ranked:
-        if score < top[0]:
-            return
-        _, lp = stepper.advance(states[np.array([row])], np.array([v]))
-        lp_eos = float(lp[0, stepper.eos])
-        if math.isnan(lp_eos) or lp_eos == math.inf:
-            raise DecodeError(f"log-probability {lp_eos} for EOS at decode step {step}")
-        if lp_eos > -math.inf:
-            completed.append(Hypothesis(payload, score + lp_eos, per + (lp_eos,)))
-            heapq.heappushpop(top, score + lp_eos)
-
-
-def _beam_search_fixed(stepper: Stepper, beam: int, length: int,
-                       ) -> list[tuple[Hypothesis, object]]:
-    """Fixed-length beam (no EOS); returns (hypothesis, final state) pairs,
-    the states being the rows of a stack."""
-    if beam < 1:
-        raise DecodeError("beam must be >= 1")
-    if length < 1:
-        raise DecodeError("fixed-length beam needs length >= 1")
-    states, lp = stepper.start()
-    active = [(0.0, (), ())]
-    for t in range(length):
-        cand = list(_ranked_extensions(active, lp, None, t, beam))
-        if not cand:
-            return []
-        if t == length - 1:
+        if not lp.max() < math.inf:  # a NaN or +inf somewhere
+            row, v = np.argwhere(~(lp < math.inf))[0]
+            raise DecodeError(f"log-probability {lp[row, v]} for symbol {v} at decode step {t}")
+        ext = scores[:, None] + lp
+        if eos is not None:
+            done = np.flatnonzero(lp[:, eos] > -math.inf)
+            for row, end, lp_eos, r in zip(done.tolist(), ext[done, eos].tolist(),
+                                           lp[done, eos].tolist(), rank[done].tolist()):
+                complete((end, -t, -r, 0, t, row, (), (lp_eos,)))
+            ext[:, eos] = -math.inf
+        ext = ext.ravel()
+        limit = None if eos is not None and t == max_len - 1 else beam
+        floor = np.finfo(float).min  # the lowest finite score: -inf extends nothing
+        if limit is not None and limit < len(ext):
+            # the first ``limit`` all score at least the limit-th best score
+            floor = max(floor, np.partition(ext, len(ext) - limit)[len(ext) - limit])
+        idx = np.flatnonzero(ext >= floor)
+        rows, syms = np.divmod(idx, lp.shape[1])
+        order = np.lexsort((syms, rank[rows], -ext[idx]))[:limit]
+        rows, syms, ext = rows[order], syms[order], ext[idx[order]]
+        lps = lp[rows, syms]
+        if t < max_len - 1:
+            if not len(ext) or len(top) == beam and ext[0] < top[0][0]:
+                break  # extensions only lower scores; nothing can enter the top-k
+            back.append((rows.tolist(), syms.tolist(), lps.tolist()))
+            children = np.lexsort((syms, rank[rows]))
+            rank = np.empty_like(children)
+            rank[children] = np.arange(len(children))
+            states, lp = stepper.advance(states[rows], syms)
+            scores = ext
+        elif eos is None:
             # the parent states already consumed the final input position
-            finals = states[np.array([c[3] for c in cand])]
-            return [(Hypothesis(payload, score, per), state)
-                    for (score, payload, per, _, _), state in zip(cand, finals)]
-        states, lp = _advance(stepper, states, cand)
-        active = [c[:3] for c in cand]
-    return []
+            return ([hypothesis(t, row, s, (v,), (lp_v,)) for row, v, s, lp_v in
+                     zip(rows.tolist(), syms.tolist(), ext.tolist(), lps.tolist())],
+                    states[rows])
+        else:
+            # complete best first; a completion scores at most its extension,
+            # so the walk stops at the first extension below the beam-th best
+            for i in range(len(ext)):
+                if len(top) == beam and ext[i] < top[0][0]:
+                    break
+                _, lp_end = stepper.advance(states[rows[i:i + 1]], syms[i:i + 1])
+                lp_eos = float(lp_end[0, eos])
+                if math.isnan(lp_eos) or lp_eos == math.inf:
+                    raise DecodeError(f"log-probability {lp_eos} for EOS at decode step {t + 1}")
+                if lp_eos > -math.inf:
+                    complete((float(ext[i]) + lp_eos, -max_len, -int(rank[rows[i]]),
+                              -int(syms[i]), t, int(rows[i]), (int(syms[i]),),
+                              (float(lps[i]), lp_eos)))
+    return [hypothesis(step, row, score, syms, lps)
+            for score, _, _, _, step, row, syms, lps in sorted(top, reverse=True)], None
 
 
 class NlgStepper:
@@ -267,9 +241,6 @@ class TagStates:
     def __getitem__(self, rows) -> TagStates:
         return TagStates(self.h[rows], self.pos)
 
-    def __iter__(self):
-        return iter(self.h)
-
 
 class NluTagStepper:
     """Tag decoding over a fixed utterance; one step per input token."""
@@ -301,12 +272,11 @@ def nlu_hypotheses(model: NluModel, utt: Utterance, beam: int,
     """Tag-sequence beam, each paired with its top ``k_intent`` intents from
     the hypothesis' final state; truncated to ``beam`` total."""
     stepper = NluTagStepper(model, utt)
-    items = _beam_search_fixed(stepper, beam, stepper.length)
-    if not model.n_intents or not items:
-        return [h for h, _ in items]
+    hyps, finals = _search(stepper, beam, stepper.length)
+    if not model.n_intents or not hyps:
+        return hyps
     out = []
-    intent_lps = nlu_intent(model, np.array([h for _, h in items]))
-    for (hyp, _), ilp in zip(items, intent_lps):
+    for hyp, ilp in zip(hyps, nlu_intent(model, finals.h)):
         order = np.argsort(-ilp, kind="stable")[:max(1, k_intent)]
         for ii in order:
             lp = float(ilp[int(ii)])

@@ -161,6 +161,11 @@ def test_incompatible_checkpoints_exit_4(workspace, tmp_path):
     (["synth", "--train-size", "-1"], None),
     (["synth", "--valid-size", "-3"], None),
     (["synth", "--test-size", "0"], None),
+    (["eval", "--direction", "nlg", "--beam", "99999999999999999999"], None),
+    (["eval"], {"decode": {"beam": 1001}}),
+    (["train"], {"model": {"hidden": 10 ** 20}}),
+    (["train"], {"model": {"hidden": 5_000_000}}),
+    (["train"], {"model": {"embedding": 1025}}),
 ])
 def test_usage_errors_exit_2_without_traceback(tmp_path, capsys, flags, file_cfg):
     argv = [*flags, "--out", tmp_path / "o"]
@@ -321,6 +326,53 @@ def test_checkpoint_header_errors_exit_4_without_traceback(workspace, tmp_path, 
                "--out", tmp_path / "o") == 4
     err = capsys.readouterr().err
     assert err.startswith("checkpoint error:") and "Traceback" not in err
+
+
+# header fields a fuzzed checkpoint edits, and the values it may write there:
+# wrong types and small sizes only, so no edit can allocate much
+HEADER_FIELDS = (("format_version",), ("kind",), ("seed",), ("config", "hidden"),
+                 ("config", "embedding"), ("params", 0, 1), ("params", -1, 1, 0),
+                 ("labels", "intents"), ("vocab", "merges"))
+HEADER_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 6),
+                          st.sampled_from(["", "x", 0.5]),
+                          st.lists(st.integers(0, 4), max_size=2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(data.MODEL_KINDS),
+       edit=st.sampled_from(["truncate", "flip", "append", "header"]), draws=st.data())
+def test_fuzzed_checkpoint_bytes_exit_with_a_documented_code(fuzz_workspace, kind, edit,
+                                                             draws):
+    root, _ = fuzz_workspace
+    blob = (root / "ckpt" / f"{kind}.ckpt").read_bytes()
+    if edit == "truncate":
+        blob = blob[:draws.draw(st.integers(0, len(blob) - 1))]
+    elif edit == "flip":
+        at = draws.draw(st.integers(0, len(blob) - 1))
+        blob = blob[:at] + bytes([blob[at] ^ draws.draw(st.integers(1, 255))]) + blob[at + 1:]
+    elif edit == "append":
+        blob += draws.draw(st.binary(min_size=1, max_size=16))
+    else:
+        nl = blob.index(b"\n")
+        header = json.loads(blob[:nl])
+        *path, last = draws.draw(st.sampled_from(HEADER_FIELDS))
+        node = header
+        for step in path:
+            node = node[step]
+        node[last] = draws.draw(HEADER_VALUES)
+        blob = json.dumps(header).encode() + blob[nl:]
+    with tempfile.TemporaryDirectory(dir=root) as tmp:
+        ckpt_dir = Path(tmp) / "ckpt"
+        ckpt_dir.mkdir()
+        for k in data.MODEL_KINDS:
+            (ckpt_dir / f"{k}.ckpt").write_bytes(
+                blob if k == kind else (root / "ckpt" / f"{k}.ckpt").read_bytes())
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run("eval", "--config", root / "config.json", "--checkpoints", ckpt_dir,
+                       "--out", Path(tmp) / "out")
+    assert code in (0, 3, 4), (kind, edit, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("kind", data.MODEL_KINDS)

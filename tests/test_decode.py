@@ -15,7 +15,7 @@ from dualdec.decode import (CachedExample, Components, DualWeights, Hypothesis,
                             nlg_hypotheses, nlu_hypotheses, rerank, rerank_index,
                             weight_grid)
 from dualdec.frames import SemanticFrame
-from dualdec.models import mfm_features
+from dualdec.models import mfm_features, nlu_intent
 from dualdec.tensor import derive_rng, nd
 
 
@@ -249,6 +249,13 @@ def reference_beam_search_fixed(stepper, beam: int, length: int):
     return []
 
 
+def search_fixed(stepper, beam: int, length: int):
+    """``decode._search`` of a stepper without EOS as (hypothesis, final
+    state) pairs, the form ``reference_beam_search_fixed`` returns."""
+    hyps, finals = decode._search(stepper, beam, length)
+    return list(zip(hyps, [] if finals is None else finals))
+
+
 class CountingTable(RowStepper):
     """Log-probs looked up by (step, last symbol), with a count of the rows
     advanced."""
@@ -291,7 +298,7 @@ def test_lexsort_beam_equals_tuple_sort_reference(case):
     assert new.advances <= ref.advances
     if eos is None:
         ref, new = CountingTable(table, eos), CountingTable(table, eos)
-        assert (decode._beam_search_fixed(new, beam, max_len)
+        assert (search_fixed(new, beam, max_len)
                 == reference_beam_search_fixed(ref, beam, max_len))
         assert new.advances == ref.advances
 
@@ -305,7 +312,7 @@ def test_all_minus_inf_distributions_give_no_hypotheses(eos, max_len):
     assert beam_search(stepper, 5, max_len) == []
     assert stepper.advances == 0
     if eos is None:
-        assert decode._beam_search_fixed(CountingTable(table, eos), 5, max_len) == []
+        assert search_fixed(CountingTable(table, eos), 5, max_len) == []
 
 
 def test_force_complete_stops_below_kth_completion():
@@ -364,7 +371,7 @@ def test_nlu_beam_matches_exhaustive_tags(tiny_vocabs, tiny_models):
             return nstate, lp[0, :3] - np.log(np.exp(lp[0, :3]).sum())
 
     r = Restricted()
-    got = decode._beam_search_fixed(r, 20, 3)
+    got = search_fixed(r, 20, 3)
     want = exhaustive_fixed(r, 3)[:20]
     assert [h.payload for h, _ in got] == [h.payload for h in want]
     for (g, _), w in zip(got, want):
@@ -382,6 +389,39 @@ def test_nlu_hypotheses_k_intent_and_truncation(tiny_vocabs, tiny_models):
     k1 = nlu_hypotheses(m, utt, beam=6, k_intent=1)
     # with one intent per tag sequence, payloads are unique
     assert len({h.payload for h in k1}) == len(k1)
+
+
+def test_nlu_intents_come_from_the_final_tagger_states(tiny_vocabs, tiny_models):
+    # the reference search steps one tagger row at a time and keeps each
+    # hypothesis' final state; its intents, built by hand, equal the ones
+    # nlu_hypotheses reads off the search's final state stack
+    m = randomize(tiny_models["nlu"], derive_rng(8, "intents"), -1.0, 1.0)
+    utt = tiny_vocabs.bpe.encode("book a table in boston")
+    stepper = NluTagStepper(m, utt)
+
+    class OneRow(RowStepper):
+        n_symbols = len(m.vocabs.labels.tags)
+        eos = None
+
+        def start_one(self):
+            state, lp = stepper.start()
+            return state, lp[0]
+
+        def step(self, state, symbol):
+            nstate, lp = stepper.advance(state, np.array([symbol]))
+            return nstate, lp[0]
+
+    beam, k_intent = 6, 2
+    want = []
+    for hyp, state in reference_beam_search_fixed(OneRow(), beam, stepper.length):
+        [ilp] = nlu_intent(m, state.h)
+        for i in np.argsort(-ilp, kind="stable")[:k_intent]:
+            lp = float(ilp[i])
+            want.append(Hypothesis(hyp.payload, hyp.forward_logprob + lp,
+                                   hyp.per_step + (lp,), intent=int(i)))
+    want.sort(key=lambda h: (-h.forward_logprob, len(h.payload), h.payload, h.intent))
+    assert len(utt.tokens) >= 3 and len(want) == beam * k_intent
+    assert nlu_hypotheses(m, utt, beam, k_intent) == want[:beam]
 
 
 def test_nlu_hypotheses_sorted_desc(tiny_vocabs, tiny_models):
