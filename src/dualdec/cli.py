@@ -129,7 +129,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     try:
         decode.grid_intervals(grid_step)
     except (DecodeError, ArithmeticError):
-        raise ConfigError(f"dual.grid_step must divide 1, not {grid_step!r}") from None
+        raise ConfigError(f"dual.grid_step must divide 1 at most 100 times, not {grid_step!r}") from None
     for key in ("out_dir", "checkpoints", *(f"data.{k}" for k in cfg["data"])):
         value = _lookup(cfg, key)
         if not isinstance(value, str) and (value is not None or key == "out_dir"):

@@ -111,12 +111,12 @@ def beam_search(stepper: Stepper, beam: int, max_len: int) -> list[Hypothesis]:
 
     A stepper with EOS yields completions, ordered by (-score, length,
     payload); sequences reaching ``max_len`` are force-completed with their
-    EOS score. A stepper whose ``eos`` is None decodes exactly ``max_len``
-    symbols. Each step keeps the ``beam`` best extensions by (-score,
-    payload): equal scores go to the extension of the parent first in payload
-    order, then to the lower symbol. The frontier keeps the top ``beam``
-    partials per length, so results equal exhaustive enumeration whenever
-    vocab**(max_len-1) <= beam.
+    EOS score, advanced best first in stacks of at most ``beam`` rows. A
+    stepper whose ``eos`` is None decodes exactly ``max_len`` symbols. Each
+    step keeps the ``beam`` best extensions by (-score, payload): equal scores
+    go to the extension of the parent first in payload order, then to the
+    lower symbol. The frontier keeps the top ``beam`` partials per length, so
+    results equal exhaustive enumeration whenever vocab**(max_len-1) <= beam.
     """
     return _search(stepper, beam, max_len)[0]
 
@@ -126,10 +126,12 @@ def _search(stepper: Stepper, beam: int, max_len: int) -> tuple[list[Hypothesis]
     stack of their final rows (else None).
 
     The frontier is arrays: each row's score and its rank in payload order.
-    Rows are equally long, so a child's payload order is (parent rank,
-    symbol) and both orders are lexsorts. Payloads and per-step log-probs are
-    rebuilt from per-step backpointers only for the hypotheses kept. A NaN or
-    +inf log-prob raises DecodeError naming the step.
+    Rows are equally long, so a child's payload order is (parent rank, symbol)
+    and both orders are lexsorts. Payloads and per-step log-probs are rebuilt
+    from per-step backpointers only for the hypotheses kept. A completion
+    scores at most its extension, so once ``beam`` completions are held no
+    extension below the worst of them is kept, and force-completion stops
+    there. A NaN or +inf log-prob raises DecodeError naming the step.
     """
     if beam < 1:
         raise DecodeError("beam must be >= 1")
@@ -140,22 +142,26 @@ def _search(stepper: Stepper, beam: int, max_len: int) -> tuple[list[Hypothesis]
     scores, rank = np.zeros(1), np.zeros(1, dtype=np.intp)
     back = []  # per step: the kept rows' parent rows, symbols and log-probs
     # the ``beam`` best completions, worst at the root: (score, -length,
-    # -payload order, the step and row they extend, the symbols and log-probs
-    # they add). Completions of one length come from one step, so their
-    # payload order is their row's rank, or at max_len (parent rank, symbol).
+    # -payload order, step and row extended, EOS log-prob); completions of one
+    # length extend rows of one step, so their payload order is their row's rank
     top: list[tuple] = []
 
-    def hypothesis(step, row, score, syms, lps) -> Hypothesis:
+    def hypothesis(step, row, score, *tail) -> Hypothesis:
         payload, per = [], []
         for parents, symbols, logprobs in reversed(back[:step]):
             payload.append(symbols[row])
             per.append(logprobs[row])
             row = parents[row]
-        return Hypothesis(tuple(payload[::-1]) + syms, score, tuple(per[::-1]) + lps)
+        return Hypothesis(tuple(payload[::-1]), score, tuple(per[::-1]) + tail)
 
-    def complete(entry) -> None:
+    def complete(t, lp, scores, ranks, first=0) -> None:
         # a completion pushed out of the ``beam`` best can never be returned
-        (heapq.heappush if len(top) < beam else heapq.heappushpop)(top, entry)
+        done = np.flatnonzero(lp[:, eos] > -math.inf)
+        lp_eos = lp[done, eos]
+        for row, end, lp_end, r in zip(done.tolist(), (scores[done] + lp_eos).tolist(),
+                                       lp_eos.tolist(), ranks[done].tolist()):
+            entry = (end, -t, -r, t, first + row, lp_end)
+            (heapq.heappush if len(top) < beam else heapq.heappushpop)(top, entry)
 
     for t in range(max_len):
         if not lp.max() < math.inf:  # a NaN or +inf somewhere
@@ -163,10 +169,7 @@ def _search(stepper: Stepper, beam: int, max_len: int) -> tuple[list[Hypothesis]
             raise DecodeError(f"log-probability {lp[row, v]} for symbol {v} at decode step {t}")
         ext = scores[:, None] + lp
         if eos is not None:
-            done = np.flatnonzero(lp[:, eos] > -math.inf)
-            for row, end, lp_eos, r in zip(done.tolist(), ext[done, eos].tolist(),
-                                           lp[done, eos].tolist(), rank[done].tolist()):
-                complete((end, -t, -r, 0, t, row, (), (lp_eos,)))
+            complete(t, lp, scores, rank)
             ext[:, eos] = -math.inf
         ext = ext.ravel()
         limit = None if eos is not None and t == max_len - 1 else beam
@@ -174,41 +177,36 @@ def _search(stepper: Stepper, beam: int, max_len: int) -> tuple[list[Hypothesis]
         if limit is not None and limit < len(ext):
             # the first ``limit`` all score at least the limit-th best score
             floor = max(floor, np.partition(ext, len(ext) - limit)[len(ext) - limit])
+        if len(top) == beam:
+            floor = max(floor, top[0][0])
         idx = np.flatnonzero(ext >= floor)
+        if not len(idx):
+            break
         rows, syms = np.divmod(idx, lp.shape[1])
         order = np.lexsort((syms, rank[rows], -ext[idx]))[:limit]
-        rows, syms, ext = rows[order], syms[order], ext[idx[order]]
-        lps = lp[rows, syms]
+        rows, syms, scores = rows[order], syms[order], ext[idx[order]]
+        back.append((rows.tolist(), syms.tolist(), lp[rows, syms].tolist()))
+        children = np.lexsort((syms, rank[rows]))
+        rank = np.empty_like(children)
+        rank[children] = np.arange(len(children))
         if t < max_len - 1:
-            if not len(ext) or len(top) == beam and ext[0] < top[0][0]:
-                break  # extensions only lower scores; nothing can enter the top-k
-            back.append((rows.tolist(), syms.tolist(), lps.tolist()))
-            children = np.lexsort((syms, rank[rows]))
-            rank = np.empty_like(children)
-            rank[children] = np.arange(len(children))
             states, lp = stepper.advance(states[rows], syms)
-            scores = ext
         elif eos is None:
             # the parent states already consumed the final input position
-            return ([hypothesis(t, row, s, (v,), (lp_v,)) for row, v, s, lp_v in
-                     zip(rows.tolist(), syms.tolist(), ext.tolist(), lps.tolist())],
+            return ([hypothesis(max_len, row, s) for row, s in enumerate(scores.tolist())],
                     states[rows])
         else:
-            # complete best first; a completion scores at most its extension,
-            # so the walk stops at the first extension below the beam-th best
-            for i in range(len(ext)):
-                if len(top) == beam and ext[i] < top[0][0]:
+            for first in range(0, len(scores), beam):
+                if len(top) == beam and scores[first] < top[0][0]:
                     break
-                _, lp_end = stepper.advance(states[rows[i:i + 1]], syms[i:i + 1])
-                lp_eos = float(lp_end[0, eos])
-                if math.isnan(lp_eos) or lp_eos == math.inf:
-                    raise DecodeError(f"log-probability {lp_eos} for EOS at decode step {t + 1}")
-                if lp_eos > -math.inf:
-                    complete((float(ext[i]) + lp_eos, -max_len, -int(rank[rows[i]]),
-                              -int(syms[i]), t, int(rows[i]), (int(syms[i]),),
-                              (float(lps[i]), lp_eos)))
-    return [hypothesis(step, row, score, syms, lps)
-            for score, _, _, _, step, row, syms, lps in sorted(top, reverse=True)], None
+                page = slice(first, first + beam)
+                _, lp = stepper.advance(states[rows[page]], syms[page])
+                if not lp[:, eos].max() < math.inf:  # only the EOS column is read
+                    bad = lp[~(lp[:, eos] < math.inf), eos][0]
+                    raise DecodeError(f"log-probability {bad} for EOS at decode step {max_len}")
+                complete(max_len, lp, scores[page], rank[page], first)
+    return [hypothesis(step, row, score, lp_eos)
+            for score, _, _, step, row, lp_eos in sorted(top, reverse=True)], None
 
 
 class NlgStepper:
@@ -517,10 +515,11 @@ def _reporter(direction: str, examples, vocabs, cached: Sequence[CachedExample])
 
 
 def grid_intervals(step: float) -> int:
-    """How many times ``step`` fits into 1.0; it must fit a whole number of times."""
+    """How many times ``step`` fits into 1.0: a whole number of times, at most
+    100, so a grid holds at most 101 x 101 weight pairs."""
     n = round(1.0 / step) if step > 0 else 0
-    if n < 1 or abs(n * step - 1.0) > 1e-9:
-        raise DecodeError(f"grid step {step} must divide 1.0")
+    if not 1 <= n <= 100 or abs(n * step - 1.0) > 1e-9:
+        raise DecodeError(f"grid step {step} must divide 1.0 at most 100 times")
     return n
 
 

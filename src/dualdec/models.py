@@ -13,9 +13,9 @@
     Frame density is a pseudo-likelihood: mask a random feature three times
     and sum the log-probabilities of the true labels.
 
-All four build on one constructor (config, vocabularies, a parameter store
-whose first entry is the word embedding), and NLG and the masked frame model
-share one frame-feature encoder, ``mfm_features``.
+All four build on one constructor (config, vocabularies, and parameters
+added in checkpoint order, the word embedding first), and NLG and the masked
+frame model share one frame-feature encoder, ``mfm_features``.
 
 Each model's step arithmetic is written once, against an ``ops`` namespace
 and a name-to-parameter map: ``tensor`` with ``model.params`` for training
@@ -64,41 +64,6 @@ class TrainConfig(ModelConfig):
     lr: float = 1e-3
     clip: float = 5.0
     seed: int = 0
-
-
-class ParamStore:
-    """Ordered named-parameter map; the checkpoint layout follows its order.
-
-    Each parameter is drawn from ``rng``, or copied from ``source``, a
-    checkpoint's name-to-array map, once its shape is checked. So a checkpoint
-    whose config sizes disagree with its arrays fails before anything of the
-    config's sizes is allocated."""
-
-    def __init__(self, rng: np.random.Generator | None,
-                 source: Mapping[str, np.ndarray] | None = None):
-        self._rng = rng
-        self._source = source
-        self.params: dict[str, Tensor] = {}
-
-    def add(self, name: str, shape: tuple[int, ...]) -> None:
-        if name in self.params:
-            raise ValueError(f"duplicate parameter {name!r}")
-        if self._source is None:
-            self.params[name] = T.parameter(shape, self._rng)
-            return
-        if name not in self._source:
-            raise CheckpointError(f"checkpoint lacks parameter {name!r}")
-        arr = self._source[name]
-        if arr.shape != shape:
-            raise CheckpointError(f"shape mismatch for {name!r}: {arr.shape} vs {shape}")
-        self.params[name] = Tensor(np.array(arr, dtype=np.float64), requires_grad=True)
-
-    def add_gru(self, prefix: str, in_dim: int, hidden: int) -> None:
-        """The parameters of the gated recurrent cell that ``_gru_step`` runs."""
-        self.add(f"{prefix}.w_ih", (3 * hidden, in_dim))
-        self.add(f"{prefix}.w_hh", (3 * hidden, hidden))
-        self.add(f"{prefix}.b_ih", (3 * hidden,))
-        self.add(f"{prefix}.b_hh", (3 * hidden,))
 
 
 def _gru_step(ops, P, prefix: str, x, h):
@@ -181,14 +146,39 @@ class _Model:
                  source: Mapping[str, np.ndarray] | None = None):
         self.cfg = cfg
         self.vocabs = vocabs
-        store = ParamStore(rng, source)
-        store.add("word_emb", (len(vocabs.bpe.pieces), cfg.embedding))
-        self._build(store, cfg.hidden, cfg.embedding)
-        self.params = store.params
+        self.params: dict[str, Tensor] = {}
+        self._rng, self._source = rng, source
+        self.add("word_emb", (len(vocabs.bpe.pieces), cfg.embedding))
+        self._build(cfg.hidden, cfg.embedding)
+        del self._rng, self._source  # a model keeps no reference to its checkpoint
         self.arrays = {name: p.data for name, p in self.params.items()}
 
-    def _build(self, store: ParamStore, H: int, E: int) -> None:
+    def _build(self, H: int, E: int) -> None:
         raise NotImplementedError
+
+    def add(self, name: str, shape: tuple[int, ...]) -> None:
+        """Add parameter ``name``, drawn from ``rng`` or copied from
+        ``source``, a checkpoint's name-to-array map, once its shape is
+        checked. So a checkpoint whose config sizes disagree with its arrays
+        fails before anything of the config's sizes is allocated."""
+        if name in self.params:
+            raise ValueError(f"duplicate parameter {name!r}")
+        if self._source is None:
+            self.params[name] = T.parameter(shape, self._rng)
+            return
+        if name not in self._source:
+            raise CheckpointError(f"checkpoint lacks parameter {name!r}")
+        arr = self._source[name]
+        if arr.shape != shape:
+            raise CheckpointError(f"shape mismatch for {name!r}: {arr.shape} vs {shape}")
+        self.params[name] = Tensor(np.array(arr, dtype=np.float64), requires_grad=True)
+
+    def add_gru(self, prefix: str, in_dim: int, hidden: int) -> None:
+        """The parameters of the gated recurrent cell that ``_gru_step`` runs."""
+        self.add(f"{prefix}.w_ih", (3 * hidden, in_dim))
+        self.add(f"{prefix}.w_hh", (3 * hidden, hidden))
+        self.add(f"{prefix}.b_ih", (3 * hidden,))
+        self.add(f"{prefix}.b_hh", (3 * hidden,))
 
     @property
     def n_intents(self) -> int:
@@ -202,16 +192,16 @@ class _Model:
 class NluModel(_Model):
     kind = "nlu"
 
-    def _build(self, store: ParamStore, H: int, E: int) -> None:
+    def _build(self, H: int, E: int) -> None:
         n_tags = self.vocabs.labels.n_tags
-        store.add("tag_emb", (n_tags, E))
-        store.add("start_tag", (E,))
-        store.add_gru("gru", 2 * E, H)
-        store.add("tag_proj.w", (n_tags, H))
-        store.add("tag_proj.b", (n_tags,))
+        self.add("tag_emb", (n_tags, E))
+        self.add("start_tag", (E,))
+        self.add_gru("gru", 2 * E, H)
+        self.add("tag_proj.w", (n_tags, H))
+        self.add("tag_proj.b", (n_tags,))
         if self.n_intents:
-            store.add("intent_proj.w", (self.n_intents, H))
-            store.add("intent_proj.b", (self.n_intents,))
+            self.add("intent_proj.w", (self.n_intents, H))
+            self.add("intent_proj.b", (self.n_intents,))
 
 
 def _nlu_step(ops, P, h, word: int, prev_tag: int | None):
@@ -307,14 +297,14 @@ class _FrameModel(_Model):
     """A model that reads frames: slot-key and intent embeddings and the pair
     encoder, in that parameter order."""
 
-    def _build(self, store: ParamStore, H: int, E: int) -> None:
-        store.add("key_emb", (max(self.vocabs.labels.n_slot_keys, 1), E))
+    def _build(self, H: int, E: int) -> None:
+        self.add("key_emb", (max(self.vocabs.labels.n_slot_keys, 1), E))
         if self.n_intents:
-            store.add("intent_emb", (self.n_intents, H))
-        store.add_gru("enc_f", E, H)
-        store.add_gru("enc_b", E, H)
-        store.add("feat.w", (H, 2 * H))
-        store.add("feat.b", (H,))
+            self.add("intent_emb", (self.n_intents, H))
+        self.add_gru("enc_f", E, H)
+        self.add_gru("enc_b", E, H)
+        self.add("feat.w", (H, 2 * H))
+        self.add("feat.b", (H,))
         self.scale = 1.0 / math.sqrt(H)
 
 
@@ -373,13 +363,13 @@ def mfm_features(m: _FrameModel, ops, P, frame: SemanticFrame,
 class NlgModel(_FrameModel):
     kind = "nlg"
 
-    def _build(self, store: ParamStore, H: int, E: int) -> None:
-        super()._build(store, H, E)
+    def _build(self, H: int, E: int) -> None:
+        super()._build(H, E)
         n_tok = len(self.vocabs.bpe.pieces)
-        store.add("empty_feat", (H,))
-        store.add_gru("dec", H + E, H)
-        store.add("out.w", (n_tok, H))
-        store.add("out.b", (n_tok,))
+        self.add("empty_feat", (H,))
+        self.add_gru("dec", H + E, H)
+        self.add("out.w", (n_tok, H))
+        self.add("out.b", (n_tok,))
 
 
 def _nlg_features(m: NlgModel, ops, P, frame: SemanticFrame, memo: dict | None = None) -> list:
@@ -466,11 +456,11 @@ def nlg_step(m: NlgModel, state: np.ndarray, prev_word,
 class LmModel(_Model):
     kind = "lm"
 
-    def _build(self, store: ParamStore, H: int, E: int) -> None:
+    def _build(self, H: int, E: int) -> None:
         n_tok = len(self.vocabs.bpe.pieces)
-        store.add_gru("gru", E, H)
-        store.add("out.w", (n_tok, H))
-        store.add("out.b", (n_tok,))
+        self.add_gru("gru", E, H)
+        self.add("out.w", (n_tok, H))
+        self.add("out.b", (n_tok,))
 
 
 def _lm_forward(m: LmModel, ops, P, tokens: Sequence[int]) -> list:
@@ -508,17 +498,17 @@ def lm_score_tokens(m: LmModel, tokens: Sequence[Sequence[int]]) -> list[float]:
 class MaskedFrameModel(_FrameModel):
     kind = "mfm"
 
-    def _build(self, store: ParamStore, H: int, E: int) -> None:
+    def _build(self, H: int, E: int) -> None:
         self.n_labels = self.vocabs.labels.n_slot_keys + self.n_intents
         if self.n_labels == 0:
             raise FrameError("masked frame model needs a non-empty label inventory")
-        super()._build(store, H, E)
-        store.add("mask", (H,))
+        super()._build(H, E)
+        self.add("mask", (H,))
         for li in range(2):
             for name in ("q", "k", "v", "f1.w", "f1.b", "f2.w", "f2.b"):
-                store.add(f"layer{li}.{name}", (H,) if name.endswith(".b") else (H, H))
-        store.add("cls.w", (self.n_labels, H))
-        store.add("cls.b", (self.n_labels,))
+                self.add(f"layer{li}.{name}", (H,) if name.endswith(".b") else (H, H))
+        self.add("cls.w", (self.n_labels, H))
+        self.add("cls.b", (self.n_labels,))
 
 
 def mfm_logits(m: MaskedFrameModel, ops, P, X):

@@ -166,6 +166,8 @@ def test_incompatible_checkpoints_exit_4(workspace, tmp_path):
     (["train"], {"model": {"hidden": 10 ** 20}}),
     (["train"], {"model": {"hidden": 5_000_000}}),
     (["train"], {"model": {"embedding": 1025}}),
+    (["gridsearch"], {"dual": {"grid_step": 1e-7}}),
+    (["gridsearch"], {"dual": {"grid_step": 0.001}}),
 ])
 def test_usage_errors_exit_2_without_traceback(tmp_path, capsys, flags, file_cfg):
     argv = [*flags, "--out", tmp_path / "o"]
@@ -236,6 +238,42 @@ def test_fuzzed_config_value_exits_with_a_documented_code(fuzz_workspace, key, v
         with contextlib.redirect_stderr(err):
             code = run(*FUZZ_COMMANDS[key], "--config", cfg_path, "--out", Path(tmp) / "out")
     assert code in (0, 2, 3, 4), (key, value, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+# the flags each command reads, and values for them: wrong types, negatives,
+# zero and small values; no size or beam that allocates more than a few MB
+FUZZ_FLAGS = {
+    "synth": ("--seed", "--train-size", "--valid-size", "--test-size"),
+    "eval": ("--direction", "--beam"),
+    "dualinf": ("--seed", "--direction", "--beam", "--alpha", "--beta"),
+    "gridsearch": ("--seed", "--direction", "--beam"),
+}
+INT_FLAG_VALUES = st.integers(-3, 40).map(str) | st.sampled_from(["", "x", "2.5", "0x10"])
+FLOAT_FLAG_VALUES = st.sampled_from(["0", "0.5", "1", "-0.5", "1.5", "1e-3", "nan", "inf", "x"])
+FUZZ_FLAG_VALUES = {"--direction": st.sampled_from(["nlu", "nlg", "both", "x"]),
+                    "--alpha": FLOAT_FLAG_VALUES, "--beta": FLOAT_FLAG_VALUES}
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(sorted(FUZZ_FLAGS)), drawn=st.data())
+def test_fuzzed_flag_values_exit_with_a_documented_code(fuzz_workspace, command, drawn):
+    root, _ = fuzz_workspace
+    flags = drawn.draw(st.lists(st.sampled_from(FUZZ_FLAGS[command]), min_size=1, max_size=3,
+                                unique=True))
+    with tempfile.TemporaryDirectory(dir=root) as tmp:
+        argv = [command, "--out", Path(tmp) / "out"]
+        for flag in flags:
+            argv += [flag, drawn.draw(FUZZ_FLAG_VALUES.get(flag, INT_FLAG_VALUES))]
+        if command != "synth":
+            argv += ["--config", root / "config.json"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = run(*argv)
+            except SystemExit as e:  # argparse rejects a value of the wrong type
+                code = e.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
 
 

@@ -329,6 +329,62 @@ def test_force_complete_stops_below_kth_completion():
     assert (stepper.advances, ref.advances) == (2 + 3, 2 + 6)
 
 
+class PagedTable(CountingTable):
+    """A ``CountingTable`` that also records each ``advance`` call as (the
+    step its rows were decoded at, its row count)."""
+
+    def __init__(self, table, eos):
+        super().__init__(table, eos)
+        self.calls = []
+
+    def advance(self, states, symbols):
+        self.calls.append((states[0][0], len(symbols)))
+        return super().advance(states, symbols)
+
+
+def forced_completion_table(beam=3, max_len=3, n_symbols=5):
+    # every extension scores 0 and EOS (symbol 0) is only reachable after a
+    # 3 or a 4 at max_len, so all beam * 4 extensions of the last step are
+    # kept and the heap fills only on the third page
+    table = np.zeros((max_len + 2, n_symbols + 1, n_symbols))
+    table[:, :, 0] = -math.inf
+    table[max_len, 3:, 0] = 0.0
+    return table
+
+
+def test_force_completion_advances_pages_of_beam_rows():
+    beam, max_len = 3, 3
+    table = forced_completion_table(beam, max_len)
+    stepper = PagedTable(table, 0)
+    got = beam_search(stepper, beam, max_len)
+    assert got == reference_beam_search(CountingTable(table, 0), beam, max_len)
+    assert [h.payload for h in got] == [(1, 1, 3), (1, 1, 4), (1, 2, 3)]
+    last = [rows for step, rows in stepper.calls if step == max_len - 1]
+    assert sum(last) == beam * 4
+    assert len(last) <= math.ceil(sum(last) / beam)
+
+
+def test_force_completion_stops_between_pages():
+    # the first page, (1, 1) and (2, 1), completes at 0 and -1 and fills the
+    # beam; the next page's (1, 2) extends at -3, so it is never advanced
+    table = np.full((4, 5, 4), -math.inf)
+    table[0, 4, 1:3] = [0.0, -1.0]
+    table[1, :, 1:] = [0.0, -3.0, -3.0]
+    table[2, :, 0] = 0.0
+    stepper = PagedTable(table, 0)
+    got = beam_search(stepper, 2, 2)
+    assert got == reference_beam_search(CountingTable(table, 0), 2, 2)
+    assert [h.payload for h in got] == [(1, 1), (2, 1)]
+    assert stepper.calls == [(0, 2), (1, 2)]
+
+
+def test_nan_eos_log_prob_in_the_first_page_raises_naming_max_len():
+    table = forced_completion_table()
+    table[3, 2, 0] = math.nan  # EOS after (1, 1, 2), the first page's second row
+    with pytest.raises(decode.DecodeError, match="nan for EOS at decode step 3"):
+        beam_search(CountingTable(table, 0), 3, 3)
+
+
 def test_beam_stops_once_completions_fill_the_beam():
     # the empty prefix completes at 0 and every extension scores -1, so with
     # beam 1 no extension can enter the top 1 and nothing is advanced
@@ -544,6 +600,9 @@ def test_weight_grid_sizes():
     assert weight_grid(1.0) == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
     with pytest.raises(decode.DecodeError):
         weight_grid(0.3)
+    assert len(weight_grid(0.01)) == 101 * 101
+    with pytest.raises(decode.DecodeError, match="at most 100 times"):
+        weight_grid(0.005)
 
 
 def test_zeroed_extra_components_make_every_pair_alpha_one():
