@@ -71,6 +71,7 @@ NUMERIC_KEYS = (
     ("decode.k_intent", True, 1, math.inf),
     ("dual.alpha", False, 0, 1), ("dual.beta", False, 0, 1), ("dual.grid_step", False, 0, 1),
 )
+MAX_SPLIT_SIZE = 100_000  # examples per synth split, so a mistyped size cannot fill the disk
 
 
 def _lookup(cfg: dict, key: str):
@@ -115,8 +116,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
             (cfg[section] if section else cfg)[key] = value
     for split in ("train", "valid", "test"):
         size = getattr(args, f"{split}_size", None)
-        if size is not None and size < 1:
-            raise ConfigError(f"--{split}-size must be at least 1, not {size}")
+        if size is not None and not 1 <= size <= MAX_SPLIT_SIZE:
+            raise ConfigError(f"--{split}-size must be in [1, {MAX_SPLIT_SIZE}], not {size}")
     if cfg["direction"] not in ("nlu", "nlg", "both"):
         raise ConfigError(f"direction must be nlu, nlg or both, not {cfg['direction']!r}")
     for key, integer, lo, hi in NUMERIC_KEYS:
@@ -342,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("train", "train the four models and write checkpoints"),
             ("eval", "plain (alpha=1) decoding and metrics on the test split"),
             ("dualinf", "dual-inference re-ranking at one (alpha, beta)"),
-            ("gridsearch", "sweep the 121 (alpha, beta) pairs on the validation split"),
+            ("gridsearch", "sweep the (alpha, beta) grid of dual.grid_step on the "
+                           "validation split (121 pairs at the default 0.1)"),
             ("synth", "generate the synthetic template corpus")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON configuration file")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -301,14 +302,14 @@ def forced_tag_ids(nlu: NluModel, frame: SemanticFrame, utt: Utterance) -> tuple
     return [nlu.vocabs.labels.tag_id(t) for t in piece_tags], report
 
 
-def nlg_backward_logprob(nlu: NluModel, frame: SemanticFrame,
+def nlg_backward_logprob(nlu: NluModel, frames: Sequence[SemanticFrame],
                          cands: Sequence[Utterance]) -> list[float]:
-    """log P(frame | cand) under ``nlu`` for each candidate of a beam."""
-    intent = None
-    if frame.intent is not None and nlu.n_intents:
-        intent = nlu.vocabs.labels.intent_id(frame.intent)
-    tags = [forced_tag_ids(nlu, frame, cand)[0] for cand in cands]
-    return nlu_score(nlu, cands, tags, [intent] * len(cands))
+    """log P(frame | cand) under ``nlu`` of each (input frame, candidate) row."""
+    labels = nlu.vocabs.labels
+    intents = [labels.intent_id(frame.intent) if frame.intent is not None and nlu.n_intents
+               else None for frame in frames]
+    tags = [forced_tag_ids(nlu, frame, cand)[0] for frame, cand in zip(frames, cands, strict=True)]
+    return nlu_score(nlu, cands, tags, intents)
 
 
 def candidate_frame(nlu_like, input_utt: Utterance, hyp: Hypothesis) -> SemanticFrame:
@@ -319,8 +320,7 @@ def candidate_frame(nlu_like, input_utt: Utterance, hyp: Hypothesis) -> Semantic
     return iob_to_frame(word_tags, intent, word_utterance(input_utt.surface))
 
 
-def frame_marginal(mfm: MaskedFrameModel, frames: Sequence[SemanticFrame], rngs,
-                   memo: dict | None = None) -> list[float]:
+def frame_marginal(mfm: MaskedFrameModel, frames: Sequence[SemanticFrame], rngs) -> list[float]:
     """Each frame's pseudo log-likelihood, its masks drawn from its own
     generator in ``rngs``."""
     # a frame with no features has an empty pseudo-likelihood product: log 1
@@ -328,45 +328,46 @@ def frame_marginal(mfm: MaskedFrameModel, frames: Sequence[SemanticFrame], rngs,
     scored = [i for i, frame in enumerate(frames) if frame.n_features]
     if scored:
         values = masked_frame_score(mfm, [frames[i] for i in scored],
-                                    [rngs[i] for i in scored], memo)
+                                    [rngs[i] for i in scored])
         for i, value in zip(scored, values):
             out[i] = value
     return out
 
 
-def dual_components_nlg(candidates: Sequence[Hypothesis], input_frame: SemanticFrame,
-                        nlu: NluModel, lm: LmModel, marg_in: float) -> list[Components]:
-    """The components of an NLG beam, given its input frame's ``marg_in``."""
+def dual_components_nlg(candidates: Sequence[Hypothesis],
+                        input_frames: Sequence[SemanticFrame], nlu: NluModel, lm: LmModel,
+                        marg_ins: Sequence[float]) -> list[Components]:
+    """The components of each NLG candidate, given its input frame and that
+    frame's ``marg_in``, one of each per row."""
     cands = [utterance_from_payload(lm.vocabs, h.payload) for h in candidates]
-    backward = nlg_backward_logprob(nlu, input_frame, cands)
+    backward = nlg_backward_logprob(nlu, input_frames, cands)
     marg_out = lm_score_tokens(lm, [h.payload for h in candidates])
-    return [Components(h.forward_logprob, b, o, marg_in)
-            for h, b, o in zip(candidates, backward, marg_out)]
+    return [Components(h.forward_logprob, b, o, m)
+            for h, b, o, m in zip(candidates, backward, marg_out, marg_ins, strict=True)]
 
 
-def dual_components_nlu(candidates: Sequence[Hypothesis], input_utt: Utterance,
-                        nlg: NlgModel, mfm: MaskedFrameModel, marg_in: float,
-                        rngs, memos: tuple[dict, dict] | None = None) -> list[Components]:
-    """The components of an NLU beam, given its input's ``marg_in``; ``rngs``
-    draw the mask positions of each candidate frame. ``memos`` are the pair
-    memos of ``nlg`` and ``mfm`` (see ``models.mfm_features``)."""
-    nlg_memo, mfm_memo = memos or (None, None)
-    frames = [candidate_frame(nlg, input_utt, h) for h in candidates]
-    backward = nlg_score(nlg, frames, [input_utt] * len(frames), nlg_memo)
-    marg_out = frame_marginal(mfm, frames, rngs, mfm_memo)
-    return [Components(h.forward_logprob, b, o, marg_in)
-            for h, b, o in zip(candidates, backward, marg_out)]
+def dual_components_nlu(candidates: Sequence[Hypothesis], input_utts: Sequence[Utterance],
+                        nlg: NlgModel, mfm: MaskedFrameModel, marg_ins: Sequence[float],
+                        rngs) -> list[Components]:
+    """The components of each NLU candidate, given its input utterance and
+    that input's ``marg_in``, one of each per row; ``rngs`` draw the mask
+    positions of each candidate frame."""
+    frames = [candidate_frame(nlg, utt, h) for h, utt in zip(candidates, input_utts, strict=True)]
+    backward = nlg_score(nlg, frames, input_utts)
+    marg_out = frame_marginal(mfm, frames, rngs)
+    return [Components(h.forward_logprob, b, o, m)
+            for h, b, o, m in zip(candidates, backward, marg_out, marg_ins, strict=True)]
 
 
 def dual_score_nlg(candidate, input_frame, nlu, lm, mfm, w: DualWeights, rng) -> DualScore:
-    [marg_in] = frame_marginal(mfm, [input_frame], [rng])
-    [c] = dual_components_nlg([candidate], input_frame, nlu, lm, marg_in)
+    marg_in = frame_marginal(mfm, [input_frame], [rng])
+    [c] = dual_components_nlg([candidate], [input_frame], nlu, lm, marg_in)
     return combine(c, w)
 
 
 def dual_score_nlu(candidate, input_utt, nlg, mfm, lm, w: DualWeights, rng) -> DualScore:
-    [marg_in] = lm_score_tokens(lm, [input_utt.tokens])
-    [c] = dual_components_nlu([candidate], input_utt, nlg, mfm, marg_in, [rng])
+    marg_in = lm_score_tokens(lm, [input_utt.tokens])
+    [c] = dual_components_nlu([candidate], [input_utt], nlg, mfm, marg_in, [rng])
     return combine(c, w)
 
 
@@ -437,29 +438,30 @@ class CachedExample:
 
 def precompute_nlg(examples: Sequence[NlgExample], bundle: ModelsBundle, *,
                    beam: int, max_len: int, seed: int) -> list[CachedExample]:
-    cached = []
-    for idx, ex in enumerate(examples):
-        hyps = nlg_hypotheses(bundle.nlg, ex.frame, beam, max_len)
-        [marg_in] = frame_marginal(bundle.mfm, [ex.frame], [derive_rng(seed, "mask", idx)])
-        cached.append(CachedExample(hyps, dual_components_nlg(
-            hyps, ex.frame, bundle.nlu, bundle.lm, marg_in)))
-    return cached
+    """Decode every example, then score all the hypotheses with one call per
+    component; input ``idx`` draws its masks from (seed, "mask", idx)."""
+    beams = [nlg_hypotheses(bundle.nlg, ex.frame, beam, max_len) for ex in examples]
+    marg_in = frame_marginal(bundle.mfm, [ex.frame for ex in examples],
+                             [derive_rng(seed, "mask", idx) for idx in range(len(examples))])
+    rows = [(i, h) for i, hyps in enumerate(beams) for h in hyps]
+    comps = iter(dual_components_nlg([h for _, h in rows], [examples[i].frame for i, _ in rows],
+                                     bundle.nlu, bundle.lm, [marg_in[i] for i, _ in rows]))
+    return [CachedExample(hyps, list(islice(comps, len(hyps)))) for hyps in beams]
 
 
 def precompute_nlu(examples: Sequence[NluExample], bundle: ModelsBundle, *,
                    beam: int, k_intent: int, seed: int) -> list[CachedExample]:
-    # candidate frames share most (slot key, value) pairs; each pair is
-    # encoded once per model and call
-    memos = ({}, {})
-    cached = []
-    for idx, ex in enumerate(examples):
-        utt = bundle.vocabs.bpe.encode(ex.text)
-        hyps = nlu_hypotheses(bundle.nlu, utt, beam, k_intent)
-        [marg_in] = lm_score_tokens(bundle.lm, [utt.tokens])
-        rngs = [derive_rng(seed, "mask", idx, rank) for rank in range(len(hyps))]
-        cached.append(CachedExample(hyps, dual_components_nlu(
-            hyps, utt, bundle.nlg, bundle.mfm, marg_in, rngs, memos), utt))
-    return cached
+    """As ``precompute_nlg``; the candidate frame of input ``idx`` at ``rank``
+    draws its masks from (seed, "mask", idx, rank)."""
+    utts = [bundle.vocabs.bpe.encode(ex.text) for ex in examples]
+    beams = [nlu_hypotheses(bundle.nlu, utt, beam, k_intent) for utt in utts]
+    marg_in = lm_score_tokens(bundle.lm, [utt.tokens for utt in utts])
+    rows = [(i, r) for i, hyps in enumerate(beams) for r in range(len(hyps))]
+    comps = iter(dual_components_nlu(
+        [beams[i][r] for i, r in rows], [utts[i] for i, _ in rows], bundle.nlg, bundle.mfm,
+        [marg_in[i] for i, _ in rows], [derive_rng(seed, "mask", i, r) for i, r in rows]))
+    return [CachedExample(hyps, list(islice(comps, len(hyps))), utt)
+            for hyps, utt in zip(beams, utts)]
 
 
 def precompute(direction: str, examples, bundle: ModelsBundle, *, beam: int,

@@ -28,15 +28,17 @@ On ``tensor`` a gated recurrent step (``_gru_step``) is three graph nodes, two
 ``linear`` and one ``gru_gates``, and each affine layer is one ``linear``.
 
 The four scorers (``nlu_score``, ``nlg_score``, ``lm_score_tokens``,
-``masked_frame_score``) each take a beam as parallel lists of rows and return
-one float log-probability per row: the sum of the row's per-step terms as
-Python floats in step order, plus the intent term for NLU. Each runs its rows
-as one stack. The three recurrent scorers share one teacher-forcing driver,
-``_teacher_force``: rows stay in input order, and at each step the rows whose
-gold sequence is still running advance together.
+``masked_frame_score``) each take parallel lists of rows of any origin (a
+beam, or every hypothesis of a split) and return one float log-probability
+per row: the sum of the row's per-step terms in step order, plus the intent
+term for NLU. ``_groups`` cuts the rows into stacks of at most ``STACK_ROWS``
+equally long rows, and each stack runs through the training forward
+(``_nlu_forward``, ``_nlg_forward``, ``_lm_forward``) on ``nd`` with one id
+per row at each step.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -83,39 +85,31 @@ def _log_probs(ops, P, head: str, h):
     return ops.log_softmax(ops.linear(P[head + ".w"], h, P[head + ".b"]))
 
 
-def _total(steps) -> float:
-    """The sum of per-step log-probabilities, as Python floats in step order."""
-    return float(sum(map(float, steps)))
+# the most rows one scorer stack holds, so a split-wide call keeps its arrays small
+STACK_ROWS = 64
 
 
-def _by_size(items: Sequence[Sequence]) -> list[list[int]]:
-    """Indices of ``items`` grouped by item length, groups in order of first
-    appearance: the rows of one group stack into one array."""
-    groups: dict[int, list[int]] = {}
-    for i, item in enumerate(items):
-        groups.setdefault(len(item), []).append(i)
-    return list(groups.values())
+def _total(steps, n: int) -> list[float]:
+    """Each of a stack's ``n`` rows' sum of its per-step log-probabilities,
+    added in step order; a step's term is per row, or one value all share."""
+    return functools.reduce(np.add, steps, np.zeros(n)).tolist()
 
 
-def _teacher_force(golds: Sequence[Sequence[int]], h: np.ndarray, step) -> list[float]:
-    """Teacher-force the rows of ``golds`` as one stack, rows in input order.
+def _groups(keys: Sequence) -> list[list[int]]:
+    """Row indices grouped by key, groups in order of first appearance, each
+    cut into stacks of at most ``STACK_ROWS`` rows: rows with one key stack
+    into one array."""
+    groups: dict[object, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return [rows[i:i + STACK_ROWS] for rows in groups.values()
+            for i in range(0, len(rows), STACK_ROWS)]
 
-    At step t the rows still running are ``run``, and ``step(h[run], t, run,
-    prev)`` returns their log-prob stack and new states; ``prev`` holds their
-    gold symbols at t - 1, or None at t = 0. The new states are written back,
-    so ``h`` ends holding each row's last state. Returns each row's ``_total``
-    of its gold symbols' log-probs.
-    """
-    lengths = np.array([len(seq) for seq in golds], dtype=np.intp)
-    gold = np.zeros((len(golds), lengths.max(initial=0)), dtype=np.intp)
-    for i, seq in enumerate(golds):
-        gold[i, :len(seq)] = seq
-    terms = np.zeros(gold.shape[::-1])
-    for t in range(gold.shape[1]):
-        run = np.flatnonzero(lengths > t)
-        lp, h[run] = step(h[run], t, run, gold[run, t - 1] if t else None)
-        terms[t, run] = nd.pick(lp, gold[run, t])
-    return [_total(row[:n]) for row, n in zip(terms.T.tolist(), lengths)]
+
+def _ids(seqs: Sequence[Sequence[int]]) -> np.ndarray:
+    """Equally long id sequences as a (length, rows) array: one id per row at
+    each step."""
+    return np.array(seqs, dtype=np.intp).T
 
 
 def _sum_terms(ts: Sequence[Tensor]) -> Tensor:
@@ -221,14 +215,16 @@ def _check_nlu_row(m: NluModel, utt: Utterance, tags: Sequence[int],
         raise FrameError(f"intent id {intent} outside inventory of size {m.n_intents}")
 
 
-def _nlu_forward(m: NluModel, ops, P, utt: Utterance, tags: Sequence[int],
-                 intent: int | None, tf_ratio: float = 1.0,
-                 rng: np.random.Generator | None = None) -> tuple[list, object]:
-    _check_nlu_row(m, utt, tags, intent)
+def _nlu_forward(m: NluModel, ops, P, tokens: Sequence, tags: Sequence, intent,
+                 tf_ratio: float = 1.0, rng: np.random.Generator | None = None,
+                 ) -> tuple[list, object]:
+    """Per-step log-probs of ``tags`` over the input ids ``tokens``, and the
+    intent log-prob (None if none is scored). On ``nd`` each step's token and
+    tag, and ``intent``, may hold one id per row of a stack."""
     h = ops.zeros(m.cfg.hidden)
     prev = None
     steps = []
-    for tok, tag in zip(utt.tokens, tags):
+    for tok, tag in zip(tokens, tags):
         lp, h = _nlu_step(ops, P, h, tok, prev)
         steps.append(ops.pick(lp, tag))
         # only training passes an rng, and it runs on Tensors
@@ -244,30 +240,28 @@ def nlu_forcing_graph(m: NluModel, utt: Utterance, tags: Sequence[int],
                       rng: np.random.Generator | None = None,
                       ) -> tuple[list[Tensor], Tensor | None]:
     """Teacher-forced per-step tag log-probs and the intent log-prob."""
-    return _nlu_forward(m, T, m.params, utt, tags, intent, tf_ratio, rng)
+    _check_nlu_row(m, utt, tags, intent)
+    return _nlu_forward(m, T, m.params, utt.tokens, tags, intent, tf_ratio, rng)
 
 
 def nlu_score(m: NluModel, utts: Sequence[Utterance], tags: Sequence[Sequence[int]],
               intents: Sequence[int | None] | None = None) -> list[float]:
     """log P(tags, intent | utt) of each row: its tag log-probs, then its
-    intent term. The rows run as one stack; a row leaves it when its
-    utterance ends, and its last state feeds the intent head."""
+    intent term. Rows as long as each other that all score an intent, or
+    all none, run as one stack."""
     intents = [None] * len(utts) if intents is None else intents
     for utt, row_tags, intent in zip(utts, tags, intents, strict=True):
         _check_nlu_row(m, utt, row_tags, intent)
-    P = m.arrays
-
-    def step(h, t, run, prev):
-        words = np.array([utts[i].tokens[t] for i in run])
-        return _nlu_step(nd, P, h, words, prev)
-    h = np.zeros((len(utts), m.cfg.hidden))
-    totals = _teacher_force(tags, h, step)
-    rows = [i for i, intent in enumerate(intents) if m.n_intents and intent is not None]
-    if rows:
-        picked = nd.pick(nlu_intent(m, h[rows]), np.array([intents[i] for i in rows]))
-        for i, term in zip(rows, picked.tolist()):
-            totals[i] += term
-    return totals
+    scored = [bool(m.n_intents) and intent is not None for intent in intents]
+    out = [0.0] * len(utts)
+    for rows in _groups([(len(utt.tokens), s) for utt, s in zip(utts, scored)]):
+        intent = np.array([intents[i] for i in rows]) if scored[rows[0]] else None
+        steps, intent_lp = _nlu_forward(m, nd, m.arrays, _ids([utts[i].tokens for i in rows]),
+                                        _ids([tags[i] for i in rows]), intent)
+        terms = steps if intent_lp is None else steps + [intent_lp]
+        for i, total in zip(rows, _total(terms, len(rows))):
+            out[i] = total
+    return out
 
 
 def nlu_start(m: NluModel) -> np.ndarray:
@@ -325,8 +319,8 @@ def mfm_features(m: _FrameModel, ops, P, frame: SemanticFrame,
 
     ``memo``, when given, maps (key id, value words) to the pair's encoding
     on ``nd``. It holds read-only arrays that are only valid while the
-    parameters do not change, so a caller keeps one for a single pass of
-    scoring; training passes none."""
+    parameters do not change, so a scorer keeps one for a single call;
+    training passes none."""
     labels = m.vocabs.labels
     feats = []
     targets: list[int] = []
@@ -384,13 +378,15 @@ def _nlg_step(m: NlgModel, ops, P, F, h, prev_word: int):
     return _log_probs(ops, P, "out", h), weights, h
 
 
-def _nlg_forward(m: NlgModel, ops, P, frame: SemanticFrame, utt: Utterance,
+def _nlg_forward(m: NlgModel, ops, P, F, tokens: Sequence,
                  tf_ratio: float = 1.0, rng: np.random.Generator | None = None) -> list:
-    F = ops.stack(_nlg_features(m, ops, P, frame))
+    """Per-step log-probs of the ids ``tokens`` and then EOS, given the
+    feature stack ``F``. On ``nd``, ``F`` may be a stack of feature stacks,
+    one per row, and each step's token one id per row."""
     h = ops.mean_rows(F)
     prev = BOS
     steps = []
-    for tok in list(utt.tokens) + [EOS]:
+    for tok in list(tokens) + [EOS]:
         lp, _, h = _nlg_step(m, ops, P, F, h, prev)
         steps.append(ops.pick(lp, tok))
         # only training passes an rng, and it runs on Tensors
@@ -402,27 +398,24 @@ def nlg_forcing_graph(m: NlgModel, frame: SemanticFrame, utt: Utterance,
                       tf_ratio: float = 1.0,
                       rng: np.random.Generator | None = None) -> list[Tensor]:
     """Teacher-forced log-probs for every token of ``utt`` plus EOS."""
-    return _nlg_forward(m, T, m.params, frame, utt, tf_ratio, rng)
+    F = T.stack(_nlg_features(m, T, m.params, frame))
+    return _nlg_forward(m, T, m.params, F, utt.tokens, tf_ratio, rng)
 
 
-def nlg_score(m: NlgModel, frames: Sequence[SemanticFrame], utts: Sequence[Utterance],
-              memo: dict | None = None) -> list[float]:
-    """log P(utt, EOS | frame) of each (frame, utt) row; ``memo`` is
-    ``mfm_features``' pair memo. Rows whose frames have the same number of
-    features run as one stack, each leaving it when its utterance ends."""
+def nlg_score(m: NlgModel, frames: Sequence[SemanticFrame],
+              utts: Sequence[Utterance]) -> list[float]:
+    """log P(utt, EOS | frame) of each (frame, utt) row. Rows whose frames
+    have as many features and whose utterances as many tokens run as one
+    stack; ``mfm_features``' pair memo lasts for the call."""
     if len(frames) != len(utts):
         raise FrameError(f"{len(frames)} frames for {len(utts)} utterances")
-    P = m.arrays
-    feats = [_nlg_features(m, nd, P, frame, memo) for frame in frames]
+    memo: dict = {}
+    feats = [_nlg_features(m, nd, m.arrays, frame, memo) for frame in frames]
     out = [0.0] * len(feats)
-    for rows in _by_size(feats):
+    for rows in _groups([(len(f), len(utt.tokens)) for f, utt in zip(feats, utts)]):
         F = np.array([feats[i] for i in rows])
-
-        def step(h, t, run, prev):
-            lp, _, h = _nlg_step(m, nd, P, F[run], h, BOS if prev is None else prev)
-            return lp, h
-        golds = [list(utts[i].tokens) + [EOS] for i in rows]
-        for i, total in zip(rows, _teacher_force(golds, nd.mean_rows(F), step)):
+        steps = _nlg_forward(m, nd, m.arrays, F, _ids([utts[i].tokens for i in rows]))
+        for i, total in zip(rows, _total(steps, len(rows))):
             out[i] = total
     return out
 
@@ -463,8 +456,9 @@ class LmModel(_Model):
         self.add("out.b", (n_tok,))
 
 
-def _lm_forward(m: LmModel, ops, P, tokens: Sequence[int]) -> list:
-    """BOS-initialized token log-probs plus the closing EOS term."""
+def _lm_forward(m: LmModel, ops, P, tokens: Sequence) -> list:
+    """BOS-initialized token log-probs plus the closing EOS term. On ``nd``
+    each step's token may hold one id per row of a stack."""
     h = ops.zeros(m.cfg.hidden)
     prev = BOS
     steps = []
@@ -480,15 +474,14 @@ def lm_forcing_graph(m: LmModel, tokens: Sequence[int]) -> list[Tensor]:
 
 
 def lm_score_tokens(m: LmModel, tokens: Sequence[Sequence[int]]) -> list[float]:
-    """log P(tokens, EOS) of each row. The rows run as one stack, each
-    leaving it after its EOS term."""
-    P = m.arrays
-
-    def step(h, t, run, prev):
-        h = _gru_step(nd, P, "gru", nd.row(P["word_emb"], BOS if prev is None else prev), h)
-        return _log_probs(nd, P, "out", h), h
-    return _teacher_force([list(row) + [EOS] for row in tokens],
-                          np.zeros((len(tokens), m.cfg.hidden)), step)
+    """log P(tokens, EOS) of each row; rows as long as each other run as one
+    stack."""
+    out = [0.0] * len(tokens)
+    for rows in _groups([len(row) for row in tokens]):
+        steps = _lm_forward(m, nd, m.arrays, _ids([tokens[i] for i in rows]))
+        for i, total in zip(rows, _total(steps, len(rows))):
+            out[i] = total
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -534,30 +527,30 @@ def _masked_logits(m: MaskedFrameModel, ops, P, feats: list, picks: Sequence[int
 
 
 def masked_frame_score(m: MaskedFrameModel, frames: Sequence[SemanticFrame],
-                       rngs: Sequence[np.random.Generator],
-                       memo: dict | None = None) -> list[float]:
+                       rngs: Sequence[np.random.Generator]) -> list[float]:
     """Pseudo log-likelihood of each frame: three uniform mask draws from its
     generator (with replacement), summing log P(true label at the masked
-    position | the rest) in draw order. ``memo`` is ``mfm_features``' pair
-    memo. The masked copies of all frames with the same number of features
-    run as one stack."""
+    position | the rest) in draw order. The masked copies of frames with as
+    many features run as one stack; ``mfm_features``' pair memo lasts for
+    the call."""
     P = m.arrays
+    memo: dict = {}
     encoded = [mfm_features(m, nd, P, frame, memo) for frame in frames]
     if any(not feats for feats, _ in encoded):
         raise FrameError("frame has no features to mask")
     draws = [rng.integers(0, len(feats), size=3)
              for (feats, _), rng in zip(encoded, rngs, strict=True)]
     out = [0.0] * len(encoded)
-    for rows in _by_size([feats for feats, _ in encoded]):
+    for rows in _groups([len(feats) for feats, _ in encoded]):
         X = np.repeat(np.array([encoded[i][0] for i in rows]), 3, axis=0)
         pos = np.concatenate([draws[i] for i in rows])
         copies = np.arange(len(pos))
         X[copies, pos] = P["mask"]
         logits = mfm_logits(m, nd, P, X)[copies, pos]
         targets = np.array([encoded[i][1][p] for i in rows for p in draws[i]])
-        terms = nd.pick(nd.log_softmax(logits), targets).tolist()
-        for j, i in enumerate(rows):
-            out[i] = _total(terms[3 * j:3 * j + 3])
+        terms = nd.pick(nd.log_softmax(logits), targets).reshape(-1, 3).T
+        for i, total in zip(rows, _total(terms, len(rows))):
+            out[i] = total
     return out
 
 

@@ -1,13 +1,17 @@
 """The benchmark's tracer names dualdec functions by module and attribute;
 a rename or deletion in dualdec must show up here, not as a crash of every
 benchmark run."""
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from dualdec import cli
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+FIXTURE = BENCH / "fixture"
 
 
 def test_every_traced_name_resolves_and_is_unwrapped(monkeypatch):
@@ -15,6 +19,36 @@ def test_every_traced_name_resolves_and_is_unwrapped(monkeypatch):
     monkeypatch.delitem(sys.modules, "tracing", raising=False)
     import tracing
     assert tracing.wrapped_names() == []
+
+
+def test_every_score_component_runs_under_its_precompute(monkeypatch, tmp_path):
+    # ``decode.component_s.*`` sums the spans of ``COMPONENTS``' functions
+    # whose parent is ``decode.precompute_<direction>``; a scorer call moved
+    # elsewhere would make that metric read 0 without failing anything
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    import tracing
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data), "--seed", "3", "--train-size", "1",
+                     "--valid-size", "1", "--test-size", "3"]) == 0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "data": {f"{d}_test": str(data / f"{d}_test.jsonl") for d in ("nlu", "nlg")},
+        "decode": {"beam": 3, "max_len": 8, "k_intent": 2}}))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["dualinf", "--config", str(cfg), "--checkpoints", str(FIXTURE),
+                         "--direction", "both", "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    spans = tracer.spans
+    under = {(s[tracing.NAME], spans[s[tracing.PARENT]][tracing.NAME])
+             for s in spans if s[tracing.PARENT] >= 0}
+    for direction, parts in tracing.COMPONENTS.items():
+        for fn in parts.values():
+            assert (fn, f"decode.precompute_{direction}") in under, (direction, fn)
 
 
 @pytest.mark.slow

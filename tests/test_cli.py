@@ -168,6 +168,9 @@ def test_incompatible_checkpoints_exit_4(workspace, tmp_path):
     (["train"], {"model": {"embedding": 1025}}),
     (["gridsearch"], {"dual": {"grid_step": 1e-7}}),
     (["gridsearch"], {"dual": {"grid_step": 0.001}}),
+    (["synth", "--train-size", "100001"], None),
+    (["synth", "--valid-size", str(10 ** 9)], None),
+    (["synth", "--test-size", "100001"], None),
 ])
 def test_usage_errors_exit_2_without_traceback(tmp_path, capsys, flags, file_cfg):
     argv = [*flags, "--out", tmp_path / "o"]

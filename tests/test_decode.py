@@ -805,7 +805,7 @@ def _unmemoized_components(examples, b, beam, k_intent, seed):
         utt = b.vocabs.bpe.encode(ex.text)
         [marg_in] = decode.lm_score_tokens(b.lm, [utt.tokens])
         # each hypothesis scored alone, as a beam of one
-        out.append([decode.dual_components_nlu([h], utt, b.nlg, b.mfm, marg_in,
+        out.append([decode.dual_components_nlu([h], [utt], b.nlg, b.mfm, [marg_in],
                                                [derive_rng(seed, "mask", idx, rank)])[0]
                     for rank, h in enumerate(nlu_hypotheses(b.nlu, utt, beam, k_intent))])
     return out
@@ -829,6 +829,24 @@ def test_precompute_nlu_memo_equals_unmemoized_components(tiny_corpus, tiny_voca
     again, _ = mfm_features(b.nlg, nd, b.nlg.arrays, frame, memo)
     n = len(frame.slots)
     assert all(x is y and not x.flags.writeable for x, y in zip(first[:n], again[:n]))
+
+
+def test_precompute_nlg_equals_one_row_components(tiny_corpus, tiny_vocabs):
+    # one call per component scores the whole split; each hypothesis must get
+    # what it gets scored alone with its own input frame and marg_in
+    _, nlg_raw = tiny_corpus
+    b = _bundle(tiny_vocabs, seed=47)
+    examples = nlg_raw[:8]
+    assert len({ex.frame.n_features for ex in examples}) > 1
+    assert len({len(ref) for ex in examples for ref in ex.refs}) > 1
+    cached = decode.precompute_nlg(examples, b, beam=5, max_len=8, seed=6)
+    assert len({len(h.payload) for c in cached for h in c.hypotheses}) > 1
+    for idx, (ex, c) in enumerate(zip(examples, cached)):
+        assert c.hypotheses == nlg_hypotheses(b.nlg, ex.frame, 5, 8)
+        marg_in = decode.frame_marginal(b.mfm, [ex.frame], [derive_rng(6, "mask", idx)])
+        assert c.components == [
+            decode.dual_components_nlg([h], [ex.frame], b.nlu, b.lm, marg_in)[0]
+            for h in c.hypotheses]
 
 
 def test_pair_memo_does_not_outlive_its_precompute_call(tiny_corpus, tiny_vocabs):

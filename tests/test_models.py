@@ -223,7 +223,8 @@ def test_nlg_one_hot_forcing_scores_exactly_zero(tiny_vocabs):
     # two-way tie between the token and EOS gives log(1/2) per step, so pin
     # the token alone and score a sequence without the EOS competition
     out_b[EOS] = -2000.0
-    steps = [float(s) for s in models._nlg_forward(m, nd, m.arrays, frame, rep)]
+    F = models.nlg_features_np(m, frame)
+    steps = [float(s) for s in models._nlg_forward(m, nd, m.arrays, F, rep.tokens)]
     assert steps[0] == 0.0
     assert all(s == 0.0 for s in steps[:-1])
 
@@ -425,7 +426,6 @@ def test_stacked_scorers_equal_one_row_calls(tiny_corpus, tiny_vocabs, drawn):
         models.lm_score_tokens(ms["lm"], [p])[0] for p in payloads]
     one_row_nlg = [models.nlg_score(ms["nlg"], [f], [u])[0] for f, u in zip(frames, utts)]
     assert models.nlg_score(ms["nlg"], frames, utts) == one_row_nlg
-    assert models.nlg_score(ms["nlg"], frames, utts, memo={}) == one_row_nlg
 
     def rngs():
         return [derive_rng(5, "mask", i) for i in range(n)]
@@ -436,6 +436,35 @@ def test_stacked_scorers_equal_one_row_calls(tiny_corpus, tiny_vocabs, drawn):
     assert models.masked_frame_score(ms["mfm"], [frames[i] for i in featured],
                                      [rngs()[i] for i in featured]) == [
         one_row_marginals[i] for i in featured]
+
+
+def test_scorers_equal_one_row_calls_across_stack_boundaries(tiny_corpus, tiny_vocabs):
+    # more than 2 * STACK_ROWS rows of one group run as three stacks
+    _, nlg_raw = tiny_corpus
+    n = 2 * models.STACK_ROWS + 3
+    assert [len(rows) for rows in models._groups([0] * n)] == [models.STACK_ROWS] * 2 + [3]
+    labels = tiny_vocabs.labels
+    ms = {k: randomize(make_model(k, tiny_vocabs), derive_rng(67, "stack", k))
+          for k in data.MODEL_KINDS}
+    rng = derive_rng(67, "rows")
+    frames = [ex.frame for ex in nlg_raw if ex.frame.n_features == 3]
+    frames = [frames[i % len(frames)] for i in range(n)]
+    for length in (0, 5):
+        payloads = [tuple(rng.integers(4, len(tiny_vocabs.bpe.pieces), size=length).tolist())
+                    for _ in range(n)]
+        utts = [decode.utterance_from_payload(tiny_vocabs, p) for p in payloads]
+        tags = [rng.integers(0, labels.n_tags, size=length).tolist() for _ in range(n)]
+        for intents in ([None] * n, rng.integers(0, labels.n_intents, size=n).tolist()):
+            assert nlu_score(ms["nlu"], utts, tags, intents) == [
+                nlu_score(ms["nlu"], [u], [t], [i])[0] for u, t, i in zip(utts, tags, intents)]
+        assert nlg_score(ms["nlg"], frames, utts) == [
+            nlg_score(ms["nlg"], [f], [u])[0] for f, u in zip(frames, utts)]
+        assert lm_score_tokens(ms["lm"], payloads) == [
+            lm_score_tokens(ms["lm"], [p])[0] for p in payloads]
+    rngs = [derive_rng(8, "mask", i) for i in range(n)]
+    one_row = [masked_frame_score(ms["mfm"], [f], [derive_rng(8, "mask", i)])[0]
+               for i, f in enumerate(frames)]
+    assert masked_frame_score(ms["mfm"], frames, rngs) == one_row
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +586,8 @@ def _assert_backends_agree(kind, m, nlu_raw, nlg_raw):
     if kind == "nlu":
         for s in models.prepare_nlu_samples(nlu_raw, vocabs):
             steps, intent_lp = models.nlu_forcing_graph(m, s.utt, s.tags, s.intent)
-            nd_steps, nd_intent = models._nlu_forward(m, nd, m.arrays, s.utt, s.tags, s.intent)
+            nd_steps, nd_intent = models._nlu_forward(m, nd, m.arrays, s.utt.tokens, s.tags,
+                                                      s.intent)
             assert _floats(nd_steps) == _floats(steps)
             assert ((None if nd_intent is None else float(nd_intent))
                     == (None if intent_lp is None else float(intent_lp.data)))
@@ -567,7 +597,8 @@ def _assert_backends_agree(kind, m, nlu_raw, nlg_raw):
     elif kind == "nlg":
         for s in models.prepare_nlg_samples(nlg_raw, vocabs):
             steps = models.nlg_forcing_graph(m, s.frame, s.ref)
-            nd_steps = models._nlg_forward(m, nd, m.arrays, s.frame, s.ref)
+            nd_steps = models._nlg_forward(m, nd, m.arrays, models.nlg_features_np(m, s.frame),
+                                           s.ref.tokens)
             assert _floats(nd_steps) == _floats(steps)
             assert nlg_score(m, [s.frame], [s.ref]) == [float(sum(_floats(steps)))]
             F = T.stack(models._nlg_features(m, T, m.params, s.frame))
