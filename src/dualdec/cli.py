@@ -190,11 +190,10 @@ def cmd_train(args, cfg: dict) -> int:
     nlu_raw, nlg_raw, augmentation = _load_train_split(cfg)
     vocabs = build_vocabs(nlu_raw, nlg_raw, cfg["model"]["merges"])
 
-    tc = TrainConfig(
-        hidden=cfg["model"]["hidden"], embedding=cfg["model"]["embedding"],
-        epochs=cfg["train"]["epochs"], batch_size=cfg["train"]["batch_size"],
-        teacher_forcing=cfg["train"]["teacher_forcing"], lr=cfg["train"]["lr"],
-        clip=cfg["train"]["clip"], seed=cfg["seed"])
+    # the training settings, also echoed into every checkpoint's config
+    echo = {k: v for k, v in cfg["train"].items() if k != "models"}
+    tc = TrainConfig(hidden=cfg["model"]["hidden"], embedding=cfg["model"]["embedding"],
+                     seed=cfg["seed"], **echo)
     lm_texts = merge_dedup([ex.text for ex in nlu_raw],
                            [r for ex in nlg_raw for r in ex.refs])
     datasets = {
@@ -204,8 +203,6 @@ def cmd_train(args, cfg: dict) -> int:
         "mfm": lambda: [f for f in merge_dedup([ex.frame for ex in nlg_raw], [])
                         if f.n_features > 0],
     }
-    echo = {"epochs": tc.epochs, "batch_size": tc.batch_size,
-            "teacher_forcing": tc.teacher_forcing, "lr": tc.lr, "clip": tc.clip}
     losses: dict[str, list[float]] = {}
     for kind in cfg["train"]["models"]:
         model, kind_losses = train_model(kind, datasets[kind](), tc, vocabs)

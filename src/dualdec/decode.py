@@ -32,8 +32,7 @@ from .frames import (SemanticFrame, align_tags_to_pieces, collapse_piece_tags,
                      format_frame, frame_to_iob, iob_to_frame)
 from .models import (LmModel, MaskedFrameModel, NlgModel, NluModel,
                      lm_score_tokens, masked_frame_score, nlg_features_np,
-                     nlg_score, nlg_start, nlg_step, nlu_intent, nlu_score,
-                     nlu_start, nlu_step)
+                     nlg_score, nlg_step, nlu_intent, nlu_score, nlu_step)
 from .tensor import derive_rng
 from .textproc import BOS, EOS, PAD, UNK, Utterance, detokenize, word_utterance
 
@@ -211,9 +210,10 @@ def _search(stepper: Stepper, beam: int, max_len: int) -> tuple[list[Hypothesis]
 
 
 class NlgStepper:
-    """Word decoding for one frame; a state stack is an (n, hidden) array.
-    PAD, BOS and UNK are masked out so every hypothesis detokenizes to a clean
-    word sequence."""
+    """Word decoding for one frame; a state stack is an (n, hidden) array, and
+    the first step reads BOS from the mean of the frame's features. PAD, BOS
+    and UNK are masked out so every hypothesis detokenizes to a clean word
+    sequence."""
 
     def __init__(self, model: NlgModel, frame: SemanticFrame):
         self.model = model
@@ -221,9 +221,9 @@ class NlgStepper:
         self.eos = EOS
 
     def start(self):
-        return self.advance(nlg_start(self.model, self.features)[None], None)
+        return self.advance(self.features.mean(axis=0)[None], BOS)
 
-    def advance(self, states: np.ndarray, symbols: np.ndarray | None):
+    def advance(self, states: np.ndarray, symbols: np.ndarray | int):
         lp, _, h = nlg_step(self.model, states, symbols, self.features)
         lp[:, [PAD, BOS, UNK]] = -math.inf
         return h, lp
@@ -253,7 +253,7 @@ class NluTagStepper:
         self.length = len(utt.tokens)
 
     def start(self):
-        lp, h = nlu_step(self.model, nlu_start(self.model)[None], self.tokens[0], None)
+        lp, h = nlu_step(self.model, np.zeros((1, self.model.cfg.hidden)), self.tokens[0], None)
         return TagStates(h, 1), lp
 
     def advance(self, states: TagStates, symbols: np.ndarray):

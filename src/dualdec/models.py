@@ -31,17 +31,19 @@ The four scorers (``nlu_score``, ``nlg_score``, ``lm_score_tokens``,
 ``masked_frame_score``) each take parallel lists of rows of any origin (a
 beam, or every hypothesis of a split) and return one float log-probability
 per row: the sum of the row's per-step terms in step order, plus the intent
-term for NLU. ``_groups`` cuts the rows into stacks of at most ``STACK_ROWS``
-equally long rows, and each stack runs through the training forward
-(``_nlu_forward``, ``_nlg_forward``, ``_lm_forward``) on ``nd`` with one id
-per row at each step.
+term for NLU. One driver, ``_per_row``, cuts the rows into stacks of at most
+``STACK_ROWS`` rows that share a key (equally long rows, for the sequence
+scorers) and adds up each stack's terms; a scorer gives it only the stack's
+forward: the training forward (``_nlu_forward``, ``_nlg_forward``,
+``_lm_forward``) on ``nd`` with one id per row at each step, or the masked
+copies of frames with as many features.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -89,21 +91,24 @@ def _log_probs(ops, P, head: str, h):
 STACK_ROWS = 64
 
 
-def _total(steps, n: int) -> list[float]:
-    """Each of a stack's ``n`` rows' sum of its per-step log-probabilities,
-    added in step order; a step's term is per row, or one value all share."""
-    return functools.reduce(np.add, steps, np.zeros(n)).tolist()
-
-
-def _groups(keys: Sequence) -> list[list[int]]:
-    """Row indices grouped by key, groups in order of first appearance, each
-    cut into stacks of at most ``STACK_ROWS`` rows: rows with one key stack
-    into one array."""
+def _per_row(keys: Sequence, terms_of: Callable[[list[int]], Iterable]) -> list[float]:
+    """Each row's sum of its terms, at its input index. Row indices are
+    grouped by key, groups in order of first appearance, and each group is
+    cut into stacks of at most ``STACK_ROWS`` rows, so rows with one key stack
+    into one array. ``terms_of(rows)`` runs one stack and gives its terms in
+    step order, each per row or one value all rows share; they are added with
+    ``np.add`` from zeros, in that order."""
     groups: dict[object, list[int]] = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
-    return [rows[i:i + STACK_ROWS] for rows in groups.values()
-            for i in range(0, len(rows), STACK_ROWS)]
+    out = [0.0] * len(keys)
+    for group in groups.values():
+        for start in range(0, len(group), STACK_ROWS):
+            rows = group[start:start + STACK_ROWS]
+            totals = functools.reduce(np.add, terms_of(rows), np.zeros(len(rows)))
+            for i, total in zip(rows, totals.tolist()):
+                out[i] = total
+    return out
 
 
 def _ids(seqs: Sequence[Sequence[int]]) -> np.ndarray:
@@ -113,10 +118,9 @@ def _ids(seqs: Sequence[Sequence[int]]) -> np.ndarray:
 
 
 def _sum_terms(ts: Sequence[Tensor]) -> Tensor:
-    acc = ts[0]
-    for t in ts[1:]:
-        acc = T.add(acc, t)
-    return acc
+    """The terms added in order; no terms add up to a constant 0, the
+    log-probability of an empty sequence."""
+    return functools.reduce(T.add, ts) if ts else Tensor(0.0)
 
 
 def _teacher_forced(tf_ratio: float, rng: np.random.Generator | None) -> bool:
@@ -253,19 +257,13 @@ def nlu_score(m: NluModel, utts: Sequence[Utterance], tags: Sequence[Sequence[in
     for utt, row_tags, intent in zip(utts, tags, intents, strict=True):
         _check_nlu_row(m, utt, row_tags, intent)
     scored = [bool(m.n_intents) and intent is not None for intent in intents]
-    out = [0.0] * len(utts)
-    for rows in _groups([(len(utt.tokens), s) for utt, s in zip(utts, scored)]):
+
+    def terms_of(rows):
         intent = np.array([intents[i] for i in rows]) if scored[rows[0]] else None
         steps, intent_lp = _nlu_forward(m, nd, m.arrays, _ids([utts[i].tokens for i in rows]),
                                         _ids([tags[i] for i in rows]), intent)
-        terms = steps if intent_lp is None else steps + [intent_lp]
-        for i, total in zip(rows, _total(terms, len(rows))):
-            out[i] = total
-    return out
-
-
-def nlu_start(m: NluModel) -> np.ndarray:
-    return np.zeros(m.cfg.hidden)
+        return steps if intent_lp is None else steps + [intent_lp]
+    return _per_row([(len(utt.tokens), s) for utt, s in zip(utts, scored)], terms_of)
 
 
 def nlu_step(m: NluModel, state: np.ndarray, word, prev_tag,
@@ -411,13 +409,9 @@ def nlg_score(m: NlgModel, frames: Sequence[SemanticFrame],
         raise FrameError(f"{len(frames)} frames for {len(utts)} utterances")
     memo: dict = {}
     feats = [_nlg_features(m, nd, m.arrays, frame, memo) for frame in frames]
-    out = [0.0] * len(feats)
-    for rows in _groups([(len(f), len(utt.tokens)) for f, utt in zip(feats, utts)]):
-        F = np.array([feats[i] for i in rows])
-        steps = _nlg_forward(m, nd, m.arrays, F, _ids([utts[i].tokens for i in rows]))
-        for i, total in zip(rows, _total(steps, len(rows))):
-            out[i] = total
-    return out
+    return _per_row([(len(f), len(utt.tokens)) for f, utt in zip(feats, utts)],
+                    lambda rows: _nlg_forward(m, nd, m.arrays, np.array([feats[i] for i in rows]),
+                                              _ids([utts[i].tokens for i in rows])))
 
 
 def nlg_features_np(m: NlgModel, frame: SemanticFrame) -> np.ndarray:
@@ -425,21 +419,15 @@ def nlg_features_np(m: NlgModel, frame: SemanticFrame) -> np.ndarray:
     return np.stack(_nlg_features(m, nd, m.arrays, frame))
 
 
-def nlg_start(m: NlgModel, features: np.ndarray) -> np.ndarray:
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise FrameError("empty feature set")
-    return features.mean(axis=0)
-
-
 def nlg_step(m: NlgModel, state: np.ndarray, prev_word,
              features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One decoder step of a state or a stack of states over one frame's
-    features; ``prev_word`` is an id or a per-row id array (None for BOS).
-    Returns (word log-distributions, attention weights, states)."""
+    features; ``prev_word`` is an id or a per-row id array: ``BOS`` at the
+    first step, whose state is the mean of the features. Returns (word
+    log-distributions, attention weights, states)."""
     if features.ndim != 2 or features.shape[0] == 0:
         raise FrameError("empty feature set")
-    return _nlg_step(m, nd, m.arrays, features, state,
-                     BOS if prev_word is None else prev_word)
+    return _nlg_step(m, nd, m.arrays, features, state, prev_word)
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +464,8 @@ def lm_forcing_graph(m: LmModel, tokens: Sequence[int]) -> list[Tensor]:
 def lm_score_tokens(m: LmModel, tokens: Sequence[Sequence[int]]) -> list[float]:
     """log P(tokens, EOS) of each row; rows as long as each other run as one
     stack."""
-    out = [0.0] * len(tokens)
-    for rows in _groups([len(row) for row in tokens]):
-        steps = _lm_forward(m, nd, m.arrays, _ids([tokens[i] for i in rows]))
-        for i, total in zip(rows, _total(steps, len(rows))):
-            out[i] = total
-    return out
+    return _per_row([len(row) for row in tokens],
+                    lambda rows: _lm_forward(m, nd, m.arrays, _ids([tokens[i] for i in rows])))
 
 
 # ---------------------------------------------------------------------------
@@ -540,18 +524,16 @@ def masked_frame_score(m: MaskedFrameModel, frames: Sequence[SemanticFrame],
         raise FrameError("frame has no features to mask")
     draws = [rng.integers(0, len(feats), size=3)
              for (feats, _), rng in zip(encoded, rngs, strict=True)]
-    out = [0.0] * len(encoded)
-    for rows in _groups([len(feats) for feats, _ in encoded]):
+
+    def terms_of(rows):
         X = np.repeat(np.array([encoded[i][0] for i in rows]), 3, axis=0)
         pos = np.concatenate([draws[i] for i in rows])
         copies = np.arange(len(pos))
         X[copies, pos] = P["mask"]
         logits = mfm_logits(m, nd, P, X)[copies, pos]
         targets = np.array([encoded[i][1][p] for i in rows for p in draws[i]])
-        terms = nd.pick(nd.log_softmax(logits), targets).reshape(-1, 3).T
-        for i, total in zip(rows, _total(terms, len(rows))):
-            out[i] = total
-    return out
+        return nd.pick(nd.log_softmax(logits), targets).reshape(-1, 3).T
+    return _per_row([len(feats) for feats, _ in encoded], terms_of)
 
 
 def mfm_loss_graph(m: MaskedFrameModel, frame: SemanticFrame,

@@ -23,8 +23,10 @@ def test_every_traced_name_resolves_and_is_unwrapped(monkeypatch):
 
 def test_every_score_component_runs_under_its_precompute(monkeypatch, tmp_path):
     # ``decode.component_s.*`` sums the spans of ``COMPONENTS``' functions
-    # whose parent is ``decode.precompute_<direction>``; a scorer call moved
-    # elsewhere would make that metric read 0 without failing anything
+    # whose parent is ``decode.precompute_<direction>``, and ``decode.beam_self_s.*``
+    # takes the step spans out of ``decode.<direction>_hypotheses``; a scorer or
+    # step call moved elsewhere would make those metrics read 0 without failing
+    # anything
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.delitem(sys.modules, "tracing", raising=False)
     import tracing
@@ -49,6 +51,12 @@ def test_every_score_component_runs_under_its_precompute(monkeypatch, tmp_path):
     for direction, parts in tracing.COMPONENTS.items():
         for fn in parts.values():
             assert (fn, f"decode.precompute_{direction}") in under, (direction, fn)
+    for direction in tracing.DIRECTIONS:
+        step = f"models.{direction}_step"
+        assert (step, f"decode.{direction}_hypotheses") in under, step
+    names = {s[tracing.NAME] for s in spans}
+    for scorer in tracing.SCORERS:
+        assert f"models.{scorer}" in names, scorer
 
 
 @pytest.mark.slow

@@ -478,6 +478,39 @@ def test_bad_field_shape_exits_3_with_line(tmp_path, capsys, loader, line):
     assert err.startswith("data error:") and f"{bad}:1:" in err
 
 
+@pytest.mark.parametrize("loader, lines", [
+    ("nlu_train", [{"text": "fly to boston", "tags": ["O", "O", "B-city"]},
+                   {"text": "", "tags": []}]),
+    ("nlu_train", [{"text": "fly to boston", "tags": ["O", "O", "B-city"],
+                    "intent": "find_flight"},
+                   {"text": "   ", "tags": []}]),
+    ("nlg_train", [{"frame": {"intent": "find_flight", "slots": [["city", "boston"]]},
+                    "refs": ["fly to boston"]},
+                   {"frame": {"slots": []}, "refs": [""]}]),
+], ids=["empty-text", "blank-text-among-intents", "nlg-empty-ref"])
+def test_training_on_an_empty_utterance_exits_0(tmp_path, capsys, loader, lines):
+    # an example with no tags and no intent adds a loss of 0, the
+    # log-probability of an empty sequence; at batch size 1 a batch holds it alone
+    split = tmp_path / "train.jsonl"
+    split.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"data": {loader: str(split)},
+                               "model": {"hidden": 4, "embedding": 3, "merges": 10},
+                               "train": {"epochs": 1, "batch_size": 1}}))
+    out = tmp_path / "o"
+    code = run("train", "--config", cfg, "--out", out)
+    err = capsys.readouterr().err
+    assert code == 0 and "Traceback" not in err, err
+    assert sorted(p.name for p in out.glob("*.ckpt")) == sorted(
+        f"{k}.ckpt" for k in data.MODEL_KINDS)
+    # tagging an empty utterance is still refused
+    split.write_text(json.dumps({"text": "", "tags": []}) + "\n")
+    cfg.write_text(json.dumps({"data": {"nlu_test": str(split)}}))
+    assert run("eval", "--config", cfg, "--checkpoints", out, "--direction", "nlu",
+               "--out", tmp_path / "eval") == 3
+    assert "cannot tag an empty utterance" in capsys.readouterr().err
+
+
 # one drawn line as the whole test split of eval on the benchmark fixture
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
 JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),

@@ -167,7 +167,7 @@ def test_nlu_matches_manual_forward_oracle(tiny_vocabs):
 
 def test_nlu_step_normalizes_and_is_deterministic(tiny_models):
     m = tiny_models["nlu"]
-    state = models.nlu_start(m)
+    state = np.zeros(m.cfg.hidden)
     lp1, h1 = nlu_step(m, state, word=5, prev_tag=None)
     lp2, h2 = nlu_step(m, state, word=5, prev_tag=None)
     assert np.array_equal(lp1, lp2) and np.array_equal(h1, h2)
@@ -180,7 +180,7 @@ def test_nlu_step_chain_agrees_with_score(tiny_vocabs, tiny_models):
     m = tiny_models["nlu"]
     utt = tiny_vocabs.bpe.encode("what is the forecast for seattle")
     tags = [(i + 1) % tiny_vocabs.labels.n_tags for i in range(len(utt.tokens))]
-    state = models.nlu_start(m)
+    state = np.zeros(m.cfg.hidden)
     prev = None
     total = 0.0
     for tok, tag in zip(utt.tokens, tags):
@@ -268,8 +268,8 @@ def test_nlg_step_chain_agrees_with_score(tiny_vocabs, tiny_models):
     frame = SemanticFrame.build("play_music", [("artist", "chet baker")])
     utt = tiny_vocabs.bpe.encode("play chet baker for me please")
     F = models.nlg_features_np(m, frame)
-    state = models.nlg_start(m, F)
-    prev = None
+    state = F.mean(axis=0)
+    prev = BOS
     total = 0.0
     for tok in list(utt.tokens) + [EOS]:
         lp, attn, state = nlg_step(m, state, prev, F)
@@ -284,7 +284,7 @@ def test_nlg_single_feature_gets_full_attention(tiny_vocabs, tiny_models):
     m = tiny_models["nlg"]
     F = models.nlg_features_np(m, SemanticFrame.build(None, [("city", "boston")]))
     assert F.shape[0] == 1
-    _, attn, _ = nlg_step(m, models.nlg_start(m, F), None, F)
+    _, attn, _ = nlg_step(m, F.mean(axis=0), BOS, F)
     assert attn.shape == (1,) and attn[0] == 1.0
 
 
@@ -301,7 +301,7 @@ def test_nlg_empty_feature_fallback(tiny_vocabs, tiny_models):
 def test_nlg_step_rejects_empty_features(tiny_models):
     m = tiny_models["nlg"]
     with pytest.raises(FrameError):
-        nlg_step(m, np.zeros(m.cfg.hidden), None, np.zeros((0, m.cfg.hidden)))
+        nlg_step(m, np.zeros(m.cfg.hidden), BOS, np.zeros((0, m.cfg.hidden)))
 
 
 def test_nlg_score_rejects_unequal_beams(tiny_vocabs, tiny_models):
@@ -438,14 +438,24 @@ def test_stacked_scorers_equal_one_row_calls(tiny_corpus, tiny_vocabs, drawn):
         one_row_marginals[i] for i in featured]
 
 
-def test_scorers_equal_one_row_calls_across_stack_boundaries(tiny_corpus, tiny_vocabs):
+def test_scorers_equal_one_row_calls_across_stack_boundaries(tiny_corpus, tiny_vocabs,
+                                                            monkeypatch):
     # more than 2 * STACK_ROWS rows of one group run as three stacks
     _, nlg_raw = tiny_corpus
     n = 2 * models.STACK_ROWS + 3
-    assert [len(rows) for rows in models._groups([0] * n)] == [models.STACK_ROWS] * 2 + [3]
     labels = tiny_vocabs.labels
     ms = {k: randomize(make_model(k, tiny_vocabs), derive_rng(67, "stack", k))
           for k in data.MODEL_KINDS}
+    stack_rows = []
+    lm_forward = models._lm_forward
+
+    def counted(m, ops, P, tokens):
+        stack_rows.append(tokens.shape[1])
+        return lm_forward(m, ops, P, tokens)
+    monkeypatch.setattr(models, "_lm_forward", counted)
+    lm_score_tokens(ms["lm"], [[5]] * n)
+    monkeypatch.undo()
+    assert stack_rows == [models.STACK_ROWS] * 2 + [3]
     rng = derive_rng(67, "rows")
     frames = [ex.frame for ex in nlg_raw if ex.frame.n_features == 3]
     frames = [frames[i % len(frames)] for i in range(n)]
