@@ -18,14 +18,23 @@ added in checkpoint order, the word embedding first), and NLG and the masked
 frame model share one frame-feature encoder, ``mfm_features``.
 
 Each model's step arithmetic is written once, against an ``ops`` namespace
-and a name-to-parameter map: ``tensor`` with ``model.params`` for training
-(the ``*_forcing_graph`` functions and ``mfm_loss_graph``, one example at a
-time), or ``tensor.nd`` with ``model.arrays``, the same parameters as plain
-ndarrays, for the scorers and the beam-search steps (``nlu_step``,
-``nlu_intent``, ``nlg_step``). On ``nd`` a state may be a stack of rows, and
-every row gets the floats it would get alone, which are the training floats.
-On ``tensor`` a gated recurrent step (``_gru_step``) is three graph nodes, two
-``linear`` and one ``gru_gates``, and each affine layer is one ``linear``.
+and a name-to-parameter map: ``tensor`` with ``model.params`` for training,
+or ``tensor.nd`` with ``model.arrays``, the same parameters as plain ndarrays,
+for the scorers and the beam-search steps (``nlu_step``, ``nlu_intent``,
+``nlg_step``). Either way a state may be a stack of rows, and every row gets
+the floats it would get alone, which are the training floats. On ``tensor`` a
+gated recurrent step (``_gru_step``) is three graph nodes, two ``linear`` and
+one ``gru_gates``, and each affine layer is one ``linear``.
+
+Training builds each batch as one graph over stacks of rows, one row per
+example (``nlu_forcing_graph``, ``nlg_forcing_graph``, ``lm_forcing_graph``
+and ``mfm_loss_graph``). A stack's rows run longest first, and a row that has
+ended drops out (``tensor.head``), so rows of any length share one stack;
+frames stack by feature count, and the pair encodings of all slots of a batch
+stack by value length. The random draws (teacher forcing, MFM masks) are made
+per example, in batch order, before the forward. The loss and every gradient
+are bit for bit those of one graph per example added in batch order
+(``tensor`` explains how).
 
 The four scorers (``nlu_score``, ``nlg_score``, ``lm_score_tokens``,
 ``masked_frame_score``) each take parallel lists of rows of any origin (a
@@ -98,11 +107,8 @@ def _per_row(keys: Sequence, terms_of: Callable[[list[int]], Iterable]) -> list[
     into one array. ``terms_of(rows)`` runs one stack and gives its terms in
     step order, each per row or one value all rows share; they are added with
     ``np.add`` from zeros, in that order."""
-    groups: dict[object, list[int]] = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
     out = [0.0] * len(keys)
-    for group in groups.values():
+    for group in _groups(keys):
         for start in range(0, len(group), STACK_ROWS):
             rows = group[start:start + STACK_ROWS]
             totals = functools.reduce(np.add, terms_of(rows), np.zeros(len(rows)))
@@ -117,16 +123,39 @@ def _ids(seqs: Sequence[Sequence[int]]) -> np.ndarray:
     return np.array(seqs, dtype=np.intp).T
 
 
-def _sum_terms(ts: Sequence[Tensor]) -> Tensor:
-    """The terms added in order; no terms add up to a constant 0, the
-    log-probability of an empty sequence."""
-    return functools.reduce(T.add, ts) if ts else Tensor(0.0)
+def _steps(seqs: Sequence[Sequence]) -> list[np.ndarray]:
+    """Sequences, longest first, as one array per step of the entries of the
+    rows still running, which are a prefix of the rows."""
+    return [np.array([s[t] for s in seqs if len(s) > t]) for t in range(len(seqs[0]))]
 
 
-def _teacher_forced(tf_ratio: float, rng: np.random.Generator | None) -> bool:
-    """Whether training feeds the gold symbol at this step rather than the
-    model's own argmax; a forcing graph built without an ``rng`` always does."""
-    return rng is None or tf_ratio >= 1.0 or rng.random() < tf_ratio
+def _groups(keys: Sequence) -> list[list[int]]:
+    """Indices grouped by key, groups in order of first appearance."""
+    groups: dict[object, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _longest_first(rows: list[int], lengths: Sequence[int]) -> list[int]:
+    """``rows`` ordered by descending length, ties in their order."""
+    return sorted(rows, key=lambda i: -lengths[i])
+
+
+def _zeros(rows: np.ndarray, hidden: int) -> Tensor:
+    """The zero initial states of a stack whose rows have keys ``rows``."""
+    return Tensor(np.zeros((len(rows), hidden)), keys=rows)
+
+
+def _losses(stacks: Sequence[tuple[list[int], Tensor]], n: int) -> Tensor:
+    """The losses of ``n`` examples in order, from stacks of per-row
+    log-probabilities of groups of them (their indices, each stack's rows)."""
+    where = np.empty(n, dtype=np.intp)
+    o = 0
+    for rows, _ in stacks:
+        where[rows] = o + np.arange(len(rows))
+        o += len(rows)
+    return T.scale(T.stack([t for _, t in stacks], where), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +232,8 @@ class NluModel(_Model):
 
 
 def _nlu_step(ops, P, h, word: int, prev_tag: int | None):
-    prev = P["start_tag"] if prev_tag is None else ops.row(P["tag_emb"], prev_tag)
-    h = _gru_step(ops, P, "gru", ops.concat([ops.row(P["word_emb"], word), prev]), h)
+    prev = P["start_tag"] if prev_tag is None else ops.row(P["tag_emb"], prev_tag, h)
+    h = _gru_step(ops, P, "gru", ops.concat([ops.row(P["word_emb"], word, h), prev]), h)
     return _log_probs(ops, P, "tag_proj", h), h
 
 
@@ -219,33 +248,52 @@ def _check_nlu_row(m: NluModel, utt: Utterance, tags: Sequence[int],
         raise FrameError(f"intent id {intent} outside inventory of size {m.n_intents}")
 
 
-def _nlu_forward(m: NluModel, ops, P, tokens: Sequence, tags: Sequence, intent,
-                 tf_ratio: float = 1.0, rng: np.random.Generator | None = None,
-                 ) -> tuple[list, object]:
+def _nlu_forward(m: NluModel, ops, P, tokens: Sequence, tags: Sequence, intent, h,
+                 forced: Sequence | None = None) -> tuple[list, object]:
     """Per-step log-probs of ``tags`` over the input ids ``tokens``, and the
-    intent log-prob (None if none is scored). On ``nd`` each step's token and
-    tag, and ``intent``, may hold one id per row of a stack."""
-    h = ops.zeros(m.cfg.hidden)
+    intent log-probs (None if none are scored), of a stack of rows with
+    initial states ``h``. Each step's tokens and tags hold one id per row
+    still running, a prefix of the rows; ``intent`` one id per row.
+    ``forced`` (training only) holds per step whether each row is fed its
+    gold tag rather than the model's own argmax."""
+    states = [h]
     prev = None
     steps = []
-    for tok, tag in zip(tokens, tags):
-        lp, h = _nlu_step(ops, P, h, tok, prev)
+    for t, (tok, tag) in enumerate(zip(tokens, tags)):
+        h = ops.head(h, len(tok))
+        lp, h = _nlu_step(ops, P, h, tok, None if prev is None else prev[:len(tok)])
+        states.append(h)
         steps.append(ops.pick(lp, tag))
-        # only training passes an rng, and it runs on Tensors
-        prev = tag if _teacher_forced(tf_ratio, rng) else int(np.argmax(lp.data))
+        prev = tag if forced is None else np.where(forced[t], tag, np.argmax(lp.data, axis=-1))
     intent_lp = None
     if m.n_intents and intent is not None:
-        intent_lp = ops.pick(_log_probs(ops, P, "intent_proj", h), intent)
+        intent_lp = ops.pick(_log_probs(ops, P, "intent_proj", ops.last_rows(states)), intent)
     return steps, intent_lp
 
 
-def nlu_forcing_graph(m: NluModel, utt: Utterance, tags: Sequence[int],
-                      intent: int | None, tf_ratio: float = 1.0,
-                      rng: np.random.Generator | None = None,
-                      ) -> tuple[list[Tensor], Tensor | None]:
-    """Teacher-forced per-step tag log-probs and the intent log-prob."""
-    _check_nlu_row(m, utt, tags, intent)
-    return _nlu_forward(m, T, m.params, utt.tokens, tags, intent, tf_ratio, rng)
+def nlu_forcing_graph(m: NluModel, samples: Sequence[NluSample],
+                      forced: Sequence | None = None) -> Tensor:
+    """The loss -log P(tags, intent | utt) of each sample, in order, from one
+    graph: the samples that score an intent and those that do not each run
+    as one stack. ``forced`` holds per sample, per step, whether it is fed its
+    gold tag (None: always)."""
+    for s in samples:
+        _check_nlu_row(m, s.utt, s.tags, s.intent)
+    keys = T.example_keys(len(samples))
+    lengths = [len(s.tags) for s in samples]
+    stacks = []
+    for group in _groups([bool(m.n_intents) and s.intent is not None for s in samples]):
+        rows = _longest_first(group, lengths)
+        intent = (np.array([samples[i].intent for i in rows])
+                  if m.n_intents and samples[rows[0]].intent is not None else None)
+        steps, intent_lp = _nlu_forward(
+            m, T, m.params, _steps([samples[i].utt.tokens for i in rows]),
+            _steps([samples[i].tags for i in rows]), intent, _zeros(keys[rows], m.cfg.hidden),
+            None if forced is None else _steps([forced[i] for i in rows]))
+        terms = steps + ([intent_lp] if intent_lp is not None else [])
+        stacks.append((rows, T.row_sums(terms) if terms
+                       else Tensor(np.zeros(len(rows)), keys=keys[rows])))
+    return _losses(stacks, len(samples))
 
 
 def nlu_score(m: NluModel, utts: Sequence[Utterance], tags: Sequence[Sequence[int]],
@@ -261,7 +309,8 @@ def nlu_score(m: NluModel, utts: Sequence[Utterance], tags: Sequence[Sequence[in
     def terms_of(rows):
         intent = np.array([intents[i] for i in rows]) if scored[rows[0]] else None
         steps, intent_lp = _nlu_forward(m, nd, m.arrays, _ids([utts[i].tokens for i in rows]),
-                                        _ids([tags[i] for i in rows]), intent)
+                                        _ids([tags[i] for i in rows]), intent,
+                                        np.zeros((len(rows), m.cfg.hidden)))
         return steps if intent_lp is None else steps + [intent_lp]
     return _per_row([(len(utt.tokens), s) for utt, s in zip(utts, scored)], terms_of)
 
@@ -300,9 +349,10 @@ class _FrameModel(_Model):
         self.scale = 1.0 / math.sqrt(H)
 
 
-def _pair_feature(m: _FrameModel, ops, P, seq: list):
-    """Bidirectional recurrence over [key ; value tokens] -> one feature."""
-    hf, hb = ops.zeros(m.cfg.hidden), ops.zeros(m.cfg.hidden)
+def _pair_feature(ops, P, seq: list, h):
+    """Bidirectional recurrence over [key ; value tokens] from the zero state
+    ``h`` -> one feature."""
+    hf = hb = h
     for x in seq:
         hf = _gru_step(ops, P, "enc_f", x, hf)
     for x in reversed(seq):
@@ -332,7 +382,7 @@ def mfm_features(m: _FrameModel, ops, P, frame: SemanticFrame,
             value_ids = m.vocabs.bpe.encode_ids(" ".join(value))
             seq = [ops.row(P["key_emb"], key_id)] + [ops.row(P["word_emb"], i)
                                                      for i in value_ids]
-            feat = _pair_feature(m, ops, P, seq)
+            feat = _pair_feature(ops, P, seq, ops.zeros(m.cfg.hidden))
             if memo is not None:
                 feat.flags.writeable = False
                 memo[key_id, value] = feat
@@ -346,6 +396,66 @@ def mfm_features(m: _FrameModel, ops, P, frame: SemanticFrame,
         feats.append(ops.row(P["intent_emb"], iid))
         targets.append(labels.n_slot_keys + iid)
     return feats, targets
+
+
+def _frame_rows(m: _FrameModel, frames: Sequence[SemanticFrame], keys: np.ndarray,
+                fill: Tensor, masked: Sequence[Sequence[int]] | None = None,
+                ) -> tuple[list[Tensor], list[list[int]], list[list[int]]]:
+    """Training: the features of ``frames`` (with example keys ``keys``) as
+    rows for ``tensor.stack``, and their classifier targets. The parts are
+    the pair encodings of all the frames' slots, one stack per value length,
+    then the intent embeddings, then ``fill``: it stands for the features in
+    ``masked`` (never encoded) and for the lone feature of a frame without
+    any. Returns the parts, and per frame its features' places in the parts'
+    rows and its targets. A row's key is its example's, plus 1 + its feature
+    position."""
+    labels, P = m.vocabs.labels, m.params
+    pairs: dict[int, list] = {}
+    intents: list[tuple[int, int]] = []
+    spots, targets = [], []
+    for i, frame in enumerate(frames):
+        drop = () if masked is None else masked[i]
+        spot, target = [], []
+        for j, (key, value) in enumerate(frame.slots):
+            try:
+                key_id = labels.key_id(key)
+            except KeyError:
+                raise FrameError(f"slot key {key!r} outside inventory") from None
+            target.append(key_id)
+            if j in drop:
+                spot.append(None)
+                continue
+            ids = m.vocabs.bpe.encode_ids(" ".join(value))
+            group = pairs.setdefault(len(ids), [])
+            spot.append(("pair", len(ids), len(group)))
+            group.append((keys[i] + 1 + j, key_id, ids))
+        if frame.intent is not None and m.n_intents:
+            try:
+                iid = labels.intent_id(frame.intent)
+            except KeyError:
+                raise FrameError(f"intent {frame.intent!r} outside inventory") from None
+            target.append(labels.n_slot_keys + iid)
+            spot.append(None if len(spot) in drop else ("intent", len(intents)))
+            if spot[-1] is not None:
+                intents.append((keys[i] + 1 + len(frame.slots), iid))
+        spots.append(spot)
+        targets.append(target)
+    parts, start, n_rows = [], {}, 0
+    for length, group in pairs.items():
+        h = _zeros(np.array([k for k, _, _ in group]), m.cfg.hidden)
+        seq = [T.row(P["key_emb"], np.array([key_id for _, key_id, _ in group]), h)]
+        seq += [T.row(P["word_emb"], np.array([ids[t] for _, _, ids in group]), h)
+                for t in range(length)]
+        parts.append(_pair_feature(T, P, seq, h))
+        start["pair", length], n_rows = n_rows, n_rows + len(group)
+    if intents:
+        parts.append(T.row(P["intent_emb"], np.array([iid for _, iid in intents]),
+                           keys=np.array([k for k, _ in intents])))
+        start["intent",], n_rows = n_rows, n_rows + len(intents)
+    parts.append(fill)
+    places = [[n_rows if sp is None else start[sp[:-1]] + sp[-1] for sp in spot] or [n_rows]
+              for spot in spots]
+    return parts, places, targets
 
 
 # ---------------------------------------------------------------------------
@@ -371,33 +481,46 @@ def _nlg_features(m: NlgModel, ops, P, frame: SemanticFrame, memo: dict | None =
 
 def _nlg_step(m: NlgModel, ops, P, F, h, prev_word: int):
     weights = ops.softmax(ops.scale(ops.matvec(F, h), m.scale))
-    x = ops.concat([ops.vecmat(weights, F), ops.row(P["word_emb"], prev_word)])
+    x = ops.concat([ops.vecmat(weights, F), ops.row(P["word_emb"], prev_word, h)])
     h = _gru_step(ops, P, "dec", x, h)
     return _log_probs(ops, P, "out", h), weights, h
 
 
 def _nlg_forward(m: NlgModel, ops, P, F, tokens: Sequence,
-                 tf_ratio: float = 1.0, rng: np.random.Generator | None = None) -> list:
-    """Per-step log-probs of the ids ``tokens`` and then EOS, given the
-    feature stack ``F``. On ``nd``, ``F`` may be a stack of feature stacks,
-    one per row, and each step's token one id per row."""
+                 forced: Sequence | None = None) -> list:
+    """Per-step log-probs of the ids ``tokens`` (each row's utterance, then
+    EOS) of a stack of rows with feature stacks ``F``, one per row. Each
+    step's tokens hold one id per row still running, a prefix of the rows.
+    ``forced`` (training only) holds per step whether each row is fed its
+    gold token rather than the model's own argmax."""
     h = ops.mean_rows(F)
-    prev = BOS
+    prev = np.full(F.shape[0], BOS)
     steps = []
-    for tok in list(tokens) + [EOS]:
-        lp, _, h = _nlg_step(m, ops, P, F, h, prev)
+    for t, tok in enumerate(tokens):
+        k = len(tok)
+        lp, _, h = _nlg_step(m, ops, P, ops.head(F, k), ops.head(h, k), prev[:k])
         steps.append(ops.pick(lp, tok))
-        # only training passes an rng, and it runs on Tensors
-        prev = tok if _teacher_forced(tf_ratio, rng) else int(np.argmax(lp.data))
+        prev = tok if forced is None else np.where(forced[t], tok, np.argmax(lp.data, axis=-1))
     return steps
 
 
-def nlg_forcing_graph(m: NlgModel, frame: SemanticFrame, utt: Utterance,
-                      tf_ratio: float = 1.0,
-                      rng: np.random.Generator | None = None) -> list[Tensor]:
-    """Teacher-forced log-probs for every token of ``utt`` plus EOS."""
-    F = T.stack(_nlg_features(m, T, m.params, frame))
-    return _nlg_forward(m, T, m.params, F, utt.tokens, tf_ratio, rng)
+def nlg_forcing_graph(m: NlgModel, samples: Sequence[NlgSample],
+                      forced: Sequence | None = None) -> Tensor:
+    """The loss -log P(ref, EOS | frame) of each sample, in order, from one
+    graph: samples whose frames have as many features run as one stack.
+    ``forced`` holds per sample, per step, whether it is fed its gold token
+    (None: always)."""
+    keys = T.example_keys(len(samples))
+    parts, places, _ = _frame_rows(m, [s.frame for s in samples], keys, m.params["empty_feat"])
+    targets = [[*s.ref.tokens, EOS] for s in samples]
+    stacks = []
+    for group in _groups([len(spot) for spot in places]):
+        rows = _longest_first(group, [len(t) for t in targets])
+        F = T.stack(parts, np.array([places[i] for i in rows]), keys[rows])
+        steps = _nlg_forward(m, T, m.params, F, _steps([targets[i] for i in rows]),
+                             None if forced is None else _steps([forced[i] for i in rows]))
+        stacks.append((rows, T.row_sums(steps)))
+    return _losses(stacks, len(samples))
 
 
 def nlg_score(m: NlgModel, frames: Sequence[SemanticFrame],
@@ -411,7 +534,7 @@ def nlg_score(m: NlgModel, frames: Sequence[SemanticFrame],
     feats = [_nlg_features(m, nd, m.arrays, frame, memo) for frame in frames]
     return _per_row([(len(f), len(utt.tokens)) for f, utt in zip(feats, utts)],
                     lambda rows: _nlg_forward(m, nd, m.arrays, np.array([feats[i] for i in rows]),
-                                              _ids([utts[i].tokens for i in rows])))
+                                              _ids([[*utts[i].tokens, EOS] for i in rows])))
 
 
 def nlg_features_np(m: NlgModel, frame: SemanticFrame) -> np.ndarray:
@@ -444,28 +567,38 @@ class LmModel(_Model):
         self.add("out.b", (n_tok,))
 
 
-def _lm_forward(m: LmModel, ops, P, tokens: Sequence) -> list:
-    """BOS-initialized token log-probs plus the closing EOS term. On ``nd``
-    each step's token may hold one id per row of a stack."""
-    h = ops.zeros(m.cfg.hidden)
-    prev = BOS
+def _lm_forward(m: LmModel, ops, P, inputs: Sequence, tokens: Sequence, h) -> list:
+    """Per-step log-probs of the ids ``tokens`` (each row's sentence, then
+    EOS) after the ids ``inputs`` (BOS, then the sentence), of a stack of
+    rows with initial states ``h``. Each step's ids hold one per row still
+    running, a prefix of the rows."""
     steps = []
-    for tok in list(tokens) + [EOS]:
-        h = _gru_step(ops, P, "gru", ops.row(P["word_emb"], prev), h)
+    for prev, tok in zip(inputs, tokens):
+        h = ops.head(h, len(prev))
+        h = _gru_step(ops, P, "gru", ops.row(P["word_emb"], prev, h), h)
         steps.append(ops.pick(_log_probs(ops, P, "out", h), tok))
-        prev = tok
     return steps
 
 
-def lm_forcing_graph(m: LmModel, tokens: Sequence[int]) -> list[Tensor]:
-    return _lm_forward(m, T, m.params, tokens)
+def lm_forcing_graph(m: LmModel, samples: Sequence[Utterance]) -> Tensor:
+    """The loss -log P(tokens, EOS) of each sample, in order, from one graph
+    over one stack."""
+    keys = T.example_keys(len(samples))
+    rows = _longest_first(list(range(len(samples))), [len(s.tokens) for s in samples])
+    steps = _lm_forward(m, T, m.params, _steps([[BOS, *samples[i].tokens] for i in rows]),
+                        _steps([[*samples[i].tokens, EOS] for i in rows]),
+                        _zeros(keys[rows], m.cfg.hidden))
+    return _losses([(rows, T.row_sums(steps))], len(samples))
 
 
 def lm_score_tokens(m: LmModel, tokens: Sequence[Sequence[int]]) -> list[float]:
     """log P(tokens, EOS) of each row; rows as long as each other run as one
     stack."""
     return _per_row([len(row) for row in tokens],
-                    lambda rows: _lm_forward(m, nd, m.arrays, _ids([tokens[i] for i in rows])))
+                    lambda rows: _lm_forward(m, nd, m.arrays,
+                                             _ids([[BOS, *tokens[i]] for i in rows]),
+                                             _ids([[*tokens[i], EOS] for i in rows]),
+                                             np.zeros((len(rows), m.cfg.hidden))))
 
 
 # ---------------------------------------------------------------------------
@@ -491,23 +624,14 @@ class MaskedFrameModel(_FrameModel):
 def mfm_logits(m: MaskedFrameModel, ops, P, X):
     """Two self-attention layers with residual feed-forward, then classify."""
     for layer in ("layer0.", "layer1."):
-        Q = ops.matmul(X, ops.transpose(P[layer + "q"]))
-        K = ops.matmul(X, ops.transpose(P[layer + "k"]))
-        V = ops.matmul(X, ops.transpose(P[layer + "v"]))
-        A = ops.softmax(ops.scale(ops.matmul(Q, ops.transpose(K)), m.scale))
+        Q = ops.matmul_t(X, P[layer + "q"])
+        K = ops.matmul_t(X, P[layer + "k"])
+        V = ops.matmul_t(X, P[layer + "v"])
+        A = ops.softmax(ops.scale(ops.matmul_t(Q, K), m.scale))
         X = ops.add(X, ops.matmul(A, V))
-        inner = ops.tanh(ops.add(ops.matmul(X, ops.transpose(P[layer + "f1.w"])),
-                                 P[layer + "f1.b"]))
-        X = ops.add(X, ops.add(ops.matmul(inner, ops.transpose(P[layer + "f2.w"])),
-                               P[layer + "f2.b"]))
-    return ops.add(ops.matmul(X, ops.transpose(P["cls.w"])), P["cls.b"])
-
-
-def _masked_logits(m: MaskedFrameModel, ops, P, feats: list, picks: Sequence[int]):
-    masked = list(feats)
-    for i in picks:
-        masked[i] = P["mask"]
-    return mfm_logits(m, ops, P, ops.stack(masked))
+        inner = ops.tanh(ops.add(ops.matmul_t(X, P[layer + "f1.w"]), P[layer + "f1.b"]))
+        X = ops.add(X, ops.add(ops.matmul_t(inner, P[layer + "f2.w"]), P[layer + "f2.b"]))
+    return ops.add(ops.matmul_t(X, P["cls.w"]), P["cls.b"])
 
 
 def masked_frame_score(m: MaskedFrameModel, frames: Sequence[SemanticFrame],
@@ -536,19 +660,23 @@ def masked_frame_score(m: MaskedFrameModel, frames: Sequence[SemanticFrame],
     return _per_row([len(feats) for feats, _ in encoded], terms_of)
 
 
-def mfm_loss_graph(m: MaskedFrameModel, frame: SemanticFrame,
-                   rng: np.random.Generator) -> Tensor:
-    """Mask each feature independently with p=0.3 (redrawn while empty) and
-    sum cross-entropy over the masked positions."""
-    feats, targets = mfm_features(m, T, m.params, frame)
-    if not feats:
-        raise FrameError("frame has no features to mask")
-    while True:
-        picks = [i for i in range(len(feats)) if rng.random() < 0.3]
-        if picks:
-            break
-    logits = _masked_logits(m, T, m.params, feats, picks)
-    return _sum_terms([T.cross_entropy(T.row(logits, i), targets[i]) for i in picks])
+def mfm_loss_graph(m: MaskedFrameModel, frames: Sequence[SemanticFrame],
+                   picks: Sequence[Sequence[int]]) -> Tensor:
+    """The loss of each frame, in order, from one graph: the cross-entropy
+    of the true labels at its masked features ``picks`` (ascending), summed
+    in that order. Frames with as many features run as one stack."""
+    keys = T.example_keys(len(frames))
+    parts, places, targets = _frame_rows(m, frames, keys, m.params["mask"], picks)
+    stacks = []
+    for rows in _groups([len(spot) for spot in places]):
+        X = T.stack(parts, np.array([places[i] for i in rows]), keys[rows])
+        lp = T.log_softmax(mfm_logits(m, T, m.params, X))
+        mask = np.zeros(X.shape[:2], dtype=bool)
+        for r, i in enumerate(rows):
+            mask[r, picks[i]] = True
+        picked = T.pick(lp, np.array([targets[i] for i in rows]))
+        stacks.append((rows, T.row_sums([picked], mask)))
+    return _losses(stacks, len(frames))
 
 
 # ---------------------------------------------------------------------------
@@ -592,20 +720,35 @@ def prepare_lm_samples(texts: Sequence[str], vocabs: Vocabs) -> list[Utterance]:
     return [vocabs.bpe.encode(t) for t in texts]
 
 
-def _example_loss(kind: str, model, sample, tf_ratio: float,
-                  rng: np.random.Generator) -> Tensor:
-    if kind == "nlu":
-        steps, intent_lp = nlu_forcing_graph(model, sample.utt, sample.tags,
-                                             sample.intent, tf_ratio, rng)
-        terms = steps + ([intent_lp] if intent_lp is not None else [])
-        return T.scale(_sum_terms(terms), -1.0)
-    if kind == "nlg":
-        steps = nlg_forcing_graph(model, sample.frame, sample.ref, tf_ratio, rng)
-        return T.scale(_sum_terms(steps), -1.0)
-    if kind == "lm":
-        return T.scale(_sum_terms(lm_forcing_graph(model, sample.tokens)), -1.0)
+def _draws(kind: str, model, sample, tf_ratio: float, rng: np.random.Generator):
+    """The random choices of one example's forward, in the order it makes
+    them: per step whether teacher forcing feeds the gold symbol (NLU, NLG;
+    None when it always does), or the masked features of a frame (MFM: each
+    feature with p=0.3, redrawn while none is)."""
     if kind == "mfm":
-        return mfm_loss_graph(model, sample, rng)
+        n = len(sample.slots) + (sample.intent is not None and bool(model.n_intents))
+        if not n:
+            raise FrameError("frame has no features to mask")
+        while True:
+            picks = [i for i in range(n) if rng.random() < 0.3]
+            if picks:
+                return picks
+    if kind == "lm" or tf_ratio >= 1.0:
+        return None
+    n = len(sample.tags) if kind == "nlu" else len(sample.ref.tokens) + 1
+    return [rng.random() < tf_ratio for _ in range(n)]
+
+
+def _batch_losses(kind: str, model, samples: Sequence, draws: Sequence) -> Tensor:
+    """Each sample's loss, in order, from its kind's forcing graph."""
+    if kind == "nlu":
+        return nlu_forcing_graph(model, samples, None if draws[0] is None else draws)
+    if kind == "nlg":
+        return nlg_forcing_graph(model, samples, None if draws[0] is None else draws)
+    if kind == "lm":
+        return lm_forcing_graph(model, samples)
+    if kind == "mfm":
+        return mfm_loss_graph(model, samples, draws)
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -630,18 +773,17 @@ def train_model(kind: str, dataset: Sequence, config: TrainConfig, vocabs: Vocab
         order = rng.permutation(len(dataset))
         epoch_loss = 0.0
         for n_batch, start in enumerate(range(0, len(order), config.batch_size), 1):
-            batch = order[start:start + config.batch_size]
+            samples = [dataset[i] for i in order[start:start + config.batch_size]]
             T.zero_grad(model.params.values())
-            terms = [_example_loss(kind, model, dataset[i], config.teacher_forcing, rng)
-                     for i in batch]
-            loss = T.scale(_sum_terms(terms), 1.0 / len(batch))
+            draws = [_draws(kind, model, s, config.teacher_forcing, rng) for s in samples]
+            loss = T.batch_mean(_batch_losses(kind, model, samples, draws))
             batch_loss = float(loss.data)
             _check_finite(kind, "batch loss", batch_loss, epoch, n_batch)
             T.backward(loss)
             norm = T.clip_grad_norm(model.params.values(), config.clip)
             _check_finite(kind, "gradient norm", norm, epoch, n_batch)
             T.adam_step(model.params, {k: p.grad for k, p in model.params.items()}, state)
-            epoch_loss += batch_loss * len(batch)
+            epoch_loss += batch_loss * len(samples)
         losses.append(epoch_loss / len(dataset))
     return model, losses
 

@@ -62,15 +62,16 @@ def finite_difference_check(kind, model, samples, rng, n_params=20, h=1e-5):
     """
     from dualdec import tensor as T
 
-    def loss_value():
+    def loss():
         mask_rng = derive_rng(55, "mask")
-        terms = [models._example_loss(kind, model, s, 1.0, mask_rng) for s in samples]
-        return float(sum(float(t.data) for t in terms))
+        draws = [models._draws(kind, model, s, 1.0, mask_rng) for s in samples]
+        return T.batch_mean(models._batch_losses(kind, model, samples, draws))
+
+    def loss_value():
+        return float(loss().data)
 
     T.zero_grad(model.params.values())
-    mask_rng = derive_rng(55, "mask")
-    terms = [models._example_loss(kind, model, s, 1.0, mask_rng) for s in samples]
-    T.backward(models._sum_terms(terms))
+    T.backward(loss())
 
     floor = max(1e-6, abs(loss_value()) * 5e-7)
     names = sorted(model.params)

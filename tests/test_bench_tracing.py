@@ -59,6 +59,39 @@ def test_every_score_component_runs_under_its_precompute(monkeypatch, tmp_path):
         assert f"models.{scorer}" in names, scorer
 
 
+def test_training_runs_every_forcing_graph_under_train_model(monkeypatch, tmp_path):
+    # ``models.forward_s.*`` sums the spans of ``FORCING``'s functions under
+    # ``models.train_model``, whose kind the tracer reads from its first
+    # argument; a forcing graph called elsewhere would read 0 without failing
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    import tracing
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data), "--seed", "3", "--train-size", "4",
+                     "--valid-size", "1", "--test-size", "1"]) == 0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "data": {f"{d}_train": str(data / f"{d}_train.jsonl") for d in ("nlu", "nlg")},
+        "model": {"hidden": 4, "embedding": 3, "merges": 50},
+        "train": {"epochs": 1, "batch_size": 2}}))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    spans = tracer.spans
+    kinds = {(s[tracing.NAME], spans[s[tracing.PARENT]][tracing.INFO]["kind"])
+             for s in spans if s[tracing.PARENT] >= 0
+             and spans[s[tracing.PARENT]][tracing.NAME] == "models.train_model"}
+    for name, kind in tracing.FORCING.items():
+        assert (name, kind) in kinds, name
+    names = {s[tracing.NAME] for s in spans}
+    for name in ("tensor.backward", "tensor.adam_step", "tensor.clip_grad_norm"):
+        assert name in names, name
+
+
 @pytest.mark.slow
 def test_bench_selftest_passes():
     # the tracer's hooks read traced functions' arguments by position, so a

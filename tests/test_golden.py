@@ -88,8 +88,20 @@ GOLDEN_TRAIN = {
     "mfm.ckpt": "a40e51703eeda82092706afcc73cba262e66f774c3ac9717c941ab28e2880a08",
 }
 
+# the same corpus and model in one batch of every row (at most 32 per kind),
+# at teacher forcing 0.5: each batch stacks rows of many lengths and feature
+# counts, and half the steps feed the model's own argmax
+GOLDEN_TRAIN_ONE_BATCH = {
+    "nlu.ckpt": "7f9026fad7b2ab03ab4788d43dc580bcb5b29d1e41a05e61e9edd7e7ac9fe269",
+    "nlg.ckpt": "724cad07671e138b6cbfe8bb9cb1e852e7448e9ebf25c3a10d3570fc3e46e75f",
+    "lm.ckpt": "e0fc0e3e0ef069a5fad64da7627cb704b4cf5763c0ff26e2749f1455926393dd",
+    "mfm.ckpt": "0e5245c93a17fe36a79b4e703bf15b83f9771c97adc76eec64c1f0254af064f6",
+}
 
-def test_trained_checkpoints_match_golden_digests(tmp_path):
+
+def _train_digests(tmp_path, train_cfg):
+    """sha256 of each checkpoint of dualdec train on a seed-7 synthetic corpus
+    of 16 examples, at hidden 48 and lr 3e-3 for 2 epochs."""
     data = tmp_path / "data"
     assert main(["synth", "--out", str(data), "--seed", "7", "--train-size", "16",
                  "--valid-size", "1", "--test-size", "1"]) == 0
@@ -98,12 +110,21 @@ def test_trained_checkpoints_match_golden_digests(tmp_path):
         "seed": 5,
         "data": {f"{d}_train": str(data / f"{d}_train.jsonl") for d in ("nlu", "nlg")},
         "model": {"hidden": 48, "embedding": 24, "merges": 600},
-        "train": {"epochs": 2, "batch_size": 4, "lr": 3e-3, "teacher_forcing": 0.9},
+        "train": {"epochs": 2, "lr": 3e-3, **train_cfg},
     }))
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "train")]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted((tmp_path / "train").glob("*.ckpt"))}
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted((tmp_path / "train").glob("*.ckpt"))}
+
+
+def test_trained_checkpoints_match_golden_digests(tmp_path):
+    digests = _train_digests(tmp_path, {"batch_size": 4, "teacher_forcing": 0.9})
     assert digests == GOLDEN_TRAIN
+
+
+def test_one_batch_training_matches_golden_digests(tmp_path):
+    digests = _train_digests(tmp_path, {"batch_size": 64, "teacher_forcing": 0.5})
+    assert digests == GOLDEN_TRAIN_ONE_BATCH
 
 
 def test_blas_runs_on_one_thread():

@@ -1,3 +1,4 @@
+import functools
 import math
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import node_ops
 from conftest import build_vocabs, make_model, randomize
 
 from dualdec import data, decode, models
@@ -150,8 +152,10 @@ def test_nlu_score_additivity(tiny_vocabs, tiny_models):
     m = tiny_models["nlu"]
     utt = tiny_vocabs.bpe.encode("book a thai table in denver")
     tags = [i % 3 for i in range(len(utt.tokens))]
-    steps, intent_lp = models.nlu_forcing_graph(m, utt, tags, intent=1)
-    terms = [float(t.data) for t in steps] + [float(intent_lp.data)]
+    steps, intent_lp = models._nlu_forward(m, nd, m.arrays, models._ids([utt.tokens]),
+                                           models._ids([tags]), np.array([1]),
+                                           np.zeros((1, m.cfg.hidden)))
+    terms = [float(t[0]) for t in steps] + [float(intent_lp[0])]
     assert nlu_score(m, [utt], [tags], [1])[0] == pytest.approx(sum(terms), abs=1e-12)
 
 
@@ -224,7 +228,8 @@ def test_nlg_one_hot_forcing_scores_exactly_zero(tiny_vocabs):
     # the token alone and score a sequence without the EOS competition
     out_b[EOS] = -2000.0
     F = models.nlg_features_np(m, frame)
-    steps = [float(s) for s in models._nlg_forward(m, nd, m.arrays, F, rep.tokens)]
+    steps = [float(s[0]) for s in models._nlg_forward(m, nd, m.arrays, F[None],
+                                                      models._ids([[*rep.tokens, EOS]]))]
     assert steps[0] == 0.0
     assert all(s == 0.0 for s in steps[:-1])
 
@@ -331,8 +336,12 @@ def test_lm_appending_token_decreases_prefix_logprob(tiny_vocabs, tiny_models):
     m = tiny_models["lm"]
     utt = tiny_vocabs.bpe.encode("show flights from boston")
     longer = tiny_vocabs.bpe.encode("show flights from boston boston")
-    short_prefix = sum(map(float, models._lm_forward(m, nd, m.arrays, utt.tokens)[:-1]))
-    long_prefix = sum(map(float, models._lm_forward(m, nd, m.arrays, longer.tokens)[:-1]))
+    def prefix(tokens):
+        steps = models._lm_forward(m, nd, m.arrays, models._ids([[BOS, *tokens]]),
+                                   models._ids([[*tokens, EOS]]), np.zeros((1, m.cfg.hidden)))
+        return sum(float(t[0]) for t in steps[:-1])
+    short_prefix = prefix(utt.tokens)
+    long_prefix = prefix(longer.tokens)
     assert long_prefix < short_prefix
 
 
@@ -449,9 +458,9 @@ def test_scorers_equal_one_row_calls_across_stack_boundaries(tiny_corpus, tiny_v
     stack_rows = []
     lm_forward = models._lm_forward
 
-    def counted(m, ops, P, tokens):
+    def counted(m, ops, P, inputs, tokens, h):
         stack_rows.append(tokens.shape[1])
-        return lm_forward(m, ops, P, tokens)
+        return lm_forward(m, ops, P, inputs, tokens, h)
     monkeypatch.setattr(models, "_lm_forward", counted)
     lm_score_tokens(ms["lm"], [[5]] * n)
     monkeypatch.undo()
@@ -574,50 +583,70 @@ def test_gradients_match_finite_differences_all_kinds():
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
 
 
+def _tensor_features(m, frames, fill, masked=None):
+    """The stacked feature rows of ``frames`` that training builds."""
+    keys = T.example_keys(len(frames))
+    parts, places, targets = models._frame_rows(m, frames, keys, fill, masked)
+    return T.stack(parts, np.array(places), keys), targets
+
+
 def _tensor_mfm_score(m, frame, rng):
     """``masked_frame_score`` computed on the tensor backend."""
-    feats, targets = models.mfm_features(m, T, m.params, frame)
     total = 0.0
-    for pos in rng.integers(0, len(feats), size=3):
-        logits = models._masked_logits(m, T, m.params, feats, [pos])
-        total += float(T.pick(T.log_softmax(T.row(logits, pos)), targets[pos]).data)
+    for pos in rng.integers(0, frame.n_features, size=3):
+        X, [targets] = _tensor_features(m, [frame], m.params["mask"], [[pos]])
+        lp = T.log_softmax(models.mfm_logits(m, T, m.params, X))
+        total += float(lp.data[0, pos, targets[pos]])
     return total
 
 
 def _floats(terms):
-    """Per-step log-probs of either backend as Python floats."""
-    return [float(t.data if isinstance(t, T.Tensor) else t) for t in terms]
+    """Per-step log-probs of a one-row stack of either backend as Python floats."""
+    return [float((t.data if isinstance(t, T.Tensor) else t)[0]) for t in terms]
+
+
+def _one_row_states(m):
+    return T.Tensor(np.zeros((1, m.cfg.hidden)), keys=T.example_keys(1))
 
 
 def _assert_backends_agree(kind, m, nlu_raw, nlg_raw):
-    """Step by step, the ndarray forward equals the tensor graph with ``==``,
-    and each scorer returns the sum of the graph's steps."""
+    """Step by step, the ndarray forward of a row equals the tensor graph with
+    ``==``, and each scorer returns minus the loss of the training graph."""
     vocabs = m.vocabs
+    zeros = np.zeros((1, m.cfg.hidden))
     if kind == "nlu":
-        for s in models.prepare_nlu_samples(nlu_raw, vocabs):
-            steps, intent_lp = models.nlu_forcing_graph(m, s.utt, s.tags, s.intent)
-            nd_steps, nd_intent = models._nlu_forward(m, nd, m.arrays, s.utt.tokens, s.tags,
-                                                      s.intent)
+        samples = models.prepare_nlu_samples(nlu_raw, vocabs)
+        for s in samples:
+            args = (models._ids([s.utt.tokens]), models._ids([s.tags]),
+                    None if s.intent is None else np.array([s.intent]))
+            steps, intent_lp = models._nlu_forward(m, T, m.params, *args, _one_row_states(m))
+            nd_steps, nd_intent = models._nlu_forward(m, nd, m.arrays, *args, zeros)
             assert _floats(nd_steps) == _floats(steps)
-            assert ((None if nd_intent is None else float(nd_intent))
-                    == (None if intent_lp is None else float(intent_lp.data)))
-            intent_term = 0.0 if intent_lp is None else float(intent_lp.data)
-            assert (nlu_score(m, [s.utt], [s.tags], [s.intent])
-                    == [float(sum(_floats(steps))) + intent_term])
+            assert ((None if nd_intent is None else _floats([nd_intent]))
+                    == (None if intent_lp is None else _floats([intent_lp])))
+        losses = models.nlu_forcing_graph(m, samples)
+        assert (nlu_score(m, [s.utt for s in samples], [s.tags for s in samples],
+                          [s.intent for s in samples]) == (-losses.data).tolist())
     elif kind == "nlg":
-        for s in models.prepare_nlg_samples(nlg_raw, vocabs):
-            steps = models.nlg_forcing_graph(m, s.frame, s.ref)
-            nd_steps = models._nlg_forward(m, nd, m.arrays, models.nlg_features_np(m, s.frame),
-                                           s.ref.tokens)
-            assert _floats(nd_steps) == _floats(steps)
-            assert nlg_score(m, [s.frame], [s.ref]) == [float(sum(_floats(steps)))]
-            F = T.stack(models._nlg_features(m, T, m.params, s.frame))
-            assert np.array_equal(models.nlg_features_np(m, s.frame), F.data)
+        samples = models.prepare_nlg_samples(nlg_raw, vocabs)
+        for s in samples:
+            tokens = models._ids([[*s.ref.tokens, EOS]])
+            F, _ = _tensor_features(m, [s.frame], m.params["empty_feat"])
+            F_nd = models.nlg_features_np(m, s.frame)[None]
+            assert np.array_equal(F_nd, F.data)
+            assert (_floats(models._nlg_forward(m, nd, m.arrays, F_nd, tokens))
+                    == _floats(models._nlg_forward(m, T, m.params, F, tokens)))
+        losses = models.nlg_forcing_graph(m, samples)
+        assert (nlg_score(m, [s.frame for s in samples], [s.ref for s in samples])
+                == (-losses.data).tolist())
     elif kind == "lm":
-        for s in models.prepare_lm_samples([ex.text for ex in nlu_raw], vocabs):
-            steps = models.lm_forcing_graph(m, s.tokens)
-            assert _floats(models._lm_forward(m, nd, m.arrays, s.tokens)) == _floats(steps)
-            assert lm_score_tokens(m, [s.tokens]) == [float(sum(_floats(steps)))]
+        samples = models.prepare_lm_samples([ex.text for ex in nlu_raw], vocabs)
+        for s in samples:
+            args = models._ids([[BOS, *s.tokens]]), models._ids([[*s.tokens, EOS]])
+            assert (_floats(models._lm_forward(m, nd, m.arrays, *args, zeros))
+                    == _floats(models._lm_forward(m, T, m.params, *args, _one_row_states(m))))
+        losses = models.lm_forcing_graph(m, samples)
+        assert lm_score_tokens(m, [s.tokens for s in samples]) == (-losses.data).tolist()
     else:
         for i, ex in enumerate(nlg_raw):
             [got] = masked_frame_score(m, [ex.frame], [derive_rng(i, "mask")])
@@ -652,22 +681,29 @@ def _node_by_node_gru_step(ops, P, prefix: str, x, h):
     """``models._gru_step`` before ``tensor.gru_gates`` and ``tensor.linear``:
     20 graph nodes on ``tensor``."""
     H = h.shape[-1]
-    gi = ops.add(ops.matvec(P[prefix + ".w_ih"], x), P[prefix + ".b_ih"])
-    gh = ops.add(ops.matvec(P[prefix + ".w_hh"], h), P[prefix + ".b_hh"])
-    r = ops.sigmoid(ops.add(ops.slice1d(gi, 0, H), ops.slice1d(gh, 0, H)))
-    z = ops.sigmoid(ops.add(ops.slice1d(gi, H, 2 * H), ops.slice1d(gh, H, 2 * H)))
-    n = ops.tanh(ops.add(ops.slice1d(gi, 2 * H, 3 * H),
-                         ops.mul(r, ops.slice1d(gh, 2 * H, 3 * H))))
-    return ops.add(n, ops.mul(z, ops.sub(h, n)))
+    gi = T.add(T.matvec(P[prefix + ".w_ih"], x), P[prefix + ".b_ih"])
+    gh = T.add(T.matvec(P[prefix + ".w_hh"], h), P[prefix + ".b_hh"])
+    r = node_ops.sigmoid(T.add(node_ops.slice1d(gi, 0, H), node_ops.slice1d(gh, 0, H)))
+    z = node_ops.sigmoid(T.add(node_ops.slice1d(gi, H, 2 * H), node_ops.slice1d(gh, H, 2 * H)))
+    n = T.tanh(T.add(node_ops.slice1d(gi, 2 * H, 3 * H),
+                     node_ops.mul(r, node_ops.slice1d(gh, 2 * H, 3 * H))))
+    return T.add(n, node_ops.mul(z, node_ops.sub(h, n)))
 
 
-def _batch_loss_and_grads(kind, m, samples):
+def _batch_loss_and_grads(kind, m, samples, one_row_graphs=False):
     """One training batch's loss and gradients, built as ``train_model``
-    builds them; teacher forcing 0.5, so the argmax branch runs too."""
+    builds them, or, with ``one_row_graphs``, as one graph per example added
+    with ``T.add`` in batch order; teacher forcing 0.5, so the argmax branch
+    runs too."""
     T.zero_grad(m.params.values())
     rng = derive_rng(3, "batch", kind)
-    terms = [models._example_loss(kind, m, s, 0.5, rng) for s in samples]
-    loss = T.scale(models._sum_terms(terms), 1.0 / len(terms))
+    draws = [models._draws(kind, m, s, 0.5, rng) for s in samples]
+    if one_row_graphs:
+        terms = [T.batch_mean(models._batch_losses(kind, m, [s], [d]))
+                 for s, d in zip(samples, draws)]
+        loss = T.scale(functools.reduce(T.add, terms), 1.0 / len(terms))
+    else:
+        loss = T.batch_mean(models._batch_losses(kind, m, samples, draws))
     T.backward(loss)
     return float(loss.data), {name: p.grad.copy() for name, p in m.params.items()}
 
@@ -698,3 +734,44 @@ def test_fused_gradients_equal_the_node_by_node_graph(kind, tiny_corpus, tiny_vo
     _assert_fused_graph_equals_node_graph(kind, m, nlu_raw[:6], nlg_raw[:6], monkeypatch)
     m = models.model_from_checkpoint(data.load_checkpoint(FIXTURE / f"{kind}.ckpt"))
     _assert_fused_graph_equals_node_graph(kind, m, nlu_raw[:6], nlg_raw[:6], monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# a batch as one graph over stacks against one graph per example
+
+
+def _stacking_samples(kind, nlu_raw, nlg_raw, vocabs):
+    """A batch whose rows differ in length, whose frames have 2, 3 and 4
+    features, and in which two rows read one token id at the same step."""
+    samples = {"nlu": lambda: models.prepare_nlu_samples(nlu_raw, vocabs),
+               "nlg": lambda: models.prepare_nlg_samples(nlg_raw, vocabs),
+               "lm": lambda: models.prepare_lm_samples([ex.text for ex in nlu_raw], vocabs),
+               "mfm": lambda: [ex.frame for ex in nlg_raw]}[kind]()
+    if kind == "mfm":
+        assert {f.n_features for f in samples} >= {2, 3, 4}
+        firsts = [f.slots[0][0] for f in samples]
+    else:
+        utts = {"nlu": lambda s: s.utt, "nlg": lambda s: s.ref, "lm": lambda s: s}[kind]
+        tokens = [utts(s).tokens for s in samples]
+        assert len({len(t) for t in tokens}) > 1
+        firsts = [t[0] for t in tokens]
+        if kind == "nlg":
+            assert {s.frame.n_features for s in samples} >= {2, 3, 4}
+    assert len(set(firsts)) < len(firsts)
+    return samples
+
+
+@pytest.mark.parametrize("kind", data.MODEL_KINDS)
+def test_stacked_batch_equals_one_graph_per_example(kind, tiny_corpus, tiny_vocabs):
+    """The batch graph's loss and every gradient equal, bit for bit, those of
+    one-row graphs added in batch order."""
+    nlu_raw, nlg_raw = tiny_corpus
+    for m in (randomize(make_model(kind, tiny_vocabs), derive_rng(41, "rand", kind)),
+              models.model_from_checkpoint(data.load_checkpoint(FIXTURE / f"{kind}.ckpt"))):
+        samples = _stacking_samples(kind, nlu_raw[:10], nlg_raw[:10], m.vocabs)
+        loss, grads = _batch_loss_and_grads(kind, m, samples)
+        ref_loss, ref_grads = _batch_loss_and_grads(kind, m, samples, one_row_graphs=True)
+        assert loss == ref_loss
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert np.array_equal(g, ref_grads[name]), (kind, name)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import node_ops as ops
 from dualdec import tensor as T
 from dualdec.tensor import Tensor, nd
 
@@ -38,7 +39,7 @@ def test_sigmoid_saturates_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         y = T.sigmoid_np(x)
-        assert list(T.sigmoid(Tensor(x)).data) == list(y)
+        assert list(ops.sigmoid(Tensor(x)).data) == list(y)
     assert list(y) == [0.0, 0.5, 0.5, 1.0]
 
 
@@ -57,7 +58,7 @@ def test_matmul_shape_error_mentions_both_shapes():
 
 def test_tanh_gradient_at_zero_is_one():
     x = Tensor(np.zeros(1), requires_grad=True)
-    y = T.tsum(T.tanh(x))
+    y = ops.tsum(T.tanh(x))
     T.backward(y)
     assert x.grad[0] == 1.0
 
@@ -66,7 +67,7 @@ def test_tanh_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
     x0 = rng.normal(size=5)
     x = Tensor(x0, requires_grad=True)
-    T.backward(T.tsum(T.tanh(x)))
+    T.backward(ops.tsum(T.tanh(x)))
     num = numeric_grad(lambda v: np.tanh(v).sum(), x0)
     for a, b in zip(x.grad, num):
         assert rel_err(a, b) < 1e-6
@@ -74,13 +75,13 @@ def test_tanh_gradient_matches_finite_differences():
 
 def test_backward_sum_is_all_ones():
     x = Tensor(np.arange(4.0), requires_grad=True)
-    T.backward(T.tsum(x))
+    T.backward(ops.tsum(x))
     assert np.array_equal(x.grad, np.ones(4))
 
 
 def test_backward_square_scalar():
     x = Tensor(np.asarray(3.0), requires_grad=True)
-    T.backward(T.mul(x, x))
+    T.backward(ops.mul(x, x))
     assert x.grad == pytest.approx(6.0, abs=0)
 
 
@@ -94,11 +95,11 @@ def _random_graph_loss(params):
     """A deliberately twisty composition touching most ops."""
     a, b, w, bias = params
     h = T.tanh(T.add(T.matmul(w, a), bias))
-    g = T.sigmoid(T.mul(h, b))
+    g = ops.sigmoid(ops.mul(h, b))
     att = T.softmax(T.matmul(T.stack([h, g, a]), b))
     ctx = T.matmul(att, T.stack([a, g, h]))
-    joined = T.concat([ctx, T.slice1d(h, 0, 2)])
-    return T.add(T.tsum(T.mul(joined, joined)), T.cross_entropy(ctx, 1))
+    joined = T.concat([ctx, ops.slice1d(h, 0, 2)])
+    return T.add(ops.tsum(ops.mul(joined, joined)), T.cross_entropy(ctx, 1))
 
 
 def test_composed_graph_matches_finite_differences():
@@ -127,7 +128,7 @@ def _fused_graph_loss(params):
     w_ih, w_hh, b_ih, b_hh, x, h = params
     h1 = T.gru_gates(T.linear(w_ih, x, b_ih), T.linear(w_hh, h, b_hh), h)
     h2 = T.gru_gates(T.linear(w_ih, T.tanh(h1), b_ih), T.linear(w_hh, h1, b_hh), h1)
-    return T.add(T.tsum(T.mul(h2, h2)), T.cross_entropy(h1, 1))
+    return T.add(ops.tsum(ops.mul(h2, h2)), T.cross_entropy(h1, 1))
 
 
 def test_fused_ops_match_finite_differences():
@@ -164,9 +165,9 @@ def test_fanout_through_add_keeps_gradients_apart():
     c, d = np.array([1.5, -0.5, 2.0]), np.array([-1.0, 0.25, 3.0])
 
     def loss(x):
-        v = T.sigmoid(x)
+        v = ops.sigmoid(x)
         u = T.tanh(v)
-        return T.add(T.tsum(T.mul(T.add(u, v), Tensor(c))), T.tsum(T.mul(u, Tensor(d))))
+        return T.add(ops.tsum(ops.mul(T.add(u, v), Tensor(c))), ops.tsum(ops.mul(u, Tensor(d))))
 
     x = Tensor(x0, requires_grad=True)
     T.backward(loss(x))
@@ -179,7 +180,7 @@ def test_fanout_accumulation_is_additive():
     # z = x*a + x*b reuses x; grad must be a + b regardless of visit order
     x = Tensor(np.asarray(2.0), requires_grad=True)
     a, b = Tensor(np.asarray(5.0)), Tensor(np.asarray(-3.0))
-    T.backward(T.add(T.mul(x, a), T.mul(x, b)))
+    T.backward(T.add(ops.mul(x, a), ops.mul(x, b)))
     assert x.grad == pytest.approx(2.0, abs=0)
 
 
@@ -187,7 +188,7 @@ def test_unreachable_parameter_keeps_zero_grad():
     x = Tensor(np.zeros(2), requires_grad=True)
     y = Tensor(np.ones(2), requires_grad=True)
     T.zero_grad([x, y])
-    T.backward(T.tsum(T.mul(x, x)))
+    T.backward(ops.tsum(ops.mul(x, x)))
     assert np.array_equal(y.grad, np.zeros(2))
 
 
@@ -195,7 +196,7 @@ def test_bias_broadcast_add_backward():
     rng = np.random.default_rng(3)
     m = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=3), requires_grad=True)
-    T.backward(T.tsum(T.add(m, b)))
+    T.backward(ops.tsum(T.add(m, b)))
     assert np.array_equal(b.grad, np.full(3, 4.0))
     assert np.array_equal(m.grad, np.ones((4, 3)))
 
@@ -344,23 +345,22 @@ def test_nd_ops_on_a_stack_equal_the_ops_on_each_row(B, n, m, k, strided, seed):
     # (name, the op on the stack, the op on row b alone)
     cases = [
         ("add", nd.add(X, Y), lambda b: nd.add(X[b], Y[b])),
-        ("sub", nd.sub(X, Y), lambda b: nd.sub(X[b], Y[b])),
-        ("mul", nd.mul(X, Y), lambda b: nd.mul(X[b], Y[b])),
+        ("sub", ops.nd.sub(X, Y), lambda b: ops.nd.sub(X[b], Y[b])),
+        ("mul", ops.nd.mul(X, Y), lambda b: ops.nd.mul(X[b], Y[b])),
         ("scale", nd.scale(X, 0.37), lambda b: nd.scale(X[b], 0.37)),
         ("matvec", nd.matvec(W, X), lambda b: nd.matvec(W, X[b])),
         ("matvec, a matrix per row", nd.matvec(F, X), lambda b: nd.matvec(F[b], X[b])),
         ("vecmat", nd.vecmat(w, F), lambda b: nd.vecmat(w[b], F[b])),
         ("vecmat, one shared matrix", nd.vecmat(w, F[0]), lambda b: nd.vecmat(w[b], F[0])),
-        ("matmul", nd.matmul(F, nd.transpose(Wsq)),
-         lambda b: nd.matmul(F[b], nd.transpose(Wsq))),
+        ("matmul_t", nd.matmul_t(F, Wsq), lambda b: nd.matmul_t(F[b], Wsq)),
         ("concat", nd.concat([X, v, Y]), lambda b: nd.concat([X[b], v, Y[b]])),
-        ("slice1d", nd.slice1d(X, lo, hi), lambda b: nd.slice1d(X[b], lo, hi)),
+        ("slice1d", ops.nd.slice1d(X, lo, hi), lambda b: ops.nd.slice1d(X[b], lo, hi)),
         ("row", nd.row(Wsq, picks), lambda b: nd.row(Wsq, int(picks[b]))),
         ("pick", nd.pick(X, picks), lambda b: nd.pick(X[b], int(picks[b]))),
-        ("transpose", nd.transpose(F), lambda b: nd.transpose(F[b])),
+        ("matmul_t, a matrix per row", nd.matmul_t(F, F), lambda b: nd.matmul_t(F[b], F[b])),
         ("mean_rows", nd.mean_rows(F), lambda b: nd.mean_rows(F[b])),
         ("tanh", nd.tanh(X), lambda b: nd.tanh(X[b])),
-        ("sigmoid", nd.sigmoid(X), lambda b: nd.sigmoid(X[b])),
+        ("sigmoid", ops.nd.sigmoid(X), lambda b: ops.nd.sigmoid(X[b])),
         ("softmax", nd.softmax(X), lambda b: nd.softmax(X[b])),
         ("log_softmax", nd.log_softmax(X), lambda b: nd.log_softmax(X[b])),
         ("linear", nd.linear(W, X, v), lambda b: nd.linear(W, X[b], v)),
@@ -376,3 +376,46 @@ def test_nd_one_row_products_are_the_tensor_products():
     W, x, F = rng.normal(size=(7, 5)), rng.normal(size=5), rng.normal(size=(5, 3))
     assert np.array_equal(nd.matvec(W, x), T.matvec(Tensor(W), Tensor(x)).data)
     assert np.array_equal(nd.vecmat(x, F), T.vecmat(Tensor(x), Tensor(F)).data)
+
+
+# ---------------------------------------------------------------------------
+# stacks of rows: a parameter's contributions are added in row-key order
+
+
+@pytest.mark.parametrize("chunk", [T.CHUNK, 8])
+def test_parameter_contributions_add_in_row_key_order(chunk, monkeypatch):
+    # rows arrive out of key order, two rows read one embedding row, and a
+    # chunk of 8 entries holds one contribution at a time
+    monkeypatch.setattr(T, "CHUNK", chunk)
+    rng = np.random.default_rng(19)
+    E = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    W = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=4), requires_grad=True)
+    ids, keys = np.array([1, 3, 1]), np.array([2, 0, 1]) * T.PARTS
+    scales = Tensor(10.0 ** rng.integers(-4, 5, size=(3, 4)), keys=keys)
+    x = T.row(E, ids, keys=keys)
+    y = T.tanh(T.linear(W, x, b))
+    T.zero_grad([E, W, b])
+    T.backward(ops.tsum(ops.mul(y, scales)))
+    g = (1.0 - y.data * y.data) * scales.data
+    want_E, want_W, want_b = np.zeros((5, 3)), np.zeros((4, 3)), np.zeros(4)
+    for r in np.argsort(keys):
+        want_b += g[r]
+        want_W += g[r][:, None] * x.data[r]
+        want_E[ids[r]] += W.data.T @ g[r]
+    assert np.array_equal(b.grad, want_b)
+    assert np.array_equal(W.grad, want_W)
+    assert np.array_equal(E.grad, want_E)
+
+
+def test_a_view_of_a_stack_adds_into_the_stack():
+    # a row that ends drops out through head; the stack's gradient gets the
+    # terms of the view's consumers and of its own
+    E = Tensor(np.arange(6.0).reshape(3, 2) / 10, requires_grad=True)
+    h = T.tanh(T.row(E, np.arange(3), keys=np.arange(3) * T.PARTS))
+    v = T.head(h, 2)
+    total = T.row_sums([T.pick(v, np.zeros(2, int)), T.pick(h, np.ones(3, int))])
+    T.backward(T.batch_mean(total))
+    assert v.grad is None
+    assert np.array_equal(h.grad, [[1 / 3, 1 / 3], [1 / 3, 1 / 3], [0.0, 1 / 3]])
+    assert np.array_equal(total.data, h.data[:, 0] * [1, 1, 0] + h.data[:, 1])
