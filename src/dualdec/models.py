@@ -15,7 +15,10 @@
 
 All four build on one constructor (config, vocabularies, and parameters
 added in checkpoint order, the word embedding first), and NLG and the masked
-frame model share one frame-feature encoder, ``mfm_features``.
+frame model share one frame-feature encoder: one frame lookup
+(``_frame_labels``) and one pair encoder (``_pair_inputs``,
+``_pair_feature``), run one frame at a time by ``mfm_features`` for the
+scorers and over a whole batch by ``_frame_rows`` for training.
 
 Each model's step arithmetic is written once, against an ``ops`` namespace
 and a name-to-parameter map: ``tensor`` with ``model.params`` for training,
@@ -291,8 +294,7 @@ def nlu_forcing_graph(m: NluModel, samples: Sequence[NluSample],
             _steps([samples[i].tags for i in rows]), intent, _zeros(keys[rows], m.cfg.hidden),
             None if forced is None else _steps([forced[i] for i in rows]))
         terms = steps + ([intent_lp] if intent_lp is not None else [])
-        stacks.append((rows, T.row_sums(terms) if terms
-                       else Tensor(np.zeros(len(rows)), keys=keys[rows])))
+        stacks.append((rows, T.row_sums(terms, keys[rows])))
     return _losses(stacks, len(samples))
 
 
@@ -360,92 +362,95 @@ def _pair_feature(ops, P, seq: list, h):
     return ops.tanh(ops.linear(P["feat.w"], ops.concat([hf, hb]), P["feat.b"]))
 
 
-def mfm_features(m: _FrameModel, ops, P, frame: SemanticFrame,
-                 memo: dict | None = None) -> tuple[list, list[int]]:
-    """Per-feature encodings and their classifier targets (key or intent id):
-    one pair encoding per slot, then the intent embedding.
-
-    ``memo``, when given, maps (key id, value words) to the pair's encoding
-    on ``nd``. It holds read-only arrays that are only valid while the
-    parameters do not change, so a scorer keeps one for a single call;
-    training passes none."""
+def _frame_labels(m: _FrameModel, frame: SemanticFrame) -> list[tuple[int, tuple | None]]:
+    """Each feature of ``frame`` as (classifier target, value words): one per
+    slot, whose target is its key id, then the intent, whose target is
+    ``n_slot_keys`` plus its intent id and whose value is None."""
     labels = m.vocabs.labels
-    feats = []
-    targets: list[int] = []
+    out: list[tuple[int, tuple | None]] = []
     for key, value in frame.slots:
         try:
-            key_id = labels.key_id(key)
+            out.append((labels.key_id(key), value))
         except KeyError:
             raise FrameError(f"slot key {key!r} outside inventory") from None
-        feat = None if memo is None else memo.get((key_id, value))
-        if feat is None:
-            value_ids = m.vocabs.bpe.encode_ids(" ".join(value))
-            seq = [ops.row(P["key_emb"], key_id)] + [ops.row(P["word_emb"], i)
-                                                     for i in value_ids]
-            feat = _pair_feature(ops, P, seq, ops.zeros(m.cfg.hidden))
-            if memo is not None:
-                feat.flags.writeable = False
-                memo[key_id, value] = feat
-        feats.append(feat)
-        targets.append(key_id)
     if frame.intent is not None and m.n_intents:
         try:
-            iid = labels.intent_id(frame.intent)
+            out.append((labels.n_slot_keys + labels.intent_id(frame.intent), None))
         except KeyError:
             raise FrameError(f"intent {frame.intent!r} outside inventory") from None
-        feats.append(ops.row(P["intent_emb"], iid))
-        targets.append(labels.n_slot_keys + iid)
-    return feats, targets
+    return out
+
+
+def _pair_inputs(ops, P, key_id, value_ids: Iterable, like=None) -> list:
+    """The pair encoder's inputs: the key's embedding, then each value
+    token's. Ids are one per pair, or one per row of the stack ``like``."""
+    return ([ops.row(P["key_emb"], key_id, like)]
+            + [ops.row(P["word_emb"], i, like) for i in value_ids])
+
+
+def mfm_features(m: _FrameModel, frame: SemanticFrame,
+                 memo: dict | None = None) -> tuple[list[np.ndarray], list[int]]:
+    """Per-feature encodings on ``nd`` and their classifier targets (key or
+    intent id): one pair encoding per slot, then the intent embedding.
+
+    ``memo``, when given, maps (key id, value words) to the pair's encoding.
+    It holds read-only arrays that are only valid while the parameters do
+    not change, so a scorer keeps one for a single call."""
+    P = m.arrays
+    feats = []
+    labels = _frame_labels(m, frame)
+    for target, value in labels:
+        if value is None:
+            feats.append(P["intent_emb"][target - m.vocabs.labels.n_slot_keys])
+            continue
+        feat = None if memo is None else memo.get((target, value))
+        if feat is None:
+            seq = _pair_inputs(nd, P, target, m.vocabs.bpe.encode_ids(" ".join(value)))
+            feat = _pair_feature(nd, P, seq, np.zeros(m.cfg.hidden))
+            if memo is not None:
+                feat.flags.writeable = False
+                memo[target, value] = feat
+        feats.append(feat)
+    return feats, [target for target, _ in labels]
 
 
 def _frame_rows(m: _FrameModel, frames: Sequence[SemanticFrame], keys: np.ndarray,
                 fill: Tensor, masked: Sequence[Sequence[int]] | None = None,
                 ) -> tuple[list[Tensor], list[list[int]], list[list[int]]]:
     """Training: the features of ``frames`` (with example keys ``keys``) as
-    rows for ``tensor.stack``, and their classifier targets. The parts are
-    the pair encodings of all the frames' slots, one stack per value length,
-    then the intent embeddings, then ``fill``: it stands for the features in
-    ``masked`` (never encoded) and for the lone feature of a frame without
-    any. Returns the parts, and per frame its features' places in the parts'
-    rows and its targets. A row's key is its example's, plus 1 + its feature
-    position."""
-    labels, P = m.vocabs.labels, m.params
+    rows for ``tensor.stack``, and their classifier targets, those of
+    ``mfm_features``. The parts are the pair encodings of all the frames'
+    slots, one stack per value length, then the intent embeddings, then
+    ``fill``: it stands for the features in ``masked`` (never encoded) and
+    for the lone feature of a frame without any. Returns the parts, and per
+    frame its features' places in the parts' rows and its targets. A row's
+    key is its example's, plus 1 + its feature position."""
+    P, n_keys = m.params, m.vocabs.labels.n_slot_keys
     pairs: dict[int, list] = {}
     intents: list[tuple[int, int]] = []
     spots, targets = [], []
     for i, frame in enumerate(frames):
         drop = () if masked is None else masked[i]
-        spot, target = [], []
-        for j, (key, value) in enumerate(frame.slots):
-            try:
-                key_id = labels.key_id(key)
-            except KeyError:
-                raise FrameError(f"slot key {key!r} outside inventory") from None
-            target.append(key_id)
+        labels = _frame_labels(m, frame)
+        spot = []
+        for j, (target, value) in enumerate(labels):
             if j in drop:
                 spot.append(None)
-                continue
-            ids = m.vocabs.bpe.encode_ids(" ".join(value))
-            group = pairs.setdefault(len(ids), [])
-            spot.append(("pair", len(ids), len(group)))
-            group.append((keys[i] + 1 + j, key_id, ids))
-        if frame.intent is not None and m.n_intents:
-            try:
-                iid = labels.intent_id(frame.intent)
-            except KeyError:
-                raise FrameError(f"intent {frame.intent!r} outside inventory") from None
-            target.append(labels.n_slot_keys + iid)
-            spot.append(None if len(spot) in drop else ("intent", len(intents)))
-            if spot[-1] is not None:
-                intents.append((keys[i] + 1 + len(frame.slots), iid))
+            elif value is None:
+                spot.append(("intent", len(intents)))
+                intents.append((keys[i] + 1 + j, target - n_keys))
+            else:
+                ids = m.vocabs.bpe.encode_ids(" ".join(value))
+                group = pairs.setdefault(len(ids), [])
+                spot.append(("pair", len(ids), len(group)))
+                group.append((keys[i] + 1 + j, target, ids))
         spots.append(spot)
-        targets.append(target)
+        targets.append([target for target, _ in labels])
     parts, start, n_rows = [], {}, 0
     for length, group in pairs.items():
         h = _zeros(np.array([k for k, _, _ in group]), m.cfg.hidden)
-        seq = [T.row(P["key_emb"], np.array([key_id for _, key_id, _ in group]), h)]
-        seq += [T.row(P["word_emb"], np.array([ids[t] for _, _, ids in group]), h)
-                for t in range(length)]
+        seq = _pair_inputs(T, P, np.array([key_id for _, key_id, _ in group]),
+                           _ids([ids for _, _, ids in group]), h)
         parts.append(_pair_feature(T, P, seq, h))
         start["pair", length], n_rows = n_rows, n_rows + len(group)
     if intents:
@@ -474,9 +479,9 @@ class NlgModel(_FrameModel):
         self.add("out.b", (n_tok,))
 
 
-def _nlg_features(m: NlgModel, ops, P, frame: SemanticFrame, memo: dict | None = None) -> list:
-    """The frame's features; the learned ``empty_feat`` when it has none."""
-    return mfm_features(m, ops, P, frame, memo)[0] or [P["empty_feat"]]
+def _nlg_features(m: NlgModel, frame: SemanticFrame, memo: dict | None = None) -> list:
+    """The frame's features on ``nd``; the learned ``empty_feat`` when it has none."""
+    return mfm_features(m, frame, memo)[0] or [m.arrays["empty_feat"]]
 
 
 def _nlg_step(m: NlgModel, ops, P, F, h, prev_word: int):
@@ -519,7 +524,7 @@ def nlg_forcing_graph(m: NlgModel, samples: Sequence[NlgSample],
         F = T.stack(parts, np.array([places[i] for i in rows]), keys[rows])
         steps = _nlg_forward(m, T, m.params, F, _steps([targets[i] for i in rows]),
                              None if forced is None else _steps([forced[i] for i in rows]))
-        stacks.append((rows, T.row_sums(steps)))
+        stacks.append((rows, T.row_sums(steps, keys[rows])))
     return _losses(stacks, len(samples))
 
 
@@ -531,7 +536,7 @@ def nlg_score(m: NlgModel, frames: Sequence[SemanticFrame],
     if len(frames) != len(utts):
         raise FrameError(f"{len(frames)} frames for {len(utts)} utterances")
     memo: dict = {}
-    feats = [_nlg_features(m, nd, m.arrays, frame, memo) for frame in frames]
+    feats = [_nlg_features(m, frame, memo) for frame in frames]
     return _per_row([(len(f), len(utt.tokens)) for f, utt in zip(feats, utts)],
                     lambda rows: _nlg_forward(m, nd, m.arrays, np.array([feats[i] for i in rows]),
                                               _ids([[*utts[i].tokens, EOS] for i in rows])))
@@ -539,7 +544,7 @@ def nlg_score(m: NlgModel, frames: Sequence[SemanticFrame],
 
 def nlg_features_np(m: NlgModel, frame: SemanticFrame) -> np.ndarray:
     """The frame's features as a (k, hidden) array, the input of ``nlg_step``."""
-    return np.stack(_nlg_features(m, nd, m.arrays, frame))
+    return np.stack(_nlg_features(m, frame))
 
 
 def nlg_step(m: NlgModel, state: np.ndarray, prev_word,
@@ -588,7 +593,7 @@ def lm_forcing_graph(m: LmModel, samples: Sequence[Utterance]) -> Tensor:
     steps = _lm_forward(m, T, m.params, _steps([[BOS, *samples[i].tokens] for i in rows]),
                         _steps([[*samples[i].tokens, EOS] for i in rows]),
                         _zeros(keys[rows], m.cfg.hidden))
-    return _losses([(rows, T.row_sums(steps))], len(samples))
+    return _losses([(rows, T.row_sums(steps, keys[rows]))], len(samples))
 
 
 def lm_score_tokens(m: LmModel, tokens: Sequence[Sequence[int]]) -> list[float]:
@@ -643,7 +648,7 @@ def masked_frame_score(m: MaskedFrameModel, frames: Sequence[SemanticFrame],
     the call."""
     P = m.arrays
     memo: dict = {}
-    encoded = [mfm_features(m, nd, P, frame, memo) for frame in frames]
+    encoded = [mfm_features(m, frame, memo) for frame in frames]
     if any(not feats for feats, _ in encoded):
         raise FrameError("frame has no features to mask")
     draws = [rng.integers(0, len(feats), size=3)
@@ -675,7 +680,7 @@ def mfm_loss_graph(m: MaskedFrameModel, frames: Sequence[SemanticFrame],
         for r, i in enumerate(rows):
             mask[r, picks[i]] = True
         picked = T.pick(lp, np.array([targets[i] for i in rows]))
-        stacks.append((rows, T.row_sums([picked], mask)))
+        stacks.append((rows, T.row_sums([picked], keys[rows], mask)))
     return _losses(stacks, len(frames))
 
 

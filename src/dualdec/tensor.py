@@ -18,9 +18,7 @@ order. Two rules make that hold:
     that made it, as vectors (``linear`` records ``g`` and ``x``, not their
     outer product). When ``backward`` ends, the records are sorted by row key
     (stably, so each row keeps the order the backward produced them) and added
-    in that order: chunks of rows go through one ``np.add.reduce`` with the
-    running total as their first row (a large parameter adds its rows one at
-    a time), embedding rows through ``np.add.at``.
+    in that order, one ``+=`` per row, embedding rows through ``np.add.at``.
 Rows that end early drop out of a stack through ``head``, a view whose
 gradient adds straight into the stack's own.
 
@@ -157,11 +155,6 @@ def _accum_outer(t: Tensor, g: np.ndarray, x: np.ndarray, keys: np.ndarray | Non
     _accum(t, g[..., :, None] * x[..., None, :], keys=keys)
 
 
-# the most float64 entries one chunk of a reduction holds; a parameter larger
-# than a quarter of it adds its rows one at a time
-CHUNK = 1 << 16
-
-
 def _add_recorded(t: Tensor, entries: list) -> None:
     """Add a leaf's recorded contributions into ``t.grad`` (zeros when it has
     none yet) one at a time, in row-key order and, within a key, in the order
@@ -184,29 +177,14 @@ def _add_recorded(t: Tensor, entries: list) -> None:
 
     if kind == "index":
         np.add.at(grad, rows(2), rows(3))
-        return
-    first = rows(2)
-    second = rows(3) if kind == "outer" else None
-    step = CHUNK // max(grad.size, 1)
-    if step < 4:
-        # a large parameter: one row at a time through a buffer that stays in cache
+    elif kind == "dense":
+        for delta in rows(2):
+            grad += delta
+    else:
+        # each outer product goes through one buffer that stays in cache
         tmp = np.empty_like(grad)
-        for r in range(len(order)):
-            grad += first[r] if kind == "dense" else np.multiply(
-                first[r][:, None], second[r], out=tmp)
-        return
-    for c in range(0, len(order), step):
-        buf = np.empty((min(step, len(order) - c) + 1,) + grad.shape)
-        buf[0] = grad
-        if kind == "dense":
-            buf[1:] = first[c:c + step]
-        else:
-            np.multiply(first[c:c + step, :, None], second[c:c + step, None, :], out=buf[1:])
-        if grad.size > 1:
-            np.add.reduce(buf, axis=0, out=grad)
-        else:
-            # a reduction over one column may run pairwise; accumulate never does
-            grad[...] = np.add.accumulate(buf.reshape(len(buf), 1), axis=0)[-1, 0]
+        for g, x in zip(rows(2), rows(3)):
+            grad += np.multiply(g[:, None], x, out=tmp)
 
 
 def _noop(g) -> None:
@@ -503,14 +481,16 @@ def pick(t: Tensor, i) -> Tensor:
     return _make(t.data[at], (t,), bw, t.keys)
 
 
-def row_sums(terms: Sequence[Tensor], mask: np.ndarray | None = None) -> Tensor:
-    """Each row's terms added in order, the first as it is (a row with none
-    sums to 0). A term is a stack of one value per row over a prefix of the
-    rows (rows that have ended drop out), or of k values per row, k terms in
+def row_sums(terms: Sequence[Tensor], keys: np.ndarray,
+             mask: np.ndarray | None = None) -> Tensor:
+    """Each row's terms added in order, the first as it is, for the stack
+    whose rows have keys ``keys``; a row with no terms sums to 0. A term is a
+    stack of one value per row over a prefix of the rows (rows that have
+    ended, or never started, drop out), or of k values per row, k terms in
     order; ``mask``, one column per term, marks the terms a row adds."""
     cols = [(t, j) for t in terms
             for j in ([None] if t.data.ndim == 1 else range(t.data.shape[1]))]
-    n = max(len(t.data) for t in terms)
+    n = len(keys)
     total = np.zeros(n)
     started = 0 if mask is None else np.zeros(n, dtype=bool)
     for c, (t, j) in enumerate(cols):
@@ -540,7 +520,7 @@ def row_sums(terms: Sequence[Tensor], mask: np.ndarray | None = None) -> Tensor:
             c += 1 if t.data.ndim == 1 else t.data.shape[1]
             _accum(t, d)
 
-    return _make(total, tuple(terms), bw, _keys(*terms))
+    return _make(total, tuple(terms), bw, keys)
 
 
 def batch_mean(t: Tensor) -> Tensor:
@@ -607,15 +587,6 @@ def log_softmax(t: Tensor) -> Tensor:
         _accum(t, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
 
     return _make(y, (t,), bw, t.keys)
-
-
-def cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """Negative log-likelihood of ``target`` under softmax(logits)."""
-    if logits.data.ndim != 1:
-        raise ShapeError(f"cross_entropy expects a logit vector, got {logits.shape}")
-    if not 0 <= target < logits.shape[0]:
-        raise ValueError(f"target {target} out of range for {logits.shape[0]} classes")
-    return scale(pick(log_softmax(logits), target), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +673,7 @@ nd = SimpleNamespace(
     gru_gates=lambda gi, gh, h: gru_gates_np(gi, gh, h)[0],
     row=lambda t, i, like=None: t[i], pick=_pick,
     head=lambda t, n: t[:n], last_rows=_last_rows,
-    mean_rows=lambda t: t.mean(axis=-2), zeros=np.zeros,
+    mean_rows=lambda t: t.mean(axis=-2),
     tanh=np.tanh, softmax=softmax_np, log_softmax=log_softmax_np,
 )
 

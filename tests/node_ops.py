@@ -1,6 +1,6 @@
 """Tensor ops the models no longer build, kept for the tests: the node graph
 that ``tensor.gru_gates`` and ``tensor.linear`` replaced, and the reductions
-the autodiff tests take their losses with.
+and the cross-entropy the autodiff tests take their losses with.
 
 Each op acts on a stack of rows as ``tensor``'s own do, so the node graph can
 stand in for the fused ops in a stacked training batch. ``nd`` holds their
@@ -63,6 +63,15 @@ def sigmoid(t):
         T._accum(t, y * (1.0 - y) * g)
 
     return T._make(y, (t,), bw, t.keys)
+
+
+def cross_entropy(logits, target: int):
+    """Negative log-likelihood of ``target`` under softmax(logits)."""
+    if logits.data.ndim != 1:
+        raise T.ShapeError(f"cross_entropy expects a logit vector, got {logits.shape}")
+    if not 0 <= target < logits.shape[0]:
+        raise ValueError(f"target {target} out of range for {logits.shape[0]} classes")
+    return T.scale(T.pick(T.log_softmax(logits), target), -1.0)
 
 
 nd = SimpleNamespace(sub=np.subtract, mul=np.multiply, sigmoid=T.sigmoid_np,

@@ -478,25 +478,34 @@ def test_bad_field_shape_exits_3_with_line(tmp_path, capsys, loader, line):
     assert err.startswith("data error:") and f"{bad}:1:" in err
 
 
-@pytest.mark.parametrize("loader, lines", [
-    ("nlu_train", [{"text": "fly to boston", "tags": ["O", "O", "B-city"]},
-                   {"text": "", "tags": []}]),
-    ("nlu_train", [{"text": "fly to boston", "tags": ["O", "O", "B-city"],
-                    "intent": "find_flight"},
-                   {"text": "   ", "tags": []}]),
-    ("nlg_train", [{"frame": {"intent": "find_flight", "slots": [["city", "boston"]]},
-                    "refs": ["fly to boston"]},
-                   {"frame": {"slots": []}, "refs": [""]}]),
-], ids=["empty-text", "blank-text-among-intents", "nlg-empty-ref"])
-def test_training_on_an_empty_utterance_exits_0(tmp_path, capsys, loader, lines):
+# training splits with an empty utterance beside one that is not empty
+EMPTY_UTTERANCE_SPLITS = {
+    "empty-text": ("nlu_train", [{"text": "fly to boston", "tags": ["O", "O", "B-city"]},
+                                 {"text": "", "tags": []}]),
+    "blank-text-among-intents": ("nlu_train", [{"text": "fly to boston",
+                                                "tags": ["O", "O", "B-city"],
+                                                "intent": "find_flight"},
+                                               {"text": "   ", "tags": []}]),
+    "nlg-empty-ref": ("nlg_train", [{"frame": {"intent": "find_flight",
+                                               "slots": [["city", "boston"]]},
+                                     "refs": ["fly to boston"]},
+                                    {"frame": {"slots": []}, "refs": [""]}]),
+}
+
+
+@pytest.mark.parametrize("loader, lines, batch_size", [
+    (*split, batch_size) for batch_size in (1, 2) for split in EMPTY_UTTERANCE_SPLITS.values()
+], ids=[*EMPTY_UTTERANCE_SPLITS, *(f"{name}-shared-batch" for name in EMPTY_UTTERANCE_SPLITS)])
+def test_training_on_an_empty_utterance_exits_0(tmp_path, capsys, loader, lines, batch_size):
     # an example with no tags and no intent adds a loss of 0, the
-    # log-probability of an empty sequence; at batch size 1 a batch holds it alone
+    # log-probability of an empty sequence; at batch size 1 a batch holds it
+    # alone, at 2 it shares a stack with the other row
     split = tmp_path / "train.jsonl"
     split.write_text("".join(json.dumps(line) + "\n" for line in lines))
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"data": {loader: str(split)},
                                "model": {"hidden": 4, "embedding": 3, "merges": 10},
-                               "train": {"epochs": 1, "batch_size": 1}}))
+                               "train": {"epochs": 1, "batch_size": batch_size}}))
     out = tmp_path / "o"
     code = run("train", "--config", cfg, "--out", out)
     err = capsys.readouterr().err

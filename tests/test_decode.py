@@ -16,7 +16,7 @@ from dualdec.decode import (CachedExample, Components, DualWeights, Hypothesis,
                             weight_grid)
 from dualdec.frames import SemanticFrame
 from dualdec.models import mfm_features, nlu_intent
-from dualdec.tensor import derive_rng, nd
+from dualdec.tensor import derive_rng
 
 
 def log_softmax(x):
@@ -825,8 +825,8 @@ def test_precompute_nlu_memo_equals_unmemoized_components(tiny_corpus, tiny_voca
     # a memo hands out the same read-only array for a repeated pair
     frame = next(f for f in frames if f.slots)
     memo = {}
-    first, _ = mfm_features(b.nlg, nd, b.nlg.arrays, frame, memo)
-    again, _ = mfm_features(b.nlg, nd, b.nlg.arrays, frame, memo)
+    first, _ = mfm_features(b.nlg, frame, memo)
+    again, _ = mfm_features(b.nlg, frame, memo)
     n = len(frame.slots)
     assert all(x is y and not x.flags.writeable for x, y in zip(first[:n], again[:n]))
 

@@ -395,7 +395,7 @@ def test_mfm_zero_features_rejected(tiny_models):
 def test_mfm_intent_feature_counts(tiny_vocabs, tiny_models):
     m = tiny_models["mfm"]
     with_intent = SemanticFrame.build("weather", [("city", "denver")])
-    feats, targets = models.mfm_features(m, nd, m.arrays, with_intent)
+    feats, targets = models.mfm_features(m, with_intent)
     assert len(feats) == 2
     assert targets[1] == tiny_vocabs.labels.n_slot_keys + tiny_vocabs.labels.intent_id("weather")
 
@@ -742,7 +742,9 @@ def test_fused_gradients_equal_the_node_by_node_graph(kind, tiny_corpus, tiny_vo
 
 def _stacking_samples(kind, nlu_raw, nlg_raw, vocabs):
     """A batch whose rows differ in length, whose frames have 2, 3 and 4
-    features, and in which two rows read one token id at the same step."""
+    features, and in which two rows read one token id at the same step. An
+    NLU batch also holds two empty utterances, one scoring an intent and one
+    not, each beside a row that is not empty and scores the same."""
     samples = {"nlu": lambda: models.prepare_nlu_samples(nlu_raw, vocabs),
                "nlg": lambda: models.prepare_nlg_samples(nlg_raw, vocabs),
                "lm": lambda: models.prepare_lm_samples([ex.text for ex in nlu_raw], vocabs),
@@ -758,6 +760,12 @@ def _stacking_samples(kind, nlu_raw, nlg_raw, vocabs):
         if kind == "nlg":
             assert {s.frame.n_features for s in samples} >= {2, 3, 4}
     assert len(set(firsts)) < len(firsts)
+    if kind == "nlu":
+        empty = vocabs.bpe.encode("")
+        first = samples[0]
+        samples[1:1] = [models.NluSample(empty, (), None),
+                        models.NluSample(first.utt, first.tags, None)]
+        samples[5:5] = [models.NluSample(empty, (), first.intent)]
     return samples
 
 
