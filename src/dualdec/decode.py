@@ -436,32 +436,52 @@ class CachedExample:
         return _best_index([(_combined(c, w), c.forward) for c in self.components])
 
 
+def decode_split(direction: str, examples, bundle: ModelsBundle, *, beam: int,
+                 max_len: int = 60, k_intent: int = 3) -> list[CachedExample]:
+    """Decode every example of a split, one beam each, with no components
+    yet; an NLU example also carries its encoded input."""
+    if direction == "nlg":
+        return [CachedExample(nlg_hypotheses(bundle.nlg, ex.frame, beam, max_len), [])
+                for ex in examples]
+    if direction == "nlu":
+        utts = [bundle.vocabs.bpe.encode(ex.text) for ex in examples]
+        return [CachedExample(nlu_hypotheses(bundle.nlu, utt, beam, k_intent), [], utt)
+                for utt in utts]
+    raise DecodeError(f"unknown direction {direction!r}")
+
+
+def _fill_components(cached: list[CachedExample], components) -> list[CachedExample]:
+    """``cached`` with each beam given its share of ``components``, in order."""
+    comps = iter(components)
+    for c in cached:
+        c.components = list(islice(comps, len(c.hypotheses)))
+    return cached
+
+
 def precompute_nlg(examples: Sequence[NlgExample], bundle: ModelsBundle, *,
                    beam: int, max_len: int, seed: int) -> list[CachedExample]:
     """Decode every example, then score all the hypotheses with one call per
     component; input ``idx`` draws its masks from (seed, "mask", idx)."""
-    beams = [nlg_hypotheses(bundle.nlg, ex.frame, beam, max_len) for ex in examples]
+    cached = decode_split("nlg", examples, bundle, beam=beam, max_len=max_len)
     marg_in = frame_marginal(bundle.mfm, [ex.frame for ex in examples],
                              [derive_rng(seed, "mask", idx) for idx in range(len(examples))])
-    rows = [(i, h) for i, hyps in enumerate(beams) for h in hyps]
-    comps = iter(dual_components_nlg([h for _, h in rows], [examples[i].frame for i, _ in rows],
-                                     bundle.nlu, bundle.lm, [marg_in[i] for i, _ in rows]))
-    return [CachedExample(hyps, list(islice(comps, len(hyps)))) for hyps in beams]
+    rows = [(i, h) for i, c in enumerate(cached) for h in c.hypotheses]
+    return _fill_components(cached, dual_components_nlg(
+        [h for _, h in rows], [examples[i].frame for i, _ in rows], bundle.nlu, bundle.lm,
+        [marg_in[i] for i, _ in rows]))
 
 
 def precompute_nlu(examples: Sequence[NluExample], bundle: ModelsBundle, *,
                    beam: int, k_intent: int, seed: int) -> list[CachedExample]:
     """As ``precompute_nlg``; the candidate frame of input ``idx`` at ``rank``
     draws its masks from (seed, "mask", idx, rank)."""
-    utts = [bundle.vocabs.bpe.encode(ex.text) for ex in examples]
-    beams = [nlu_hypotheses(bundle.nlu, utt, beam, k_intent) for utt in utts]
-    marg_in = lm_score_tokens(bundle.lm, [utt.tokens for utt in utts])
-    rows = [(i, r) for i, hyps in enumerate(beams) for r in range(len(hyps))]
-    comps = iter(dual_components_nlu(
-        [beams[i][r] for i, r in rows], [utts[i] for i, _ in rows], bundle.nlg, bundle.mfm,
-        [marg_in[i] for i, _ in rows], [derive_rng(seed, "mask", i, r) for i, r in rows]))
-    return [CachedExample(hyps, list(islice(comps, len(hyps))), utt)
-            for hyps, utt in zip(beams, utts)]
+    cached = decode_split("nlu", examples, bundle, beam=beam, k_intent=k_intent)
+    marg_in = lm_score_tokens(bundle.lm, [c.utt.tokens for c in cached])
+    rows = [(i, r) for i, c in enumerate(cached) for r in range(len(c.hypotheses))]
+    return _fill_components(cached, dual_components_nlu(
+        [cached[i].hypotheses[r] for i, r in rows], [cached[i].utt for i, _ in rows],
+        bundle.nlg, bundle.mfm, [marg_in[i] for i, _ in rows],
+        [derive_rng(seed, "mask", i, r) for i, r in rows]))
 
 
 def precompute(direction: str, examples, bundle: ModelsBundle, *, beam: int,
@@ -618,18 +638,12 @@ def evaluate_direction(examples, bundle: ModelsBundle, direction: str,
     given, re-rank dually and trace every example as a JSON object: its
     ``index``, its ``input`` text, the ``selected`` hypothesis rank and the
     ``hypotheses`` with all four score components and the combined score."""
-    if direction not in ("nlu", "nlg"):
-        raise DecodeError(f"unknown direction {direction!r}")
-    if weights is not None:
+    if weights is None:
+        cached = decode_split(direction, examples, bundle, beam=beam, max_len=max_len,
+                              k_intent=k_intent)
+    else:
         cached = precompute(direction, examples, bundle, beam=beam, max_len=max_len,
                             k_intent=k_intent, seed=seed)
-    elif direction == "nlg":
-        cached = [CachedExample(nlg_hypotheses(bundle.nlg, ex.frame, beam, max_len), [])
-                  for ex in examples]
-    else:
-        utts = [bundle.vocabs.bpe.encode(ex.text) for ex in examples]
-        cached = [CachedExample(nlu_hypotheses(bundle.nlu, utt, beam, k_intent), [], utt)
-                  for utt in utts]
     picks = [0] * len(cached) if weights is None else [c.select(weights) for c in cached]
     report = _reporter(direction, examples, bundle.vocabs, cached)(picks)
     if weights is None:

@@ -15,47 +15,43 @@
 
 All four build on one constructor (config, vocabularies, and parameters
 added in checkpoint order, the word embedding first), and NLG and the masked
-frame model share one frame-feature encoder: one frame lookup
-(``_frame_labels``) and one pair encoder (``_pair_inputs``,
-``_pair_feature``), run one frame at a time by ``mfm_features`` for the
-scorers and over a whole batch by ``_frame_rows`` for training.
+frame model share one frame-feature encoder, ``_frame_rows``: one frame
+lookup (``_frame_labels``) and one pair encoder (``_pair_inputs``,
+``_pair_feature``), with the pair encodings of all the frames' slots
+stacked by value length.
 
-Each model's step arithmetic is written once, against an ``ops`` namespace
-and a name-to-parameter map: ``tensor`` with ``model.params`` for training,
-or ``tensor.nd`` with ``model.arrays``, the same parameters as plain ndarrays,
+Each model's arithmetic is written once, against an ``ops`` namespace and a
+name-to-parameter map: ``tensor`` with ``model.params`` for training, or
+``tensor.nd`` with ``model.arrays``, the same parameters as plain ndarrays,
 for the scorers and the beam-search steps (``nlu_step``, ``nlu_intent``,
 ``nlg_step``). Either way a state may be a stack of rows, and every row gets
-the floats it would get alone, which are the training floats. On ``tensor`` a
-gated recurrent step (``_gru_step``) is three graph nodes, two ``linear`` and
-one ``gru_gates``, and each affine layer is one ``linear``.
+the floats it would get alone. On ``tensor`` a gated recurrent step
+(``_gru_step``) is three graph nodes, two ``linear`` and one ``gru_gates``,
+and each affine layer is one ``linear``.
 
-Training builds each batch as one graph over stacks of rows, one row per
-example (``nlu_forcing_graph``, ``nlg_forcing_graph``, ``lm_forcing_graph``
-and ``mfm_loss_graph``). A stack's rows run longest first, and a row that has
-ended drops out (``tensor.head``), so rows of any length share one stack;
-frames stack by feature count, and the pair encodings of all slots of a batch
-stack by value length. The random draws (teacher forcing, MFM masks) are made
-per example, in batch order, before the forward. The loss and every gradient
-are bit for bit those of one graph per example added in batch order
-(``tensor`` explains how).
+So is each sequence loss: ``_nlu_losses``, ``_nlg_losses`` and
+``_lm_losses`` give each example's -log P in order. Training runs them on
+``tensor`` as one graph per batch (``nlu_forcing_graph``,
+``nlg_forcing_graph``, ``lm_forcing_graph``; ``mfm_loss_graph`` for the
+masked frame model), and the scorers (``nlu_score``, ``nlg_score``,
+``lm_score_tokens``) on ``nd``, returning minus the losses as one float per
+row. One stacking plan, ``_stacks``, serves them all: rows are grouped (by
+whether they score an intent for NLU, by feature count for frames), run
+longest first in stacks of at most ``STACK_ROWS`` rows, and a row that has
+ended drops out (``ops.head``), so rows of any length share one stack. The
+random draws of training (teacher forcing, MFM masks) are made per example,
+in batch order, before the forward. The loss and every gradient are bit for
+bit those of one graph per example added in batch order (``tensor`` explains
+how), and a scorer's floats those of a one-row call.
 
-The four scorers (``nlu_score``, ``nlg_score``, ``lm_score_tokens``,
-``masked_frame_score``) each take parallel lists of rows of any origin (a
-beam, or every hypothesis of a split) and return one float log-probability
-per row: the sum of the row's per-step terms in step order, plus the intent
-term for NLU. One driver, ``_per_row``, cuts the rows into stacks of at most
-``STACK_ROWS`` rows that share a key (equally long rows, for the sequence
-scorers) and adds up each stack's terms; a scorer gives it only the stack's
-forward: the training forward (``_nlu_forward``, ``_nlg_forward``,
-``_lm_forward``) on ``nd`` with one id per row at each step, or the masked
-copies of frames with as many features.
+``masked_frame_score`` encodes each frame once and stacks one masked copy of
+its features per mask draw.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -82,6 +78,19 @@ class TrainConfig(ModelConfig):
     seed: int = 0
 
 
+@dataclass(frozen=True)
+class NluSample:
+    utt: Utterance
+    tags: tuple[int, ...]
+    intent: int | None
+
+
+@dataclass(frozen=True)
+class NlgSample:
+    frame: SemanticFrame
+    ref: Utterance
+
+
 def _gru_step(ops, P, prefix: str, x, h):
     """One step of the gated recurrent cell ``prefix``, gates ordered (reset,
     update, candidate). ``ops`` is ``tensor`` or ``tensor.nd``, and ``P`` maps
@@ -99,31 +108,23 @@ def _log_probs(ops, P, head: str, h):
     return ops.log_softmax(ops.linear(P[head + ".w"], h, P[head + ".b"]))
 
 
-# the most rows one scorer stack holds, so a split-wide call keeps its arrays small
+# the most rows one stack holds, so a split-wide scorer call keeps its arrays small
 STACK_ROWS = 64
 
 
-def _per_row(keys: Sequence, terms_of: Callable[[list[int]], Iterable]) -> list[float]:
-    """Each row's sum of its terms, at its input index. Row indices are
-    grouped by key, groups in order of first appearance, and each group is
-    cut into stacks of at most ``STACK_ROWS`` rows, so rows with one key stack
-    into one array. ``terms_of(rows)`` runs one stack and gives its terms in
-    step order, each per row or one value all rows share; they are added with
-    ``np.add`` from zeros, in that order."""
-    out = [0.0] * len(keys)
-    for group in _groups(keys):
-        for start in range(0, len(group), STACK_ROWS):
-            rows = group[start:start + STACK_ROWS]
-            totals = functools.reduce(np.add, terms_of(rows), np.zeros(len(rows)))
-            for i, total in zip(rows, totals.tolist()):
-                out[i] = total
+def _stacks(keys: Sequence, lengths: Sequence[int]) -> list[list[int]]:
+    """Row indices grouped by key, groups in order of first appearance; each
+    group longest first (ties in input order) and cut into stacks of at most
+    ``STACK_ROWS`` rows, so the rows still running at any step of a stack
+    are a prefix of it."""
+    groups: dict[object, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    out = []
+    for group in groups.values():
+        group.sort(key=lambda i: -lengths[i])
+        out += [group[s:s + STACK_ROWS] for s in range(0, len(group), STACK_ROWS)]
     return out
-
-
-def _ids(seqs: Sequence[Sequence[int]]) -> np.ndarray:
-    """Equally long id sequences as a (length, rows) array: one id per row at
-    each step."""
-    return np.array(seqs, dtype=np.intp).T
 
 
 def _steps(seqs: Sequence[Sequence]) -> list[np.ndarray]:
@@ -132,33 +133,17 @@ def _steps(seqs: Sequence[Sequence]) -> list[np.ndarray]:
     return [np.array([s[t] for s in seqs if len(s) > t]) for t in range(len(seqs[0]))]
 
 
-def _groups(keys: Sequence) -> list[list[int]]:
-    """Indices grouped by key, groups in order of first appearance."""
-    groups: dict[object, list[int]] = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
-
-
-def _longest_first(rows: list[int], lengths: Sequence[int]) -> list[int]:
-    """``rows`` ordered by descending length, ties in their order."""
-    return sorted(rows, key=lambda i: -lengths[i])
-
-
-def _zeros(rows: np.ndarray, hidden: int) -> Tensor:
-    """The zero initial states of a stack whose rows have keys ``rows``."""
-    return Tensor(np.zeros((len(rows), hidden)), keys=rows)
-
-
-def _losses(stacks: Sequence[tuple[list[int], Tensor]], n: int) -> Tensor:
+def _losses(ops, stacks: Sequence[tuple[list[int], object]], n: int):
     """The losses of ``n`` examples in order, from stacks of per-row
     log-probabilities of groups of them (their indices, each stack's rows)."""
+    if not stacks:
+        return np.zeros(0)  # a scorer called with no rows
     where = np.empty(n, dtype=np.intp)
     o = 0
     for rows, _ in stacks:
         where[rows] = o + np.arange(len(rows))
         o += len(rows)
-    return T.scale(T.stack([t for _, t in stacks], where), -1.0)
+    return ops.scale(ops.stack([t for _, t in stacks], where), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,47 +259,41 @@ def _nlu_forward(m: NluModel, ops, P, tokens: Sequence, tags: Sequence, intent, 
     return steps, intent_lp
 
 
-def nlu_forcing_graph(m: NluModel, samples: Sequence[NluSample],
-                      forced: Sequence | None = None) -> Tensor:
-    """The loss -log P(tags, intent | utt) of each sample, in order, from one
-    graph: the samples that score an intent and those that do not each run
-    as one stack. ``forced`` holds per sample, per step, whether it is fed its
-    gold tag (None: always)."""
+def _nlu_losses(m: NluModel, ops, P, samples: Sequence[NluSample],
+                forced: Sequence | None = None):
+    """The loss -log P(tags, intent | utt) of each sample, in order: the
+    samples that score an intent and those that do not stack apart.
+    ``forced`` (training only) holds per sample, per step, whether it is fed
+    its gold tag (None: always)."""
     for s in samples:
         _check_nlu_row(m, s.utt, s.tags, s.intent)
     keys = T.example_keys(len(samples))
-    lengths = [len(s.tags) for s in samples]
+    scored = [bool(m.n_intents) and s.intent is not None for s in samples]
     stacks = []
-    for group in _groups([bool(m.n_intents) and s.intent is not None for s in samples]):
-        rows = _longest_first(group, lengths)
-        intent = (np.array([samples[i].intent for i in rows])
-                  if m.n_intents and samples[rows[0]].intent is not None else None)
+    for rows in _stacks(scored, [len(s.tags) for s in samples]):
+        intent = np.array([samples[i].intent for i in rows]) if scored[rows[0]] else None
         steps, intent_lp = _nlu_forward(
-            m, T, m.params, _steps([samples[i].utt.tokens for i in rows]),
-            _steps([samples[i].tags for i in rows]), intent, _zeros(keys[rows], m.cfg.hidden),
+            m, ops, P, _steps([samples[i].utt.tokens for i in rows]),
+            _steps([samples[i].tags for i in rows]), intent, ops.zeros(keys[rows], m.cfg.hidden),
             None if forced is None else _steps([forced[i] for i in rows]))
         terms = steps + ([intent_lp] if intent_lp is not None else [])
-        stacks.append((rows, T.row_sums(terms, keys[rows])))
-    return _losses(stacks, len(samples))
+        stacks.append((rows, ops.row_sums(terms, keys[rows])))
+    return _losses(ops, stacks, len(samples))
+
+
+def nlu_forcing_graph(m: NluModel, samples: Sequence[NluSample],
+                      forced: Sequence | None = None) -> Tensor:
+    """``_nlu_losses`` as one training graph."""
+    return _nlu_losses(m, T, m.params, samples, forced)
 
 
 def nlu_score(m: NluModel, utts: Sequence[Utterance], tags: Sequence[Sequence[int]],
               intents: Sequence[int | None] | None = None) -> list[float]:
     """log P(tags, intent | utt) of each row: its tag log-probs, then its
-    intent term. Rows as long as each other that all score an intent, or
-    all none, run as one stack."""
+    intent term; minus ``_nlu_losses`` on ``nd``."""
     intents = [None] * len(utts) if intents is None else intents
-    for utt, row_tags, intent in zip(utts, tags, intents, strict=True):
-        _check_nlu_row(m, utt, row_tags, intent)
-    scored = [bool(m.n_intents) and intent is not None for intent in intents]
-
-    def terms_of(rows):
-        intent = np.array([intents[i] for i in rows]) if scored[rows[0]] else None
-        steps, intent_lp = _nlu_forward(m, nd, m.arrays, _ids([utts[i].tokens for i in rows]),
-                                        _ids([tags[i] for i in rows]), intent,
-                                        np.zeros((len(rows), m.cfg.hidden)))
-        return steps if intent_lp is None else steps + [intent_lp]
-    return _per_row([(len(utt.tokens), s) for utt, s in zip(utts, scored)], terms_of)
+    samples = [NluSample(*row) for row in zip(utts, tags, intents, strict=True)]
+    return (-_nlu_losses(m, nd, m.arrays, samples)).tolist()
 
 
 def nlu_step(m: NluModel, state: np.ndarray, word, prev_tag,
@@ -388,45 +367,19 @@ def _pair_inputs(ops, P, key_id, value_ids: Iterable, like=None) -> list:
             + [ops.row(P["word_emb"], i, like) for i in value_ids])
 
 
-def mfm_features(m: _FrameModel, frame: SemanticFrame,
-                 memo: dict | None = None) -> tuple[list[np.ndarray], list[int]]:
-    """Per-feature encodings on ``nd`` and their classifier targets (key or
-    intent id): one pair encoding per slot, then the intent embedding.
-
-    ``memo``, when given, maps (key id, value words) to the pair's encoding.
-    It holds read-only arrays that are only valid while the parameters do
-    not change, so a scorer keeps one for a single call."""
-    P = m.arrays
-    feats = []
-    labels = _frame_labels(m, frame)
-    for target, value in labels:
-        if value is None:
-            feats.append(P["intent_emb"][target - m.vocabs.labels.n_slot_keys])
-            continue
-        feat = None if memo is None else memo.get((target, value))
-        if feat is None:
-            seq = _pair_inputs(nd, P, target, m.vocabs.bpe.encode_ids(" ".join(value)))
-            feat = _pair_feature(nd, P, seq, np.zeros(m.cfg.hidden))
-            if memo is not None:
-                feat.flags.writeable = False
-                memo[target, value] = feat
-        feats.append(feat)
-    return feats, [target for target, _ in labels]
-
-
-def _frame_rows(m: _FrameModel, frames: Sequence[SemanticFrame], keys: np.ndarray,
-                fill: Tensor, masked: Sequence[Sequence[int]] | None = None,
-                ) -> tuple[list[Tensor], list[list[int]], list[list[int]]]:
-    """Training: the features of ``frames`` (with example keys ``keys``) as
-    rows for ``tensor.stack``, and their classifier targets, those of
-    ``mfm_features``. The parts are the pair encodings of all the frames'
-    slots, one stack per value length, then the intent embeddings, then
-    ``fill``: it stands for the features in ``masked`` (never encoded) and
-    for the lone feature of a frame without any. Returns the parts, and per
-    frame its features' places in the parts' rows and its targets. A row's
-    key is its example's, plus 1 + its feature position."""
-    P, n_keys = m.params, m.vocabs.labels.n_slot_keys
-    pairs: dict[int, list] = {}
+def _frame_rows(m: _FrameModel, ops, P, frames: Sequence[SemanticFrame], keys: np.ndarray,
+                fill, masked: Sequence[Sequence[int]] | None = None,
+                ) -> tuple[list, list[list[int]], list[list[int]]]:
+    """The features of ``frames`` (with example keys ``keys``) as rows for
+    ``ops.stack``, and their classifier targets (key or intent id): one per
+    slot, then the intent. The parts are the pair encodings of all the
+    frames' slots, stacked by value length (``_stacks``), then the intent
+    embeddings, then ``fill``: it stands for the features in ``masked``
+    (never encoded) and for the lone feature of a frame without any. Returns
+    the parts, and per frame its features' places in the parts' rows and its
+    targets. A row's key is its example's, plus 1 + its feature position."""
+    n_keys = m.vocabs.labels.n_slot_keys
+    pairs: list[tuple[int, int, tuple]] = []
     intents: list[tuple[int, int]] = []
     spots, targets = [], []
     for i, frame in enumerate(frames):
@@ -434,31 +387,33 @@ def _frame_rows(m: _FrameModel, frames: Sequence[SemanticFrame], keys: np.ndarra
         labels = _frame_labels(m, frame)
         spot = []
         for j, (target, value) in enumerate(labels):
+            key = keys[i] + 1 + j
             if j in drop:
                 spot.append(None)
             elif value is None:
                 spot.append(("intent", len(intents)))
-                intents.append((keys[i] + 1 + j, target - n_keys))
+                intents.append((key, target - n_keys))
             else:
-                ids = m.vocabs.bpe.encode_ids(" ".join(value))
-                group = pairs.setdefault(len(ids), [])
-                spot.append(("pair", len(ids), len(group)))
-                group.append((keys[i] + 1 + j, target, ids))
+                spot.append(("pair", len(pairs)))
+                pairs.append((key, target, m.vocabs.bpe.encode_ids(" ".join(value))))
         spots.append(spot)
         targets.append([target for target, _ in labels])
-    parts, start, n_rows = [], {}, 0
-    for length, group in pairs.items():
-        h = _zeros(np.array([k for k, _, _ in group]), m.cfg.hidden)
-        seq = _pair_inputs(T, P, np.array([key_id for _, key_id, _ in group]),
-                           _ids([ids for _, _, ids in group]), h)
-        parts.append(_pair_feature(T, P, seq, h))
-        start["pair", length], n_rows = n_rows, n_rows + len(group)
+    parts, row = [], {}  # each encoded feature's row in the parts
+    lengths = [len(ids) for _, _, ids in pairs]
+    for rows in _stacks(lengths, lengths):
+        h = ops.zeros(np.array([pairs[r][0] for r in rows]), m.cfg.hidden)
+        seq = _pair_inputs(ops, P, np.array([pairs[r][1] for r in rows]),
+                           _steps([pairs[r][2] for r in rows]), h)
+        parts.append(_pair_feature(ops, P, seq, h))
+        for r in rows:
+            row["pair", r] = len(row)
     if intents:
-        parts.append(T.row(P["intent_emb"], np.array([iid for _, iid in intents]),
-                           keys=np.array([k for k, _ in intents])))
-        start["intent",], n_rows = n_rows, n_rows + len(intents)
+        parts.append(ops.row(P["intent_emb"], np.array([iid for _, iid in intents]),
+                             keys=np.array([k for k, _ in intents])))
+        for r in range(len(intents)):
+            row["intent", r] = len(row)
     parts.append(fill)
-    places = [[n_rows if sp is None else start[sp[:-1]] + sp[-1] for sp in spot] or [n_rows]
+    places = [[len(row) if sp is None else row[sp] for sp in spot] or [len(row)]
               for spot in spots]
     return parts, places, targets
 
@@ -477,11 +432,6 @@ class NlgModel(_FrameModel):
         self.add_gru("dec", H + E, H)
         self.add("out.w", (n_tok, H))
         self.add("out.b", (n_tok,))
-
-
-def _nlg_features(m: NlgModel, frame: SemanticFrame, memo: dict | None = None) -> list:
-    """The frame's features on ``nd``; the learned ``empty_feat`` when it has none."""
-    return mfm_features(m, frame, memo)[0] or [m.arrays["empty_feat"]]
 
 
 def _nlg_step(m: NlgModel, ops, P, F, h, prev_word: int):
@@ -509,42 +459,46 @@ def _nlg_forward(m: NlgModel, ops, P, F, tokens: Sequence,
     return steps
 
 
-def nlg_forcing_graph(m: NlgModel, samples: Sequence[NlgSample],
-                      forced: Sequence | None = None) -> Tensor:
-    """The loss -log P(ref, EOS | frame) of each sample, in order, from one
-    graph: samples whose frames have as many features run as one stack.
-    ``forced`` holds per sample, per step, whether it is fed its gold token
-    (None: always)."""
+def _nlg_losses(m: NlgModel, ops, P, samples: Sequence[NlgSample],
+                forced: Sequence | None = None):
+    """The loss -log P(ref, EOS | frame) of each sample, in order: samples
+    whose frames have as many features stack together. ``forced`` (training
+    only) holds per sample, per step, whether it is fed its gold token (None:
+    always)."""
     keys = T.example_keys(len(samples))
-    parts, places, _ = _frame_rows(m, [s.frame for s in samples], keys, m.params["empty_feat"])
+    parts, places, _ = _frame_rows(m, ops, P, [s.frame for s in samples], keys, P["empty_feat"])
     targets = [[*s.ref.tokens, EOS] for s in samples]
     stacks = []
-    for group in _groups([len(spot) for spot in places]):
-        rows = _longest_first(group, [len(t) for t in targets])
-        F = T.stack(parts, np.array([places[i] for i in rows]), keys[rows])
-        steps = _nlg_forward(m, T, m.params, F, _steps([targets[i] for i in rows]),
+    for rows in _stacks([len(spot) for spot in places], [len(t) for t in targets]):
+        F = ops.stack(parts, np.array([places[i] for i in rows]), keys[rows])
+        steps = _nlg_forward(m, ops, P, F, _steps([targets[i] for i in rows]),
                              None if forced is None else _steps([forced[i] for i in rows]))
-        stacks.append((rows, T.row_sums(steps, keys[rows])))
-    return _losses(stacks, len(samples))
+        stacks.append((rows, ops.row_sums(steps, keys[rows])))
+    return _losses(ops, stacks, len(samples))
+
+
+def nlg_forcing_graph(m: NlgModel, samples: Sequence[NlgSample],
+                      forced: Sequence | None = None) -> Tensor:
+    """``_nlg_losses`` as one training graph."""
+    return _nlg_losses(m, T, m.params, samples, forced)
 
 
 def nlg_score(m: NlgModel, frames: Sequence[SemanticFrame],
               utts: Sequence[Utterance]) -> list[float]:
-    """log P(utt, EOS | frame) of each (frame, utt) row. Rows whose frames
-    have as many features and whose utterances as many tokens run as one
-    stack; ``mfm_features``' pair memo lasts for the call."""
+    """log P(utt, EOS | frame) of each (frame, utt) row; minus
+    ``_nlg_losses`` on ``nd``."""
     if len(frames) != len(utts):
         raise FrameError(f"{len(frames)} frames for {len(utts)} utterances")
-    memo: dict = {}
-    feats = [_nlg_features(m, frame, memo) for frame in frames]
-    return _per_row([(len(f), len(utt.tokens)) for f, utt in zip(feats, utts)],
-                    lambda rows: _nlg_forward(m, nd, m.arrays, np.array([feats[i] for i in rows]),
-                                              _ids([[*utts[i].tokens, EOS] for i in rows])))
+    samples = [NlgSample(frame, utt) for frame, utt in zip(frames, utts)]
+    return (-_nlg_losses(m, nd, m.arrays, samples)).tolist()
 
 
 def nlg_features_np(m: NlgModel, frame: SemanticFrame) -> np.ndarray:
-    """The frame's features as a (k, hidden) array, the input of ``nlg_step``."""
-    return np.stack(_nlg_features(m, frame))
+    """The frame's features as a (k, hidden) array, the input of ``nlg_step``;
+    the learned ``empty_feat`` when it has none."""
+    keys = T.example_keys(1)
+    parts, places, _ = _frame_rows(m, nd, m.arrays, [frame], keys, m.arrays["empty_feat"])
+    return nd.stack(parts, np.array(places), keys)[0]
 
 
 def nlg_step(m: NlgModel, state: np.ndarray, prev_word,
@@ -585,25 +539,27 @@ def _lm_forward(m: LmModel, ops, P, inputs: Sequence, tokens: Sequence, h) -> li
     return steps
 
 
+def _lm_losses(m: LmModel, ops, P, seqs: Sequence[Sequence[int]]):
+    """The loss -log P(tokens, EOS) of each token sequence, in order; all
+    rows stack together."""
+    keys = T.example_keys(len(seqs))
+    stacks = []
+    for rows in _stacks([0] * len(seqs), [len(seq) for seq in seqs]):
+        steps = _lm_forward(m, ops, P, _steps([[BOS, *seqs[i]] for i in rows]),
+                            _steps([[*seqs[i], EOS] for i in rows]),
+                            ops.zeros(keys[rows], m.cfg.hidden))
+        stacks.append((rows, ops.row_sums(steps, keys[rows])))
+    return _losses(ops, stacks, len(seqs))
+
+
 def lm_forcing_graph(m: LmModel, samples: Sequence[Utterance]) -> Tensor:
-    """The loss -log P(tokens, EOS) of each sample, in order, from one graph
-    over one stack."""
-    keys = T.example_keys(len(samples))
-    rows = _longest_first(list(range(len(samples))), [len(s.tokens) for s in samples])
-    steps = _lm_forward(m, T, m.params, _steps([[BOS, *samples[i].tokens] for i in rows]),
-                        _steps([[*samples[i].tokens, EOS] for i in rows]),
-                        _zeros(keys[rows], m.cfg.hidden))
-    return _losses([(rows, T.row_sums(steps, keys[rows]))], len(samples))
+    """``_lm_losses`` of the samples' tokens as one training graph."""
+    return _lm_losses(m, T, m.params, [s.tokens for s in samples])
 
 
 def lm_score_tokens(m: LmModel, tokens: Sequence[Sequence[int]]) -> list[float]:
-    """log P(tokens, EOS) of each row; rows as long as each other run as one
-    stack."""
-    return _per_row([len(row) for row in tokens],
-                    lambda rows: _lm_forward(m, nd, m.arrays,
-                                             _ids([[BOS, *tokens[i]] for i in rows]),
-                                             _ids([[*tokens[i], EOS] for i in rows]),
-                                             np.zeros((len(rows), m.cfg.hidden))))
+    """log P(tokens, EOS) of each row; minus ``_lm_losses`` on ``nd``."""
+    return (-_lm_losses(m, nd, m.arrays, tokens)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -643,37 +599,41 @@ def masked_frame_score(m: MaskedFrameModel, frames: Sequence[SemanticFrame],
                        rngs: Sequence[np.random.Generator]) -> list[float]:
     """Pseudo log-likelihood of each frame: three uniform mask draws from its
     generator (with replacement), summing log P(true label at the masked
-    position | the rest) in draw order. The masked copies of frames with as
-    many features run as one stack; ``mfm_features``' pair memo lasts for
-    the call."""
+    position | the rest) in draw order. Each frame's features are encoded
+    once; its masked copies, one per draw, stack with those of the frames
+    with as many features."""
     P = m.arrays
-    memo: dict = {}
-    encoded = [mfm_features(m, frame, memo) for frame in frames]
-    if any(not feats for feats, _ in encoded):
+    keys = T.example_keys(len(frames))
+    parts, places, targets = _frame_rows(m, nd, P, frames, keys, P["mask"])
+    if not all(targets):
         raise FrameError("frame has no features to mask")
-    draws = [rng.integers(0, len(feats), size=3)
-             for (feats, _), rng in zip(encoded, rngs, strict=True)]
-
-    def terms_of(rows):
-        X = np.repeat(np.array([encoded[i][0] for i in rows]), 3, axis=0)
+    draws = [rng.integers(0, len(t), size=3) for t, rng in zip(targets, rngs, strict=True)]
+    fill = sum(len(part) for part in parts[:-1])
+    counts = [len(t) for t in targets]
+    stacks = []
+    for rows in _stacks(counts, counts):
+        index = np.repeat([places[i] for i in rows], 3, axis=0)
+        copies = np.arange(len(index))
         pos = np.concatenate([draws[i] for i in rows])
-        copies = np.arange(len(pos))
-        X[copies, pos] = P["mask"]
+        index[copies, pos] = fill
+        X = nd.stack(parts, index, np.repeat(keys[rows], 3))
         logits = mfm_logits(m, nd, P, X)[copies, pos]
-        targets = np.array([encoded[i][1][p] for i in rows for p in draws[i]])
-        return nd.pick(nd.log_softmax(logits), targets).reshape(-1, 3).T
-    return _per_row([len(feats) for feats, _ in encoded], terms_of)
+        picked = nd.pick(nd.log_softmax(logits),
+                         np.array([targets[i][p] for i in rows for p in draws[i]]))
+        stacks.append((rows, nd.row_sums([picked.reshape(-1, 3)], keys[rows])))
+    return (-_losses(nd, stacks, len(frames))).tolist()
 
 
 def mfm_loss_graph(m: MaskedFrameModel, frames: Sequence[SemanticFrame],
                    picks: Sequence[Sequence[int]]) -> Tensor:
     """The loss of each frame, in order, from one graph: the cross-entropy
     of the true labels at its masked features ``picks`` (ascending), summed
-    in that order. Frames with as many features run as one stack."""
+    in that order. Frames with as many features stack together."""
     keys = T.example_keys(len(frames))
-    parts, places, targets = _frame_rows(m, frames, keys, m.params["mask"], picks)
+    parts, places, targets = _frame_rows(m, T, m.params, frames, keys, m.params["mask"], picks)
+    counts = [len(spot) for spot in places]
     stacks = []
-    for rows in _groups([len(spot) for spot in places]):
+    for rows in _stacks(counts, counts):
         X = T.stack(parts, np.array([places[i] for i in rows]), keys[rows])
         lp = T.log_softmax(mfm_logits(m, T, m.params, X))
         mask = np.zeros(X.shape[:2], dtype=bool)
@@ -681,7 +641,7 @@ def mfm_loss_graph(m: MaskedFrameModel, frames: Sequence[SemanticFrame],
             mask[r, picks[i]] = True
         picked = T.pick(lp, np.array([targets[i] for i in rows]))
         stacks.append((rows, T.row_sums([picked], keys[rows], mask)))
-    return _losses(stacks, len(frames))
+    return _losses(T, stacks, len(frames))
 
 
 # ---------------------------------------------------------------------------
@@ -690,19 +650,6 @@ def mfm_loss_graph(m: MaskedFrameModel, frames: Sequence[SemanticFrame],
 
 MODEL_CLASSES = dict(zip(MODEL_KINDS, (NluModel, NlgModel, LmModel, MaskedFrameModel)))
 assert all(cls.kind == kind for kind, cls in MODEL_CLASSES.items())
-
-
-@dataclass(frozen=True)
-class NluSample:
-    utt: Utterance
-    tags: tuple[int, ...]
-    intent: int | None
-
-
-@dataclass(frozen=True)
-class NlgSample:
-    frame: SemanticFrame
-    ref: Utterance
 
 
 def prepare_nlu_samples(examples: Sequence[NluExample], vocabs: Vocabs) -> list[NluSample]:

@@ -22,6 +22,13 @@ order. Two rules make that hold:
 Rows that end early drop out of a stack through ``head``, a view whose
 gradient adds straight into the stack's own.
 
+``nd`` runs the same ops on plain ndarrays, with no trace, so model code
+written over an ``ops`` namespace runs on either. The ops that make and
+gather stacks (``zeros``, ``stack``, ``row_sums``, ``last_rows``) share
+their numpy forward with ``nd``. Plain ndarrays carry no keys, so on
+``nd`` the ``keys`` an op is given only count a stack's rows (and tell
+``stack`` that a vector part is one row).
+
 Two fused ops stand for subgraphs the models build at every step:
 ``linear(W, x, b)`` for ``add(matvec(W, x), b)``, and ``gru_gates(gi, gh, h)``
 for a gated recurrent step after its two affine products (six slices, two
@@ -352,6 +359,11 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return _make(_concat([p.data for p in parts]), tuple(parts), bw, keys)
 
 
+def _stack_np(blocks: Sequence[np.ndarray], index: np.ndarray) -> np.ndarray:
+    """The forward of ``stack``, once each part is a block of rows."""
+    return np.concatenate(blocks)[index]
+
+
 def stack(parts: Sequence[Tensor], index: np.ndarray | None = None,
           keys: np.ndarray | None = None) -> Tensor:
     """Rows of ``parts`` laid out by ``index``. A part is one row (a tensor
@@ -384,7 +396,7 @@ def stack(parts: Sequence[Tensor], index: np.ndarray | None = None,
                 for i in at:
                     _accum(p, gs[i])
 
-    return _make(np.concatenate(blocks)[index], tuple(parts), bw, keys)
+    return _make(_stack_np(blocks, index), tuple(parts), bw, keys)
 
 
 def row(t: Tensor, i, like: Tensor | None = None, keys: np.ndarray | None = None) -> Tensor:
@@ -408,6 +420,11 @@ def row(t: Tensor, i, like: Tensor | None = None, keys: np.ndarray | None = None
     return _make(t.data[i], (t,), bw, keys)
 
 
+def zeros(keys: np.ndarray, width: int) -> Tensor:
+    """The zero states of a stack whose rows have keys ``keys``."""
+    return Tensor(np.zeros((len(keys), width)), keys=keys)
+
+
 def head(t: Tensor, n: int) -> Tensor:
     """The first ``n`` rows of a stack, so the rows that have ended drop out.
     What consumers add into the view's gradient goes straight into the
@@ -422,32 +439,28 @@ def head(t: Tensor, n: int) -> Tensor:
     return v
 
 
+def _last_rows_np(states: Sequence[np.ndarray]) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """The forward of ``last_rows``, and the (state, first row, end row) of
+    each state it takes rows from."""
+    parts, n = [], 0
+    for i in range(len(states) - 1, -1, -1):
+        if len(states[i]) > n:
+            parts.append((i, n, len(states[i])))
+            n = len(states[i])
+    return np.concatenate([states[i][lo:hi] for i, lo, hi in parts]), parts
+
+
 def last_rows(states: Sequence[Tensor]) -> Tensor:
     """Each row's last state: row r of the last of ``states`` that has a row r,
     for a stack whose rows end at different steps (each state a prefix of
     the rows of the one before)."""
-    parts, n = [], 0
-    for s in reversed(states):
-        if len(s.data) > n:
-            parts.append((s, n, len(s.data)))
-            n = len(s.data)
+    data, parts = _last_rows_np([s.data for s in states])
 
     def bw(g):
-        for s, lo, hi in parts:
-            _accum(s, g[lo:hi], slice(lo, hi))
+        for i, lo, hi in parts:
+            _accum(states[i], g[lo:hi], slice(lo, hi))
 
-    return _make(np.concatenate([s.data[lo:hi] for s, lo, hi in parts]),
-                 tuple(s for s, _, _ in parts), bw, states[0].keys)
-
-
-def _last_rows(states: Sequence[np.ndarray]) -> np.ndarray:
-    """``last_rows`` on ndarrays."""
-    parts, n = [], 0
-    for s in reversed(states):
-        if len(s) > n:
-            parts.append(s[n:])
-            n = len(s)
-    return np.concatenate(parts)
+    return _make(data, tuple(states[i] for i, _, _ in parts), bw, states[0].keys)
 
 
 def mean_rows(t: Tensor) -> Tensor:
@@ -481,20 +494,14 @@ def pick(t: Tensor, i) -> Tensor:
     return _make(t.data[at], (t,), bw, t.keys)
 
 
-def row_sums(terms: Sequence[Tensor], keys: np.ndarray,
-             mask: np.ndarray | None = None) -> Tensor:
-    """Each row's terms added in order, the first as it is, for the stack
-    whose rows have keys ``keys``; a row with no terms sums to 0. A term is a
-    stack of one value per row over a prefix of the rows (rows that have
-    ended, or never started, drop out), or of k values per row, k terms in
-    order; ``mask``, one column per term, marks the terms a row adds."""
-    cols = [(t, j) for t in terms
-            for j in ([None] if t.data.ndim == 1 else range(t.data.shape[1]))]
-    n = len(keys)
+def _row_sums_np(terms: Sequence[np.ndarray], n: int,
+                 mask: np.ndarray | None = None) -> np.ndarray:
+    """The forward of ``row_sums`` for a stack of ``n`` rows."""
+    cols = [(t, j) for t in terms for j in ([None] if t.ndim == 1 else range(t.shape[1]))]
     total = np.zeros(n)
     started = 0 if mask is None else np.zeros(n, dtype=bool)
     for c, (t, j) in enumerate(cols):
-        v = t.data if j is None else t.data[:, j]
+        v = t if j is None else t[:, j]
         k = len(v)
         if mask is None:
             # the rows started so far are a prefix
@@ -506,6 +513,17 @@ def row_sums(terms: Sequence[Tensor], keys: np.ndarray,
             take = mask[:k, c]
             total[:k] = np.where(take, np.where(started[:k], total[:k] + v, v), total[:k])
             started[:k] |= take
+    return total
+
+
+def row_sums(terms: Sequence[Tensor], keys: np.ndarray,
+             mask: np.ndarray | None = None) -> Tensor:
+    """Each row's terms added in order, the first as it is, for the stack
+    whose rows have keys ``keys``; a row with no terms sums to 0. A term is a
+    stack of one value per row over a prefix of the rows (rows that have
+    ended, or never started, drop out), or of k values per row, k terms in
+    order; ``mask``, one column per term, marks the terms a row adds."""
+    total = _row_sums_np([t.data for t in terms], len(keys), mask)
 
     def bw(g):
         c = 0
@@ -665,15 +683,25 @@ def _pick(t: np.ndarray, i) -> np.ndarray:
     return t[np.arange(len(t)), i] if t.ndim == 2 else t[i]
 
 
+def _nd_stack(parts: Sequence[np.ndarray], index: np.ndarray,
+              keys: np.ndarray | None = None) -> np.ndarray:
+    """``stack`` on ndarrays, which carry no keys: with ``keys`` (a stack of
+    feature matrices) a vector part is one row; without, every part is a
+    stack."""
+    return _stack_np([p[None] if keys is not None and p.ndim == 1 else p for p in parts], index)
+
+
 nd = SimpleNamespace(
     add=np.add, scale=np.multiply,
     matmul=np.matmul, matmul_t=lambda a, b: np.matmul(a, _t(b)),
     matvec=_matvec, vecmat=_vecmat, concat=_concat,
     linear=lambda W, x, b: np.add(_matvec(W, x), b),
     gru_gates=lambda gi, gh, h: gru_gates_np(gi, gh, h)[0],
-    row=lambda t, i, like=None: t[i], pick=_pick,
-    head=lambda t, n: t[:n], last_rows=_last_rows,
-    mean_rows=lambda t: t.mean(axis=-2),
+    row=lambda t, i, like=None, keys=None: t[i], pick=_pick,
+    head=lambda t, n: t[:n], last_rows=lambda states: _last_rows_np(states)[0],
+    mean_rows=lambda t: t.mean(axis=-2), stack=_nd_stack,
+    zeros=lambda keys, width: np.zeros((len(keys), width)),
+    row_sums=lambda terms, keys, mask=None: _row_sums_np(terms, len(keys), mask),
     tanh=np.tanh, softmax=softmax_np, log_softmax=log_softmax_np,
 )
 

@@ -92,6 +92,33 @@ def test_training_runs_every_forcing_graph_under_train_model(monkeypatch, tmp_pa
         assert name in names, name
 
 
+def test_scorers_never_run_the_traced_forcing_graphs(monkeypatch, tmp_path):
+    # the scorers share their loss routines with the forcing graphs; one that
+    # called a forcing graph by its public name would add spans of
+    # ``FORCING``'s names to every decode iteration and split its time
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    import tracing
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data), "--seed", "5", "--train-size", "1",
+                     "--valid-size", "1", "--test-size", "2"]) == 0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "data": {f"{d}_test": str(data / f"{d}_test.jsonl") for d in ("nlu", "nlg")},
+        "decode": {"beam": 3, "max_len": 8, "k_intent": 2}}))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["dualinf", "--config", str(cfg), "--checkpoints", str(FIXTURE),
+                         "--direction", "both", "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = {s[tracing.NAME] for s in tracer.spans}
+    assert {f"models.{scorer}" for scorer in tracing.SCORERS} <= names
+    assert not names & set(tracing.FORCING)
+
+
 @pytest.mark.slow
 def test_bench_selftest_passes():
     # the tracer's hooks read traced functions' arguments by position, so a

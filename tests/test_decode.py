@@ -15,7 +15,7 @@ from dualdec.decode import (CachedExample, Components, DualWeights, Hypothesis,
                             nlg_hypotheses, nlu_hypotheses, rerank, rerank_index,
                             weight_grid)
 from dualdec.frames import SemanticFrame
-from dualdec.models import mfm_features, nlu_intent
+from dualdec.models import nlu_intent
 from dualdec.tensor import derive_rng
 
 
@@ -736,7 +736,7 @@ def test_evaluate_direction_plain_equals_alpha_one(tiny_corpus, tiny_vocabs):
 
 
 # ---------------------------------------------------------------------------
-# the grid sweep's selections and reports, and the pair-encoding memo
+# the grid sweep's selections and reports, and whole-split precomputes
 
 
 TIE_VALUES = st.sampled_from([-2.0, -1.0, -0.5, 0.0])
@@ -811,24 +811,17 @@ def _unmemoized_components(examples, b, beam, k_intent, seed):
     return out
 
 
-def test_precompute_nlu_memo_equals_unmemoized_components(tiny_corpus, tiny_vocabs):
+def test_precompute_nlu_equals_one_row_components(tiny_corpus, tiny_vocabs):
     nlu_raw, _ = tiny_corpus
     b = _bundle(tiny_vocabs, seed=41)
     examples = nlu_raw[:5]
     cached = decode.precompute_nlu(examples, b, beam=6, k_intent=3, seed=9)
     assert [c.components for c in cached] == _unmemoized_components(examples, b, 6, 3, 9)
-    # the candidates of one input share pairs, so the memo has work to save
+    # the candidates of one input repeat pairs, and each is encoded anew
     frames = [decode.candidate_frame(b.nlg, c.utt, h)
               for c in cached for h in c.hypotheses]
     pairs = [(k, v) for f in frames for k, v in f.slots]
     assert len(set(pairs)) < len(pairs)
-    # a memo hands out the same read-only array for a repeated pair
-    frame = next(f for f in frames if f.slots)
-    memo = {}
-    first, _ = mfm_features(b.nlg, frame, memo)
-    again, _ = mfm_features(b.nlg, frame, memo)
-    n = len(frame.slots)
-    assert all(x is y and not x.flags.writeable for x, y in zip(first[:n], again[:n]))
 
 
 def test_precompute_nlg_equals_one_row_components(tiny_corpus, tiny_vocabs):

@@ -152,8 +152,8 @@ def test_nlu_score_additivity(tiny_vocabs, tiny_models):
     m = tiny_models["nlu"]
     utt = tiny_vocabs.bpe.encode("book a thai table in denver")
     tags = [i % 3 for i in range(len(utt.tokens))]
-    steps, intent_lp = models._nlu_forward(m, nd, m.arrays, models._ids([utt.tokens]),
-                                           models._ids([tags]), np.array([1]),
+    steps, intent_lp = models._nlu_forward(m, nd, m.arrays, models._steps([utt.tokens]),
+                                           models._steps([tags]), np.array([1]),
                                            np.zeros((1, m.cfg.hidden)))
     terms = [float(t[0]) for t in steps] + [float(intent_lp[0])]
     assert nlu_score(m, [utt], [tags], [1])[0] == pytest.approx(sum(terms), abs=1e-12)
@@ -229,7 +229,7 @@ def test_nlg_one_hot_forcing_scores_exactly_zero(tiny_vocabs):
     out_b[EOS] = -2000.0
     F = models.nlg_features_np(m, frame)
     steps = [float(s[0]) for s in models._nlg_forward(m, nd, m.arrays, F[None],
-                                                      models._ids([[*rep.tokens, EOS]]))]
+                                                      models._steps([[*rep.tokens, EOS]]))]
     assert steps[0] == 0.0
     assert all(s == 0.0 for s in steps[:-1])
 
@@ -337,8 +337,8 @@ def test_lm_appending_token_decreases_prefix_logprob(tiny_vocabs, tiny_models):
     utt = tiny_vocabs.bpe.encode("show flights from boston")
     longer = tiny_vocabs.bpe.encode("show flights from boston boston")
     def prefix(tokens):
-        steps = models._lm_forward(m, nd, m.arrays, models._ids([[BOS, *tokens]]),
-                                   models._ids([[*tokens, EOS]]), np.zeros((1, m.cfg.hidden)))
+        steps = models._lm_forward(m, nd, m.arrays, models._steps([[BOS, *tokens]]),
+                                   models._steps([[*tokens, EOS]]), np.zeros((1, m.cfg.hidden)))
         return sum(float(t[0]) for t in steps[:-1])
     short_prefix = prefix(utt.tokens)
     long_prefix = prefix(longer.tokens)
@@ -395,8 +395,9 @@ def test_mfm_zero_features_rejected(tiny_models):
 def test_mfm_intent_feature_counts(tiny_vocabs, tiny_models):
     m = tiny_models["mfm"]
     with_intent = SemanticFrame.build("weather", [("city", "denver")])
-    feats, targets = models.mfm_features(m, with_intent)
-    assert len(feats) == 2
+    _, [places], [targets] = models._frame_rows(m, nd, m.arrays, [with_intent],
+                                                T.example_keys(1), m.arrays["mask"])
+    assert len(places) == 2
     assert targets[1] == tiny_vocabs.labels.n_slot_keys + tiny_vocabs.labels.intent_id("weather")
 
 
@@ -449,7 +450,8 @@ def test_stacked_scorers_equal_one_row_calls(tiny_corpus, tiny_vocabs, drawn):
 
 def test_scorers_equal_one_row_calls_across_stack_boundaries(tiny_corpus, tiny_vocabs,
                                                             monkeypatch):
-    # more than 2 * STACK_ROWS rows of one group run as three stacks
+    # more than 2 * STACK_ROWS rows of one group, of mixed lengths, run as
+    # three stacks
     _, nlg_raw = tiny_corpus
     n = 2 * models.STACK_ROWS + 3
     labels = tiny_vocabs.labels
@@ -459,20 +461,22 @@ def test_scorers_equal_one_row_calls_across_stack_boundaries(tiny_corpus, tiny_v
     lm_forward = models._lm_forward
 
     def counted(m, ops, P, inputs, tokens, h):
-        stack_rows.append(tokens.shape[1])
+        stack_rows.append(len(h))
         return lm_forward(m, ops, P, inputs, tokens, h)
     monkeypatch.setattr(models, "_lm_forward", counted)
-    lm_score_tokens(ms["lm"], [[5]] * n)
+    mixed = [[5 + i % 3] * (1 + i % 4) for i in range(n)]
+    scores = lm_score_tokens(ms["lm"], mixed)
     monkeypatch.undo()
     assert stack_rows == [models.STACK_ROWS] * 2 + [3]
+    assert scores == [lm_score_tokens(ms["lm"], [p])[0] for p in mixed]
     rng = derive_rng(67, "rows")
     frames = [ex.frame for ex in nlg_raw if ex.frame.n_features == 3]
     frames = [frames[i % len(frames)] for i in range(n)]
-    for length in (0, 5):
-        payloads = [tuple(rng.integers(4, len(tiny_vocabs.bpe.pieces), size=length).tolist())
-                    for _ in range(n)]
+    for lengths in ([0] * n, [5] * n, [i % 7 for i in range(n)]):
+        payloads = [tuple(rng.integers(4, len(tiny_vocabs.bpe.pieces), size=k).tolist())
+                    for k in lengths]
         utts = [decode.utterance_from_payload(tiny_vocabs, p) for p in payloads]
-        tags = [rng.integers(0, labels.n_tags, size=length).tolist() for _ in range(n)]
+        tags = [rng.integers(0, labels.n_tags, size=k).tolist() for k in lengths]
         for intents in ([None] * n, rng.integers(0, labels.n_intents, size=n).tolist()):
             assert nlu_score(ms["nlu"], utts, tags, intents) == [
                 nlu_score(ms["nlu"], [u], [t], [i])[0] for u, t, i in zip(utts, tags, intents)]
@@ -586,7 +590,7 @@ FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
 def _tensor_features(m, frames, fill, masked=None):
     """The stacked feature rows of ``frames`` that training builds."""
     keys = T.example_keys(len(frames))
-    parts, places, targets = models._frame_rows(m, frames, keys, fill, masked)
+    parts, places, targets = models._frame_rows(m, T, m.params, frames, keys, fill, masked)
     return T.stack(parts, np.array(places), keys), targets
 
 
@@ -617,7 +621,7 @@ def _assert_backends_agree(kind, m, nlu_raw, nlg_raw):
     if kind == "nlu":
         samples = models.prepare_nlu_samples(nlu_raw, vocabs)
         for s in samples:
-            args = (models._ids([s.utt.tokens]), models._ids([s.tags]),
+            args = (models._steps([s.utt.tokens]), models._steps([s.tags]),
                     None if s.intent is None else np.array([s.intent]))
             steps, intent_lp = models._nlu_forward(m, T, m.params, *args, _one_row_states(m))
             nd_steps, nd_intent = models._nlu_forward(m, nd, m.arrays, *args, zeros)
@@ -630,7 +634,7 @@ def _assert_backends_agree(kind, m, nlu_raw, nlg_raw):
     elif kind == "nlg":
         samples = models.prepare_nlg_samples(nlg_raw, vocabs)
         for s in samples:
-            tokens = models._ids([[*s.ref.tokens, EOS]])
+            tokens = models._steps([[*s.ref.tokens, EOS]])
             F, _ = _tensor_features(m, [s.frame], m.params["empty_feat"])
             F_nd = models.nlg_features_np(m, s.frame)[None]
             assert np.array_equal(F_nd, F.data)
@@ -642,7 +646,7 @@ def _assert_backends_agree(kind, m, nlu_raw, nlg_raw):
     elif kind == "lm":
         samples = models.prepare_lm_samples([ex.text for ex in nlu_raw], vocabs)
         for s in samples:
-            args = models._ids([[BOS, *s.tokens]]), models._ids([[*s.tokens, EOS]])
+            args = models._steps([[BOS, *s.tokens]]), models._steps([[*s.tokens, EOS]])
             assert (_floats(models._lm_forward(m, nd, m.arrays, *args, zeros))
                     == _floats(models._lm_forward(m, T, m.params, *args, _one_row_states(m))))
         losses = models.lm_forcing_graph(m, samples)
@@ -769,17 +773,36 @@ def _stacking_samples(kind, nlu_raw, nlg_raw, vocabs):
     return samples
 
 
+def _one_group_samples(kind, samples):
+    """2 * STACK_ROWS + 3 samples of one stacking group, cycled from
+    ``samples``: NLU rows that score an intent, or frames with as many
+    features as the last NLG sample's or the first MFM frame's."""
+    if kind == "nlu":
+        samples = [s for s in samples if s.intent is not None]
+    elif kind == "nlg":
+        samples = [s for s in samples if s.frame.n_features == samples[-1].frame.n_features]
+    elif kind == "mfm":
+        samples = [f for f in samples if f.n_features == samples[0].n_features]
+    return [samples[i % len(samples)] for i in range(2 * models.STACK_ROWS + 3)]
+
+
 @pytest.mark.parametrize("kind", data.MODEL_KINDS)
 def test_stacked_batch_equals_one_graph_per_example(kind, tiny_corpus, tiny_vocabs):
     """The batch graph's loss and every gradient equal, bit for bit, those of
-    one-row graphs added in batch order."""
+    one-row graphs added in batch order; so do those of a batch of one
+    group, of mixed lengths, that runs as three stacks."""
     nlu_raw, nlg_raw = tiny_corpus
     for m in (randomize(make_model(kind, tiny_vocabs), derive_rng(41, "rand", kind)),
               models.model_from_checkpoint(data.load_checkpoint(FIXTURE / f"{kind}.ckpt"))):
         samples = _stacking_samples(kind, nlu_raw[:10], nlg_raw[:10], m.vocabs)
-        loss, grads = _batch_loss_and_grads(kind, m, samples)
-        ref_loss, ref_grads = _batch_loss_and_grads(kind, m, samples, one_row_graphs=True)
-        assert loss == ref_loss
-        assert grads.keys() == ref_grads.keys()
-        for name, g in grads.items():
-            assert np.array_equal(g, ref_grads[name]), (kind, name)
+        big = _one_group_samples(kind, samples)
+        if kind != "mfm":
+            utts = {"nlu": lambda s: s.utt, "nlg": lambda s: s.ref, "lm": lambda s: s}[kind]
+            assert len({len(utts(s).tokens) for s in big}) > 1
+        for batch in (samples, big):
+            loss, grads = _batch_loss_and_grads(kind, m, batch)
+            ref_loss, ref_grads = _batch_loss_and_grads(kind, m, batch, one_row_graphs=True)
+            assert loss == ref_loss
+            assert grads.keys() == ref_grads.keys()
+            for name, g in grads.items():
+                assert np.array_equal(g, ref_grads[name]), (kind, name)
