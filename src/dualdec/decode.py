@@ -78,13 +78,10 @@ class DualScore(Components):
     combined: float
 
 
-def _combined(c: Components, w: DualWeights) -> float:
-    return w.alpha * c.forward + (1.0 - w.alpha) * (
-        c.backward + w.beta * c.marg_out - w.beta * c.marg_in)
-
-
 def combine(c: Components, w: DualWeights) -> DualScore:
-    return DualScore(c.forward, c.backward, c.marg_out, c.marg_in, _combined(c, w))
+    return DualScore(c.forward, c.backward, c.marg_out, c.marg_in,
+                     w.alpha * c.forward + (1.0 - w.alpha) * (
+                         c.backward + w.beta * c.marg_out - w.beta * c.marg_in))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +430,40 @@ class CachedExample:
 
     def select(self, w: DualWeights) -> int:
         """The rank ``rerank_index`` picks at ``w``."""
-        return _best_index([(_combined(c, w), c.forward) for c in self.components])
+        return int(rerank_indices([self], [w])[0, 0])
+
+
+def rerank_indices(cached: Sequence[CachedExample],
+                   weights: Sequence[DualWeights]) -> np.ndarray:
+    """The rank ``rerank_index`` picks in each beam of ``cached`` at each of
+    ``weights``, as a (weights, examples) array. Per example, one (weights,
+    hypotheses) matrix of combined scores, each entry the float ``combine``
+    gives (the same operations in the same order); the pick is the first
+    rank with the highest combined score and, among those, the highest
+    forward score. The first NaN in (weight, example, rank) order raises,
+    as does an empty beam, which fails at the first weight pair."""
+    alpha = np.array([w.alpha for w in weights])[:, None]
+    beta = np.array([w.beta for w in weights])[:, None]
+    picks = np.zeros((len(weights), len(cached)), dtype=np.intp)
+    faults = []  # (weight, example, message) of each beam that fails
+    for e, c in enumerate(cached):
+        if not c.components:
+            faults.append((0, e, "cannot rerank an empty hypothesis list"))
+            continue
+        f, b, o, m = np.array([(x.forward, x.backward, x.marg_out, x.marg_in)
+                               for x in c.components]).T
+        with np.errstate(invalid="ignore"):  # a NaN it makes raises below
+            combined = alpha * f + (1.0 - alpha) * (b + beta * o - beta * m)
+        nan = np.argwhere(np.isnan(combined))
+        if len(nan):
+            faults.append((nan[0][0], e, f"combined score of hypothesis {nan[0][1]} is NaN"))
+            continue
+        top = combined == combined.max(axis=1, keepdims=True)
+        forward = np.where(top, f, -math.inf)
+        picks[:, e] = np.argmax(top & (forward == forward.max(axis=1, keepdims=True)), axis=1)
+    if faults and len(weights):
+        raise DecodeError(min(faults)[2])
+    return picks
 
 
 def decode_split(direction: str, examples, bundle: ModelsBundle, *, beam: int,
@@ -599,9 +629,8 @@ def sweep(examples, bundle: ModelsBundle, direction: str,
     report_of = _reporter(direction, examples, bundle.vocabs, cached)
     reports: dict[tuple[int, ...], metrics.EvalReport] = {}
     result = GridResult(direction)
-    for a, b in pairs:
-        w = DualWeights(a, b)
-        picks = [c.select(w) for c in cached]
+    ranks = rerank_indices(cached, [DualWeights(a, b) for a, b in pairs]).tolist()
+    for (a, b), picks in zip(pairs, ranks):
         result.selections[(a, b)] = picks
         key = tuple(picks)
         if key not in reports:
@@ -644,7 +673,8 @@ def evaluate_direction(examples, bundle: ModelsBundle, direction: str,
     else:
         cached = precompute(direction, examples, bundle, beam=beam, max_len=max_len,
                             k_intent=k_intent, seed=seed)
-    picks = [0] * len(cached) if weights is None else [c.select(weights) for c in cached]
+    picks = ([0] * len(cached) if weights is None
+             else rerank_indices(cached, [weights])[0].tolist())
     report = _reporter(direction, examples, bundle.vocabs, cached)(picks)
     if weights is None:
         return report, []

@@ -44,8 +44,16 @@ in batch order, before the forward. The loss and every gradient are bit for
 bit those of one graph per example added in batch order (``tensor`` explains
 how), and a scorer's floats those of a one-row call.
 
-``masked_frame_score`` encodes each frame once and stacks one masked copy of
-its features per mask draw.
+The scorers score each distinct row once (``_distinct_scores``): the loss
+routine runs on the first row of each key (tokens, tags and intent for NLU;
+frame and tokens for NLG; the tokens for the LM), in order of first
+appearance, so the first invalid row still raises, and its value goes to
+every row with that key. On ``nd`` the frame encoder encodes each distinct
+(slot key, value) pair once per call; on ``tensor`` every pair keeps its own
+row and key, so training's graphs do not change. ``masked_frame_score``
+keeps one row per (frame, generator), since its mask draws differ: it
+encodes each frame once and stacks one masked copy of its features per mask
+draw.
 """
 from __future__ import annotations
 
@@ -144,6 +152,22 @@ def _losses(ops, stacks: Sequence[tuple[list[int], object]], n: int):
         where[rows] = o + np.arange(len(rows))
         o += len(rows)
     return ops.scale(ops.stack([t for _, t in stacks], where), -1.0)
+
+
+def _distinct_scores(losses, m, rows: Sequence, keys: Sequence) -> list[float]:
+    """Minus the loss routine ``losses`` of ``m`` on ``nd``, as one float per
+    row, each key scored once: ``losses`` runs on the first row of each key,
+    in order of first appearance (so the first invalid row raises), and its
+    value goes to every row with that key. A row's floats do not depend on
+    the other rows of its stack, so they are its one-row call's."""
+    place: dict[object, int] = {}  # each key's place among the distinct rows
+    firsts = []
+    for i, key in enumerate(keys):
+        if key not in place:
+            place[key] = len(firsts)
+            firsts.append(i)
+    where = np.array([place[key] for key in keys], dtype=np.intp)
+    return (-losses(m, nd, m.arrays, [rows[i] for i in firsts])[where]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +317,8 @@ def nlu_score(m: NluModel, utts: Sequence[Utterance], tags: Sequence[Sequence[in
     intent term; minus ``_nlu_losses`` on ``nd``."""
     intents = [None] * len(utts) if intents is None else intents
     samples = [NluSample(*row) for row in zip(utts, tags, intents, strict=True)]
-    return (-_nlu_losses(m, nd, m.arrays, samples)).tolist()
+    return _distinct_scores(_nlu_losses, m, samples,
+                            [(s.utt.tokens, tuple(s.tags), s.intent) for s in samples])
 
 
 def nlu_step(m: NluModel, state: np.ndarray, word, prev_tag,
@@ -377,9 +402,15 @@ def _frame_rows(m: _FrameModel, ops, P, frames: Sequence[SemanticFrame], keys: n
     embeddings, then ``fill``: it stands for the features in ``masked``
     (never encoded) and for the lone feature of a frame without any. Returns
     the parts, and per frame its features' places in the parts' rows and its
-    targets. A row's key is its example's, plus 1 + its feature position."""
+    targets. A row's key is its example's, plus 1 + its feature position.
+    Each distinct value is BPE-encoded once. On ``nd`` each distinct (slot
+    key, value) pair is encoded once and its row serves every frame that
+    holds it; on ``tensor`` every pair has its own row and key, so each
+    example's gradient terms stay its own."""
     n_keys = m.vocabs.labels.n_slot_keys
     pairs: list[tuple[int, int, tuple]] = []
+    pair_at: dict[object, int] = {}  # each encoded pair's place in ``pairs``
+    encoded: dict[tuple, tuple] = {}  # each value's BPE ids
     intents: list[tuple[int, int]] = []
     spots, targets = [], []
     for i, frame in enumerate(frames):
@@ -394,8 +425,14 @@ def _frame_rows(m: _FrameModel, ops, P, frames: Sequence[SemanticFrame], keys: n
                 spot.append(("intent", len(intents)))
                 intents.append((key, target - n_keys))
             else:
-                spot.append(("pair", len(pairs)))
-                pairs.append((key, target, m.vocabs.bpe.encode_ids(" ".join(value))))
+                # plain arrays carry no keys, so equal pairs share one row
+                pair = (target, value) if ops is nd else key
+                if pair not in pair_at:
+                    if value not in encoded:
+                        encoded[value] = m.vocabs.bpe.encode_ids(" ".join(value))
+                    pair_at[pair] = len(pairs)
+                    pairs.append((key, target, encoded[value]))
+                spot.append(("pair", pair_at[pair]))
         spots.append(spot)
         targets.append([target for target, _ in labels])
     parts, row = [], {}  # each encoded feature's row in the parts
@@ -490,7 +527,8 @@ def nlg_score(m: NlgModel, frames: Sequence[SemanticFrame],
     if len(frames) != len(utts):
         raise FrameError(f"{len(frames)} frames for {len(utts)} utterances")
     samples = [NlgSample(frame, utt) for frame, utt in zip(frames, utts)]
-    return (-_nlg_losses(m, nd, m.arrays, samples)).tolist()
+    return _distinct_scores(_nlg_losses, m, samples,
+                            [(s.frame, s.ref.tokens) for s in samples])
 
 
 def nlg_features_np(m: NlgModel, frame: SemanticFrame) -> np.ndarray:
@@ -559,7 +597,8 @@ def lm_forcing_graph(m: LmModel, samples: Sequence[Utterance]) -> Tensor:
 
 def lm_score_tokens(m: LmModel, tokens: Sequence[Sequence[int]]) -> list[float]:
     """log P(tokens, EOS) of each row; minus ``_lm_losses`` on ``nd``."""
-    return (-_lm_losses(m, nd, m.arrays, tokens)).tolist()
+    seqs = [tuple(seq) for seq in tokens]
+    return _distinct_scores(_lm_losses, m, seqs, seqs)
 
 
 # ---------------------------------------------------------------------------

@@ -675,7 +675,10 @@ matvec = vecmat = matmul
 # ---------------------------------------------------------------------------
 # the ops above on plain ndarrays: each is the numpy call its Tensor op runs on
 # ``.data``, so both namespaces compute the same floats bit for bit, and on a
-# stack of rows every row gets the floats it would get alone
+# stack of rows every row gets the floats it would get alone. That per-row
+# guarantee was checked on C-contiguous stacks only: a stack built another
+# way (a concatenation of broadcast views can come out Fortran-ordered) may
+# take another BLAS path, whose products differ in the last bits
 
 
 def _pick(t: np.ndarray, i) -> np.ndarray:

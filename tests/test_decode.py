@@ -799,6 +799,73 @@ def test_nan_component_raises_in_the_sweep(tiny_corpus, tiny_vocabs):
         decode.sweep(nlg_raw[:1], bundle, "nlg", cached, [(0.5, 0.5)])
 
 
+def _outcome(call):
+    """``call()``, or the message of the DecodeError it raises."""
+    try:
+        return call()
+    except decode.DecodeError as e:
+        return str(e)
+
+
+def _reference_selections(cached, pairs):
+    """Each pair's picks by ``rerank_index`` over ``combine``, pair by pair
+    and example by example, or the message of the first DecodeError."""
+    return _outcome(lambda: {
+        (a, b): [rerank_index([(h, combine(comp, DualWeights(a, b))) for h, comp in
+                               zip(c.hypotheses, c.components)]) for c in cached]
+        for a, b in pairs})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_array_sweep_equals_rerank_index_at_every_grid_pair(tiny_corpus, tiny_vocabs, data):
+    # exact ties, both zeros, values whose sums round (so an operand order
+    # other than combine's flips ties), and -inf, which makes NaN at some
+    # pairs (0 * -inf, -inf - -inf) and +inf or -inf at others; NaN itself,
+    # and empty beams
+    _, nlg_raw = tiny_corpus
+    pool = [-1.0, -0.7, -0.5, -0.3, -0.0, 0.0] + data.draw(
+        st.sampled_from([[], [-math.inf], [-math.inf, math.nan]]))
+    value = st.sampled_from(pool)
+    sizes = data.draw(st.lists(st.integers(data.draw(st.sampled_from([1, 1, 0])), 4),
+                               min_size=1, max_size=4))
+    cached = []
+    for n in sizes:
+        comps = [Components(*(data.draw(value) for _ in range(4))) for _ in range(n)]
+        cached.append(CachedExample([Hypothesis((5 + r,), c.forward, (c.forward,))
+                                     for r, c in enumerate(comps)], comps))
+    examples = nlg_raw[:len(cached)]
+    bundle = ModelsBundle(make_model("nlu", tiny_vocabs), None, None, None)
+    pairs = weight_grid(0.1)
+    assert _outcome(lambda: decode.sweep(examples, bundle, "nlg", cached, pairs).selections
+                    ) == _reference_selections(cached, pairs)
+    for a, b in pairs:
+        assert _outcome(lambda: {(a, b): decode.rerank_indices(
+            cached, [DualWeights(a, b)])[0].tolist()}) == _reference_selections(cached, [(a, b)])
+
+
+def test_sweep_raises_for_the_first_nan_in_pair_example_rank_order(tiny_corpus, tiny_vocabs):
+    _, nlg_raw = tiny_corpus
+    bundle = ModelsBundle(make_model("nlu", tiny_vocabs), None, None, None)
+
+    def beam(*comps):
+        return CachedExample([Hypothesis((5 + r,), c.forward, (c.forward,))
+                              for r, c in enumerate(comps)], list(comps))
+    # NaN at alpha = 0 only (0 * -inf), at rank 1; NaN at every pair, at rank 0
+    at_alpha_0 = beam(Components(-1.0, -1.0, 0.0, 0.0), Components(-math.inf, -1.0, 0.0, 0.0))
+    everywhere = beam(Components(-1.0, math.nan, 0.0, 0.0), Components(-1.0, -1.0, 0.0, 0.0))
+    cases = [([at_alpha_0, everywhere], [(0.0, 0.0)], "hypothesis 1 is NaN"),
+             ([everywhere, at_alpha_0], [(0.0, 0.0)], "hypothesis 0 is NaN"),
+             ([at_alpha_0, everywhere], [(0.5, 0.0), (0.0, 0.0)], "hypothesis 0 is NaN"),
+             ([at_alpha_0, beam()], [(0.0, 0.0)], "hypothesis 1 is NaN"),
+             ([beam(), at_alpha_0], [(0.0, 0.0)], "cannot rerank an empty hypothesis list"),
+             ([at_alpha_0, beam()], [(0.5, 0.0)], "cannot rerank an empty hypothesis list")]
+    for cached, pairs, message in cases:
+        assert _reference_selections(cached, pairs).endswith(message)
+        with pytest.raises(decode.DecodeError, match=message):
+            decode.sweep(nlg_raw[:len(cached)], bundle, "nlg", cached, pairs)
+
+
 def _unmemoized_components(examples, b, beam, k_intent, seed):
     out = []
     for idx, ex in enumerate(examples):

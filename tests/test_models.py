@@ -464,7 +464,8 @@ def test_scorers_equal_one_row_calls_across_stack_boundaries(tiny_corpus, tiny_v
         stack_rows.append(len(h))
         return lm_forward(m, ops, P, inputs, tokens, h)
     monkeypatch.setattr(models, "_lm_forward", counted)
-    mixed = [[5 + i % 3] * (1 + i % 4) for i in range(n)]
+    # distinct rows, since a scorer runs each distinct row once
+    mixed = [[5 + i % 3] * (i % 4) + [4 + i // 11, 4 + i % 11] for i in range(n)]
     scores = lm_score_tokens(ms["lm"], mixed)
     monkeypatch.undo()
     assert stack_rows == [models.STACK_ROWS] * 2 + [3]
@@ -488,6 +489,70 @@ def test_scorers_equal_one_row_calls_across_stack_boundaries(tiny_corpus, tiny_v
     one_row = [masked_frame_score(ms["mfm"], [f], [derive_rng(8, "mask", i)])[0]
                for i, f in enumerate(frames)]
     assert masked_frame_score(ms["mfm"], frames, rngs) == one_row
+
+
+def test_scorers_score_each_distinct_row_once(tiny_corpus, tiny_vocabs, monkeypatch):
+    _, nlg_raw = tiny_corpus
+    labels = tiny_vocabs.labels
+    ms = {k: randomize(make_model(k, tiny_vocabs), derive_rng(71, "distinct", k))
+          for k in data.MODEL_KINDS}
+    rng = derive_rng(71, "rows")
+    payloads = [tuple(rng.integers(4, len(tiny_vocabs.bpe.pieces), size=k).tolist())
+                for k in (3, 5, 3, 1)]
+    utts = [decode.utterance_from_payload(tiny_vocabs, p) for p in payloads]
+    tags = [rng.integers(0, labels.n_tags, size=len(p)).tolist() for p in payloads]
+    frames = [ex.frame for ex in nlg_raw[:3]]
+    order = [0, 1, 0, 2, 3, 1, 0, 3, 2, 2]
+    # NLU rows differ by intent alone, NLG rows by frame alone, in places
+    intents = [None, 0, None, 1, 0, 0, None, 0, 1, 0]
+    nlg_frames = [frames[i % 3] for i in range(len(order))]
+    lm_rows = [payloads[i] for i in order]
+    nlu_rows = [(utts[i], tags[i], intent) for i, intent in zip(order, intents)]
+    nlg_rows = [(f, utts[i]) for f, i in zip(nlg_frames, order)]
+    one_row = {"lm": [lm_score_tokens(ms["lm"], [p])[0] for p in lm_rows],
+               "nlu": [nlu_score(ms["nlu"], [u], [t], [i])[0] for u, t, i in nlu_rows],
+               "nlg": [nlg_score(ms["nlg"], [f], [u])[0] for f, u in nlg_rows]}
+    stack_rows = {"lm": [], "nlu": [], "nlg": []}
+
+    def count(kind, rows_of):
+        forward = getattr(models, f"_{kind}_forward")
+
+        def counted(*args, **kwargs):
+            stack_rows[kind].append(rows_of(*args))
+            return forward(*args, **kwargs)
+        monkeypatch.setattr(models, f"_{kind}_forward", counted)
+    count("lm", lambda m, ops, P, inputs, tokens, h: len(h))
+    count("nlu", lambda m, ops, P, tokens, tags, intent, h, forced=None: len(h))
+    count("nlg", lambda m, ops, P, F, tokens, forced=None: len(F))
+    assert lm_score_tokens(ms["lm"], lm_rows) == one_row["lm"]
+    assert nlu_score(ms["nlu"], *zip(*nlu_rows)) == one_row["nlu"]
+    assert nlg_score(ms["nlg"], *zip(*nlg_rows)) == one_row["nlg"]
+    monkeypatch.undo()
+    assert sum(stack_rows["lm"]) == len(set(lm_rows)) == 4
+    assert sum(stack_rows["nlu"]) == len({(u.tokens, tuple(t), i) for u, t, i in nlu_rows}) == 5
+    assert sum(stack_rows["nlg"]) == len({(f, u.tokens) for f, u in nlg_rows}) == 7
+
+    # the frame encoder: on nd a repeated (slot key, value) pair has one row
+    # and each value one BPE encoding; on tensor every pair has its own row
+    base = next(ex.frame for ex in nlg_raw if len(ex.frame.slots) >= 2)
+    other = next(ex.frame for ex in nlg_raw if ex.frame.slots
+                 and not set(ex.frame.slots) & set(base.slots))
+    frames = [SemanticFrame(None, base.slots), SemanticFrame(None, base.slots[:1]),
+              SemanticFrame(None, base.slots), SemanticFrame(None, other.slots)]
+    pairs = [pair for f in frames for pair in f.slots]
+    m = ms["nlg"]
+    encoded = []
+    encode_ids = m.vocabs.bpe.encode_ids
+    monkeypatch.setattr(m.vocabs.bpe, "encode_ids", lambda text: encoded.append(text)
+                        or encode_ids(text))
+    for ops, P, rows in ((nd, m.arrays, len(set(pairs))), (T, m.params, len(pairs))):
+        encoded.clear()
+        parts, places, _ = models._frame_rows(m, ops, P, frames, T.example_keys(len(frames)),
+                                              P["empty_feat"])
+        assert sum(len(getattr(part, "data", part)) for part in parts[:-1]) == rows
+        assert len({place for spot in places for place in spot}) == rows
+        assert sorted(encoded) == sorted({" ".join(v) for _, v in pairs})
+    monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------
