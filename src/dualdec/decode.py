@@ -291,12 +291,12 @@ def utterance_from_payload(vocabs, payload: Sequence[int]) -> Utterance:
     return Utterance(detokenize(pieces), tuple(payload), pieces)
 
 
-def forced_tag_ids(nlu: NluModel, frame: SemanticFrame, utt: Utterance) -> tuple[list[int], object]:
+def forced_tag_ids(nlu: NluModel, frame: SemanticFrame, utt: Utterance) -> list[int]:
     """Tag targets for reconstructing ``frame`` from ``utt``; slot values the
     utterance does not contain simply leave their tags absent."""
-    word_tags, report = frame_to_iob(frame, word_utterance(utt.surface))
+    word_tags, _ = frame_to_iob(frame, word_utterance(utt.surface))
     piece_tags = align_tags_to_pieces(word_tags, utt)
-    return [nlu.vocabs.labels.tag_id(t) for t in piece_tags], report
+    return [nlu.vocabs.labels.tag_id(t) for t in piece_tags]
 
 
 def nlg_backward_logprob(nlu: NluModel, frames: Sequence[SemanticFrame],
@@ -305,7 +305,7 @@ def nlg_backward_logprob(nlu: NluModel, frames: Sequence[SemanticFrame],
     labels = nlu.vocabs.labels
     intents = [labels.intent_id(frame.intent) if frame.intent is not None and nlu.n_intents
                else None for frame in frames]
-    tags = [forced_tag_ids(nlu, frame, cand)[0] for frame, cand in zip(frames, cands, strict=True)]
+    tags = [forced_tag_ids(nlu, frame, cand) for frame, cand in zip(frames, cands, strict=True)]
     return nlu_score(nlu, cands, tags, intents)
 
 

@@ -6,6 +6,11 @@ each value in an utterance (longest value first, leftmost span, never
 overlapping an already claimed token) and tags the span. Value matching
 falls back from exact token equality to lowercased equality to a shared
 prefix of at least four characters, and the report records which rule fired.
+Each rule implies that the two words share a stem key (the first
+``STEM_PREFIX`` characters of the lowercased word), so ``frame_to_iob`` looks
+up a value's candidate starts in a stem-key index of the utterance and tries
+the rules there only; it tags and reports exactly what a scan of every start
+would.
 """
 from __future__ import annotations
 
@@ -132,18 +137,27 @@ def _token_words(utt: Utterance) -> list[str]:
 
 
 def _token_matches(token: str, target: str, rule: str) -> bool:
-    if rule == "exact":
-        return token == target
-    if rule == "lower":
-        return token.lower() == target.lower()
-    # stem: lowercased shared prefix of at least STEM_PREFIX characters
-    a, b = token.lower(), target.lower()
-    if a == b:
+    """Whether ``token`` matches ``target`` under ``rule``; the "lower" and
+    "stem" rules are given both words lowercased."""
+    if token == target:
         return True
-    n = min(len(a), len(b))
-    if n < STEM_PREFIX:
+    if rule != "stem":
         return False
-    return a[:n] == b[:n]
+    # stem: a shared prefix of at least STEM_PREFIX characters
+    n = min(len(token), len(target))
+    return n >= STEM_PREFIX and token[:n] == target[:n]
+
+
+def _first_match(value: Sequence[str], low_value: list[str], words: list[str],
+                 lowered: list[str], free: list[int]) -> tuple[int, str] | None:
+    """``(start, rule)`` of the first rule, and under it the first start in
+    ``free``, at which ``value`` matches the words; None when none does."""
+    for rule, tokens, targets in (("exact", words, value), ("lower", lowered, low_value),
+                                  ("stem", lowered, low_value)):
+        for start in free:
+            if all(_token_matches(tokens[start + k], t, rule) for k, t in enumerate(targets)):
+                return start, rule
+    return None
 
 
 def align_tags_to_pieces(word_tags: Sequence[str], utt: Utterance) -> IOBSequence:
@@ -176,9 +190,17 @@ def frame_to_iob(frame: SemanticFrame, utt: Utterance) -> tuple[IOBSequence, Mat
 
     Values are placed longest first (ties keep frame order), each at the
     leftmost span of still-unclaimed tokens. The rule chain is tried one
-    level at a time: all-exact, then all-lowercase, then stem.
+    level at a time: all-exact, then all-lowercase, then stem. A value's
+    candidate starts are the unclaimed spans whose first word shares the stem
+    key of the value's first word, read from an index built once per
+    utterance; every rule implies equal stem keys, so the tags and the report
+    equal those of trying every start.
     """
     words = _token_words(utt)
+    lowered = [w.lower() for w in words]
+    starts: dict[str, list[int]] = {}
+    for i, w in enumerate(lowered):
+        starts.setdefault(w[:STEM_PREFIX], []).append(i)
     tags: IOBSequence = ["O"] * len(words)
     claimed = [False] * len(words)
     report = MatchReport()
@@ -186,21 +208,17 @@ def frame_to_iob(frame: SemanticFrame, utt: Utterance) -> tuple[IOBSequence, Mat
     order = sorted(range(len(frame.slots)), key=lambda i: -len(frame.slots[i][1]))
     for i in order:
         key, value = frame.slots[i]
-        placed = False
-        for rule in ("exact", "lower", "stem"):
-            for start in range(len(words) - len(value) + 1):
-                span = range(start, start + len(value))
-                if any(claimed[j] for j in span):
-                    continue
-                if all(_token_matches(words[j], value[j - start], rule) for j in span):
-                    for j in span:
-                        claimed[j] = True
-                        tags[j] = ("B-" if j == start else "I-") + key
-                    report.matched[key] = rule
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:
+        n = len(value)
+        low_value = [v.lower() for v in value]
+        free = [s for s in starts.get(low_value[0][:STEM_PREFIX], ())
+                if s + n <= len(words) and not any(claimed[s:s + n])]
+        match = _first_match(value, low_value, words, lowered, free)
+        if match is None:
             report.unmatched.append(key)
+            continue
+        start, rule = match
+        report.matched[key] = rule
+        for j in range(start, start + n):
+            claimed[j] = True
+            tags[j] = ("B-" if j == start else "I-") + key
     return tags, report

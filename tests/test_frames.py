@@ -119,6 +119,48 @@ def brute_force_best_assignment(slots, words):
     return tags
 
 
+def full_scan_frame_to_iob(slots, words):
+    """Oracle: the three-rule chain tried at every start of every value,
+    longest value first, one rule level at a time."""
+    def matches(token, target, rule):
+        if rule == "exact":
+            return token == target
+        if rule == "lower":
+            return token.lower() == target.lower()
+        a, b = token.lower(), target.lower()
+        if a == b:
+            return True
+        n = min(len(a), len(b))
+        if n < fr.STEM_PREFIX:
+            return False
+        return a[:n] == b[:n]
+
+    order = sorted(range(len(slots)), key=lambda i: -len(slots[i][1]))
+    claimed = [False] * len(words)
+    tags = ["O"] * len(words)
+    matched, unmatched = [], []
+    for i in order:
+        key, value = slots[i]
+        placed = False
+        for rule in ("exact", "lower", "stem"):
+            for start in range(len(words) - len(value) + 1):
+                span = range(start, start + len(value))
+                if any(claimed[j] for j in span):
+                    continue
+                if all(matches(words[j], value[j - start], rule) for j in span):
+                    for j in span:
+                        claimed[j] = True
+                        tags[j] = ("B-" if j == start else "I-") + key
+                    matched.append((key, rule))
+                    placed = True
+                    break
+            if placed:
+                break
+        if not placed:
+            unmatched.append(key)
+    return tags, matched, unmatched
+
+
 def test_longest_value_first_then_leftmost():
     utt = word_utterance("x y y")
     frame = SemanticFrame.build(None, [("a", "x y"), ("b", "y")])
@@ -210,3 +252,52 @@ def test_iob_spans_extraction():
     assert fr.iob_spans(["B-a", "I-a", "O", "B-b"]) == [(0, 2, "a"), (3, 4, "b")]
     assert fr.iob_spans(["O", "O"]) == []
     assert fr.iob_spans(["B-a", "B-a"]) == [(0, 1, "a"), (1, 2, "a")]
+
+
+# case variants, words under four characters (some a prefix of a longer
+# word), a shared four-character prefix (bost/Boston/bostonian), and a word
+# whose lowercase is longer than itself
+MATCH_POOL = ["bos", "bost", "Boston", "boston", "BOSTON", "bostonian", "Bostonian",
+              "to", "To", "TO", "ist", "İstanbul", "i̇stanbul", "istanbul",
+              "new", "New", "yor", "york", "York", "yorkshire", "day", "daily"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_frame_to_iob_equals_the_full_scan(data):
+    words = data.draw(st.lists(st.sampled_from(MATCH_POOL), max_size=10))
+    n_slots = data.draw(st.integers(0, 4))
+    slots = []
+    for i in range(n_slots):
+        width = data.draw(st.integers(1, 3))
+        if words and data.draw(st.booleans()):
+            # a span of the utterance, so values repeat and overlap
+            start = data.draw(st.integers(0, len(words) - 1))
+            value = tuple(words[start:start + width])
+        else:
+            value = tuple(data.draw(st.lists(st.sampled_from(MATCH_POOL),
+                                             min_size=width, max_size=width)))
+        slots.append((f"k{i}", value))
+    frame = SemanticFrame(None, tuple(slots))
+    tags, report = frame_to_iob(frame, word_utterance(" ".join(words)))
+    want_tags, want_matched, want_unmatched = full_scan_frame_to_iob(frame.slots, words)
+    assert tags == want_tags
+    assert list(report.matched.items()) == want_matched
+    assert report.unmatched == want_unmatched
+
+
+def test_no_rule_check_runs_without_a_shared_stem_key(monkeypatch):
+    calls = []
+    check = fr._token_matches
+    monkeypatch.setattr(fr, "_token_matches",
+                        lambda *args: calls.append(args) or check(*args))
+    utt = word_utterance("which flights travel from kansas city to los angeles")
+    frame = SemanticFrame.build("f", [("a", "boston"), ("b", "new york"),
+                                      ("c", "Denver to"), ("d", "cit")])
+    tags, report = frame_to_iob(frame, utt)
+    assert tags == ["O"] * len(utt.tokens)
+    assert report.matched == {} and report.unmatched == ["b", "c", "a", "d"]
+    assert calls == []
+    # the count is not vacuous: a value that does share a key is checked
+    frame_to_iob(SemanticFrame.build("f", [("a", "kansas city")]), utt)
+    assert calls
