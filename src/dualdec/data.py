@@ -19,7 +19,7 @@ import numpy as np
 
 from .frames import SemanticFrame, frame_to_iob, iob_to_frame, split_tag
 from .tensor import derive_rng
-from .textproc import LabelVocab, Vocabs, bpe_train, word_utterance
+from .textproc import LabelVocab, Vocabs, bpe_train, check_plain
 
 CHECKPOINT_VERSION = 1
 MODEL_KINDS = ("nlu", "nlg", "lm", "mfm")
@@ -94,7 +94,7 @@ def _nlu_example(d: dict) -> NluExample:
     tags = _strings(d, "tags")
     for tag in tags:
         split_tag(tag)
-    return NluExample(d["text"], tags, _intent(d))
+    return NluExample(check_plain(d["text"]), tags, _intent(d))
 
 
 def load_nlu(path) -> list[NluExample]:
@@ -118,8 +118,10 @@ def _nlg_example(d: dict) -> NlgExample:
             raise DataError(f"slot key must be a string, not {k!r}")
         if not (isinstance(v, str) or isinstance(v, list) and all(isinstance(w, str) for w in v)):
             raise DataError(f"value of slot {k!r} must be a string or a list of strings, not {v!r}")
+        for w in [v] if isinstance(v, str) else v:
+            check_plain(w)
     frame = SemanticFrame.build(_intent(fd), slots)
-    return NlgExample(frame, _strings(d, "refs"))
+    return NlgExample(frame, tuple(check_plain(r) for r in _strings(d, "refs")))
 
 
 def load_nlg(path) -> list[NlgExample]:
@@ -145,9 +147,9 @@ def augment_nlu_to_nlg(examples: Sequence[NluExample]) -> list[NlgExample]:
     """Tagged sentences become (frame, single-reference) generation examples."""
     out = []
     for ex in examples:
-        utt = word_utterance(ex.text)
-        frame = iob_to_frame(ex.tags, ex.intent, utt)
-        out.append(NlgExample(frame, (utt.surface,)))
+        words = ex.text.split()
+        frame = iob_to_frame(ex.tags, ex.intent, words)
+        out.append(NlgExample(frame, (" ".join(words),)))
     return out
 
 
@@ -160,12 +162,12 @@ def augment_nlg_to_nlu(examples: Sequence[NlgExample]) -> tuple[list[NluExample]
     kept, dropped = [], 0
     for ex in examples:
         for ref in ex.refs:
-            utt = word_utterance(ref)
-            tags, report = frame_to_iob(ex.frame, utt)
+            words = ref.split()
+            tags, report = frame_to_iob(ex.frame, words)
             if report.unmatched_fraction > 0.5:
                 dropped += 1
                 continue
-            kept.append(NluExample(utt.surface, tuple(tags), ex.frame.intent))
+            kept.append(NluExample(" ".join(words), tuple(tags), ex.frame.intent))
     return kept, dropped
 
 
@@ -269,7 +271,7 @@ def build_vocabs(nlu_examples: Sequence[NluExample],
     bpe = bpe_train(texts, merges)
     labels = LabelVocab.collect(
         [ex.intent for ex in nlu_examples] + [ex.frame.intent for ex in nlg_examples],
-        [t[2:] for ex in nlu_examples for t in ex.tags if t != "O"]
+        [split_tag(t)[1] for ex in nlu_examples for t in ex.tags if t != "O"]
         + [k for ex in nlg_examples for k, _ in ex.frame.slots],
     )
     return Vocabs(bpe, labels)

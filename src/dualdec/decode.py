@@ -34,7 +34,7 @@ from .models import (LmModel, MaskedFrameModel, NlgModel, NluModel,
                      lm_score_tokens, masked_frame_score, nlg_features_np,
                      nlg_score, nlg_step, nlu_intent, nlu_score, nlu_step)
 from .tensor import derive_rng
-from .textproc import BOS, EOS, PAD, UNK, Utterance, detokenize, word_utterance
+from .textproc import BOS, EOS, PAD, UNK, Utterance, detokenize
 
 
 class DecodeError(ValueError):
@@ -43,15 +43,14 @@ class DecodeError(ValueError):
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """A completed decode: payload token/tag ids, total and per-step log-probs.
+    """A completed decode: payload token/tag ids and their total log-prob.
 
-    For tag-sequence hypotheses, ``intent`` carries the paired intent id and
-    the final per_step entry is its log-probability.
+    For tag-sequence hypotheses, ``intent`` carries the paired intent id, and
+    ``forward_logprob`` includes its log-probability.
     """
 
     payload: tuple[int, ...]
     forward_logprob: float
-    per_step: tuple[float, ...]
     intent: int | None = None
 
 
@@ -124,11 +123,11 @@ def _search(stepper: Stepper, beam: int, max_len: int) -> tuple[list[Hypothesis]
 
     The frontier is arrays: each row's score and its rank in payload order.
     Rows are equally long, so a child's payload order is (parent rank, symbol)
-    and both orders are lexsorts. Payloads and per-step log-probs are rebuilt
-    from per-step backpointers only for the hypotheses kept. A completion
-    scores at most its extension, so once ``beam`` completions are held no
-    extension below the worst of them is kept, and force-completion stops
-    there. A NaN or +inf log-prob raises DecodeError naming the step.
+    and both orders are lexsorts. Payloads are rebuilt from per-step
+    backpointers only for the hypotheses kept. A completion scores at most its
+    extension, so once ``beam`` completions are held no extension below the
+    worst of them is kept, and force-completion stops there. A NaN or +inf
+    log-prob raises DecodeError naming the step.
     """
     if beam < 1:
         raise DecodeError("beam must be >= 1")
@@ -137,27 +136,25 @@ def _search(stepper: Stepper, beam: int, max_len: int) -> tuple[list[Hypothesis]
     eos = stepper.eos
     states, lp = stepper.start()
     scores, rank = np.zeros(1), np.zeros(1, dtype=np.intp)
-    back = []  # per step: the kept rows' parent rows, symbols and log-probs
+    back = []  # per step: the kept rows' parent rows and symbols
     # the ``beam`` best completions, worst at the root: (score, -length,
-    # -payload order, step and row extended, EOS log-prob); completions of one
-    # length extend rows of one step, so their payload order is their row's rank
+    # -payload order, step and row extended); completions of one length
+    # extend rows of one step, so their payload order is their row's rank
     top: list[tuple] = []
 
-    def hypothesis(step, row, score, *tail) -> Hypothesis:
-        payload, per = [], []
-        for parents, symbols, logprobs in reversed(back[:step]):
+    def hypothesis(step, row, score) -> Hypothesis:
+        payload = []
+        for parents, symbols in reversed(back[:step]):
             payload.append(symbols[row])
-            per.append(logprobs[row])
             row = parents[row]
-        return Hypothesis(tuple(payload[::-1]), score, tuple(per[::-1]) + tail)
+        return Hypothesis(tuple(payload[::-1]), score)
 
     def complete(t, lp, scores, ranks, first=0) -> None:
         # a completion pushed out of the ``beam`` best can never be returned
         done = np.flatnonzero(lp[:, eos] > -math.inf)
-        lp_eos = lp[done, eos]
-        for row, end, lp_end, r in zip(done.tolist(), (scores[done] + lp_eos).tolist(),
-                                       lp_eos.tolist(), ranks[done].tolist()):
-            entry = (end, -t, -r, t, first + row, lp_end)
+        for row, end, r in zip(done.tolist(), (scores[done] + lp[done, eos]).tolist(),
+                               ranks[done].tolist()):
+            entry = (end, -t, -r, t, first + row)
             (heapq.heappush if len(top) < beam else heapq.heappushpop)(top, entry)
 
     for t in range(max_len):
@@ -182,7 +179,7 @@ def _search(stepper: Stepper, beam: int, max_len: int) -> tuple[list[Hypothesis]
         rows, syms = np.divmod(idx, lp.shape[1])
         order = np.lexsort((syms, rank[rows], -ext[idx]))[:limit]
         rows, syms, scores = rows[order], syms[order], ext[idx[order]]
-        back.append((rows.tolist(), syms.tolist(), lp[rows, syms].tolist()))
+        back.append((rows.tolist(), syms.tolist()))
         children = np.lexsort((syms, rank[rows]))
         rank = np.empty_like(children)
         rank[children] = np.arange(len(children))
@@ -202,8 +199,8 @@ def _search(stepper: Stepper, beam: int, max_len: int) -> tuple[list[Hypothesis]
                     bad = lp[~(lp[:, eos] < math.inf), eos][0]
                     raise DecodeError(f"log-probability {bad} for EOS at decode step {max_len}")
                 complete(max_len, lp, scores[page], rank[page], first)
-    return [hypothesis(step, row, score, lp_eos)
-            for score, _, _, step, row, lp_eos in sorted(top, reverse=True)], None
+    return [hypothesis(step, row, score)
+            for score, _, _, step, row in sorted(top, reverse=True)], None
 
 
 class NlgStepper:
@@ -275,9 +272,8 @@ def nlu_hypotheses(model: NluModel, utt: Utterance, beam: int,
     for hyp, ilp in zip(hyps, nlu_intent(model, finals.h)):
         order = np.argsort(-ilp, kind="stable")[:max(1, k_intent)]
         for ii in order:
-            lp = float(ilp[int(ii)])
-            out.append(Hypothesis(hyp.payload, hyp.forward_logprob + lp,
-                                  hyp.per_step + (lp,), intent=int(ii)))
+            out.append(Hypothesis(hyp.payload, hyp.forward_logprob + float(ilp[int(ii)]),
+                                  intent=int(ii)))
     out.sort(key=lambda h: (-h.forward_logprob, len(h.payload), h.payload, h.intent))
     return out[:beam]
 
@@ -294,7 +290,7 @@ def utterance_from_payload(vocabs, payload: Sequence[int]) -> Utterance:
 def forced_tag_ids(nlu: NluModel, frame: SemanticFrame, utt: Utterance) -> list[int]:
     """Tag targets for reconstructing ``frame`` from ``utt``; slot values the
     utterance does not contain simply leave their tags absent."""
-    word_tags, _ = frame_to_iob(frame, word_utterance(utt.surface))
+    word_tags, _ = frame_to_iob(frame, utt.surface.split())
     piece_tags = align_tags_to_pieces(word_tags, utt)
     return [nlu.vocabs.labels.tag_id(t) for t in piece_tags]
 
@@ -314,7 +310,7 @@ def candidate_frame(nlu_like, input_utt: Utterance, hyp: Hypothesis) -> Semantic
     piece_tags = [labels.tags[i] for i in hyp.payload]
     word_tags = collapse_piece_tags(piece_tags, input_utt)
     intent = labels.intents[hyp.intent] if hyp.intent is not None else None
-    return iob_to_frame(word_tags, intent, word_utterance(input_utt.surface))
+    return iob_to_frame(word_tags, intent, input_utt.surface.split())
 
 
 def frame_marginal(mfm: MaskedFrameModel, frames: Sequence[SemanticFrame], rngs) -> list[float]:

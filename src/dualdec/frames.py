@@ -1,23 +1,23 @@
 """Semantic frames, IOB tag sequences, and the conversions between them.
 
 A frame pairs an optional intent with ordered, unique slot-key/value entries.
-``iob_to_frame`` collapses B/I runs into slot values; ``frame_to_iob`` finds
-each value in an utterance (longest value first, leftmost span, never
-overlapping an already claimed token) and tags the span. Value matching
-falls back from exact token equality to lowercased equality to a shared
-prefix of at least four characters, and the report records which rule fired.
-Each rule implies that the two words share a stem key (the first
-``STEM_PREFIX`` characters of the lowercased word), so ``frame_to_iob`` looks
-up a value's candidate starts in a stem-key index of the utterance and tries
-the rules there only; it tags and reports exactly what a scan of every start
-would.
+Both conversions work on plain whitespace words. ``iob_to_frame`` collapses
+the B/I runs that ``iob_spans`` reads into slot values; ``frame_to_iob`` finds
+each value in the words (longest value first, leftmost span, never
+overlapping an already claimed word) and tags the span. Value matching falls
+back from exact equality to lowercased equality to a shared prefix of at
+least four characters, and the report records which rule fired. Each rule
+implies that the two words share a stem key (the first ``STEM_PREFIX``
+characters of the lowercased word), so ``frame_to_iob`` looks up a value's
+candidate starts in a stem-key index of the words and tries the rules there
+only; it tags and reports exactly what a scan of every start would.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .textproc import MARKER, Utterance
+from .textproc import Utterance
 
 STEM_PREFIX = 4
 
@@ -75,47 +75,29 @@ def split_tag(tag: str) -> tuple[str, str | None]:
     raise FrameError(f"unknown tag {tag!r}")
 
 
-def repair_iob(tags: Sequence[str]) -> IOBSequence:
-    """Rewrite a leading or key-switching I-k to B-k."""
-    out: IOBSequence = []
-    prev_key = None
-    for tag in tags:
-        prefix, key = split_tag(tag)
-        if prefix == "I" and key != prev_key:
-            tag = f"B-{key}"
-        out.append(tag)
-        prev_key = key if prefix in ("B", "I") else None
-    return out
-
-
 def iob_spans(tags: Sequence[str]) -> list[tuple[int, int, str]]:
-    """Half-open (start, end, key) spans of a repaired tag sequence."""
+    """Half-open (start, end, key) spans of a tag sequence, read in one pass.
+    An I-k that does not continue an open span of key k opens a new one."""
     spans: list[tuple[int, int, str]] = []
-    start, cur = None, None
-    for i, tag in enumerate(repair_iob(tags)):
+    start, cur = 0, None
+    for i, tag in enumerate(tags):
         prefix, key = split_tag(tag)
-        if prefix == "B":
-            if cur is not None:
-                spans.append((start, i, cur))
-            start, cur = i, key
-        elif prefix == "O" and cur is not None:
+        if prefix == "I" and key == cur:
+            continue
+        if cur is not None:
             spans.append((start, i, cur))
-            start, cur = None, None
+        start, cur = i, key
     if cur is not None:
         spans.append((start, len(tags), cur))
     return spans
 
 
-def iob_to_frame(tags: Sequence[str], intent: str | None, utt: Utterance) -> SemanticFrame:
-    """Aggregate B/I runs into slot values; a later run of the same key wins."""
-    if len(tags) != len(utt.tokens):
-        raise FrameError(f"{len(tags)} tags for {len(utt.tokens)} tokens")
-    words = _token_words(utt)
-    slots: dict[str, tuple[str, ...]] = {}
-    for start, end, key in iob_spans(tags):
-        value = tuple(" ".join(words[start:end]).split())
-        if value:
-            slots[key] = value
+def iob_to_frame(tags: Sequence[str], intent: str | None, words: Sequence[str]) -> SemanticFrame:
+    """Aggregate the B/I runs over ``words`` into slot values; a later run of
+    the same key wins."""
+    if len(tags) != len(words):
+        raise FrameError(f"{len(tags)} tags for {len(words)} words")
+    slots = {key: tuple(words[start:end]) for start, end, key in iob_spans(tags)}
     return SemanticFrame(intent, tuple(slots.items()))
 
 
@@ -132,10 +114,6 @@ class MatchReport:
         return len(self.unmatched) / total if total else 0.0
 
 
-def _token_words(utt: Utterance) -> list[str]:
-    return [p.replace(MARKER, "") for p in utt.pieces]
-
-
 def _token_matches(token: str, target: str, rule: str) -> bool:
     """Whether ``token`` matches ``target`` under ``rule``; the "lower" and
     "stem" rules are given both words lowercased."""
@@ -148,7 +126,7 @@ def _token_matches(token: str, target: str, rule: str) -> bool:
     return n >= STEM_PREFIX and token[:n] == target[:n]
 
 
-def _first_match(value: Sequence[str], low_value: list[str], words: list[str],
+def _first_match(value: Sequence[str], low_value: list[str], words: Sequence[str],
                  lowered: list[str], free: list[int]) -> tuple[int, str] | None:
     """``(start, rule)`` of the first rule, and under it the first start in
     ``free``, at which ``value`` matches the words; None when none does."""
@@ -179,24 +157,24 @@ def align_tags_to_pieces(word_tags: Sequence[str], utt: Utterance) -> IOBSequenc
 
 
 def collapse_piece_tags(piece_tags: Sequence[str], utt: Utterance) -> IOBSequence:
-    """Word-level tags from subword tags: each word takes its first piece's tag."""
+    """Word-level tags from subword tags: each word takes its first piece's
+    tag. An I-k left without its B-k is kept; ``iob_spans`` reads it as one."""
     if len(piece_tags) != len(utt.tokens):
         raise FrameError(f"{len(piece_tags)} tags for {len(utt.tokens)} pieces")
-    return repair_iob([piece_tags[start] for start, _ in utt.word_spans()])
+    return [piece_tags[start] for start, _ in utt.word_spans()]
 
 
-def frame_to_iob(frame: SemanticFrame, utt: Utterance) -> tuple[IOBSequence, MatchReport]:
-    """Tag each slot value's span in ``utt``; unmatched values are reported.
+def frame_to_iob(frame: SemanticFrame, words: Sequence[str]) -> tuple[IOBSequence, MatchReport]:
+    """Tag each slot value's span in ``words``; unmatched values are reported.
 
     Values are placed longest first (ties keep frame order), each at the
-    leftmost span of still-unclaimed tokens. The rule chain is tried one
+    leftmost span of still-unclaimed words. The rule chain is tried one
     level at a time: all-exact, then all-lowercase, then stem. A value's
     candidate starts are the unclaimed spans whose first word shares the stem
-    key of the value's first word, read from an index built once per
-    utterance; every rule implies equal stem keys, so the tags and the report
-    equal those of trying every start.
+    key of the value's first word, read from an index built once per call;
+    every rule implies equal stem keys, so the tags and the report equal
+    those of trying every start.
     """
-    words = _token_words(utt)
     lowered = [w.lower() for w in words]
     starts: dict[str, list[int]] = {}
     for i, w in enumerate(lowered):

@@ -52,18 +52,11 @@ def detokenize(pieces: Iterable[str]) -> str:
     return "".join(pieces).replace(MARKER, " ").strip()
 
 
-def word_utterance(text: str) -> Utterance:
-    """Word-level view of a sentence: one piece per whitespace word.
-
-    Token ids are placeholders; slot matching and IOB conversion only read
-    the piece surfaces.
-    """
-    words = text.split()
-    return Utterance(
-        surface=" ".join(words),
-        tokens=tuple(range(len(words))),
-        pieces=tuple(w + MARKER for w in words),
-    )
+def check_plain(text: str) -> str:
+    """``text``, refused if it holds MARKER, which encoding would read as a word end."""
+    if MARKER in text:
+        raise BpeError(f"U+2581 ({MARKER!r}) is the tokenizer's end-of-word marker: {text!r}")
+    return text
 
 
 @dataclass

@@ -234,19 +234,19 @@ class TableStepper(RowStepper):
 def exhaustive_completions(stepper, max_len):
     out = []
 
-    def rec(state, dist, payload, per, score):
+    def rec(state, dist, payload, score):
         lp = dist[stepper.eos]
-        out.append(Hypothesis(payload, score + lp, per + (lp,)))
+        out.append(Hypothesis(payload, score + lp))
         if len(payload) == max_len:
             return
         for v in range(stepper.n_symbols):
             if v == stepper.eos:
                 continue
             ns, nd = stepper.step(state, v)
-            rec(ns, nd, payload + (v,), per + (float(dist[v]),), score + float(dist[v]))
+            rec(ns, nd, payload + (v,), score + float(dist[v]))
 
     state, dist = stepper.start_one()
-    rec(state, dist, (), (), 0.0)
+    rec(state, dist, (), 0.0)
     out.sort(key=lambda h: (-h.forward_logprob, len(h.payload), h.payload))
     return out
 

@@ -589,11 +589,28 @@ def test_fuzzed_jsonl_line_exits_with_a_documented_code(line_workspace, case):
      "value of slot 'city' must be a string or a list of strings"),
     ({"frame": {"slots": [["city", {"a": "b"}]]}, "refs": ["x"]},
      "value of slot 'city' must be a string or a list of strings"),
+    # the end-of-word marker would split a word in two under BPE
+    ({"frame": {"slots": [["city", "boston"]]}, "refs": ["to \u2581boston"]},
+     "test.jsonl:1: U+2581"),
+    ({"frame": {"slots": [["city", "bos\u2581ton"]]}, "refs": ["to boston"]},
+     "test.jsonl:1: U+2581"),
+    ({"frame": {"slots": [["city", ["new", "\u2581york"]]]}, "refs": ["to new york"]},
+     "test.jsonl:1: U+2581"),
 ])
 def test_nlg_test_line_with_unknown_intent_or_non_string_value_exits_3(line_workspace,
                                                                        line, message):
     code, err = _eval_one_line(line_workspace, "nlg", json.dumps(line))
     assert code == 3 and err.startswith("data error:") and message in err, err
+
+
+@pytest.mark.parametrize("text", ["\u2581a to boston", "a to\u2581 boston", "a \u2581 boston"])
+def test_nlu_test_line_with_the_end_of_word_marker_exits_3(line_workspace, text):
+    # BPE would read the marker as a word end, so the line's words and pieces
+    # disagree; it is refused at load time, naming the line and the character
+    line = json.dumps({"text": text, "tags": ["O", "O", "B-city"], "intent": "flight"})
+    code, err = _eval_one_line(line_workspace, "nlu", line)
+    assert code == 3 and err.startswith("data error:"), err
+    assert "test.jsonl:1: U+2581 ('\u2581') is the tokenizer's end-of-word marker" in err, err
 
 
 def test_manifest_defaults_match_published_recipe(tmp_path):

@@ -44,20 +44,19 @@ def exhaustive_eos(stepper, max_len):
     """Oracle: enumerate and score every payload of length <= max_len."""
     out = []
 
-    def rec(state, dist, payload, per, score):
+    def rec(state, dist, payload, score):
         lp = dist[stepper.eos]
-        out.append(Hypothesis(payload, score + lp, per + (lp,)))
+        out.append(Hypothesis(payload, score + lp))
         if len(payload) == max_len:
             return
         for v in range(stepper.n_symbols):
             if v == stepper.eos:
                 continue
             nstate, ndist = stepper.step(state, v)
-            rec(nstate, ndist, payload + (v,), per + (float(dist[v]),),
-                score + float(dist[v]))
+            rec(nstate, ndist, payload + (v,), score + float(dist[v]))
 
     state, dist = stepper.start_one()
-    rec(state, dist, (), (), 0.0)
+    rec(state, dist, (), 0.0)
     out.sort(key=lambda h: (-h.forward_logprob, len(h.payload), h.payload))
     return out
 
@@ -65,12 +64,12 @@ def exhaustive_eos(stepper, max_len):
 def exhaustive_fixed(stepper, length):
     out = []
 
-    def rec(state, dist, payload, per, score):
+    def rec(state, dist, payload, score):
         if len(payload) == length:
-            out.append(Hypothesis(payload, score, per))
+            out.append(Hypothesis(payload, score))
             return
         for v in range(stepper.n_symbols):
-            step = (payload + (v,), per + (float(dist[v]),), score + float(dist[v]))
+            step = (payload + (v,), score + float(dist[v]))
             if len(payload) + 1 == length:
                 rec(state, None, *step)
             else:
@@ -78,7 +77,7 @@ def exhaustive_fixed(stepper, length):
                 rec(nstate, ndist, *step)
 
     state, dist = stepper.start_one()
-    rec(state, dist, (), (), 0.0)
+    rec(state, dist, (), 0.0)
     out.sort(key=lambda h: (-h.forward_logprob, len(h.payload), h.payload))
     return out
 
@@ -143,7 +142,6 @@ def test_beam20_equals_exhaustive_vocab3_maxlen3():
         assert [h.payload for h in got] == [h.payload for h in want]
         for g, w in zip(got, want):
             assert g.forward_logprob == pytest.approx(w.forward_logprob, abs=1e-9)
-            assert g.forward_logprob == pytest.approx(sum(g.per_step), abs=1e-9)
 
 
 def test_tie_break_shorter_then_lexicographic():
@@ -164,12 +162,6 @@ def test_tie_break_shorter_then_lexicographic():
     assert got[0].payload == ()
 
 
-def test_hypothesis_logprob_equals_per_step_sum():
-    stepper = TableStepper(derive_rng(3, "sum"), 4, eos=0, max_steps=4)
-    for h in beam_search(stepper, 20, 4):
-        assert h.forward_logprob == pytest.approx(sum(h.per_step), abs=1e-9)
-
-
 # The tuple-sort beam search that the lexsort top-k replaced, kept verbatim as
 # the reference for equal results and equal step work.
 
@@ -185,39 +177,39 @@ def reference_beam_search(stepper, beam: int, max_len: int) -> list[Hypothesis]:
     if eos is None:
         return [h for h, _ in reference_beam_search_fixed(stepper, beam, max_len)]
     state, dist = stepper.start_one()
-    active = [(0.0, (), (), state, dist)]
+    active = [(0.0, (), state, dist)]
     completed: list[Hypothesis] = []
     for t in range(max_len):
         cand = []
-        for score, payload, per, state, dist in active:
+        for score, payload, state, dist in active:
             lp_eos = float(dist[eos])
             if lp_eos > -math.inf:
-                completed.append(Hypothesis(payload, score + lp_eos, per + (lp_eos,)))
+                completed.append(Hypothesis(payload, score + lp_eos))
             for v in range(stepper.n_symbols):
                 if v == eos:
                     continue
                 lp = float(dist[v])
                 if lp > -math.inf:
-                    cand.append((score + lp, payload + (v,), per + (lp,), state, v))
+                    cand.append((score + lp, payload + (v,), state, v))
         if not cand:
             break
         cand.sort(key=lambda c: (-c[0], c[1]))
         if t == max_len - 1:
             # no further extension: force-complete every candidate
-            for score, payload, per, state, v in cand:
+            for score, payload, state, v in cand:
                 nstate, ndist = stepper.step(state, v)
                 lp_eos = float(ndist[eos])
                 if lp_eos > -math.inf:
-                    completed.append(Hypothesis(payload, score + lp_eos, per + (lp_eos,)))
+                    completed.append(Hypothesis(payload, score + lp_eos))
             break
         if len(completed) >= beam:
             kth = sorted(completed, key=_reference_completion_order)[beam - 1].forward_logprob
             if cand[0][0] < kth:
                 break  # extensions only lower scores; nothing can enter the top-k
         active = []
-        for score, payload, per, state, v in cand[:beam]:
+        for score, payload, state, v in cand[:beam]:
             nstate, ndist = stepper.step(state, v)
-            active.append((score, payload, per, nstate, ndist))
+            active.append((score, payload, nstate, ndist))
     completed.sort(key=_reference_completion_order)
     return completed[:beam]
 
@@ -228,24 +220,24 @@ def reference_beam_search_fixed(stepper, beam: int, length: int):
     if length < 1:
         raise decode.DecodeError("fixed-length beam needs length >= 1")
     state, dist = stepper.start_one()
-    active = [(0.0, (), (), state, dist)]
+    active = [(0.0, (), state, dist)]
     for t in range(length):
         cand = []
-        for score, payload, per, state, dist in active:
+        for score, payload, state, dist in active:
             for v in range(stepper.n_symbols):
                 lp = float(dist[v])
                 if lp > -math.inf:
-                    cand.append((score + lp, payload + (v,), per + (lp,), state, v))
+                    cand.append((score + lp, payload + (v,), state, v))
         cand.sort(key=lambda c: (-c[0], c[1]))
         cand = cand[:beam]
         if t == length - 1:
             # the stored state already consumed the final input position
-            return [(Hypothesis(payload, score, per), state)
-                    for score, payload, per, state, v in cand]
+            return [(Hypothesis(payload, score), state)
+                    for score, payload, state, v in cand]
         active = []
-        for score, payload, per, state, v in cand:
+        for score, payload, state, v in cand:
             nstate, ndist = stepper.step(state, v)
-            active.append((score, payload, per, nstate, ndist))
+            active.append((score, payload, nstate, ndist))
     return []
 
 
@@ -440,8 +432,6 @@ def test_nlu_hypotheses_k_intent_and_truncation(tiny_vocabs, tiny_models):
     hyps = nlu_hypotheses(m, utt, beam=6, k_intent=2)
     assert 0 < len(hyps) <= 6
     assert all(h.intent is not None for h in hyps)
-    for h in hyps:
-        assert h.forward_logprob == pytest.approx(sum(h.per_step), abs=1e-9)
     k1 = nlu_hypotheses(m, utt, beam=6, k_intent=1)
     # with one intent per tag sequence, payloads are unique
     assert len({h.payload for h in k1}) == len(k1)
@@ -472,9 +462,8 @@ def test_nlu_intents_come_from_the_final_tagger_states(tiny_vocabs, tiny_models)
     for hyp, state in reference_beam_search_fixed(OneRow(), beam, stepper.length):
         [ilp] = nlu_intent(m, state.h)
         for i in np.argsort(-ilp, kind="stable")[:k_intent]:
-            lp = float(ilp[i])
-            want.append(Hypothesis(hyp.payload, hyp.forward_logprob + lp,
-                                   hyp.per_step + (lp,), intent=int(i)))
+            want.append(Hypothesis(hyp.payload, hyp.forward_logprob + float(ilp[i]),
+                                   intent=int(i)))
     want.sort(key=lambda h: (-h.forward_logprob, len(h.payload), h.payload, h.intent))
     assert len(utt.tokens) >= 3 and len(want) == beam * k_intent
     assert nlu_hypotheses(m, utt, beam, k_intent) == want[:beam]
@@ -554,8 +543,7 @@ def test_dual_score_nlu_degenerate_candidate(tiny_vocabs):
     b = _bundle(tiny_vocabs, seed=7)
     utt = tiny_vocabs.bpe.encode("show flights from boston")
     o_tag = tiny_vocabs.labels.tag_id("O")
-    cand = Hypothesis(payload=(o_tag,) * len(utt.tokens), forward_logprob=-1.0,
-                      per_step=(-0.25,) * len(utt.tokens), intent=None)
+    cand = Hypothesis(payload=(o_tag,) * len(utt.tokens), forward_logprob=-1.0, intent=None)
     ds = dual_score_nlu(cand, utt, b.nlg, b.mfm, b.lm, DualWeights(0.5, 0.5),
                         derive_rng(3, "m"))
     assert ds.marg_out == 0.0  # empty frame: vacuous pseudo-likelihood
@@ -563,7 +551,7 @@ def test_dual_score_nlu_degenerate_candidate(tiny_vocabs):
 
 
 def test_rerank_trivials_and_sort_oracle():
-    h = [Hypothesis((i,), -float(i), (-float(i),)) for i in range(4)]
+    h = [Hypothesis((i,), -float(i)) for i in range(4)]
     single = [(h[0], combine(Components(-1, 0, 0, 0), DualWeights(1, 0)))]
     assert rerank(single) is h[0]
     tie = [
@@ -583,7 +571,7 @@ def test_rerank_trivials_and_sort_oracle():
 
 
 def test_rerank_rejects_nan_combined_score():
-    h = [Hypothesis((i,), -float(i), (-float(i),)) for i in range(3)]
+    h = [Hypothesis((i,), -float(i)) for i in range(3)]
     scored = [(h[0], decode.DualScore(-1.0, 0, 0, 0, -2.0)),
               (h[1], decode.DualScore(-2.0, 0, 0, 0, math.nan)),
               (h[2], decode.DualScore(-3.0, 0, 0, 0, -4.0))]
@@ -607,7 +595,7 @@ def test_weight_grid_sizes():
 
 def test_zeroed_extra_components_make_every_pair_alpha_one():
     rng = derive_rng(11, "zero")
-    hyps = [Hypothesis((i,), float(f), (float(f),)) for i, f in
+    hyps = [Hypothesis((i,), float(f)) for i, f in
             enumerate(sorted(rng.normal(size=6), reverse=True))]
     comps = [Components(h.forward_logprob, 0.0, 0.0, 0.0) for h in hyps]
     cache = CachedExample(hyps, comps)
@@ -763,7 +751,7 @@ def _drawn_caches(draw, direction, examples, vocabs):
                                               max_size=6)))
                 intent = None
             c = Components(*(draw(TIE_VALUES) for _ in range(4)))
-            hyps.append(Hypothesis(payload, c.forward, (c.forward,), intent))
+            hyps.append(Hypothesis(payload, c.forward, intent))
             comps.append(c)
         cached.append(CachedExample(hyps, comps, utt))
     return cached
@@ -791,7 +779,7 @@ def test_sweep_picks_and_reports_equal_rerank_and_fresh_reports(tiny_corpus, tin
 
 def test_nan_component_raises_in_the_sweep(tiny_corpus, tiny_vocabs):
     _, nlg_raw = tiny_corpus
-    hyps = [Hypothesis((5,), -1.0, (-1.0,)), Hypothesis((6,), -2.0, (-2.0,))]
+    hyps = [Hypothesis((5,), -1.0), Hypothesis((6,), -2.0)]
     comps = [Components(-1.0, -1.0, 0.0, 0.0), Components(-2.0, math.nan, 0.0, 0.0)]
     cached = [CachedExample(hyps, comps)]
     bundle = ModelsBundle(make_model("nlu", tiny_vocabs), None, None, None)
@@ -832,7 +820,7 @@ def test_array_sweep_equals_rerank_index_at_every_grid_pair(tiny_corpus, tiny_vo
     cached = []
     for n in sizes:
         comps = [Components(*(data.draw(value) for _ in range(4))) for _ in range(n)]
-        cached.append(CachedExample([Hypothesis((5 + r,), c.forward, (c.forward,))
+        cached.append(CachedExample([Hypothesis((5 + r,), c.forward)
                                      for r, c in enumerate(comps)], comps))
     examples = nlg_raw[:len(cached)]
     bundle = ModelsBundle(make_model("nlu", tiny_vocabs), None, None, None)
@@ -849,7 +837,7 @@ def test_sweep_raises_for_the_first_nan_in_pair_example_rank_order(tiny_corpus, 
     bundle = ModelsBundle(make_model("nlu", tiny_vocabs), None, None, None)
 
     def beam(*comps):
-        return CachedExample([Hypothesis((5 + r,), c.forward, (c.forward,))
+        return CachedExample([Hypothesis((5 + r,), c.forward)
                               for r, c in enumerate(comps)], list(comps))
     # NaN at alpha = 0 only (0 * -inf), at rank 1; NaN at every pair, at rank 0
     at_alpha_0 = beam(Components(-1.0, -1.0, 0.0, 0.0), Components(-math.inf, -1.0, 0.0, 0.0))

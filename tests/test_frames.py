@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from dualdec import frames as fr
 from dualdec.frames import SemanticFrame, frame_to_iob, iob_to_frame
-from dualdec.textproc import word_utterance
 
 ATIS_WORDS = "which flights travel from kansas city to los angeles on april ninth"
 ATIS_TAGS = [
@@ -30,8 +29,8 @@ E2E_FRAME = SemanticFrame.build(None, [
 
 
 def test_atis_flight_query_aggregates_runs():
-    utt = word_utterance(ATIS_WORDS)
-    frame = iob_to_frame(ATIS_TAGS, "atis_flight", utt)
+    words = ATIS_WORDS.split()
+    frame = iob_to_frame(ATIS_TAGS, "atis_flight", words)
     assert frame == SemanticFrame.build("atis_flight", [
         ("fromloc.city_name", "kansas city"),
         ("toloc.city_name", "los angeles"),
@@ -45,31 +44,30 @@ def test_atis_flight_query_aggregates_runs():
 
 
 def test_all_o_tags_give_intent_only_frame():
-    utt = word_utterance("hello there")
-    frame = iob_to_frame(["O", "O"], "greet", utt)
+    words = "hello there".split()
+    frame = iob_to_frame(["O", "O"], "greet", words)
     assert frame == SemanticFrame("greet", ())
 
 
 def test_duplicate_key_last_run_wins():
-    utt = word_utterance("t1 t2 t3 t4")
-    frame = iob_to_frame(["B-a", "I-a", "O", "B-a"], None, utt)
+    words = "t1 t2 t3 t4".split()
+    frame = iob_to_frame(["B-a", "I-a", "O", "B-a"], None, words)
     assert frame == SemanticFrame.build(None, [("a", "t4")])
 
 
 def test_length_mismatch_rejected():
     with pytest.raises(fr.FrameError):
-        iob_to_frame(["O"], None, word_utterance("a b"))
+        iob_to_frame(["O"], None, "a b".split())
 
 
 def test_unknown_tag_rejected():
     with pytest.raises(fr.FrameError):
-        iob_to_frame(["X-a", "O"], None, word_utterance("a b"))
+        iob_to_frame(["X-a", "O"], None, "a b".split())
 
 
 def test_bibimbap_house_tagging_with_fallbacks():
-    utt = word_utterance(E2E_SENTENCE)
-    tags, report = frame_to_iob(E2E_FRAME, utt)
-    words = utt.surface.split()
+    words = E2E_SENTENCE.split()
+    tags, report = frame_to_iob(E2E_FRAME, words)
     expected = ["O"] * len(words)
     expected[words.index("Bibimbap")] = "B-name"
     expected[words.index("House")] = "I-name"
@@ -90,8 +88,8 @@ def test_bibimbap_house_tagging_with_fallbacks():
 
 
 def test_empty_frame_all_o():
-    utt = word_utterance("a b c")
-    tags, report = frame_to_iob(SemanticFrame(None, ()), utt)
+    words = "a b c".split()
+    tags, report = frame_to_iob(SemanticFrame(None, ()), words)
     assert tags == ["O", "O", "O"]
     assert report.matched == {} and report.unmatched == []
 
@@ -162,45 +160,46 @@ def full_scan_frame_to_iob(slots, words):
 
 
 def test_longest_value_first_then_leftmost():
-    utt = word_utterance("x y y")
+    words = "x y y".split()
     frame = SemanticFrame.build(None, [("a", "x y"), ("b", "y")])
-    tags, report = frame_to_iob(frame, utt)
+    tags, report = frame_to_iob(frame, words)
     assert tags == ["B-a", "I-a", "B-b"]
     assert report.unmatched == []
-    assert tags == brute_force_best_assignment(frame.slots, utt.surface.split())
+    assert tags == brute_force_best_assignment(frame.slots, words)
 
 
 def test_matching_never_overlaps_claimed_tokens():
-    utt = word_utterance("y y")
+    words = "y y".split()
     frame = SemanticFrame.build(None, [("a", "y"), ("b", "y")])
-    tags, _ = frame_to_iob(frame, utt)
+    tags, _ = frame_to_iob(frame, words)
     assert tags == ["B-a", "B-b"]
 
 
 def test_unmatched_values_reported_not_raised():
-    utt = word_utterance("nothing here")
+    words = "nothing here".split()
     frame = SemanticFrame.build(None, [("a", "absent")])
-    tags, report = frame_to_iob(frame, utt)
+    tags, report = frame_to_iob(frame, words)
     assert tags == ["O", "O"]
     assert report.unmatched == ["a"]
     assert report.unmatched_fraction == 1.0
 
 
 def test_stem_needs_four_shared_characters():
-    utt = word_utterance("day daily")
-    tags, report = frame_to_iob(SemanticFrame.build(None, [("d", "day")]), utt)
+    words = "day daily".split()
+    tags, report = frame_to_iob(SemanticFrame.build(None, [("d", "day")]), words)
     assert tags == ["B-d", "O"] and report.matched["d"] == "exact"
-    utt2 = word_utterance("daily")
-    tags2, report2 = frame_to_iob(SemanticFrame.build(None, [("d", "day")]), utt2)
+    words2 = "daily".split()
+    tags2, report2 = frame_to_iob(SemanticFrame.build(None, [("d", "day")]), words2)
     assert tags2 == ["O"] and report2.unmatched == ["d"]
 
 
 def test_repair_rewrites_bad_i_tags():
-    assert fr.repair_iob(["I-a", "I-a", "O", "B-a", "I-b"]) == \
-        ["B-a", "I-a", "O", "B-a", "B-b"]
-    assert fr.repair_iob(["B-a", "I-a", "O"]) == ["B-a", "I-a", "O"]
-    assert fr.repair_iob(["I-a"]) != ["I-a"]
-    assert fr.repair_iob(["B-a", "I-b"]) != ["B-a", "I-b"]
+    # iob_spans reads an I-k that continues no open span of key k as a B-k
+    assert fr.iob_spans(["I-a", "I-a", "O", "B-a", "I-b"]) == \
+        fr.iob_spans(["B-a", "I-a", "O", "B-a", "B-b"]) == [(0, 2, "a"), (3, 4, "a"), (4, 5, "b")]
+    assert fr.iob_spans(["B-a", "I-a", "O"]) == [(0, 2, "a")]
+    assert fr.iob_spans(["I-a"]) == [(0, 1, "a")]
+    assert fr.iob_spans(["B-a", "I-b"]) == [(0, 1, "a"), (1, 2, "b")]
 
 
 def test_frame_invariants_enforced():
@@ -228,11 +227,10 @@ def test_round_trip_when_values_occur_once(data):
     for _, value in slots:
         words += [filler[len(words) % 3]] + list(value)
     frame = SemanticFrame(data.draw(st.sampled_from(["i0", None])), tuple(slots))
-    utt = word_utterance(" ".join(words))
-    tags, report = frame_to_iob(frame, utt)
+    tags, report = frame_to_iob(frame, words)
     assert report.unmatched == []
-    assert len(tags) == len(utt.tokens)
-    back = iob_to_frame(tags, frame.intent, utt)
+    assert len(tags) == len(words)
+    back = iob_to_frame(tags, frame.intent, words)
     assert dict(back.slots) == dict(frame.slots)
     assert back.intent == frame.intent
 
@@ -240,8 +238,8 @@ def test_round_trip_when_values_occur_once(data):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.sampled_from(["O", "B-a", "I-a", "B-b", "I-b"]), min_size=1, max_size=8))
 def test_iob_to_frame_total_over_repaired(tags):
-    utt = word_utterance(" ".join(f"w{i}" for i in range(len(tags))))
-    frame = iob_to_frame(tags, None, utt)
+    words = [f"w{i}" for i in range(len(tags))]
+    frame = iob_to_frame(tags, None, words)
     keys = [k for k, _ in frame.slots]
     assert len(set(keys)) == len(keys)
     for _, v in frame.slots:
@@ -252,6 +250,55 @@ def test_iob_spans_extraction():
     assert fr.iob_spans(["B-a", "I-a", "O", "B-b"]) == [(0, 2, "a"), (3, 4, "b")]
     assert fr.iob_spans(["O", "O"]) == []
     assert fr.iob_spans(["B-a", "B-a"]) == [(0, 1, "a"), (1, 2, "a")]
+
+
+def reference_iob_spans(tags):
+    """Oracle: rewrite each leading or key-switching I-k to B-k, then walk the
+    repaired sequence, a B opening a span and an O closing one."""
+    repaired, prev_key = [], None
+    for tag in tags:
+        prefix, key = fr.split_tag(tag)
+        if prefix == "I" and key != prev_key:
+            tag = f"B-{key}"
+        repaired.append(tag)
+        prev_key = key if prefix in ("B", "I") else None
+    spans, start, cur = [], None, None
+    for i, tag in enumerate(repaired):
+        prefix, key = fr.split_tag(tag)
+        if prefix == "B":
+            if cur is not None:
+                spans.append((start, i, cur))
+            start, cur = i, key
+        elif prefix == "O" and cur is not None:
+            spans.append((start, i, cur))
+            start, cur = None, None
+    if cur is not None:
+        spans.append((start, len(tags), cur))
+    return spans
+
+
+# leading I-, key switches (B-a I-b, I-a I-b) and a key repeated after O or
+# after another key
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["O", "B-a", "I-a", "B-b", "I-b"]), max_size=12))
+def test_iob_spans_and_iob_to_frame_equal_the_repair_then_walk(tags):
+    spans = reference_iob_spans(tags)
+    assert fr.iob_spans(tags) == spans
+    words = [f"w{i}" for i in range(len(tags))]
+    slots = {}
+    for start, end, key in spans:
+        slots[key] = tuple(words[start:end])
+    assert iob_to_frame(tags, "i", words) == SemanticFrame("i", tuple(slots.items()))
+
+
+def test_iob_spans_parses_each_tag_once(monkeypatch):
+    tags = ["I-a", "I-a", "O", "B-a", "I-b", "B-b", "I-b", "O"]
+    want = reference_iob_spans(tags)
+    calls = []
+    split = fr.split_tag
+    monkeypatch.setattr(fr, "split_tag", lambda tag: calls.append(tag) or split(tag))
+    assert fr.iob_spans(tags) == want
+    assert calls == tags
 
 
 # case variants, words under four characters (some a prefix of a longer
@@ -279,7 +326,7 @@ def test_frame_to_iob_equals_the_full_scan(data):
                                              min_size=width, max_size=width)))
         slots.append((f"k{i}", value))
     frame = SemanticFrame(None, tuple(slots))
-    tags, report = frame_to_iob(frame, word_utterance(" ".join(words)))
+    tags, report = frame_to_iob(frame, words)
     want_tags, want_matched, want_unmatched = full_scan_frame_to_iob(frame.slots, words)
     assert tags == want_tags
     assert list(report.matched.items()) == want_matched
@@ -291,13 +338,13 @@ def test_no_rule_check_runs_without_a_shared_stem_key(monkeypatch):
     check = fr._token_matches
     monkeypatch.setattr(fr, "_token_matches",
                         lambda *args: calls.append(args) or check(*args))
-    utt = word_utterance("which flights travel from kansas city to los angeles")
+    words = "which flights travel from kansas city to los angeles".split()
     frame = SemanticFrame.build("f", [("a", "boston"), ("b", "new york"),
                                       ("c", "Denver to"), ("d", "cit")])
-    tags, report = frame_to_iob(frame, utt)
-    assert tags == ["O"] * len(utt.tokens)
+    tags, report = frame_to_iob(frame, words)
+    assert tags == ["O"] * len(words)
     assert report.matched == {} and report.unmatched == ["b", "c", "a", "d"]
     assert calls == []
     # the count is not vacuous: a value that does share a key is checked
-    frame_to_iob(SemanticFrame.build("f", [("a", "kansas city")]), utt)
+    frame_to_iob(SemanticFrame.build("f", [("a", "kansas city")]), words)
     assert calls
