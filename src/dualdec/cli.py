@@ -203,9 +203,13 @@ def cmd_train(args, cfg: dict) -> int:
         "mfm": lambda: [f for f in merge_dedup([ex.frame for ex in nlg_raw], [])
                         if f.n_features > 0],
     }
+    # built before any training; only mfm's can be empty (the rest hold a row per example)
+    prepared = {kind: datasets[kind]() for kind in cfg["train"]["models"]}
+    if prepared.get("mfm") == []:
+        raise DataError("the masked frame model needs a training frame with a slot or an intent")
     losses: dict[str, list[float]] = {}
-    for kind in cfg["train"]["models"]:
-        model, kind_losses = train_model(kind, datasets[kind](), tc, vocabs)
+    for kind, dataset in prepared.items():
+        model, kind_losses = train_model(kind, dataset, tc, vocabs)
         losses[kind] = kind_losses
         save_checkpoint(out_dir / f"{kind}.ckpt",
                         to_checkpoint(model, seed=cfg["seed"], extra_config=echo))

@@ -12,6 +12,7 @@ save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -352,7 +353,7 @@ def load_checkpoint(path) -> Checkpoint:
     params: dict[str, np.ndarray] = {}
     offset = 0
     for name, shape in header["params"]:
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)  # a Python int, so a huge shape cannot wrap
         nbytes = n * 8
         if offset + nbytes > len(payload):
             raise CheckpointError(f"{path}: payload truncated at parameter {name!r}")

@@ -29,14 +29,14 @@ the floats it would get alone. On ``tensor`` a gated recurrent step
 (``_gru_step``) is three graph nodes, two ``linear`` and one ``gru_gates``,
 and each affine layer is one ``linear``.
 
-So is each sequence loss: ``_nlu_losses``, ``_nlg_losses`` and
-``_lm_losses`` give each example's -log P in order. Training runs them on
+So is each loss: ``_nlu_losses``, ``_nlg_losses``, ``_lm_losses`` and
+``_mfm_losses`` give each example's -log P in order. Training runs them on
 ``tensor`` as one graph per batch (``nlu_forcing_graph``,
-``nlg_forcing_graph``, ``lm_forcing_graph``; ``mfm_loss_graph`` for the
-masked frame model), and the scorers (``nlu_score``, ``nlg_score``,
-``lm_score_tokens``) on ``nd``, returning minus the losses as one float per
-row. One stacking plan, ``_stacks``, serves them all: rows are grouped (by
-whether they score an intent for NLU, by feature count for frames), run
+``nlg_forcing_graph``, ``lm_forcing_graph``, ``mfm_loss_graph``), and the
+scorers (``nlu_score``, ``nlg_score``, ``lm_score_tokens``,
+``masked_frame_score``) on ``nd``, returning minus the losses as one float
+per row. One stacking plan, ``_stacks``, serves them all: rows are grouped
+(by whether they score an intent for NLU, by feature count for frames), run
 longest first in stacks of at most ``STACK_ROWS`` rows, and a row that has
 ended drops out (``ops.head``), so rows of any length share one stack. The
 random draws of training (teacher forcing, MFM masks) are made per example,
@@ -44,16 +44,12 @@ in batch order, before the forward. The loss and every gradient are bit for
 bit those of one graph per example added in batch order (``tensor`` explains
 how), and a scorer's floats those of a one-row call.
 
-The scorers score each distinct row once (``_distinct_scores``): the loss
-routine runs on the first row of each key (tokens, tags and intent for NLU;
-frame and tokens for NLG; the tokens for the LM), in order of first
-appearance, so the first invalid row still raises, and its value goes to
-every row with that key. On ``nd`` the frame encoder encodes each distinct
-(slot key, value) pair once per call; on ``tensor`` every pair keeps its own
-row and key, so training's graphs do not change. ``masked_frame_score``
-keeps one row per (frame, generator), since its mask draws differ: it
-encodes each frame once and stacks one masked copy of its features per mask
-draw.
+The scorers but ``masked_frame_score``, whose rows' mask draws differ,
+score each distinct row once (``_distinct_scores``): the loss routine runs
+on the first row of each key (tokens, tags and intent for NLU; frame and
+tokens for NLG; the tokens for the LM), in order of first appearance, so the
+first invalid row still raises, and its value goes to every row with that
+key.
 """
 from __future__ import annotations
 
@@ -396,29 +392,28 @@ def _frame_rows(m: _FrameModel, ops, P, frames: Sequence[SemanticFrame], keys: n
                 fill, masked: Sequence[Sequence[int]] | None = None,
                 ) -> tuple[list, list[list[int]], list[list[int]]]:
     """The features of ``frames`` (with example keys ``keys``) as rows for
-    ``ops.stack``, and their classifier targets (key or intent id): one per
-    slot, then the intent. The parts are the pair encodings of all the
-    frames' slots, stacked by value length (``_stacks``), then the intent
-    embeddings, then ``fill``: it stands for the features in ``masked``
-    (never encoded) and for the lone feature of a frame without any. Returns
-    the parts, and per frame its features' places in the parts' rows and its
-    targets. A row's key is its example's, plus 1 + its feature position.
-    Each distinct value is BPE-encoded once. On ``nd`` each distinct (slot
-    key, value) pair is encoded once and its row serves every frame that
-    holds it; on ``tensor`` every pair has its own row and key, so each
-    example's gradient terms stay its own."""
+    ``ops.stack``: the parts are the pair encodings of all the frames' slots,
+    stacked by value length (``_stacks``), then the intent embeddings, then
+    ``fill``, which stands for the features in ``masked`` (never encoded) and
+    for the lone feature of a frame without any. Returns the parts, and per
+    frame its features' places in the parts' rows and their classifier
+    targets (``_frame_labels``). A row's key is its example's, plus 1 + its
+    feature position. Each distinct value is BPE-encoded once; on ``nd`` each
+    distinct (slot key, value) pair is encoded once and its row serves every
+    frame that holds it, while on ``tensor`` every pair has its own row and
+    key, so each example's gradient terms stay its own."""
     n_keys = m.vocabs.labels.n_slot_keys
     pairs: list[tuple[int, int, tuple]] = []
     pair_at: dict[object, int] = {}  # each encoded pair's place in ``pairs``
     encoded: dict[tuple, tuple] = {}  # each value's BPE ids
     intents: list[tuple[int, int]] = []
     spots, targets = [], []
-    for i, frame in enumerate(frames):
+    for i, (frame, base) in enumerate(zip(frames, keys.tolist())):
         drop = () if masked is None else masked[i]
         labels = _frame_labels(m, frame)
         spot = []
         for j, (target, value) in enumerate(labels):
-            key = keys[i] + 1 + j
+            key = base + 1 + j
             if j in drop:
                 spot.append(None)
             elif value is None:
@@ -634,53 +629,54 @@ def mfm_logits(m: MaskedFrameModel, ops, P, X):
     return ops.add(ops.matmul_t(X, P["cls.w"]), P["cls.b"])
 
 
+def _mfm_count(m: MaskedFrameModel, frame: SemanticFrame) -> int:
+    """The number of ``_frame_labels`` of ``frame``; it needs one to mask."""
+    if not (n := len(frame.slots) + (frame.intent is not None and bool(m.n_intents))):
+        raise FrameError("frame has no features to mask")
+    return n
+
+
+def _mfm_losses(m: MaskedFrameModel, ops, P, frames: Sequence[SemanticFrame],
+                copies: Sequence[Sequence[Sequence[int]]]):
+    """Each frame's loss, in order: the sum, over its masked copies ``copies[i]``
+    in order and each copy's masked features ascending, of -log P(true label |
+    that copy). Frames alike in feature and copy counts stack, one row per
+    copy; a feature that all copies of its frame mask is never encoded."""
+    keys = T.example_keys(len(frames))
+    parts, places, targets = _frame_rows(m, ops, P, frames, keys, P["mask"],
+                                         [set(cs[0]).intersection(*cs) for cs in copies])
+    fill = sum(part.shape[0] for part in parts[:-1])
+    stacks = []
+    for rows in _stacks([(len(p), len(cs)) for p, cs in zip(places, copies)], [0] * len(frames)):
+        k = len(copies[rows[0]])
+        stacked = [copy for i in rows for copy in copies[i]]
+        at = ([r for r, copy in enumerate(stacked) for _ in copy], [j for c in stacked for j in c])
+        index = np.repeat([places[i] for i in rows], k, axis=0)
+        index[at] = fill
+        mask = index == fill  # exactly each copy's masked features: the rest are encoded
+        copy_keys = np.repeat(keys[rows], k)
+        lp = ops.log_softmax(mfm_logits(m, ops, P, ops.stack(parts, index, copy_keys)))
+        picked = ops.pick(lp, np.repeat([targets[i] for i in rows], k, axis=0))
+        per_copy = ops.row_sums([picked], copy_keys, mask)
+        per_frame = ops.stack([per_copy], np.arange(len(copy_keys)).reshape(-1, k))
+        stacks.append((rows, ops.row_sums([per_frame], keys[rows])))
+    return _losses(ops, stacks, len(frames))
+
+
 def masked_frame_score(m: MaskedFrameModel, frames: Sequence[SemanticFrame],
                        rngs: Sequence[np.random.Generator]) -> list[float]:
-    """Pseudo log-likelihood of each frame: three uniform mask draws from its
-    generator (with replacement), summing log P(true label at the masked
-    position | the rest) in draw order. Each frame's features are encoded
-    once; its masked copies, one per draw, stack with those of the frames
-    with as many features."""
-    P = m.arrays
-    keys = T.example_keys(len(frames))
-    parts, places, targets = _frame_rows(m, nd, P, frames, keys, P["mask"])
-    if not all(targets):
-        raise FrameError("frame has no features to mask")
-    draws = [rng.integers(0, len(t), size=3) for t, rng in zip(targets, rngs, strict=True)]
-    fill = sum(len(part) for part in parts[:-1])
-    counts = [len(t) for t in targets]
-    stacks = []
-    for rows in _stacks(counts, counts):
-        index = np.repeat([places[i] for i in rows], 3, axis=0)
-        copies = np.arange(len(index))
-        pos = np.concatenate([draws[i] for i in rows])
-        index[copies, pos] = fill
-        X = nd.stack(parts, index, np.repeat(keys[rows], 3))
-        logits = mfm_logits(m, nd, P, X)[copies, pos]
-        picked = nd.pick(nd.log_softmax(logits),
-                         np.array([targets[i][p] for i in rows for p in draws[i]]))
-        stacks.append((rows, nd.row_sums([picked.reshape(-1, 3)], keys[rows])))
-    return (-_losses(nd, stacks, len(frames))).tolist()
+    """Pseudo log-likelihood of each frame: minus ``_mfm_losses`` on ``nd``,
+    one masked copy per uniform draw of a feature, three draws from its
+    generator (with replacement), summed in draw order."""
+    copies = [rng.integers(0, _mfm_count(m, frame), size=(3, 1)).tolist()
+              for frame, rng in zip(frames, rngs, strict=True)]
+    return (-_mfm_losses(m, nd, m.arrays, frames, copies)).tolist()
 
 
 def mfm_loss_graph(m: MaskedFrameModel, frames: Sequence[SemanticFrame],
                    picks: Sequence[Sequence[int]]) -> Tensor:
-    """The loss of each frame, in order, from one graph: the cross-entropy
-    of the true labels at its masked features ``picks`` (ascending), summed
-    in that order. Frames with as many features stack together."""
-    keys = T.example_keys(len(frames))
-    parts, places, targets = _frame_rows(m, T, m.params, frames, keys, m.params["mask"], picks)
-    counts = [len(spot) for spot in places]
-    stacks = []
-    for rows in _stacks(counts, counts):
-        X = T.stack(parts, np.array([places[i] for i in rows]), keys[rows])
-        lp = T.log_softmax(mfm_logits(m, T, m.params, X))
-        mask = np.zeros(X.shape[:2], dtype=bool)
-        for r, i in enumerate(rows):
-            mask[r, picks[i]] = True
-        picked = T.pick(lp, np.array([targets[i] for i in rows]))
-        stacks.append((rows, T.row_sums([picked], keys[rows], mask)))
-    return _losses(T, stacks, len(frames))
+    """``_mfm_losses`` as one training graph; frame i's one copy masks ``picks[i]``."""
+    return _mfm_losses(m, T, m.params, frames, [[p] for p in picks])
 
 
 # ---------------------------------------------------------------------------
@@ -717,9 +713,7 @@ def _draws(kind: str, model, sample, tf_ratio: float, rng: np.random.Generator):
     None when it always does), or the masked features of a frame (MFM: each
     feature with p=0.3, redrawn while none is)."""
     if kind == "mfm":
-        n = len(sample.slots) + (sample.intent is not None and bool(model.n_intents))
-        if not n:
-            raise FrameError("frame has no features to mask")
+        n = _mfm_count(model, sample)
         while True:
             picks = [i for i in range(n) if rng.random() < 0.3]
             if picks:

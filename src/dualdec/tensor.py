@@ -24,8 +24,8 @@ gradient adds straight into the stack's own.
 
 ``nd`` runs the same ops on plain ndarrays, with no trace, so model code
 written over an ``ops`` namespace runs on either. The ops that make and
-gather stacks (``zeros``, ``stack``, ``row_sums``, ``last_rows``) share
-their numpy forward with ``nd``. Plain ndarrays carry no keys, so on
+gather stacks (``zeros``, ``stack``, ``row_sums``, ``last_rows``, ``pick``)
+share their numpy forward with ``nd``. Plain ndarrays carry no keys, so on
 ``nd`` the ``keys`` an op is given only count a stack's rows (and tell
 ``stack`` that a vector part is one row).
 
@@ -283,7 +283,7 @@ def _vecmat(w: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 
 def _t(A: np.ndarray) -> np.ndarray:
-    return np.swapaxes(A, -1, -2)
+    return A.swapaxes(-1, -2)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -475,6 +475,12 @@ def mean_rows(t: Tensor) -> Tensor:
     return _make(t.data.mean(axis=-2), (t,), bw, t.keys)
 
 
+def _pick_at(shape: tuple[int, ...], i) -> tuple:
+    """Where ``pick`` reads: ``np.ogrid`` over the leading axes, then ``i``."""
+    return tuple(np.arange(n).reshape((n,) + (1,) * (len(shape) - 2 - d))
+                 for d, n in enumerate(shape[:-1])) + (np.asarray(i),)
+
+
 def pick(t: Tensor, i) -> Tensor:
     """Entry ``i`` of a vector; on a stack, entry ``i[r]`` of the last axis of
     row r (``i`` may also pick one entry per vector of each row)."""
@@ -483,8 +489,7 @@ def pick(t: Tensor, i) -> Tensor:
             raise ShapeError(f"pick expects a vector, got {t.shape}")
         if not 0 <= i < t.shape[0]:
             raise ShapeError(f"pick index {i} out of range for {t.shape}")
-    # entry i[r] of the last axis of every row r (and of every vector in it)
-    at = tuple(np.ogrid[tuple(slice(n) for n in t.shape[:-1])]) + (np.asarray(i),)
+    at = _pick_at(t.shape, i)
 
     def bw(g):
         d = np.zeros_like(t.data)
@@ -681,11 +686,6 @@ matvec = vecmat = matmul
 # take another BLAS path, whose products differ in the last bits
 
 
-def _pick(t: np.ndarray, i) -> np.ndarray:
-    """Entry ``i`` of a vector, or entry ``i[r]`` of each row r of a 2-D stack."""
-    return t[np.arange(len(t)), i] if t.ndim == 2 else t[i]
-
-
 def _nd_stack(parts: Sequence[np.ndarray], index: np.ndarray,
               keys: np.ndarray | None = None) -> np.ndarray:
     """``stack`` on ndarrays, which carry no keys: with ``keys`` (a stack of
@@ -700,7 +700,7 @@ nd = SimpleNamespace(
     matvec=_matvec, vecmat=_vecmat, concat=_concat,
     linear=lambda W, x, b: np.add(_matvec(W, x), b),
     gru_gates=lambda gi, gh, h: gru_gates_np(gi, gh, h)[0],
-    row=lambda t, i, like=None, keys=None: t[i], pick=_pick,
+    row=lambda t, i, like=None, keys=None: t[i], pick=lambda t, i: t[_pick_at(t.shape, i)],
     head=lambda t, n: t[:n], last_rows=lambda states: _last_rows_np(states)[0],
     mean_rows=lambda t: t.mean(axis=-2), stack=_nd_stack,
     zeros=lambda keys, width: np.zeros((len(keys), width)),

@@ -316,6 +316,16 @@ def _negative_shape(h):
     h["params"][0][1] = [-1]
 
 
+def _overflowing_shape(h):
+    # 2**64 entries: an int64 product of the sizes would wrap to 0
+    h["params"][0][1] = [2**32, 2**32]
+
+
+def _negatively_wrapping_shape(h):
+    # an int64 product of these sizes would wrap to a negative count
+    h["params"][0][1] = [2**31, 2**31, 3]
+
+
 def _no_hidden(h):
     del h["config"]["hidden"]
 
@@ -348,7 +358,8 @@ INVENTORY_CORRUPTIONS = (_labels_without_slot_keys, _vocab_without_marker,
 
 @pytest.mark.parametrize("corrupt", [_drop_params, _drop_config, _bad_param_entry,
                                      _negative_shape, _no_hidden, _text_embedding,
-                                     _huge_hidden, *INVENTORY_CORRUPTIONS])
+                                     _huge_hidden, *INVENTORY_CORRUPTIONS,
+                                     _overflowing_shape, _negatively_wrapping_shape])
 def test_checkpoint_header_errors_exit_4_without_traceback(workspace, tmp_path, capsys,
                                                            corrupt):
     root, cfg_path, ckpt_dir = workspace
@@ -779,6 +790,22 @@ def test_train_with_nlu_only_augments_nlg(workspace, tmp_path):
     out = tmp_path / "aug"
     assert run("train", "--config", cfg2, "--out", out) == 0
     assert (out / "nlg.ckpt").exists() and (out / "mfm.ckpt").exists()
+
+
+def test_train_without_any_slot_or_intent_exits_3_before_training(tmp_path, capsys):
+    nlu = tmp_path / "nlu_train.jsonl"
+    nlu.write_text("".join(json.dumps({"text": text, "tags": ["O", "O"]}) + "\n"
+                           for text in ("hello there", "good morning", "thanks again")))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"data": {"nlu_train": str(nlu)},
+                               "model": {"hidden": 4, "embedding": 3, "merges": 20},
+                               "train": {"epochs": 1}}))
+    out = tmp_path / "out"
+    assert run("train", "--config", cfg, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: the masked frame model needs a training frame")
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 def test_diverging_training_exits_3_naming_the_batch_and_writes_no_checkpoint(

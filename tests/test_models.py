@@ -401,6 +401,30 @@ def test_mfm_intent_feature_counts(tiny_vocabs, tiny_models):
     assert targets[1] == tiny_vocabs.labels.n_slot_keys + tiny_vocabs.labels.intent_id("weather")
 
 
+def test_mfm_feature_masked_in_every_copy_is_never_encoded(tiny_models, monkeypatch):
+    m = tiny_models["mfm"]
+    encoded = []
+    pair_feature = models._pair_feature
+
+    def counting_pair_feature(ops, P, seq, h):
+        encoded.append(h.shape[0])
+        return pair_feature(ops, P, seq, h)
+
+    monkeypatch.setattr(models, "_pair_feature", counting_pair_feature)
+    frame = SemanticFrame.build(None, [("origin", "boston"), ("destination", "austin")])
+    # (masked copies of the frame, slot rows encoded)
+    for copies, rows in (([[0], [0, 1]], 1), ([[1], [0]], 2), ([[0, 1], [1, 0]], 0)):
+        for ops, P in ((nd, m.arrays), (T, m.params)):
+            encoded.clear()
+            models._mfm_losses(m, ops, P, [frame], [copies])
+            assert sum(encoded) == rows, (copies, ops)
+    # every draw of a one-slot frame masks its slot
+    encoded.clear()
+    masked_frame_score(m, [SemanticFrame.build(None, [("city", "boston")])],
+                       [derive_rng(2, "mask")])
+    assert encoded == []
+
+
 # ---------------------------------------------------------------------------
 # each scorer runs a beam as one stack
 
@@ -720,6 +744,12 @@ def _assert_backends_agree(kind, m, nlu_raw, nlg_raw):
         for i, ex in enumerate(nlg_raw):
             [got] = masked_frame_score(m, [ex.frame], [derive_rng(i, "mask")])
             assert got == _tensor_mfm_score(m, ex.frame, derive_rng(i, "mask"))
+        frames = [ex.frame for ex in nlg_raw]
+        copies = [[[p] for p in derive_rng(i, "mask").integers(0, f.n_features, size=3).tolist()]
+                  for i, f in enumerate(frames)]
+        losses = models._mfm_losses(m, T, m.params, frames, copies)
+        assert (masked_frame_score(m, frames, [derive_rng(i, "mask") for i in range(len(frames))])
+                == (-losses.data).tolist())
 
 
 @pytest.mark.parametrize("kind", data.MODEL_KINDS)

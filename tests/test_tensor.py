@@ -342,6 +342,7 @@ def test_nd_ops_on_a_stack_equal_the_ops_on_each_row(B, n, m, k, strided, seed):
     hi = int(rng.integers(lo, n + 1))
     Gi = _stack(rng, (B,), 3 * n, strided, scale=4.0)
     Gh = _stack(rng, (B,), 3 * n, strided, scale=4.0)
+    vector_picks = rng.integers(0, n, size=(B, k))
     # (name, the op on the stack, the op on row b alone)
     cases = [
         ("add", nd.add(X, Y), lambda b: nd.add(X[b], Y[b])),
@@ -357,6 +358,8 @@ def test_nd_ops_on_a_stack_equal_the_ops_on_each_row(B, n, m, k, strided, seed):
         ("slice1d", ops.nd.slice1d(X, lo, hi), lambda b: ops.nd.slice1d(X[b], lo, hi)),
         ("row", nd.row(Wsq, picks), lambda b: nd.row(Wsq, int(picks[b]))),
         ("pick", nd.pick(X, picks), lambda b: nd.pick(X[b], int(picks[b]))),
+        ("pick, one entry per vector of each row", nd.pick(F, vector_picks),
+         lambda b: nd.pick(F[b], vector_picks[b])),
         ("matmul_t, a matrix per row", nd.matmul_t(F, F), lambda b: nd.matmul_t(F[b], F[b])),
         ("mean_rows", nd.mean_rows(F), lambda b: nd.mean_rows(F[b])),
         ("tanh", nd.tanh(X), lambda b: nd.tanh(X[b])),
