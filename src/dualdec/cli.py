@@ -67,7 +67,7 @@ NUMERIC_KEYS = (
     ("train.epochs", True, 0, math.inf), ("train.batch_size", True, 1, math.inf),
     ("train.teacher_forcing", False, 0, 1), ("train.lr", False, 0, math.inf),
     ("train.clip", False, 0, math.inf),
-    ("decode.beam", True, 1, 1000), ("decode.max_len", True, 1, math.inf),
+    ("decode.beam", True, 1, 1000), ("decode.max_len", True, 1, 1000),
     ("decode.k_intent", True, 1, math.inf),
     ("dual.alpha", False, 0, 1), ("dual.beta", False, 0, 1), ("dual.grid_step", False, 0, 1),
 )
@@ -136,8 +136,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if not isinstance(value, str) and (value is not None or key == "out_dir"):
             raise ConfigError(f"{key} must be a string, not {value!r}")
     kinds = cfg["train"]["models"]
-    if not isinstance(kinds, list) or not all(k in data.MODEL_KINDS for k in kinds):
-        raise ConfigError(f"train.models must be a list drawn from "
+    if not isinstance(kinds, list) or not kinds or not all(k in data.MODEL_KINDS for k in kinds):
+        raise ConfigError(f"train.models must be a non-empty list drawn from "
                           f"{', '.join(data.MODEL_KINDS)}, not {kinds!r}")
     return cfg
 

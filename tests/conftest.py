@@ -4,7 +4,9 @@ BLAS runs on one thread, as in ``bench/make_fixture.py``: the pinned training
 digests are only byte-reproducible there. The variables are read once, when
 numpy loads its library, so they are set before numpy is imported.
 """
+import importlib.util
 import os
+from pathlib import Path
 
 PINNED_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                       "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -16,6 +18,18 @@ import pytest  # noqa: E402
 
 from dualdec import data, models  # noqa: E402
 from dualdec.tensor import derive_rng  # noqa: E402
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench_module(name):
+    """A fresh copy of ``bench/<name>.py``, loaded from its file; neither
+    ``sys.path`` nor ``sys.modules`` changes."""
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def build_vocabs(nlu_examples, nlg_examples, merges=400):

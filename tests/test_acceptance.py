@@ -2,28 +2,31 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The heavyweight fixtures
 (700-example scored split, the 32-example overfit, the label-noise lift run)
-are module-scoped and shared between criteria.
+are module-scoped and shared between criteria. The lift run trains through
+``bench/make_fixture.py``'s recipe, and its four checkpoints must equal the
+benchmark's committed ``bench/fixture/``.
 """
 import json
 import math
 import time
-from collections import defaultdict
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import RowStepper, finite_difference_check, make_model
+from conftest import RowStepper, finite_difference_check, load_bench_module, make_model
 
 from dualdec import data, decode, metrics, models
 from dualdec.cli import main as cli_main
-from dualdec.data import NlgExample, build_vocabs, save_nlg, save_nlu, synth_corpus
+from dualdec.data import NlgExample, build_vocabs, save_nlg, synth_corpus
 from dualdec.decode import DualWeights, Hypothesis, ModelsBundle, beam_search
 from dualdec.frames import SemanticFrame
 from dualdec.models import MODEL_CLASSES, ModelConfig, TrainConfig, train_model
 from dualdec.tensor import derive_rng
 
 pytestmark = pytest.mark.acceptance
+make_fixture = load_bench_module("make_fixture")
 
 
 def ok(criterion: int, detail: str):
@@ -80,78 +83,24 @@ def overfit32():
     return {"rep_nlu": rep_nlu, "rep_nlg": rep_nlg, "elapsed": elapsed}
 
 
-def corrupt_frames(examples, fraction, rng):
-    """Swap slot values between corrupted examples (rotation within each slot
-    key), so the corpus-wide value multiset, and therefore the learned
-    vocabularies, stay identical to the clean data."""
-    n = round(fraction * len(examples))
-    idx = sorted(rng.choice(len(examples), size=n, replace=False).tolist())
-    by_key = defaultdict(list)
-    for i in idx:
-        slots = examples[i].frame.slots
-        pos = int(rng.integers(0, len(slots)))
-        by_key[slots[pos][0]].append((i, pos))
-    new_slots = {i: list(examples[i].frame.slots) for i in idx}
-    for key in sorted(by_key):
-        members = by_key[key]
-        vals = [examples[i].frame.slots[pos][1] for i, pos in members]
-        for (i, pos), v in zip(members, vals[1:] + vals[:1]):
-            new_slots[i][pos] = (key, v)
-    out = list(examples)
-    for i in idx:
-        frame = SemanticFrame(examples[i].frame.intent, tuple(new_slots[i]))
-        out[i] = NlgExample(frame, examples[i].refs)
-    return out, len(idx)
-
-
 @pytest.fixture(scope="module")
 def lift_run(tmp_path_factory):
-    """Criterion 6 fixture, driven through the CLI: the generator trains on
-    label-noised frames, the other three models on clean data, then
+    """Criterion 6 fixture, driven through the CLI: ``make_fixture.build``
+    trains the benchmark's four checkpoints into ``mixed`` (the generator on
+    label-noised frames, the other three models on clean data), then
     cmd_gridsearch sweeps the clean validation split."""
     root = tmp_path_factory.mktemp("lift")
-    nlu_tr, nlg_tr = synth_corpus(401, 160)
-    nlu_va, nlg_va = synth_corpus(402, 48)
-    noisy_nlg, n_corrupted = corrupt_frames(nlg_tr, 0.30, derive_rng(97, "noise"))
-    assert n_corrupted == 48
-    paths = {}
-    for name, saver, examples in (
-            ("nlu_train", save_nlu, nlu_tr), ("nlg_train", save_nlg, nlg_tr),
-            ("nlg_train_noisy", save_nlg, noisy_nlg),
-            ("nlu_valid", save_nlu, nlu_va), ("nlg_valid", save_nlg, nlg_va)):
-        paths[name] = root / f"{name}.jsonl"
-        saver(paths[name], examples)
-
-    base = {
-        "seed": 5,
-        "model": {"hidden": 48, "embedding": 24, "merges": 600},
-        "train": {"epochs": 30, "batch_size": 4, "lr": 3e-3},
-        "decode": {"beam": 10, "max_len": 16},
-        "data": {"nlu_train": str(paths["nlu_train"]),
-                 "nlg_train": str(paths["nlg_train"]),
-                 "nlu_valid": str(paths["nlu_valid"]),
-                 "nlg_valid": str(paths["nlg_valid"])},
-    }
-    clean_cfg = json.loads(json.dumps(base))
-    clean_cfg["train"]["models"] = ["nlu", "lm", "mfm"]
-    noisy_cfg = json.loads(json.dumps(base))
-    noisy_cfg["train"]["models"] = ["nlg"]
-    noisy_cfg["data"]["nlg_train"] = str(paths["nlg_train_noisy"])
-    (root / "clean.json").write_text(json.dumps(clean_cfg))
-    (root / "noisy.json").write_text(json.dumps(noisy_cfg))
-    assert run_cli("train", "--config", root / "clean.json", "--out", root / "clean") == 0
-    assert run_cli("train", "--config", root / "noisy.json", "--out", root / "noisy") == 0
-
     mixed = root / "mixed"
     mixed.mkdir()
-    for kind in ("nlu", "lm", "mfm"):
-        (mixed / f"{kind}.ckpt").write_bytes((root / "clean" / f"{kind}.ckpt").read_bytes())
-    (mixed / "nlg.ckpt").write_bytes((root / "noisy" / "nlg.ckpt").read_bytes())
-
+    digests = make_fixture.build(mixed, root)
+    save_nlg(root / "nlg_valid.jsonl", synth_corpus(402, 48)[1])
+    (root / "grid.json").write_text(json.dumps({
+        "decode": {"beam": 10, "max_len": 16},
+        "data": {"nlg_valid": str(root / "nlg_valid.jsonl")}}))
     grid_out = root / "grid"
-    assert run_cli("gridsearch", "--config", root / "clean.json", "--checkpoints",
+    assert run_cli("gridsearch", "--config", root / "grid.json", "--checkpoints",
                    mixed, "--out", grid_out, "--direction", "nlg", "--seed", "11") == 0
-    return {"root": root, "grid_out": grid_out, "mixed": mixed}
+    return {"root": root, "grid_out": grid_out, "digests": digests}
 
 
 def read_grid_csv(path: Path):
@@ -305,6 +254,20 @@ def test_criterion_05_overfit_end_to_end(overfit32):
 
 @pytest.mark.slow
 def test_criterion_06_dual_inference_lift(lift_run):
+    # the recipe draws 48 of the 160 training frames and rotates one slot
+    # value of each among the drawn frames with that key; 9 of the 48 receive
+    # a value equal to their own, so 39 frames differ, each in one value only
+    clean = data.load_nlg(lift_run["root"] / "nlg_train.jsonl")
+    noisy = data.load_nlg(lift_run["root"] / "nlg_train_noisy.jsonl")
+    changed = [(c, n) for c, n in zip(clean, noisy) if c != n]
+    assert len(clean) == len(noisy) == 160 and len(changed) == 39
+    for c, n in changed:
+        assert (c.refs, c.frame.intent) == (n.refs, n.frame.intent)
+        assert [k for k, _ in c.frame.slots] == [k for k, _ in n.frame.slots]
+        assert sum(a != b for a, b in zip(c.frame.slots, n.frame.slots)) == 1
+    assert (Counter(s for ex in clean for s in ex.frame.slots)
+            == Counter(s for ex in noisy for s in ex.frame.slots))
+
     header, rows = read_grid_csv(lift_run["grid_out"] / "grid_nlg.csv")
     baselines = {r["bleu"] for r in rows if r["alpha"] == 1.0}
     assert len(baselines) == 1  # alpha = 1 ignores beta entirely
@@ -319,6 +282,24 @@ def test_criterion_06_dual_inference_lift(lift_run):
     assert chosen["value"] == best
     ok(6, f"validation BLEU {baseline:.4f} (alpha=1) -> {chosen['value']:.4f} at "
           f"alpha={chosen['alpha']}, beta={chosen['beta']}; selected by cmd_gridsearch")
+
+
+@pytest.mark.slow
+def test_lift_run_rebuilds_the_bench_fixture(lift_run):
+    # the benchmark decodes with the committed checkpoints of this recipe, so
+    # a change to training numerics must rebuild them in the same change
+    committed = make_fixture.FIXTURE_DIR
+    recorded = json.loads((committed / "fixture.json").read_text())
+    recipe = {"corpus_seed": make_fixture.CORPUS_SEED, "corpus_size": make_fixture.CORPUS_SIZE,
+              "noise_seed": make_fixture.NOISE_SEED,
+              "noise_fraction": make_fixture.NOISE_FRACTION, "config": make_fixture.LIFT_CONFIG}
+    stale = [k for k in make_fixture.KINDS
+             if not (lift_run["digests"][k] == recorded["sha256"][k]
+                     == make_fixture.sha256(committed / f"{k}.ckpt"))]
+    stale += [k for k, v in recipe.items() if recorded[k] != v]
+    assert not stale, (f"bench/fixture is stale in {', '.join(stale)}; "
+                       f"rebuild it with python3 bench/make_fixture.py")
+    ok(6, "the lift run rebuilds bench/fixture byte for byte")
 
 
 def test_criterion_07_metric_oracles():

@@ -4,32 +4,28 @@ benchmark run."""
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import BENCH, load_bench_module
+
 from dualdec import cli
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 FIXTURE = BENCH / "fixture"
 
 
-def test_every_traced_name_resolves_and_is_unwrapped(monkeypatch):
-    monkeypatch.syspath_prepend(str(BENCH))
-    monkeypatch.delitem(sys.modules, "tracing", raising=False)
-    import tracing
+def test_every_traced_name_resolves_and_is_unwrapped():
+    tracing = load_bench_module("tracing")
     assert tracing.wrapped_names() == []
 
 
-def test_every_score_component_runs_under_its_precompute(monkeypatch, tmp_path):
+def test_every_score_component_runs_under_its_precompute(tmp_path):
     # ``decode.component_s.*`` sums the spans of ``COMPONENTS``' functions
     # whose parent is ``decode.precompute_<direction>``, and ``decode.beam_self_s.*``
     # takes the step spans out of ``decode.<direction>_hypotheses``; a scorer or
     # step call moved elsewhere would make those metrics read 0 without failing
     # anything
-    monkeypatch.syspath_prepend(str(BENCH))
-    monkeypatch.delitem(sys.modules, "tracing", raising=False)
-    import tracing
+    tracing = load_bench_module("tracing")
     data = tmp_path / "data"
     assert cli.main(["synth", "--out", str(data), "--seed", "3", "--train-size", "1",
                      "--valid-size", "1", "--test-size", "3"]) == 0
@@ -59,13 +55,11 @@ def test_every_score_component_runs_under_its_precompute(monkeypatch, tmp_path):
         assert f"models.{scorer}" in names, scorer
 
 
-def test_training_runs_every_forcing_graph_under_train_model(monkeypatch, tmp_path):
+def test_training_runs_every_forcing_graph_under_train_model(tmp_path):
     # ``models.forward_s.*`` sums the spans of ``FORCING``'s functions under
     # ``models.train_model``, whose kind the tracer reads from its first
     # argument; a forcing graph called elsewhere would read 0 without failing
-    monkeypatch.syspath_prepend(str(BENCH))
-    monkeypatch.delitem(sys.modules, "tracing", raising=False)
-    import tracing
+    tracing = load_bench_module("tracing")
     data = tmp_path / "data"
     assert cli.main(["synth", "--out", str(data), "--seed", "3", "--train-size", "4",
                      "--valid-size", "1", "--test-size", "1"]) == 0
@@ -92,13 +86,11 @@ def test_training_runs_every_forcing_graph_under_train_model(monkeypatch, tmp_pa
         assert name in names, name
 
 
-def test_scorers_never_run_the_traced_forcing_graphs(monkeypatch, tmp_path):
+def test_scorers_never_run_the_traced_forcing_graphs(tmp_path):
     # the scorers share their loss routines with the forcing graphs; one that
     # called a forcing graph by its public name would add spans of
     # ``FORCING``'s names to every decode iteration and split its time
-    monkeypatch.syspath_prepend(str(BENCH))
-    monkeypatch.delitem(sys.modules, "tracing", raising=False)
-    import tracing
+    tracing = load_bench_module("tracing")
     data = tmp_path / "data"
     assert cli.main(["synth", "--out", str(data), "--seed", "5", "--train-size", "1",
                      "--valid-size", "1", "--test-size", "2"]) == 0

@@ -171,6 +171,8 @@ def test_incompatible_checkpoints_exit_4(workspace, tmp_path):
     (["synth", "--train-size", "100001"], None),
     (["synth", "--valid-size", str(10 ** 9)], None),
     (["synth", "--test-size", "100001"], None),
+    (["eval"], {"decode": {"max_len": 10 ** 9}}),
+    (["train"], {"train": {"models": []}}),
 ])
 def test_usage_errors_exit_2_without_traceback(tmp_path, capsys, flags, file_cfg):
     argv = [*flags, "--out", tmp_path / "o"]
