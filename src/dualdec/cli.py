@@ -220,22 +220,25 @@ def cmd_train(args, cfg: dict) -> int:
     return 0
 
 
-def _load_bundle(cfg: dict) -> ModelsBundle:
+def _load_bundle(cfg: dict, kinds: tuple[str, ...] = data.MODEL_KINDS) -> ModelsBundle:
+    """The models of ``kinds`` from the checkpoint directory; the others stay
+    None. Every loaded checkpoint must carry the first one's inventories."""
     ckpt_dir = cfg.get("checkpoints") or cfg["out_dir"]
     loaded: dict[str, Checkpoint] = {}
-    for kind in data.MODEL_KINDS:
+    for kind in kinds:
         path = Path(ckpt_dir) / f"{kind}.ckpt"
         if not path.exists():
             raise CheckpointError(f"missing checkpoint {path}")
         loaded[kind] = load_checkpoint(path)
         if loaded[kind].kind != kind:
             raise CheckpointError(f"{path} holds a {loaded[kind].kind!r} model")
-    ref = loaded["nlu"]
+    first, ref = next(iter(loaded.items()))
     for kind, ckpt in loaded.items():
         if ckpt.vocab != ref.vocab or ckpt.labels != ref.labels:
             raise CheckpointError(
-                f"checkpoint inventories are incompatible: {kind} vs nlu")
-    return ModelsBundle(*(model_from_checkpoint(loaded[k]) for k in data.MODEL_KINDS))
+                f"checkpoint inventories are incompatible: {kind} vs {first}")
+    return ModelsBundle(*(model_from_checkpoint(loaded[k]) if k in loaded else None
+                          for k in data.MODEL_KINDS))
 
 
 def _eval_split(cfg: dict, split: str):
@@ -257,10 +260,13 @@ def cmd_eval(args, cfg: dict) -> int:
     """``eval`` reports the beam's top hypotheses; ``dualinf`` re-ranks them
     at the configured (alpha, beta) and also writes per-hypothesis traces."""
     out_dir = Path(cfg["out_dir"])
-    bundle = _load_bundle(cfg)
-    weights = None
     if args.command == "dualinf":
+        bundle = _load_bundle(cfg)
         weights = DualWeights(cfg["dual"]["alpha"], cfg["dual"]["beta"])
+    else:  # plain decoding reads only the model of each direction
+        bundle = _load_bundle(cfg, ("nlu", "nlg") if cfg["direction"] == "both"
+                              else (cfg["direction"],))
+        weights = None
     reports: dict[str, metrics.EvalReport] = {}
     traces: dict[str, list] = {}
     for direction, examples in zip(("nlu", "nlg"), _eval_split(cfg, "test")):

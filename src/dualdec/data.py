@@ -213,48 +213,98 @@ SYNTH_TEMPLATES = (
 
 SYNTH_INTENTS = tuple(sorted({i for i, _ in SYNTH_TEMPLATES}))
 SYNTH_SLOT_KEYS = tuple(sorted(SYNTH_POOLS))
+SYNTH_DRAWS = 64  # draws an example makes for a frame its corpus has not yet seen
+
+# A slot draws from its key's pool less the values the template's earlier
+# slots took. Every pool equals or is disjoint from every other, so that
+# pool's size never depends on what the earlier slots drew.
+assert all(set(a) == set(b) or not set(a) & set(b)
+           for a in SYNTH_POOLS.values() for b in SYNTH_POOLS.values())
 
 
-def _instantiate(template: str, intent: str, rng) -> tuple[NluExample, NlgExample]:
-    words: list[str] = []
-    tags: list[str] = []
-    slots: list[tuple[str, tuple[str, ...]]] = []
-    chosen: dict[str, str] = {}
-    for part in template.split():
-        if part.startswith("{"):
-            key = part[1:-1]
-            pool = [v for v in SYNTH_POOLS[key] if v not in chosen.values()]
-            value = pool[rng.integers(0, len(pool))]
-            chosen[key] = value
+@dataclass(frozen=True)
+class _Template:
+    """One synthetic template, compiled: ``parts`` holds a scaffold word or
+    None for each slot, ``bounds`` the pool size each slot draws from and
+    ``capacity`` how many distinct value tuples the template can draw."""
+
+    intent: str
+    parts: tuple[str | None, ...]
+    keys: tuple[str, ...]
+    bounds: tuple[int, ...]
+    capacity: int
+
+    @classmethod
+    def compile(cls, intent: str, template: str) -> "_Template":
+        parts = tuple(None if p.startswith("{") else p for p in template.split())
+        keys = tuple(p[1:-1] for p in template.split() if p.startswith("{"))
+        # each earlier slot of an equal pool took one of this pool's values
+        bounds = tuple(len(SYNTH_POOLS[k]) - sum(set(SYNTH_POOLS[e]) == set(SYNTH_POOLS[k])
+                                                 for e in keys[:i])
+                       for i, k in enumerate(keys))
+        assert all(b >= 1 for b in bounds), template
+        return cls(intent, parts, keys, bounds, math.prod(bounds))
+
+    def values(self, draws) -> tuple[str, ...]:
+        """The slot values one attempt's draws pick, in slot order."""
+        chosen: list[str] = []
+        for key, i in zip(self.keys, draws):
+            chosen.append([v for v in SYNTH_POOLS[key] if v not in chosen][i])
+        return tuple(chosen)
+
+    def build(self, values: tuple[str, ...]) -> tuple[NluExample, NlgExample]:
+        words: list[str] = []
+        tags: list[str] = []
+        slots = []
+        fill = iter(zip(self.keys, values))
+        for part in self.parts:
+            if part is not None:
+                words.append(part)
+                tags.append("O")
+                continue
+            key, value = next(fill)
             vwords = value.split()
             slots.append((key, tuple(vwords)))
-            for i, w in enumerate(vwords):
-                words.append(w)
-                tags.append(("B-" if i == 0 else "I-") + key)
-        else:
-            words.append(part)
-            tags.append("O")
-    text = " ".join(words)
-    frame = SemanticFrame(intent, tuple(slots))
-    return (NluExample(text, tuple(tags), intent), NlgExample(frame, (text,)))
+            words += vwords
+            tags += ["B-" + key] + ["I-" + key] * (len(vwords) - 1)
+        text = " ".join(words)
+        frame = SemanticFrame(self.intent, tuple(slots))
+        return NluExample(text, tuple(tags), self.intent), NlgExample(frame, (text,))
+
+
+_TEMPLATES = tuple(_Template.compile(intent, template) for intent, template in SYNTH_TEMPLATES)
 
 
 def synth_corpus(seed: int, size: int) -> tuple[list[NluExample], list[NlgExample]]:
     """Aligned utterance/frame pairs from a small template grammar.
 
-    Templates rotate so any size >= 8 covers every intent and slot key;
-    frames are unique within one corpus when the combinatorics allow it.
+    Templates rotate so any size >= 8 covers every intent and slot key. Each
+    example makes up to ``SYNTH_DRAWS`` draws of its template's slot values
+    and keeps the first whose frame the corpus has not yet seen; when all of
+    them repeat a frame, it keeps the last draw. So frames can repeat before
+    a template has used up its combinations, and repeat always after.
+
+    Every slot of a draw takes one ``rng.integers(0, pool size)``. Once a
+    template's frames are used up, every draw repeats one, so the example
+    takes all ``SYNTH_DRAWS`` draws in one array-bound call, which leaves the
+    generator where as many scalar calls would.
     """
     rng = derive_rng(seed, "synth")
     nlu, nlg = [], []
-    seen_frames = set()
+    seen: dict[tuple, set[tuple[str, ...]]] = {}
     for i in range(size):
-        intent, template = SYNTH_TEMPLATES[i % len(SYNTH_TEMPLATES)]
-        for _ in range(64):
-            ex_nlu, ex_nlg = _instantiate(template, intent, rng)
-            if ex_nlg.frame not in seen_frames:
-                break
-        seen_frames.add(ex_nlg.frame)
+        t = _TEMPLATES[i % len(_TEMPLATES)]
+        used = seen.setdefault((t.intent, t.keys), set())
+        if len(used) == t.capacity:
+            bounds = np.array(t.bounds * SYNTH_DRAWS, dtype=np.int64)
+            values = t.values(rng.integers(0, bounds)[-len(t.bounds):].tolist())
+        else:
+            for _ in range(SYNTH_DRAWS):
+                values = t.values([int(rng.integers(0, b)) for b in t.bounds])
+                if values not in used:
+                    break
+        used.add(values)
+        ex_nlu, ex_nlg = t.build(values)
         nlu.append(ex_nlu)
         nlg.append(ex_nlg)
     return nlu, nlg

@@ -579,15 +579,13 @@ def weight_grid(step: float = 0.1) -> list[tuple[float, float]]:
 
 @dataclass
 class GridRow:
+    """One weight pair's report and the metrics it holds, in report field
+    order; rows whose pairs select the same hypotheses share both."""
+
     alpha: float
     beta: float
     report: metrics.EvalReport
-
-    @property
-    def metrics(self) -> dict[str, float]:
-        """The metrics the report holds, in report field order."""
-        return {k: getattr(self.report, k) for k in metrics.EvalReport.FIELDS
-                if not k.startswith("n_") and getattr(self.report, k) is not None}
+    metrics: dict[str, float]
 
 
 @dataclass
@@ -623,15 +621,17 @@ def sweep(examples, bundle: ModelsBundle, direction: str,
     report each selection; a row's columns are its report's metrics. Pairs
     that select the same hypotheses share one report."""
     report_of = _reporter(direction, examples, bundle.vocabs, cached)
-    reports: dict[tuple[int, ...], metrics.EvalReport] = {}
+    reports: dict[tuple[int, ...], tuple[metrics.EvalReport, dict[str, float]]] = {}
     result = GridResult(direction)
     ranks = rerank_indices(cached, [DualWeights(a, b) for a, b in pairs]).tolist()
     for (a, b), picks in zip(pairs, ranks):
         result.selections[(a, b)] = picks
         key = tuple(picks)
         if key not in reports:
-            reports[key] = report_of(picks)
-        result.rows.append(GridRow(a, b, reports[key]))
+            report = report_of(picks)
+            reports[key] = report, {k: getattr(report, k) for k in metrics.EvalReport.FIELDS
+                                    if not k.startswith("n_") and getattr(report, k) is not None}
+        result.rows.append(GridRow(a, b, *reports[key]))
     return result
 
 

@@ -107,6 +107,38 @@ def test_missing_checkpoints_exit_4(workspace, tmp_path):
                "--out", tmp_path / "o") == 4
 
 
+def test_eval_reads_only_the_checkpoints_of_its_directions(workspace, tmp_path, capsys):
+    """``train.models = [nlu, nlg]`` writes two checkpoints; plain ``eval``
+    reads only those, and ``--direction nlu`` only ``nlu.ckpt``. ``dualinf``
+    reads all four."""
+    root, cfg_path, ckpt_dir = workspace
+    cfg = json.loads(cfg_path.read_text())
+    cfg["train"]["models"] = ["nlu", "nlg"]
+    cfg2 = tmp_path / "c2.json"
+    cfg2.write_text(json.dumps(cfg))
+    two = tmp_path / "two"
+    assert run("train", "--config", cfg2, "--out", two) == 0
+    assert sorted(p.name for p in two.glob("*.ckpt")) == ["nlg.ckpt", "nlu.ckpt"]
+    assert run("eval", "--config", cfg_path, "--checkpoints", ckpt_dir,
+               "--out", tmp_path / "full_eval") == 0
+    assert run("eval", "--config", cfg_path, "--checkpoints", two,
+               "--out", tmp_path / "two_eval") == 0
+    assert ((tmp_path / "two_eval" / "report.json").read_bytes()
+            == (tmp_path / "full_eval" / "report.json").read_bytes())
+
+    nlu_only = tmp_path / "nlu_only"
+    nlu_only.mkdir()
+    (nlu_only / "nlu.ckpt").write_bytes((ckpt_dir / "nlu.ckpt").read_bytes())
+    assert run("eval", "--config", cfg_path, "--checkpoints", nlu_only, "--direction", "nlu",
+               "--out", tmp_path / "nlu_eval") == 0
+    assert json.loads((tmp_path / "nlu_eval" / "report.json").read_text())["slot_f1"] is not None
+
+    capsys.readouterr()
+    assert run("dualinf", "--config", cfg_path, "--checkpoints", two,
+               "--out", tmp_path / "dual") == 4
+    assert "lm.ckpt" in capsys.readouterr().err
+
+
 def test_incompatible_checkpoints_exit_4(workspace, tmp_path):
     root, cfg_path, ckpt_dir = workspace
     other = tmp_path / "other"
@@ -422,8 +454,8 @@ def test_fuzzed_checkpoint_bytes_exit_with_a_documented_code(fuzz_workspace, kin
             (ckpt_dir / f"{k}.ckpt").write_bytes(
                 blob if k == kind else (root / "ckpt" / f"{k}.ckpt").read_bytes())
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = run("eval", "--config", root / "config.json", "--checkpoints", ckpt_dir,
+        with contextlib.redirect_stderr(err):  # dualinf reads all four checkpoints
+            code = run("dualinf", "--config", root / "config.json", "--checkpoints", ckpt_dir,
                        "--out", Path(tmp) / "out")
     assert code in (0, 3, 4), (kind, edit, err.getvalue())
     assert "Traceback" not in err.getvalue()

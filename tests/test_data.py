@@ -1,18 +1,23 @@
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_vocabs, make_model
 
 from dualdec import data
+from dualdec.cli import main
 from dualdec.data import (CheckpointError, DataError, NlgExample,
                           NluExample, augment_nlg_to_nlu, augment_nlu_to_nlg,
                           load_checkpoint, load_nlg, load_nlu, merge_dedup,
                           save_checkpoint, save_nlg, save_nlu, synth_corpus)
 from dualdec.frames import SemanticFrame
 from dualdec.models import lm_score_tokens, model_from_checkpoint, nlg_score, to_checkpoint
+from dualdec.tensor import derive_rng
 
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
 
@@ -228,6 +233,110 @@ def test_synth_size_32_covers_all_keys_and_intents():
     assert keys == set(data.SYNTH_SLOT_KEYS)
     assert intents == set(data.SYNTH_INTENTS)
     assert len({ex.frame for ex in nlg}) == 32  # frames unique at this size
+
+
+def _reference_instantiate(template: str, intent: str, rng):
+    words, tags, slots, chosen = [], [], [], {}
+    for part in template.split():
+        if part.startswith("{"):
+            key = part[1:-1]
+            pool = [v for v in data.SYNTH_POOLS[key] if v not in chosen.values()]
+            value = pool[rng.integers(0, len(pool))]
+            chosen[key] = value
+            vwords = value.split()
+            slots.append((key, tuple(vwords)))
+            for i, w in enumerate(vwords):
+                words.append(w)
+                tags.append(("B-" if i == 0 else "I-") + key)
+        else:
+            words.append(part)
+            tags.append("O")
+    text = " ".join(words)
+    frame = SemanticFrame(intent, tuple(slots))
+    return NluExample(text, tuple(tags), intent), NlgExample(frame, (text,))
+
+
+def reference_synth_corpus(seed: int, size: int):
+    """``synth_corpus`` as a plain rejection loop: up to 64 whole examples
+    built per kept one, each slot drawn by one scalar ``rng.integers``."""
+    rng = derive_rng(seed, "synth")
+    nlu, nlg, seen_frames = [], [], set()
+    for i in range(size):
+        intent, template = data.SYNTH_TEMPLATES[i % len(data.SYNTH_TEMPLATES)]
+        for _ in range(64):
+            ex_nlu, ex_nlg = _reference_instantiate(template, intent, rng)
+            if ex_nlg.frame not in seen_frames:
+                break
+        seen_frames.add(ex_nlg.frame)
+        nlu.append(ex_nlu)
+        nlg.append(ex_nlg)
+    return nlu, nlg
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 300))
+def test_synth_corpus_equals_the_reference_rejection_loop(seed, size):
+    # past about 40 examples the 4-frame {artist} template is used up
+    assert synth_corpus(seed, size) == reference_synth_corpus(seed, size)
+
+
+def test_synth_quick_start_files_are_pinned(tmp_path):
+    """README's quick-start corpus, byte for byte."""
+    assert main(["synth", "--out", str(tmp_path), "--seed", "13", "--train-size", "200",
+                 "--valid-size", "48", "--test-size", "100"]) == 0
+    pinned = {
+        "nlu_train": "169942ee724fa713b6995484d4326195627f6e90924467b8f59a132765dda855",
+        "nlg_train": "36ece85f7776868988bee5d51c4d19a52cfde0a8f9252e9d597729501db7dfee",
+        "nlu_valid": "d36fdace0d5ac79a3b874b0c618619884eaa2f96a4bf5828d7431c945cfe5133",
+        "nlg_valid": "bdab9d5080e3d46e5096b44aff89a27f79cb0f313a070e41b3972d8eb776ad19",
+        "nlu_test": "286f51060c11708ab80d8f531ee21a81e85200200e101d26e2c1be9af5fba8b7",
+        "nlg_test": "695be43de35c76c80a69ea04dfbc342fb2350f0c9ace15b2128fd8d7a335aad4",
+    }
+    got = {name: hashlib.sha256((tmp_path / f"{name}.jsonl").read_bytes()).hexdigest()
+           for name in pinned}
+    assert got == pinned
+
+
+def test_synth_split_past_every_template_capacity_is_pinned(tmp_path):
+    """5 000 examples, 625 per template: every template is used up."""
+    assert max(t.capacity for t in data._TEMPLATES) < 5000 // len(data._TEMPLATES)
+    nlu, nlg = synth_corpus(11, 5000)
+    save_nlu(tmp_path / "nlu.jsonl", nlu)
+    save_nlg(tmp_path / "nlg.jsonl", nlg)
+    assert [hashlib.sha256((tmp_path / f"{d}.jsonl").read_bytes()).hexdigest()
+            for d in ("nlu", "nlg")] == [
+        "42fefda8c47f2b272231228b9cb3e76e20f66da8ecb21e82c48115ee74fa2314",
+        "fccf0f5fbe1e478848ae47c0170924fcf1548530c12cf6e1699f3eabfb4eec4a"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), prefix=st.integers(0, 5),
+       t=st.sampled_from(data._TEMPLATES))
+def test_array_bound_integers_equal_the_scalar_calls(seed, prefix, t):
+    """numpy's contract the used-up path of ``synth_corpus`` rests on: one
+    ``integers`` call with an array of bounds draws what a scalar call per
+    bound draws, and leaves the generator in the same state, also after an
+    odd number of earlier draws."""
+    bounds = t.bounds * data.SYNTH_DRAWS
+    one, many = derive_rng(seed, "synth"), derive_rng(seed, "synth")
+    for rng in (one, many):
+        rng.integers(0, 7, size=prefix)
+    drawn = one.integers(0, np.array(bounds, dtype=np.int64)).tolist()
+    assert drawn == [int(many.integers(0, b)) for b in bounds]
+    assert one.bit_generator.state == many.bit_generator.state
+
+
+def test_synth_builds_each_kept_example_once(monkeypatch):
+    """Attempts draw values only; ``reference_synth_corpus`` builds 329
+    examples here to keep 64."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return NlgExample(*args)
+    monkeypatch.setattr(data, "NlgExample", counted)
+    synth_corpus(101, 64)
+    assert len(built) == 64
 
 
 # ---------------------------------------------------------------------------
