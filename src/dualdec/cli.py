@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import sys
@@ -46,7 +47,6 @@ DEFAULTS: dict = {
         "nlu_train": None, "nlg_train": None,
         "nlu_valid": None, "nlg_valid": None,
         "nlu_test": None, "nlg_test": None,
-        "augment": "auto",
     },
     "model": {"hidden": 200, "embedding": 50, "merges": 1000},
     "train": {"epochs": 10, "batch_size": 48, "teacher_forcing": 0.9,
@@ -56,7 +56,8 @@ DEFAULTS: dict = {
 }
 
 
-# (key, integer, lo, hi): every numeric config value and its closed range.
+# (key, integer, lo, hi): every numeric config value and its closed range;
+# an infinite upper end stands for no bound, and the value must be finite.
 # The size keys are capped, so an absurd size exits 2 instead of exhausting
 # memory: at the caps, one beam step's log-probs or one weight matrix takes
 # tens of MB.
@@ -123,8 +124,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     for key, integer, lo, hi in NUMERIC_KEYS:
         value = _lookup(cfg, key)
         if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
-                or not lo <= value <= hi):
-            kind = "an integer" if integer else "a number"
+                or not lo <= value <= hi or value == math.inf):
+            kind = "an integer" if integer else "a finite number"
             raise ConfigError(f"{key} must be {kind} in [{lo}, {hi}], not {value!r}")
     grid_step = cfg["dual"]["grid_step"]
     try:
@@ -154,34 +155,35 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, extra: dict | None =
     _write_json(out_dir / "manifest.json", manifest)
 
 
-def _require_path(cfg: dict, key: str) -> str:
-    path = cfg["data"].get(key)
-    if not path:
-        raise ConfigError(f"config is missing required dataset path data.{key}")
-    return path
+def _load_split(cfg: dict, split: str) -> dict[str, list]:
+    """The examples of ``split`` for each configured direction, keyed by it."""
+    directions = ("nlu", "nlg") if cfg["direction"] == "both" else (cfg["direction"],)
+    paths = {d: cfg["data"][f"{d}_{split}"] for d in directions}
+    for d, path in paths.items():
+        if not path:
+            raise ConfigError(f"config is missing required dataset path data.{d}_{split}")
+    loaders = {"nlu": load_nlu, "nlg": load_nlg}
+    return {d: loaders[d](path) for d, path in paths.items()}
 
 
 def _load_train_split(cfg: dict):
-    """Training examples for both shapes, filling a missing direction by
-    augmentation when data.augment is 'auto'; also returns the kept and
-    dropped counts of each augmentation that ran."""
+    """Training examples for both shapes, filling a missing one by
+    augmentation; also returns the kept and dropped counts of each
+    augmentation that ran."""
     d = cfg["data"]
-    nlu = load_nlu(d["nlu_train"]) if d.get("nlu_train") else None
-    nlg = load_nlg(d["nlg_train"]) if d.get("nlg_train") else None
+    nlu = load_nlu(d["nlu_train"]) if d["nlu_train"] else None
+    nlg = load_nlg(d["nlg_train"]) if d["nlg_train"] else None
     if nlu is None and nlg is None:
         raise ConfigError("config needs data.nlu_train and/or data.nlg_train")
     augmentation = {}
-    if cfg["data"]["augment"] == "auto":
-        if nlu is None:
-            nlu, dropped = augment_nlg_to_nlu(nlg)
-            augmentation["nlg_to_nlu"] = {"kept": len(nlu), "dropped": dropped}
-            if not nlu:
-                raise DataError("augmentation produced no usable tagged examples")
-        if nlg is None:
-            nlg = augment_nlu_to_nlg(nlu)
-            augmentation["nlu_to_nlg"] = {"kept": len(nlg), "dropped": 0}
-    if nlu is None or nlg is None:
-        raise ConfigError("both data shapes are required when data.augment is not 'auto'")
+    if nlu is None:
+        nlu, dropped = augment_nlg_to_nlu(nlg)
+        augmentation["nlg_to_nlu"] = {"kept": len(nlu), "dropped": dropped}
+        if not nlu:
+            raise DataError("augmentation produced no usable tagged examples")
+    if nlg is None:
+        nlg = augment_nlu_to_nlg(nlu)
+        augmentation["nlu_to_nlg"] = {"kept": len(nlg), "dropped": 0}
     return nlu, nlg, augmentation
 
 
@@ -241,15 +243,6 @@ def _load_bundle(cfg: dict, kinds: tuple[str, ...] = data.MODEL_KINDS) -> Models
                           for k in data.MODEL_KINDS))
 
 
-def _eval_split(cfg: dict, split: str):
-    nlu = nlg = None
-    if cfg["direction"] in ("nlu", "both"):
-        nlu = load_nlu(_require_path(cfg, f"nlu_{split}"))
-    if cfg["direction"] in ("nlg", "both"):
-        nlg = load_nlg(_require_path(cfg, f"nlg_{split}"))
-    return nlu, nlg
-
-
 def _decode_settings(cfg: dict) -> dict:
     dec = cfg["decode"]
     return {"beam": dec["beam"], "max_len": dec["max_len"],
@@ -260,19 +253,18 @@ def cmd_eval(args, cfg: dict) -> int:
     """``eval`` reports the beam's top hypotheses; ``dualinf`` re-ranks them
     at the configured (alpha, beta) and also writes per-hypothesis traces."""
     out_dir = Path(cfg["out_dir"])
+    test = _load_split(cfg, "test")
     if args.command == "dualinf":
         bundle = _load_bundle(cfg)
         weights = DualWeights(cfg["dual"]["alpha"], cfg["dual"]["beta"])
     else:  # plain decoding reads only the model of each direction
-        bundle = _load_bundle(cfg, ("nlu", "nlg") if cfg["direction"] == "both"
-                              else (cfg["direction"],))
+        bundle = _load_bundle(cfg, tuple(test))
         weights = None
     reports: dict[str, metrics.EvalReport] = {}
     traces: dict[str, list] = {}
-    for direction, examples in zip(("nlu", "nlg"), _eval_split(cfg, "test")):
-        if examples is not None:
-            reports[direction], traces[direction] = decode.evaluate_direction(
-                examples, bundle, direction, weights, **_decode_settings(cfg))
+    for direction, examples in test.items():
+        reports[direction], traces[direction] = decode.evaluate_direction(
+            examples, bundle, direction, weights, **_decode_settings(cfg))
     report = metrics.merge_reports(reports.get("nlu"), reports.get("nlg"))
     (out_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
@@ -287,12 +279,12 @@ def cmd_eval(args, cfg: dict) -> int:
 
 def cmd_gridsearch(args, cfg: dict) -> int:
     out_dir = Path(cfg["out_dir"])
+    valid = _load_split(cfg, "valid")
+    test = _load_split(cfg, "test") if args.eval_test else {}
     bundle = _load_bundle(cfg)
     settings = _decode_settings(cfg)
     selection: dict[str, dict] = {}
-    for direction, examples in zip(("nlu", "nlg"), _eval_split(cfg, "valid")):
-        if examples is None:
-            continue
+    for direction, examples in valid.items():
         res = grid_search(examples, bundle, direction, step=cfg["dual"]["grid_step"],
                           **settings)
         (out_dir / f"grid_{direction}.csv").write_text(res.to_csv(), encoding="utf-8")
@@ -304,9 +296,7 @@ def cmd_gridsearch(args, cfg: dict) -> int:
     if args.eval_test:
         # one decode of the test split per direction, re-ranked for each pair
         test_eval: dict[str, dict] = {}
-        for direction, examples in zip(("nlu", "nlg"), _eval_split(cfg, "test")):
-            if examples is None:
-                continue
+        for direction, examples in test.items():
             chosen = selection[direction]
             cached = decode.precompute(direction, examples, bundle, **settings)
             res = decode.sweep(examples, bundle, direction, cached,
@@ -340,6 +330,7 @@ COMMANDS = {"train": cmd_train, "eval": cmd_eval, "dualinf": cmd_eval,
             "gridsearch": cmd_gridsearch, "synth": cmd_synth}
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dualdec",

@@ -365,7 +365,8 @@ def _pair_feature(ops, P, seq: list, h):
 def _frame_labels(m: _FrameModel, frame: SemanticFrame) -> list[tuple[int, tuple | None]]:
     """Each feature of ``frame`` as (classifier target, value words): one per
     slot, whose target is its key id, then the intent, whose target is
-    ``n_slot_keys`` plus its intent id and whose value is None."""
+    ``n_slot_keys`` plus its intent id and whose value is None. A slot key or
+    intent outside the inventory is refused, also when it holds no intents."""
     labels = m.vocabs.labels
     out: list[tuple[int, tuple | None]] = []
     for key, value in frame.slots:
@@ -373,7 +374,7 @@ def _frame_labels(m: _FrameModel, frame: SemanticFrame) -> list[tuple[int, tuple
             out.append((labels.key_id(key), value))
         except KeyError:
             raise FrameError(f"slot key {key!r} outside inventory") from None
-    if frame.intent is not None and m.n_intents:
+    if frame.intent is not None:
         try:
             out.append((labels.n_slot_keys + labels.intent_id(frame.intent), None))
         except KeyError:
@@ -629,11 +630,11 @@ def mfm_logits(m: MaskedFrameModel, ops, P, X):
     return ops.add(ops.matmul_t(X, P["cls.w"]), P["cls.b"])
 
 
-def _mfm_count(m: MaskedFrameModel, frame: SemanticFrame) -> int:
+def _mfm_count(frame: SemanticFrame) -> int:
     """The number of ``_frame_labels`` of ``frame``; it needs one to mask."""
-    if not (n := len(frame.slots) + (frame.intent is not None and bool(m.n_intents))):
+    if not frame.n_features:
         raise FrameError("frame has no features to mask")
-    return n
+    return frame.n_features
 
 
 def _mfm_losses(m: MaskedFrameModel, ops, P, frames: Sequence[SemanticFrame],
@@ -668,7 +669,7 @@ def masked_frame_score(m: MaskedFrameModel, frames: Sequence[SemanticFrame],
     """Pseudo log-likelihood of each frame: minus ``_mfm_losses`` on ``nd``,
     one masked copy per uniform draw of a feature, three draws from its
     generator (with replacement), summed in draw order."""
-    copies = [rng.integers(0, _mfm_count(m, frame), size=(3, 1)).tolist()
+    copies = [rng.integers(0, _mfm_count(frame), size=(3, 1)).tolist()
               for frame, rng in zip(frames, rngs, strict=True)]
     return (-_mfm_losses(m, nd, m.arrays, frames, copies)).tolist()
 
@@ -713,7 +714,7 @@ def _draws(kind: str, model, sample, tf_ratio: float, rng: np.random.Generator):
     None when it always does), or the masked features of a frame (MFM: each
     feature with p=0.3, redrawn while none is)."""
     if kind == "mfm":
-        n = _mfm_count(model, sample)
+        n = _mfm_count(sample)
         while True:
             picks = [i for i in range(n) if rng.random() < 0.3]
             if picks:

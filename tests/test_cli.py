@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdec import data, decode, metrics
+from dualdec import cli, data, decode, metrics
 from dualdec.cli import main
 from dualdec.decode import DualWeights, ModelsBundle
 from dualdec.models import model_from_checkpoint
@@ -205,6 +205,8 @@ def test_incompatible_checkpoints_exit_4(workspace, tmp_path):
     (["synth", "--test-size", "100001"], None),
     (["eval"], {"decode": {"max_len": 10 ** 9}}),
     (["train"], {"train": {"models": []}}),
+    (["train"], {"train": {"lr": math.inf}}),
+    (["train"], {"train": {"clip": math.inf}}),
 ])
 def test_usage_errors_exit_2_without_traceback(tmp_path, capsys, flags, file_cfg):
     argv = [*flags, "--out", tmp_path / "o"]
@@ -225,7 +227,7 @@ def test_usage_errors_exit_2_without_traceback(tmp_path, capsys, flags, file_cfg
 # each fuzzed config key and a command that reads it
 FUZZ_COMMANDS = {
     "seed": ["dualinf"], "direction": ["eval"], "checkpoints": ["eval"],
-    "data.nlu_train": ["train"], "data.nlg_test": ["eval"], "data.augment": ["train"],
+    "data.nlu_train": ["train"], "data.nlg_test": ["eval"],
     "model.hidden": ["train"], "model.embedding": ["train"], "model.merges": ["train"],
     "train.epochs": ["train"], "train.batch_size": ["train"],
     "train.teacher_forcing": ["train"], "train.lr": ["train"], "train.clip": ["train"],
@@ -238,6 +240,16 @@ FUZZ_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3), st.sampled_from([-1.0, 0.0, 0.5, 2.5]),
     st.sampled_from(["", "x", "nlu", "auto"]), st.lists(st.sampled_from(["nlu", "x", 1]),
                                                         max_size=2), st.just({}))
+
+
+def test_fuzz_commands_name_config_keys_and_every_numeric_key():
+    """A key gone from the config but left here would fuzz only the
+    unknown-key path, and a numeric key missing here would go unfuzzed."""
+    keys = set()
+    for section, value in cli.DEFAULTS.items():
+        keys |= {f"{section}.{k}" for k in value} if isinstance(value, dict) else {section}
+    assert set(FUZZ_COMMANDS) <= keys
+    assert {key for key, *_ in cli.NUMERIC_KEYS} <= set(FUZZ_COMMANDS)
 
 
 @pytest.fixture(scope="module")
@@ -800,6 +812,28 @@ def test_gridsearch_missing_valid_split_exits_2(workspace, tmp_path):
                "--out", tmp_path / "o") == 2
 
 
+@pytest.mark.parametrize("line, code, message", [
+    (None, 2, "config error: config is missing required dataset path data.nlu_test"),
+    ("not json", 3, "data error: "),
+], ids=["missing", "malformed"])
+def test_gridsearch_eval_test_reads_the_test_split_before_the_sweep(
+        workspace, tmp_path, capsys, line, code, message):
+    root, cfg_path, ckpt_dir = workspace
+    cfg = json.loads(cfg_path.read_text())
+    cfg["data"]["nlu_test"] = None
+    if line is not None:
+        cfg["data"]["nlu_test"] = str(tmp_path / "nlu_test.jsonl")
+        (tmp_path / "nlu_test.jsonl").write_text(line + "\n")
+    cfg2 = tmp_path / "c.json"
+    cfg2.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run("gridsearch", "--config", cfg2, "--checkpoints", ckpt_dir,
+               "--out", out, "--eval-test") == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err, err
+    assert list(out.iterdir()) == []  # no grid_*.csv, no selection.json
+
+
 def test_manifest_config_reproduces_outputs(workspace, tmp_path):
     root, cfg_path, ckpt_dir = workspace
     out = tmp_path / "first"
@@ -824,6 +858,30 @@ def test_train_with_nlu_only_augments_nlg(workspace, tmp_path):
     out = tmp_path / "aug"
     assert run("train", "--config", cfg2, "--out", out) == 0
     assert (out / "nlg.ckpt").exists() and (out / "mfm.ckpt").exists()
+
+
+def test_eval_and_dualinf_refuse_an_intent_of_a_model_without_intents(tmp_path, capsys):
+    # the training split has slots but no intent, so the label set holds none
+    nlu = tmp_path / "nlu_train.jsonl"
+    nlu.write_text("".join(json.dumps({"text": text, "tags": ["O", "B-city"]}) + "\n"
+                           for text in ("to boston", "from denver", "via austin")))
+    nlg = tmp_path / "nlg_test.jsonl"
+    nlg.write_text(json.dumps({"frame": {"intent": "greet", "slots": []},
+                               "refs": ["hello"]}) + "\n")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"data": {"nlu_train": str(nlu), "nlg_test": str(nlg)},
+                               "model": {"hidden": 4, "embedding": 3, "merges": 20},
+                               "train": {"epochs": 1},
+                               "decode": {"beam": 2, "max_len": 4}}))
+    ckpt = tmp_path / "ckpt"
+    assert run("train", "--config", cfg, "--out", ckpt) == 0
+    assert data.load_checkpoint(ckpt / "nlg.ckpt").labels["intents"] == []
+    capsys.readouterr()
+    for command in ("eval", "dualinf"):
+        assert run(command, "--config", cfg, "--checkpoints", ckpt, "--direction", "nlg",
+                   "--out", tmp_path / command) == 3, command
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "intent 'greet' outside inventory" in err, err
 
 
 def test_train_without_any_slot_or_intent_exits_3_before_training(tmp_path, capsys):
