@@ -209,12 +209,15 @@ def cmd_train(args, cfg: dict) -> int:
     prepared = {kind: datasets[kind]() for kind in cfg["train"]["models"]}
     if prepared.get("mfm") == []:
         raise DataError("the masked frame model needs a training frame with a slot or an intent")
+    # every model trains before any file is written, so a run that fails
+    # leaves out_dir as it found it
     losses: dict[str, list[float]] = {}
+    checkpoints: dict[str, Checkpoint] = {}
     for kind, dataset in prepared.items():
-        model, kind_losses = train_model(kind, dataset, tc, vocabs)
-        losses[kind] = kind_losses
-        save_checkpoint(out_dir / f"{kind}.ckpt",
-                        to_checkpoint(model, seed=cfg["seed"], extra_config=echo))
+        model, losses[kind] = train_model(kind, dataset, tc, vocabs)
+        checkpoints[kind] = to_checkpoint(model, seed=cfg["seed"], extra_config=echo)
+    for kind, ckpt in checkpoints.items():
+        save_checkpoint(out_dir / f"{kind}.ckpt", ckpt)
     extra = {"losses": losses}
     if augmentation:
         extra["augmentation"] = augmentation
@@ -283,19 +286,20 @@ def cmd_gridsearch(args, cfg: dict) -> int:
     test = _load_split(cfg, "test") if args.eval_test else {}
     bundle = _load_bundle(cfg)
     settings = _decode_settings(cfg)
+    # every sweep and test evaluation runs before any file is written
+    grids: dict[str, str] = {}
     selection: dict[str, dict] = {}
     for direction, examples in valid.items():
         res = grid_search(examples, bundle, direction, step=cfg["dual"]["grid_step"],
                           **settings)
-        (out_dir / f"grid_{direction}.csv").write_text(res.to_csv(), encoding="utf-8")
+        grids[direction] = res.to_csv()
         selection[direction] = {
             name: {"alpha": alpha, "beta": beta, "value": value}
             for name, (alpha, beta, value) in res.best.items()}
-    _write_json(out_dir / "selection.json", selection)
 
+    test_eval: dict[str, dict] = {}
     if args.eval_test:
         # one decode of the test split per direction, re-ranked for each pair
-        test_eval: dict[str, dict] = {}
         for direction, examples in test.items():
             chosen = selection[direction]
             cached = decode.precompute(direction, examples, bundle, **settings)
@@ -305,6 +309,10 @@ def cmd_gridsearch(args, cfg: dict) -> int:
                 name: {"alpha": row.alpha, "beta": row.beta,
                        "report": json.loads(row.report.to_json())}
                 for name, row in zip(chosen, res.rows)}
+    for direction, csv in grids.items():
+        (out_dir / f"grid_{direction}.csv").write_text(csv, encoding="utf-8")
+    _write_json(out_dir / "selection.json", selection)
+    if args.eval_test:
         _write_json(out_dir / "test_report.json", test_eval)
     _write_manifest(out_dir, "gridsearch", cfg)
     return 0

@@ -32,7 +32,8 @@ from .frames import (SemanticFrame, align_tags_to_pieces, collapse_piece_tags,
                      format_frame, frame_to_iob, iob_to_frame)
 from .models import (LmModel, MaskedFrameModel, NlgModel, NluModel,
                      lm_score_tokens, masked_frame_score, nlg_features_np,
-                     nlg_score, nlg_step, nlu_intent, nlu_score, nlu_step)
+                     nlg_frame_features, nlg_score, nlg_step, nlu_intent, nlu_score,
+                     nlu_step)
 from .tensor import derive_rng
 from .textproc import BOS, EOS, PAD, UNK, Utterance, detokenize
 
@@ -204,14 +205,14 @@ def _search(stepper: Stepper, beam: int, max_len: int) -> tuple[list[Hypothesis]
 
 
 class NlgStepper:
-    """Word decoding for one frame; a state stack is an (n, hidden) array, and
-    the first step reads BOS from the mean of the frame's features. PAD, BOS
-    and UNK are masked out so every hypothesis detokenizes to a clean word
-    sequence."""
+    """Word decoding for one frame, given its features (``nlg_features_np``);
+    a state stack is an (n, hidden) array, and the first step reads BOS from
+    the mean of the features. PAD, BOS and UNK are masked out so every
+    hypothesis detokenizes to a clean word sequence."""
 
-    def __init__(self, model: NlgModel, frame: SemanticFrame):
+    def __init__(self, model: NlgModel, features: np.ndarray):
         self.model = model
-        self.features = nlg_features_np(model, frame)
+        self.features = features
         self.eos = EOS
 
     def start(self):
@@ -255,9 +256,11 @@ class NluTagStepper:
         return TagStates(h, states.pos + 1), lp
 
 
-def nlg_hypotheses(model: NlgModel, frame: SemanticFrame, beam: int,
+def nlg_hypotheses(model: NlgModel, frame: SemanticFrame | np.ndarray, beam: int,
                    max_len: int) -> list[Hypothesis]:
-    return beam_search(NlgStepper(model, frame), beam, max_len)
+    """The beam of a frame, or of its features as ``nlg_features_np`` gives them."""
+    features = frame if isinstance(frame, np.ndarray) else nlg_features_np(model, frame)
+    return beam_search(NlgStepper(model, features), beam, max_len)
 
 
 def nlu_hypotheses(model: NluModel, utt: Utterance, beam: int,
@@ -465,10 +468,12 @@ def rerank_indices(cached: Sequence[CachedExample],
 def decode_split(direction: str, examples, bundle: ModelsBundle, *, beam: int,
                  max_len: int = 60, k_intent: int = 3) -> list[CachedExample]:
     """Decode every example of a split, one beam each, with no components
-    yet; an NLU example also carries its encoded input."""
+    yet; the NLG frames are encoded together, and an NLU example also carries
+    its encoded input."""
     if direction == "nlg":
-        return [CachedExample(nlg_hypotheses(bundle.nlg, ex.frame, beam, max_len), [])
-                for ex in examples]
+        features = nlg_frame_features(bundle.nlg, [ex.frame for ex in examples])
+        return [CachedExample(nlg_hypotheses(bundle.nlg, f, beam, max_len), [])
+                for f in features]
     if direction == "nlu":
         utts = [bundle.vocabs.bpe.encode(ex.text) for ex in examples]
         return [CachedExample(nlu_hypotheses(bundle.nlu, utt, beam, k_intent), [], utt)

@@ -30,13 +30,14 @@ the floats it would get alone. On ``tensor`` a gated recurrent step
 and each affine layer is one ``linear``.
 
 So is each loss: ``_nlu_losses``, ``_nlg_losses``, ``_lm_losses`` and
-``_mfm_losses`` give each example's -log P in order. Training runs them on
-``tensor`` as one graph per batch (``nlu_forcing_graph``,
-``nlg_forcing_graph``, ``lm_forcing_graph``, ``mfm_loss_graph``), and the
-scorers (``nlu_score``, ``nlg_score``, ``lm_score_tokens``,
-``masked_frame_score``) on ``nd``, returning minus the losses as one float
-per row. One stacking plan, ``_stacks``, serves them all: rows are grouped
-(by whether they score an intent for NLU, by feature count for frames), run
+``_mfm_losses`` give each example's -log P in order (the masked frame
+model's, each masked copy's). Training runs them on ``tensor`` as one graph
+per batch (``nlu_forcing_graph``, ``nlg_forcing_graph``, ``lm_forcing_graph``,
+``mfm_loss_graph``), and the scorers (``nlu_score``, ``nlg_score``,
+``lm_score_tokens``, ``masked_frame_score``, which adds its three copies)
+on ``nd``, returning minus the losses as one float per row. One stacking
+plan, ``_stacks``, serves them all: rows are grouped (by whether they score
+an intent for NLU, by feature count for frames), run
 longest first in stacks of at most ``STACK_ROWS`` rows, and a row that has
 ended drops out (``ops.head``), so rows of any length share one stack. The
 random draws of training (teacher forcing, MFM masks) are made per example,
@@ -49,7 +50,14 @@ score each distinct row once (``_distinct_scores``): the loss routine runs
 on the first row of each key (tokens, tags and intent for NLU; frame and
 tokens for NLG; the tokens for the LM), in order of first appearance, so the
 first invalid row still raises, and its value goes to every row with that
-key.
+key. Candidates of one beam share prefixes too, so on ``nd`` the LM and
+tagger forwards step each distinct prefix among a stack's running rows once
+(``_Prefixes``: the inputs so far, for the tagger its tokens and previous
+tags) and give its state and log-probs to every row that shares it; on
+``tensor`` every row keeps its own path, so training graphs are unchanged.
+``masked_frame_score`` scores each distinct (frame, masked feature) copy
+once and adds each frame's three draws in draw order. Every row keeps the
+floats of its one-row call.
 """
 from __future__ import annotations
 
@@ -148,6 +156,51 @@ def _losses(ops, stacks: Sequence[tuple[list[int], object]], n: int):
         where[rows] = o + np.arange(len(rows))
         o += len(rows)
     return ops.scale(ops.stack([t for _, t in stacks], where), -1.0)
+
+
+class _Prefixes:
+    """Which running rows of a stack share their state so far. On ``nd`` two
+    rows share it when their initial states are equal bit for bit and they
+    have read the same inputs, so a forward steps each distinct prefix once:
+    ``read`` extends the prefixes by a step's inputs, ``firsts`` takes the
+    first running row of each distinct prefix from a stack (None stays
+    None), and ``spread`` and ``pick`` give every running row its prefix's
+    row, C-contiguous. On ``tensor`` all three return the stack as it is, so
+    every row keeps its own path and its own gradient terms."""
+
+    def __init__(self, ops, h):
+        self.place = None
+        if ops is nd:
+            self._group([row.tobytes() for row in h])
+
+    def _group(self, keys: Iterable) -> None:
+        seen: dict[object, int] = {}  # each distinct prefix's place among them
+        first, place = [], []
+        for r, key in enumerate(keys):
+            if key not in seen:
+                seen[key] = len(first)
+                first.append(r)
+            place.append(seen[key])
+        self.first = np.array(first, dtype=np.intp)
+        self.place = np.array(place, dtype=np.intp)
+
+    def read(self, *ids: np.ndarray | None) -> None:
+        """Extend each running row's prefix by its entry of each of ``ids``
+        (one array per input, one id per running row; None for an input
+        that no row reads at this step)."""
+        if self.place is not None:
+            self._group(zip(self.place[:len(ids[0])].tolist(),
+                            *(i.tolist() for i in ids if i is not None)))
+
+    def firsts(self, x):
+        return x if self.place is None or x is None else x[self.first]
+
+    def spread(self, x):
+        return x if self.place is None else x[self.place]
+
+    def pick(self, ops, lp, i):
+        """``ops.pick(self.spread(lp), i)``, gathering only the picked entries."""
+        return ops.pick(lp, i) if self.place is None else lp[self.place, i]
 
 
 def _distinct_scores(losses, m, rows: Sequence, keys: Sequence) -> list[float]:
@@ -263,16 +316,22 @@ def _nlu_forward(m: NluModel, ops, P, tokens: Sequence, tags: Sequence, intent, 
     initial states ``h``. Each step's tokens and tags hold one id per row
     still running, a prefix of the rows; ``intent`` one id per row.
     ``forced`` (training only) holds per step whether each row is fed its
-    gold tag rather than the model's own argmax."""
+    gold tag rather than the model's own argmax. On ``nd`` each distinct
+    prefix of tokens and previous tags is stepped once (``_Prefixes``)."""
     states = [h]
     prev = None
     steps = []
+    shared = _Prefixes(ops, h)
     for t, (tok, tag) in enumerate(zip(tokens, tags)):
         h = ops.head(h, len(tok))
-        lp, h = _nlu_step(ops, P, h, tok, None if prev is None else prev[:len(tok)])
+        prev_tag = None if prev is None else prev[:len(tok)]
+        shared.read(tok, prev_tag)
+        lp, h = _nlu_step(ops, P, *map(shared.firsts, (h, tok, prev_tag)))
+        h = shared.spread(h)
         states.append(h)
-        steps.append(ops.pick(lp, tag))
-        prev = tag if forced is None else np.where(forced[t], tag, np.argmax(lp.data, axis=-1))
+        steps.append(shared.pick(ops, lp, tag))
+        prev = tag if forced is None else np.where(
+            forced[t], tag, np.argmax(shared.spread(lp).data, axis=-1))
     intent_lp = None
     if m.n_intents and intent is not None:
         intent_lp = ops.pick(_log_probs(ops, P, "intent_proj", ops.last_rows(states)), intent)
@@ -530,9 +589,16 @@ def nlg_score(m: NlgModel, frames: Sequence[SemanticFrame],
 def nlg_features_np(m: NlgModel, frame: SemanticFrame) -> np.ndarray:
     """The frame's features as a (k, hidden) array, the input of ``nlg_step``;
     the learned ``empty_feat`` when it has none."""
-    keys = T.example_keys(1)
-    parts, places, _ = _frame_rows(m, nd, m.arrays, [frame], keys, m.arrays["empty_feat"])
-    return nd.stack(parts, np.array(places), keys)[0]
+    return nlg_frame_features(m, [frame])[0]
+
+
+def nlg_frame_features(m: NlgModel, frames: Sequence[SemanticFrame]) -> list[np.ndarray]:
+    """``nlg_features_np`` of each frame, all encoded by one ``_frame_rows``
+    call; each array is C-contiguous."""
+    parts, places, _ = _frame_rows(m, nd, m.arrays, frames, T.example_keys(len(frames)),
+                                   m.arrays["empty_feat"])
+    rows = np.concatenate([part.reshape(-1, m.cfg.hidden) for part in parts])
+    return [rows[spot] for spot in places]
 
 
 def nlg_step(m: NlgModel, state: np.ndarray, prev_word,
@@ -564,12 +630,17 @@ def _lm_forward(m: LmModel, ops, P, inputs: Sequence, tokens: Sequence, h) -> li
     """Per-step log-probs of the ids ``tokens`` (each row's sentence, then
     EOS) after the ids ``inputs`` (BOS, then the sentence), of a stack of
     rows with initial states ``h``. Each step's ids hold one per row still
-    running, a prefix of the rows."""
+    running, a prefix of the rows. On ``nd`` each distinct prefix of inputs
+    is stepped once (``_Prefixes``)."""
     steps = []
+    shared = _Prefixes(ops, h)
     for prev, tok in zip(inputs, tokens):
         h = ops.head(h, len(prev))
+        shared.read(prev)
+        h, prev = shared.firsts(h), shared.firsts(prev)
         h = _gru_step(ops, P, "gru", ops.row(P["word_emb"], prev, h), h)
-        steps.append(ops.pick(_log_probs(ops, P, "out", h), tok))
+        steps.append(shared.pick(ops, _log_probs(ops, P, "out", h), tok))
+        h = shared.spread(h)
     return steps
 
 
@@ -639,14 +710,16 @@ def _mfm_count(frame: SemanticFrame) -> int:
 
 def _mfm_losses(m: MaskedFrameModel, ops, P, frames: Sequence[SemanticFrame],
                 copies: Sequence[Sequence[Sequence[int]]]):
-    """Each frame's loss, in order: the sum, over its masked copies ``copies[i]``
-    in order and each copy's masked features ascending, of -log P(true label |
-    that copy). Frames alike in feature and copy counts stack, one row per
-    copy; a feature that all copies of its frame mask is never encoded."""
+    """The loss of each masked copy, frame by frame and each frame's copies
+    ``copies[i]`` in order: the sum, over the copy's masked features
+    ascending, of -log P(true label | that copy). Frames alike in feature and
+    copy counts stack, one row per copy; a feature that all copies of its
+    frame mask is never encoded."""
     keys = T.example_keys(len(frames))
     parts, places, targets = _frame_rows(m, ops, P, frames, keys, P["mask"],
                                          [set(cs[0]).intersection(*cs) for cs in copies])
     fill = sum(part.shape[0] for part in parts[:-1])
+    first = np.cumsum([0] + [len(cs) for cs in copies])  # each frame's first copy's place
     stacks = []
     for rows in _stacks([(len(p), len(cs)) for p, cs in zip(places, copies)], [0] * len(frames)):
         k = len(copies[rows[0]])
@@ -658,25 +731,34 @@ def _mfm_losses(m: MaskedFrameModel, ops, P, frames: Sequence[SemanticFrame],
         copy_keys = np.repeat(keys[rows], k)
         lp = ops.log_softmax(mfm_logits(m, ops, P, ops.stack(parts, index, copy_keys)))
         picked = ops.pick(lp, np.repeat([targets[i] for i in rows], k, axis=0))
-        per_copy = ops.row_sums([picked], copy_keys, mask)
-        per_frame = ops.stack([per_copy], np.arange(len(copy_keys)).reshape(-1, k))
-        stacks.append((rows, ops.row_sums([per_frame], keys[rows])))
-    return _losses(ops, stacks, len(frames))
+        stacks.append((np.add.outer(first[rows], np.arange(k)).ravel(),
+                       ops.row_sums([picked], copy_keys, mask)))
+    return _losses(ops, stacks, int(first[-1]))
 
 
 def masked_frame_score(m: MaskedFrameModel, frames: Sequence[SemanticFrame],
                        rngs: Sequence[np.random.Generator]) -> list[float]:
-    """Pseudo log-likelihood of each frame: minus ``_mfm_losses`` on ``nd``,
-    one masked copy per uniform draw of a feature, three draws from its
-    generator (with replacement), summed in draw order."""
-    copies = [rng.integers(0, _mfm_count(frame), size=(3, 1)).tolist()
-              for frame, rng in zip(frames, rngs, strict=True)]
-    return (-_mfm_losses(m, nd, m.arrays, frames, copies)).tolist()
+    """Pseudo log-likelihood of each frame: the log-probabilities of its true
+    labels, one masked copy per uniform draw of a feature, three draws from
+    its generator (with replacement), added in draw order. Each distinct
+    (frame, masked feature) copy is scored once, by minus ``_mfm_losses`` on
+    ``nd`` over the distinct frames, each with its distinct draws as copies."""
+    draws = [rng.integers(0, _mfm_count(frame), size=3).tolist()
+             for frame, rng in zip(frames, rngs, strict=True)]
+    copies: dict[SemanticFrame, dict[int, None]] = {}  # in order of first appearance
+    for frame, js in zip(frames, draws):
+        copies.setdefault(frame, {}).update(dict.fromkeys(js))
+    place = {key: p for p, key in enumerate((f, j) for f, js in copies.items() for j in js)}
+    values = (-_mfm_losses(m, nd, m.arrays, list(copies),
+                           [[[j] for j in js] for js in copies.values()])).tolist()
+    return [values[place[frame, a]] + values[place[frame, b]] + values[place[frame, c]]
+            for frame, (a, b, c) in zip(frames, draws)]
 
 
 def mfm_loss_graph(m: MaskedFrameModel, frames: Sequence[SemanticFrame],
                    picks: Sequence[Sequence[int]]) -> Tensor:
-    """``_mfm_losses`` as one training graph; frame i's one copy masks ``picks[i]``."""
+    """``_mfm_losses`` as one training graph; frame i's one copy masks
+    ``picks[i]``, so the graph holds one loss per frame."""
     return _mfm_losses(m, T, m.params, frames, [[p] for p in picks])
 
 

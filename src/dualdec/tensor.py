@@ -774,8 +774,12 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
 
 
 def derive_rng(seed: int, *streams: int | str) -> np.random.Generator:
-    """Child generator for a named purpose; same arguments, same stream."""
+    """Child generator for a named purpose; same arguments, same stream.
+    Entropy words that all fit in 32 bits go in as one uint32 array, which
+    seeds the stream the list of them would, only faster."""
     entropy: list[int] = [int(seed)]
     for s in streams:
         entropy.append(zlib.crc32(s.encode()) if isinstance(s, str) else int(s))
+    if all(0 <= e < 1 << 32 for e in entropy):
+        return np.random.default_rng(np.array(entropy, dtype=np.uint32))
     return np.random.default_rng(entropy)

@@ -4,6 +4,8 @@ BLAS runs on one thread, as in ``bench/make_fixture.py``: the pinned training
 digests are only byte-reproducible there. The variables are read once, when
 numpy loads its library, so they are set before numpy is imported.
 """
+import ctypes
+import glob
 import importlib.util
 import os
 from pathlib import Path
@@ -30,6 +32,32 @@ def load_bench_module(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def numerics() -> str:
+    """The numerics of this process, for the failure message of a pinned
+    digest: the core whose kernels numpy's bundled OpenBLAS picked, and the
+    numpy dispatch targets this CPU takes. The digests were pinned under
+    OpenBLAS's SkylakeX kernels and the X86_V3, X86_V4, AVX512_ICL and
+    AVX512_SPR targets; other kernels or targets change last bits without
+    any defect in the code."""
+    from numpy._core import _multiarray_umath as umath
+
+    cores = []
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(glob.glob(str(libs / "*openblas*.so*"))):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                       "openblas_get_corename"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                cores.append(fn().decode())
+                break
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return (f"numerics: OpenBLAS core {', '.join(cores) or 'unknown (no bundled OpenBLAS)'}, "
+            f"numpy dispatch targets {' '.join(targets) or 'none'}; pinned under SkylakeX "
+            f"and X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
 
 
 def build_vocabs(nlu_examples, nlg_examples, merges=400):

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import RowStepper, finite_difference_check, load_bench_module, make_model
+from conftest import (RowStepper, finite_difference_check, load_bench_module, make_model,
+                      numerics)
 
 from dualdec import data, decode, metrics, models
 from dualdec.cli import main as cli_main
@@ -298,7 +299,7 @@ def test_lift_run_rebuilds_the_bench_fixture(lift_run):
                      == make_fixture.sha256(committed / f"{k}.ckpt"))]
     stale += [k for k, v in recipe.items() if recorded[k] != v]
     assert not stale, (f"bench/fixture is stale in {', '.join(stale)}; "
-                       f"rebuild it with python3 bench/make_fixture.py")
+                       f"rebuild it with python3 bench/make_fixture.py ({numerics()})")
     ok(6, "the lift run rebuilds bench/fixture byte for byte")
 
 

@@ -937,3 +937,39 @@ def test_train_manifest_records_augmentation_drops(workspace, tmp_path):
     assert manifests[1]["augmentation"] == manifests[0]["augmentation"]
     full = json.loads((workspace[2] / "manifest.json").read_text())
     assert "augmentation" not in full
+
+
+def test_training_that_diverges_after_other_models_trained_writes_nothing(tmp_path, capsys):
+    # nlu, nlg and lm train to the end before the masked frame model
+    # diverges; their checkpoints must not be left behind for eval to read
+    dataset = tmp_path / "dataset"
+    assert run("synth", "--out", dataset, "--seed", "5", "--train-size", "32",
+               "--valid-size", "8", "--test-size", "8") == 0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "data": {f"{d}_train": str(dataset / f"{d}_train.jsonl") for d in ("nlu", "nlg")},
+        "model": {"hidden": 8, "embedding": 4, "merges": 50},
+        "train": {"epochs": 2, "lr": 1e150, "clip": 0}}))
+    out = tmp_path / "out"
+    assert run("train", "--config", cfg, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("training error: mfm training diverged:"), err
+    assert list(out.iterdir()) == []
+
+
+def test_gridsearch_whose_second_sweep_fails_writes_nothing(workspace, tmp_path, capsys):
+    # the NLU sweep runs to the end; the NLG split then holds a slot key the
+    # models lack, and no grid_nlu.csv may be left behind
+    root, cfg_path, ckpt_dir = workspace
+    cfg = json.loads(cfg_path.read_text())
+    nlg_valid = tmp_path / "nlg_valid.jsonl"
+    nlg_valid.write_text(json.dumps({"frame": {"intent": None, "slots": [["zzz", "boston"]]},
+                                     "refs": ["boston"]}) + "\n")
+    cfg["data"]["nlg_valid"] = str(nlg_valid)
+    cfg2 = tmp_path / "c.json"
+    cfg2.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run("gridsearch", "--config", cfg2, "--checkpoints", ckpt_dir, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "'zzz' outside inventory" in err, err
+    assert list(out.iterdir()) == []

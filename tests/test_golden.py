@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import PINNED_THREAD_VARS
+from conftest import PINNED_THREAD_VARS, numerics
 from dualdec.cli import main
 
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
@@ -71,12 +71,12 @@ def _decode_digests(tmp_path, decode_cfg, grid):
 
 def test_decode_outputs_match_golden_digests(tmp_path):
     digests = _decode_digests(tmp_path, {"beam": 10, "max_len": 16, "k_intent": 3}, grid=True)
-    assert digests == GOLDEN
+    assert digests == GOLDEN, numerics()
 
 
 def test_long_beam_outputs_match_golden_digests(tmp_path):
     digests = _decode_digests(tmp_path, {"beam": 20, "max_len": 60, "k_intent": 3}, grid=False)
-    assert digests == GOLDEN_LONG_BEAM
+    assert digests == GOLDEN_LONG_BEAM, numerics()
 
 
 # dualdec train at the lift run's model and optimizer settings on a small
@@ -119,12 +119,12 @@ def _train_digests(tmp_path, train_cfg):
 
 def test_trained_checkpoints_match_golden_digests(tmp_path):
     digests = _train_digests(tmp_path, {"batch_size": 4, "teacher_forcing": 0.9})
-    assert digests == GOLDEN_TRAIN
+    assert digests == GOLDEN_TRAIN, numerics()
 
 
 def test_one_batch_training_matches_golden_digests(tmp_path):
     digests = _train_digests(tmp_path, {"batch_size": 64, "teacher_forcing": 0.5})
-    assert digests == GOLDEN_TRAIN_ONE_BATCH
+    assert digests == GOLDEN_TRAIN_ONE_BATCH, numerics()
 
 
 def test_blas_runs_on_one_thread():

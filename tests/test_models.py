@@ -579,6 +579,114 @@ def test_scorers_score_each_distinct_row_once(tiny_corpus, tiny_vocabs, monkeypa
     monkeypatch.undo()
 
 
+def _prefix_tree(rng, n, alphabet, max_suffix=4):
+    """``n`` sequences over ``alphabet``, each an earlier one cut at a random
+    place (or nothing) followed by a random suffix, so many share prefixes
+    and some repeat whole."""
+    rows: list[tuple] = []
+    while len(rows) < n:
+        base = rows[rng.integers(len(rows))] if rows and rng.random() < 0.9 else ()
+        suffix = rng.integers(len(alphabet), size=rng.integers(max_suffix + 1))
+        rows.append(base[:rng.integers(len(base) + 1)] + tuple(alphabet[i] for i in suffix))
+    return rows
+
+
+def _distinct_prefix_steps(stacks, inputs):
+    """Per stack, per step, the distinct input prefixes among the running rows."""
+    return sum(len({seq[:t + 1] for seq in (inputs[i] for i in rows) if len(seq) > t})
+               for rows in stacks for t in range(max(len(inputs[i]) for i in rows)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(models.STACK_ROWS + 1, 2 * models.STACK_ROWS + 9))
+def test_nd_forwards_step_each_distinct_prefix_once(tiny_vocabs, seed, n):
+    # candidates of one search tree share prefixes; on nd each stack steps
+    # every distinct prefix once and every row keeps its one-row floats
+    labels = tiny_vocabs.labels
+    rng = np.random.default_rng(seed)
+    ms = {k: randomize(make_model(k, tiny_vocabs), derive_rng(73, "prefix", k))
+          for k in ("nlu", "lm")}
+    lm_rows = _prefix_tree(rng, n, rng.integers(4, len(tiny_vocabs.bpe.pieces), size=3).tolist())
+    tagged = _prefix_tree(rng, n, [(5, 0), (5, 1), (6, 0)])
+    intents = [None if i == labels.n_intents else int(i)
+               for i in rng.integers(min(labels.n_intents, 2) + 1, size=n)]
+    utts = [decode.utterance_from_payload(tiny_vocabs, [tok for tok, _ in row]) for row in tagged]
+    tags = [[tag for _, tag in row] for row in tagged]
+    stepped = []
+    gru_step = models._gru_step
+
+    def counted(ops, P, prefix, x, h):
+        stepped.append(len(h))
+        return gru_step(ops, P, prefix, x, h)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(models, "_gru_step", counted)
+        lm_scores = lm_score_tokens(ms["lm"], lm_rows)
+        lm_stepped = sum(stepped)
+        stepped.clear()
+        nlu_scores = nlu_score(ms["nlu"], utts, tags, intents)
+
+    # the scorers' plan: distinct rows in order of first appearance, stacked
+    lm_distinct = list(dict.fromkeys(lm_rows))
+    lm_inputs = [(BOS, *row) for row in lm_distinct]
+    assert lm_stepped == _distinct_prefix_steps(
+        models._stacks([0] * len(lm_distinct), [len(r) for r in lm_distinct]), lm_inputs)
+    nlu_distinct = list(dict.fromkeys(zip(tagged, intents)))
+    # the state after step t has read tokens[:t + 1] and tags[:t]
+    nlu_inputs = [tuple(zip([tok for tok, _ in row], (None, *(tag for _, tag in row))))
+                  for row, _ in nlu_distinct]
+    scored = [intent is not None for _, intent in nlu_distinct]
+    assert sum(stepped) == _distinct_prefix_steps(
+        models._stacks(scored, [len(row) for row, _ in nlu_distinct]), nlu_inputs)
+    assert lm_stepped < sum(len(r) + 1 for r in lm_distinct)
+
+    assert lm_scores == [lm_score_tokens(ms["lm"], [r])[0] for r in lm_rows]
+    assert nlu_scores == [nlu_score(ms["nlu"], [u], [t], [i])[0]
+                          for u, t, i in zip(utts, tags, intents)]
+
+
+def test_masked_frame_score_scores_each_distinct_copy_once(tiny_corpus, tiny_vocabs,
+                                                           monkeypatch):
+    # three draws per frame, with repeats within a frame and across equal
+    # frames: each distinct (frame, masked feature) copy is scored once, and
+    # a frame's value is the three-copy loss the draws make
+    _, nlg_raw = tiny_corpus
+    m = randomize(make_model("mfm", tiny_vocabs), derive_rng(79, "copies"))
+    pool = [ex.frame for ex in nlg_raw if ex.frame.n_features][:5]
+    frames = [pool[i % len(pool)] for i in range(3 * models.STACK_ROWS // 2)]
+    draws = [derive_rng(79, "mask", i).integers(0, f.n_features, size=3).tolist()
+             for i, f in enumerate(frames)]
+    distinct = {(f, j) for f, js in zip(frames, draws) for j in js}
+    assert len(distinct) < 3 * len(frames)
+    assert any(len(set(js)) < 3 for js in draws)
+    scored = []
+    mfm_losses = models._mfm_losses
+
+    def counted(m, ops, P, frames, copies):
+        scored.append(sum(len(cs) for cs in copies))
+        return mfm_losses(m, ops, P, frames, copies)
+    monkeypatch.setattr(models, "_mfm_losses", counted)
+    got = masked_frame_score(m, frames, [derive_rng(79, "mask", i) for i in range(len(frames))])
+    monkeypatch.undo()
+    assert scored == [len(distinct)]
+    a, b, c = (-models._mfm_losses(m, nd, m.arrays, frames,
+                                   [[[j] for j in js] for js in draws])).reshape(-1, 3).T
+    assert got == (a + b + c).tolist()
+    assert got == [masked_frame_score(m, [f], [derive_rng(79, "mask", i)])[0]
+                   for i, f in enumerate(frames)]
+
+
+def test_split_features_equal_one_frame_features_and_decode_alike(tiny_corpus, tiny_vocabs):
+    _, nlg_raw = tiny_corpus
+    m = randomize(make_model("nlg", tiny_vocabs), derive_rng(83, "features"))
+    frames = [ex.frame for ex in nlg_raw] + [SemanticFrame(None, ())]
+    features = models.nlg_frame_features(m, frames)
+    for frame, F in zip(frames, features):
+        one = models.nlg_features_np(m, frame)
+        assert F.flags.c_contiguous and F.tobytes() == one.tobytes() and F.shape == one.shape
+    for frame, F in zip(frames[:4], features):
+        assert decode.nlg_hypotheses(m, F, 3, 6) == decode.nlg_hypotheses(m, frame, 3, 6)
+
+
 # ---------------------------------------------------------------------------
 # training
 
@@ -747,9 +855,10 @@ def _assert_backends_agree(kind, m, nlu_raw, nlg_raw):
         frames = [ex.frame for ex in nlg_raw]
         copies = [[[p] for p in derive_rng(i, "mask").integers(0, f.n_features, size=3).tolist()]
                   for i, f in enumerate(frames)]
-        losses = models._mfm_losses(m, T, m.params, frames, copies)
+        # one loss per copy, three per frame, added in draw order
+        a, b, c = (-models._mfm_losses(m, T, m.params, frames, copies).data).reshape(-1, 3).T
         assert (masked_frame_score(m, frames, [derive_rng(i, "mask") for i in range(len(frames))])
-                == (-losses.data).tolist())
+                == (a + b + c).tolist())
 
 
 @pytest.mark.parametrize("kind", data.MODEL_KINDS)

@@ -1,5 +1,6 @@
 import math
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -302,6 +303,19 @@ def test_derive_rng_stable_and_distinct():
     c = T.derive_rng(13, "bpe", 1).integers(0, 1 << 30, 4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(0, (1 << 32) - 1), st.integers(1 << 32, 1 << 80)),
+       st.lists(st.one_of(st.text(max_size=8), st.integers(0, 1 << 40)), max_size=4))
+def test_derive_rng_streams_equal_the_list_seeded_ones(seed, streams):
+    # entropy words that fit in 32 bits seed through a uint32 array; the
+    # stream must be the one the plain list of words seeds, wide words too
+    words = [seed] + [zlib.crc32(s.encode()) if isinstance(s, str) else s for s in streams]
+    got = T.derive_rng(seed, *streams)
+    want = np.random.default_rng(words)
+    assert np.array_equal(got.integers(0, 1 << 62, 8), want.integers(0, 1 << 62, 8))
+    assert np.array_equal(got.random(3), want.random(3))
 
 
 def test_parameter_init_range_and_determinism():
