@@ -403,6 +403,8 @@ def load_checkpoint(path) -> Checkpoint:
     params: dict[str, np.ndarray] = {}
     offset = 0
     for name, shape in header["params"]:
+        if name in params:
+            raise CheckpointError(f"{path}: header lists parameter {name!r} twice")
         n = math.prod(shape)  # a Python int, so a huge shape cannot wrap
         nbytes = n * 8
         if offset + nbytes > len(payload):

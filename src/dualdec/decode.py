@@ -15,6 +15,8 @@ argmax; it is carried for reporting.
 
 Mask positions for frame scoring are drawn from generators derived from
 (seed, example index, candidate rank), which makes grid reuse bit-exact.
+An NLG beam reads its frame's features from ``models.nlg_frame_features``,
+the one feature routine; ``decode_split`` calls it once per split.
 """
 from __future__ import annotations
 
@@ -31,9 +33,8 @@ from .data import NlgExample, NluExample
 from .frames import (SemanticFrame, align_tags_to_pieces, collapse_piece_tags,
                      format_frame, frame_to_iob, iob_to_frame)
 from .models import (LmModel, MaskedFrameModel, NlgModel, NluModel,
-                     lm_score_tokens, masked_frame_score, nlg_features_np,
-                     nlg_frame_features, nlg_score, nlg_step, nlu_intent, nlu_score,
-                     nlu_step)
+                     lm_score_tokens, masked_frame_score, nlg_frame_features,
+                     nlg_score, nlg_step, nlu_intent, nlu_score, nlu_step)
 from .tensor import derive_rng
 from .textproc import BOS, EOS, PAD, UNK, Utterance, detokenize
 
@@ -205,7 +206,7 @@ def _search(stepper: Stepper, beam: int, max_len: int) -> tuple[list[Hypothesis]
 
 
 class NlgStepper:
-    """Word decoding for one frame, given its features (``nlg_features_np``);
+    """Word decoding for one frame, given its features (``nlg_frame_features``);
     a state stack is an (n, hidden) array, and the first step reads BOS from
     the mean of the features. PAD, BOS and UNK are masked out so every
     hypothesis detokenizes to a clean word sequence."""
@@ -258,8 +259,9 @@ class NluTagStepper:
 
 def nlg_hypotheses(model: NlgModel, frame: SemanticFrame | np.ndarray, beam: int,
                    max_len: int) -> list[Hypothesis]:
-    """The beam of a frame, or of its features as ``nlg_features_np`` gives them."""
-    features = frame if isinstance(frame, np.ndarray) else nlg_features_np(model, frame)
+    """The beam of a frame, or of its features as ``nlg_frame_features`` gives
+    them."""
+    features = frame if isinstance(frame, np.ndarray) else nlg_frame_features(model, [frame])[0]
     return beam_search(NlgStepper(model, features), beam, max_len)
 
 
@@ -367,25 +369,17 @@ def dual_score_nlu(candidate, input_utt, nlg, mfm, lm, w: DualWeights, rng) -> D
     return combine(c, w)
 
 
-def _best_index(keys: Sequence[tuple[float, float]]) -> int:
-    """Argmax of (combined, forward) pairs: ties on the combined score fall
-    back to forward, then to list order (the beam's own payload order)."""
-    if not keys:
+def rerank_index(scored: Sequence[tuple[Hypothesis, DualScore]]) -> int:
+    """Argmax of combined score; ties fall back to forward, then list order
+    (the beam's own payload order). A NaN combined score raises, as does an
+    empty list."""
+    if not scored:
         raise DecodeError("cannot rerank an empty hypothesis list")
+    keys = [(s.combined, s.forward) for _, s in scored]
     for rank, (combined, _) in enumerate(keys):
         if math.isnan(combined):
             raise DecodeError(f"combined score of hypothesis {rank} is NaN")
-    best = 0
-    for i in range(1, len(keys)):
-        if keys[i] > keys[best]:
-            best = i
-    return best
-
-
-def rerank_index(scored: Sequence[tuple[Hypothesis, DualScore]]) -> int:
-    """Argmax of combined score; ties fall back to forward, then list order
-    (the beam's own payload order)."""
-    return _best_index([(s.combined, s.forward) for _, s in scored])
+    return max(range(len(keys)), key=keys.__getitem__)  # the first of equal keys
 
 
 def rerank(scored: Sequence[tuple[Hypothesis, DualScore]]) -> Hypothesis:

@@ -24,8 +24,8 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import ClassVar, Sequence
 
 from .frames import iob_spans
 
@@ -219,8 +219,7 @@ class EvalReport:
     n_nlu: int = 0
     n_nlg: int = 0
 
-    FIELDS = ("intent_accuracy", "slot_precision", "slot_recall", "slot_f1",
-              "bleu", "rouge1", "rouge2", "rougeL", "n_nlu", "n_nlg")
+    FIELDS: ClassVar[tuple[str, ...]]  # the fields' names in declaration order
 
     def to_json(self) -> str:
         return json.dumps({k: getattr(self, k) for k in self.FIELDS}, sort_keys=True)
@@ -230,6 +229,9 @@ class EvalReport:
         row = ",".join("" if getattr(self, k) is None else repr(getattr(self, k))
                        for k in self.FIELDS)
         return f"{header}\n{row}\n"
+
+
+EvalReport.FIELDS = tuple(f.name for f in fields(EvalReport))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ added in checkpoint order, the word embedding first), and NLG and the masked
 frame model share one frame-feature encoder, ``_frame_rows``: one frame
 lookup (``_frame_labels``) and one pair encoder (``_pair_inputs``,
 ``_pair_feature``), with the pair encodings of all the frames' slots
-stacked by value length.
+stacked by value length. ``nlg_frame_features`` is the one routine that
+gives ``nlg_step`` its features, for one frame or a split's.
 
 Each model's arithmetic is written once, against an ``ops`` namespace and a
 name-to-parameter map: ``tensor`` with ``model.params`` for training, or
@@ -586,15 +587,10 @@ def nlg_score(m: NlgModel, frames: Sequence[SemanticFrame],
                             [(s.frame, s.ref.tokens) for s in samples])
 
 
-def nlg_features_np(m: NlgModel, frame: SemanticFrame) -> np.ndarray:
-    """The frame's features as a (k, hidden) array, the input of ``nlg_step``;
-    the learned ``empty_feat`` when it has none."""
-    return nlg_frame_features(m, [frame])[0]
-
-
 def nlg_frame_features(m: NlgModel, frames: Sequence[SemanticFrame]) -> list[np.ndarray]:
-    """``nlg_features_np`` of each frame, all encoded by one ``_frame_rows``
-    call; each array is C-contiguous."""
+    """Each frame's features as a C-contiguous (k, hidden) array, the input of
+    ``nlg_step``; the learned ``empty_feat`` for a frame without features. All
+    frames are encoded by one ``_frame_rows`` call."""
     parts, places, _ = _frame_rows(m, nd, m.arrays, frames, T.example_keys(len(frames)),
                                    m.arrays["empty_feat"])
     rows = np.concatenate([part.reshape(-1, m.cfg.hidden) for part in parts])

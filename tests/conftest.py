@@ -34,15 +34,9 @@ def load_bench_module(name):
     return module
 
 
-def numerics() -> str:
-    """The numerics of this process, for the failure message of a pinned
-    digest: the core whose kernels numpy's bundled OpenBLAS picked, and the
-    numpy dispatch targets this CPU takes. The digests were pinned under
-    OpenBLAS's SkylakeX kernels and the X86_V3, X86_V4, AVX512_ICL and
-    AVX512_SPR targets; other kernels or targets change last bits without
-    any defect in the code."""
-    from numpy._core import _multiarray_umath as umath
-
+def openblas_cores() -> list[str]:
+    """The core whose kernels each of numpy's bundled OpenBLAS libraries
+    picked (its ``get_corename`` symbol); empty without a bundled OpenBLAS."""
     cores = []
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(glob.glob(str(libs / "*openblas*.so*"))):
@@ -54,7 +48,23 @@ def numerics() -> str:
                 fn.restype = ctypes.c_char_p
                 cores.append(fn().decode())
                 break
-    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return cores
+
+
+def dispatch_targets() -> list[str]:
+    """The numpy dispatch targets this process takes."""
+    from numpy._core import _multiarray_umath as umath
+
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
+def numerics() -> str:
+    """The numerics of this process, for the failure message of a pinned
+    digest: ``openblas_cores`` and ``dispatch_targets``. The digests were
+    pinned under OpenBLAS's SkylakeX kernels and the X86_V3, X86_V4,
+    AVX512_ICL and AVX512_SPR targets; other kernels or targets change last
+    bits without any defect in the code."""
+    cores, targets = openblas_cores(), dispatch_targets()
     return (f"numerics: OpenBLAS core {', '.join(cores) or 'unknown (no bundled OpenBLAS)'}, "
             f"numpy dispatch targets {' '.join(targets) or 'none'}; pinned under SkylakeX "
             f"and X86_V3 X86_V4 AVX512_ICL AVX512_SPR")

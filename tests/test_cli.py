@@ -25,6 +25,12 @@ def dir_bytes(path: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(path.iterdir()) if p.is_file()}
 
 
+def files_under(path: Path) -> list[Path]:
+    """Every file below ``path``; ``cli.main`` creates ``--out`` before the
+    command runs, so a failed command may leave the empty directory."""
+    return sorted(p for p in path.rglob("*") if p.is_file()) if path.exists() else []
+
+
 def load_bundle(ckpt_dir: Path) -> ModelsBundle:
     return ModelsBundle(*(model_from_checkpoint(
         data.load_checkpoint(ckpt_dir / f"{k}.ckpt")) for k in data.MODEL_KINDS))
@@ -215,6 +221,7 @@ def test_usage_errors_exit_2_without_traceback(tmp_path, capsys, flags, file_cfg
         cfg.write_text(json.dumps(file_cfg))
         argv += ["--config", cfg]
     assert run(*argv) == 2
+    assert not files_under(tmp_path / "o")
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     key = []
@@ -286,6 +293,7 @@ def test_fuzzed_config_value_exits_with_a_documented_code(fuzz_workspace, key, v
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = run(*FUZZ_COMMANDS[key], "--config", cfg_path, "--out", Path(tmp) / "out")
+        assert code == 0 or not files_under(Path(tmp) / "out"), (key, value, err.getvalue())
     assert code in (0, 2, 3, 4), (key, value, err.getvalue())
     assert "Traceback" not in err.getvalue()
 
@@ -322,6 +330,7 @@ def test_fuzzed_flag_values_exit_with_a_documented_code(fuzz_workspace, command,
                 code = run(*argv)
             except SystemExit as e:  # argparse rejects a value of the wrong type
                 code = e.code
+        assert code == 0 or not files_under(Path(tmp) / "out"), (argv, err.getvalue())
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
 
@@ -426,6 +435,28 @@ def test_checkpoint_header_errors_exit_4_without_traceback(workspace, tmp_path, 
     assert err.startswith("checkpoint error:") and "Traceback" not in err
 
 
+def test_checkpoint_listing_a_parameter_twice_exits_4(workspace, tmp_path, capsys):
+    """A header entry repeated, with its floats appended to the payload, so
+    that every size check still passes."""
+    root, cfg_path, ckpt_dir = workspace
+    broken = tmp_path / "ckpt"
+    broken.mkdir()
+    for src in ckpt_dir.glob("*.ckpt"):
+        (broken / src.name).write_bytes(src.read_bytes())
+    blob = (broken / "nlg.ckpt").read_bytes()
+    nl = blob.index(b"\n")
+    header = json.loads(blob[:nl])
+    name, shape = header["params"][0]
+    header["params"].append([name, shape])
+    extra = np.zeros(math.prod(shape), dtype="<f8").tobytes()
+    (broken / "nlg.ckpt").write_bytes(json.dumps(header).encode() + blob[nl:] + extra)
+    assert run("eval", "--config", cfg_path, "--checkpoints", broken,
+               "--out", tmp_path / "o") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error:") and f"parameter {name!r} twice" in err
+    assert "Traceback" not in err
+
+
 # header fields a fuzzed checkpoint edits, and the values it may write there:
 # wrong types and small sizes only, so no edit can allocate much
 HEADER_FIELDS = (("format_version",), ("kind",), ("seed",), ("config", "hidden"),
@@ -469,6 +500,7 @@ def test_fuzzed_checkpoint_bytes_exit_with_a_documented_code(fuzz_workspace, kin
         with contextlib.redirect_stderr(err):  # dualinf reads all four checkpoints
             code = run("dualinf", "--config", root / "config.json", "--checkpoints", ckpt_dir,
                        "--out", Path(tmp) / "out")
+        assert code == 0 or not files_under(Path(tmp) / "out"), (kind, edit, err.getvalue())
     assert code in (0, 3, 4), (kind, edit, err.getvalue())
     assert "Traceback" not in err.getvalue()
 
@@ -611,7 +643,8 @@ def line_workspace(tmp_path_factory):
 
 def _eval_one_line(root: Path, direction: str, line: str) -> tuple[int, str]:
     """Exit code and stderr of ``eval`` at beam 2 whose ``direction`` test
-    split is the one ``line``."""
+    split is the one ``line``; a non-zero exit must leave no file under
+    ``--out``."""
     with tempfile.TemporaryDirectory(dir=root) as tmp:
         split = Path(tmp) / "test.jsonl"
         split.write_text(line + "\n", encoding="utf-8")
@@ -625,6 +658,7 @@ def _eval_one_line(root: Path, direction: str, line: str) -> tuple[int, str]:
         with contextlib.redirect_stderr(err):
             code = run("eval", "--config", cfg, "--checkpoints", FIXTURE,
                        "--direction", direction, "--out", Path(tmp) / "out")
+        assert code == 0 or not files_under(Path(tmp) / "out"), (line, err.getvalue())
     return code, err.getvalue()
 
 

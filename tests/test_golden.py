@@ -10,46 +10,69 @@ import glob
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import PINNED_THREAD_VARS, numerics
 from dualdec.cli import main
 
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture"
 
-GOLDEN = {
+# Two sets of digests per run. The portable files held the same bytes under
+# every emulated numerics tried: OpenBLAS's Haswell kernels
+# (OPENBLAS_CORETYPE=Haswell), numpy without its AVX-512 targets
+# (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"), and both. The
+# pinned files hold the last bits of this host's numerics (see
+# ``conftest.numerics``): traces carry every score, checkpoints every weight.
+GOLDEN_PORTABLE = {
     "eval/report.csv": "20d11e50b8c37c9a966c9c32fef1e870bdc6dbcb85a89b41a43075ef0309e99c",
     "eval/report.json": "b6bd607839283130b1ec3656f6018da2123a79368864e2caaf73079ac3ade4d1",
     "dualinf/report.csv": "4fd979a456bd32d4ccfc7722232399054e28932064c91eb62748603eac97bf92",
     "dualinf/report.json": "76ffbb37fc9e27cdd74d7c4a7c9b635a809347bedd3f8e9cdc8a22b3bbb0d098",
-    "dualinf/trace_nlg.jsonl": "068a7496c0e92c0a259ee3274e69d78ef26083db2040aa92a3cb5baca48470e6",
-    "dualinf/trace_nlu.jsonl": "77b26521b4cadbdf7cf9fc7349035ce4c9c66d2d877c030f28e30d04c89f54cf",
     "grid/grid_nlg.csv": "aef32a2537fa056f6caf0fa386fc6c02b11b2ab385ac56008af05de305d34902",
     "grid/grid_nlu.csv": "11ec01ff9f137dd6e3f39e1e3276e4258ab0c0c7bf68f169ae00342538ba276a",
     "grid/selection.json": "4a2bc2fd051014e156ccacb51d4952aff925a9b37cea72a4d971f402f4e28102",
     "grid/test_report.json": "8343c8bd466c8def27ecaa3a5db9fbf95ae8bd3ee621a0a0f92f58802ef5bf02",
 }
+GOLDEN_PINNED = {
+    "dualinf/trace_nlg.jsonl": "068a7496c0e92c0a259ee3274e69d78ef26083db2040aa92a3cb5baca48470e6",
+    "dualinf/trace_nlu.jsonl": "77b26521b4cadbdf7cf9fc7349035ce4c9c66d2d877c030f28e30d04c89f54cf",
+}
 
 # eval and dualinf at the benchmark's dualinf settings, where the hypotheses
 # of one beam end at very different lengths
-GOLDEN_LONG_BEAM = {
+GOLDEN_LONG_BEAM_PORTABLE = {
     "eval/report.csv": "20d11e50b8c37c9a966c9c32fef1e870bdc6dbcb85a89b41a43075ef0309e99c",
     "eval/report.json": "b6bd607839283130b1ec3656f6018da2123a79368864e2caaf73079ac3ade4d1",
     "dualinf/report.csv": "7d044777e2dd9ff980ec550cb733e14d5ce6f67af932f6c8d02b1a81d0f5d779",
     "dualinf/report.json": "5f9ed53ebc826132a76fa6009dc686985392f687630c0ba9b21303b4af32c604",
+}
+GOLDEN_LONG_BEAM_PINNED = {
     "dualinf/trace_nlg.jsonl": "9bfb45a911ccf455d6ac6e7e7d761eb797d2261377b12b307bc283466c7e7252",
     "dualinf/trace_nlu.jsonl": "862bae47c62b77c2bd2504d20cc9bc81ec68ee8546804f769496289b2cc01eb2",
 }
 
 
-def _decode_digests(tmp_path, decode_cfg, grid):
+def _assert_digests(digests, portable, pinned):
+    """The portable digests first: their change is a real one on any host.
+    Then every digest, whose change on other numerics ``numerics()`` names."""
+    assert {name: digests.get(name) for name in portable} == portable, \
+        "an output that holds under every numerics tried changed"
+    assert digests == {**portable, **pinned}, numerics()
+
+
+def _decode_digests(tmp_path, decode_cfg, grid, sizes=(24, 16)):
     """sha256 of each output file of eval, dualinf and (with ``grid``)
-    gridsearch --eval-test, run on a seed-101 synthetic split."""
+    gridsearch --eval-test, run on seed-101 synthetic validation and test
+    splits of ``sizes``."""
     data = tmp_path / "data"
+    valid, test = sizes
     assert main(["synth", "--out", str(data), "--seed", "101", "--train-size", "8",
-                 "--valid-size", "24", "--test-size", "16"]) == 0
+                 "--valid-size", str(valid), "--test-size", str(test)]) == 0
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
         "data": {f"{d}_{s}": str(data / f"{d}_{s}.jsonl")
@@ -71,16 +94,72 @@ def _decode_digests(tmp_path, decode_cfg, grid):
 
 def test_decode_outputs_match_golden_digests(tmp_path):
     digests = _decode_digests(tmp_path, {"beam": 10, "max_len": 16, "k_intent": 3}, grid=True)
-    assert digests == GOLDEN, numerics()
+    _assert_digests(digests, GOLDEN_PORTABLE, GOLDEN_PINNED)
 
 
 def test_long_beam_outputs_match_golden_digests(tmp_path):
     digests = _decode_digests(tmp_path, {"beam": 20, "max_len": 60, "k_intent": 3}, grid=False)
-    assert digests == GOLDEN_LONG_BEAM, numerics()
+    _assert_digests(digests, GOLDEN_LONG_BEAM_PORTABLE, GOLDEN_LONG_BEAM_PINNED)
+
+
+# another CPU's numerics in one process: OpenBLAS's Haswell kernels, as on
+# AVX2-only CPUs, and numpy without its AVX-512 dispatch targets
+EMULATED = {"OPENBLAS_CORETYPE": "Haswell",
+            "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+# a child's numerics, then its digests of eval, dualinf and gridsearch
+# --eval-test at beam 4 on validation and test splits of 8
+CHILD = """
+import json, sys
+from pathlib import Path
+import conftest, test_golden
+digests = test_golden._decode_digests(Path(sys.argv[1]), {"beam": 4, "max_len": 16,
+                                      "k_intent": 3}, grid=True, sizes=(8, 8))
+print(json.dumps({"numerics": [conftest.openblas_cores(), conftest.dispatch_targets()],
+                  "digests": digests}))
+"""
+
+
+def _child_digests(out, numerics_env):
+    """``CHILD``'s output, run in a fresh process under ``numerics_env``
+    alone of ``EMULATED``'s variables."""
+    tests = Path(__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items() if k not in EMULATED}
+    env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests),
+                                         *filter(None, [env.get("PYTHONPATH")])])
+    out.mkdir()
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(out)], capture_output=True,
+                          text=True, env={**env, **numerics_env}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_portable_outputs_hold_under_emulated_numerics(tmp_path):
+    """The portable files of eval, dualinf and gridsearch --eval-test on the
+    fixture are byte-equal between a plain child process and one that runs
+    with ``EMULATED``'s kernels and dispatch targets."""
+    from numpy._core import _multiarray_umath as umath
+
+    if not umath.__cpu_features__.get("AVX2"):
+        pytest.skip("this CPU lacks AVX2, which OpenBLAS's Haswell kernels need")
+    plain = _child_digests(tmp_path / "plain", {})
+    emulated = _child_digests(tmp_path / "emulated", EMULATED)
+    causes = (("OpenBLAS core", "numpy's OpenBLAS is not built with DYNAMIC_ARCH, or this "
+                                "CPU already runs its Haswell kernels"),
+              ("numpy dispatch targets", "this CPU takes none of the disabled targets"))
+    for (what, cause), mine, theirs in zip(causes, plain["numerics"], emulated["numerics"]):
+        if mine == theirs:
+            pytest.skip(f"{what} stays {' '.join(mine) or 'unknown'} under {EMULATED}: {cause}")
+    assert set(plain["digests"]) == set(emulated["digests"]) >= set(GOLDEN_PORTABLE)
+    assert ({name: emulated["digests"][name] for name in GOLDEN_PORTABLE}
+            == {name: plain["digests"][name] for name in GOLDEN_PORTABLE}), \
+        f"a portable output changed under {EMULATED}"
 
 
 # dualdec train at the lift run's model and optimizer settings on a small
-# corpus; teacher forcing 0.9 so the argmax branch of the forcing graphs runs
+# corpus; teacher forcing 0.9 so the argmax branch of the forcing graphs runs.
+# Every checkpoint is pinned: each differed under every emulated numerics
+# tried, so the training runs have no portable set.
 GOLDEN_TRAIN = {
     "nlu.ckpt": "c54ef8e6c51b10760a2508bb63efbab138cdf599475b9f6ce9b0b07741b2bab7",
     "nlg.ckpt": "4698548c0c2fbcf9bd6afd5dabf4013f68d046ceb7bb03dd2be68f26f1f4da2c",

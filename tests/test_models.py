@@ -227,7 +227,7 @@ def test_nlg_one_hot_forcing_scores_exactly_zero(tiny_vocabs):
     # two-way tie between the token and EOS gives log(1/2) per step, so pin
     # the token alone and score a sequence without the EOS competition
     out_b[EOS] = -2000.0
-    F = models.nlg_features_np(m, frame)
+    F = models.nlg_frame_features(m, [frame])[0]
     steps = [float(s[0]) for s in models._nlg_forward(m, nd, m.arrays, F[None],
                                                       models._steps([[*rep.tokens, EOS]]))]
     assert steps[0] == 0.0
@@ -272,7 +272,7 @@ def test_nlg_step_chain_agrees_with_score(tiny_vocabs, tiny_models):
     m = tiny_models["nlg"]
     frame = SemanticFrame.build("play_music", [("artist", "chet baker")])
     utt = tiny_vocabs.bpe.encode("play chet baker for me please")
-    F = models.nlg_features_np(m, frame)
+    F = models.nlg_frame_features(m, [frame])[0]
     state = F.mean(axis=0)
     prev = BOS
     total = 0.0
@@ -287,7 +287,7 @@ def test_nlg_step_chain_agrees_with_score(tiny_vocabs, tiny_models):
 
 def test_nlg_single_feature_gets_full_attention(tiny_vocabs, tiny_models):
     m = tiny_models["nlg"]
-    F = models.nlg_features_np(m, SemanticFrame.build(None, [("city", "boston")]))
+    F = models.nlg_frame_features(m, [SemanticFrame.build(None, [("city", "boston")])])[0]
     assert F.shape[0] == 1
     _, attn, _ = nlg_step(m, F.mean(axis=0), BOS, F)
     assert attn.shape == (1,) and attn[0] == 1.0
@@ -296,7 +296,7 @@ def test_nlg_single_feature_gets_full_attention(tiny_vocabs, tiny_models):
 def test_nlg_empty_feature_fallback(tiny_vocabs, tiny_models):
     m = tiny_models["nlg"]
     degenerate = SemanticFrame(None, ())
-    F = models.nlg_features_np(m, degenerate)
+    F = models.nlg_frame_features(m, [degenerate])[0]
     assert F.shape == (1, m.cfg.hidden)
     assert np.array_equal(F[0], m.params["empty_feat"].data)
     utt = tiny_vocabs.bpe.encode("play")
@@ -681,7 +681,7 @@ def test_split_features_equal_one_frame_features_and_decode_alike(tiny_corpus, t
     frames = [ex.frame for ex in nlg_raw] + [SemanticFrame(None, ())]
     features = models.nlg_frame_features(m, frames)
     for frame, F in zip(frames, features):
-        one = models.nlg_features_np(m, frame)
+        one = models.nlg_frame_features(m, [frame])[0]
         assert F.flags.c_contiguous and F.tobytes() == one.tobytes() and F.shape == one.shape
     for frame, F in zip(frames[:4], features):
         assert decode.nlg_hypotheses(m, F, 3, 6) == decode.nlg_hypotheses(m, frame, 3, 6)
@@ -833,7 +833,7 @@ def _assert_backends_agree(kind, m, nlu_raw, nlg_raw):
         for s in samples:
             tokens = models._steps([[*s.ref.tokens, EOS]])
             F, _ = _tensor_features(m, [s.frame], m.params["empty_feat"])
-            F_nd = models.nlg_features_np(m, s.frame)[None]
+            F_nd = models.nlg_frame_features(m, [s.frame])[0][None]
             assert np.array_equal(F_nd, F.data)
             assert (_floats(models._nlg_forward(m, nd, m.arrays, F_nd, tokens))
                     == _floats(models._nlg_forward(m, T, m.params, F, tokens)))
