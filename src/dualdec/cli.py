@@ -103,7 +103,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
                 file_cfg = json.load(fh)
         except OSError as e:
             raise ConfigError(f"cannot read config {config_path}: {e}") from None
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # not UTF-8 or not JSON Python can parse
             raise ConfigError(f"malformed config {config_path}: {e}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -140,6 +140,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if not isinstance(kinds, list) or not kinds or not all(k in data.MODEL_KINDS for k in kinds):
         raise ConfigError(f"train.models must be a non-empty list drawn from "
                           f"{', '.join(data.MODEL_KINDS)}, not {kinds!r}")
+    if (bad := data.unencodable(cfg)) is not None:  # from the file or from argv
+        raise ConfigError(f"config value {bad}")
     return cfg
 
 

@@ -60,19 +60,39 @@ class NlgExample:
 # JSONL loaders and savers
 
 
+def unencodable(value) -> str | None:
+    """Why the parsed JSON ``value`` cannot be written as UTF-8, naming its
+    first string (keys included) that holds a lone surrogate, as an escape
+    such as ``"\\ud800"`` gives; None if it can. Readers refuse such a
+    string, which would otherwise fail only when an output is written."""
+    try:
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as e:
+        text = e.object  # the JSON text; the string is between its quotes
+        bad = text[text.rfind('"', 0, e.start) + 1:text.find('"', e.end)]
+        return f"{bad!r} holds a lone surrogate, which UTF-8 cannot encode"
+    return None
+
+
 def _load_lines(path, parse) -> list:
     """``parse`` of each non-blank JSON line; a failure names the line."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8: {e}") from None
     if not any(ln.strip() for ln in lines):
         raise DataError(f"{path}: empty dataset file")
     out = []
     for no, ln in enumerate(lines, 1):
         if ln.strip():
             try:
-                out.append(parse(json.loads(ln)))
+                d = json.loads(ln)
+                if (bad := unencodable(d)) is not None:
+                    raise DataError(bad)
+                out.append(parse(d))
             except (json.JSONDecodeError, AttributeError, KeyError, TypeError,
-                    ValueError) as e:
+                    ValueError, RecursionError) as e:
                 raise DataError(f"{path}:{no}: {e}") from None
     return out
 
@@ -385,8 +405,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: missing header line")
     try:
         header = json.loads(blob[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        bad = unencodable(header)
+    except (ValueError, RecursionError) as e:  # not UTF-8 or not JSON Python can parse
         raise CheckpointError(f"{path}: corrupt header: {e}") from None
+    if bad is not None:
+        raise CheckpointError(f"{path}: header string {bad}")
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("format_version") != CHECKPOINT_VERSION:

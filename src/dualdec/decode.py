@@ -111,10 +111,11 @@ def beam_search(stepper: Stepper, beam: int, max_len: int) -> list[Hypothesis]:
     payload); sequences reaching ``max_len`` are force-completed with their
     EOS score, advanced best first in stacks of at most ``beam`` rows. A
     stepper whose ``eos`` is None decodes exactly ``max_len`` symbols. Each
-    step keeps the ``beam`` best extensions by (-score, payload): equal scores
-    go to the extension of the parent first in payload order, then to the
-    lower symbol. The frontier keeps the top ``beam`` partials per length, so
-    results equal exhaustive enumeration whenever vocab**(max_len-1) <= beam.
+    step keeps the ``beam`` best extensions by (-score, payload), stored in
+    payload order: equal scores go to the extension of the parent first in
+    payload order, then to the lower symbol. The frontier keeps the top
+    ``beam`` partials per length, so results equal exhaustive enumeration
+    whenever vocab**(max_len-1) <= beam.
     """
     return _search(stepper, beam, max_len)[0]
 
@@ -123,13 +124,13 @@ def _search(stepper: Stepper, beam: int, max_len: int) -> tuple[list[Hypothesis]
     """``beam_search``'s hypotheses and, for a stepper without EOS, the state
     stack of their final rows (else None).
 
-    The frontier is arrays: each row's score and its rank in payload order.
-    Rows are equally long, so a child's payload order is (parent rank, symbol)
-    and both orders are lexsorts. Payloads are rebuilt from per-step
-    backpointers only for the hypotheses kept. A completion scores at most its
-    extension, so once ``beam`` completions are held no extension below the
-    worst of them is kept, and force-completion stops there. A NaN or +inf
-    log-prob raises DecodeError naming the step.
+    The frontier is arrays, each step's rows kept in payload order: rows are
+    equally long, so the ascending flat index ``row * V + symbol`` is their
+    extensions' payload order. Payloads are rebuilt from per-step
+    backpointers only for the hypotheses kept. A completion scores at most
+    its extension, so once ``beam`` completions are held no extension below
+    the worst of them is kept, and force-completion stops there. A NaN or
+    +inf log-prob raises DecodeError naming the step.
     """
     if beam < 1:
         raise DecodeError("beam must be >= 1")
@@ -137,11 +138,9 @@ def _search(stepper: Stepper, beam: int, max_len: int) -> tuple[list[Hypothesis]
         raise DecodeError("max_len must be >= 1")
     eos = stepper.eos
     states, lp = stepper.start()
-    scores, rank = np.zeros(1), np.zeros(1, dtype=np.intp)
+    scores = np.zeros(1)
     back = []  # per step: the kept rows' parent rows and symbols
-    # the ``beam`` best completions, worst at the root: (score, -length,
-    # -payload order, step and row extended); completions of one length
-    # extend rows of one step, so their payload order is their row's rank
+    # the ``beam`` best completions, worst at the root: (score, -length, -row)
     top: list[tuple] = []
 
     def hypothesis(step, row, score) -> Hypothesis:
@@ -151,13 +150,12 @@ def _search(stepper: Stepper, beam: int, max_len: int) -> tuple[list[Hypothesis]
             row = parents[row]
         return Hypothesis(tuple(payload[::-1]), score)
 
-    def complete(t, lp, scores, ranks, first=0) -> None:
-        # a completion pushed out of the ``beam`` best can never be returned
+    def complete(t, lp, rows) -> None:
+        # ``lp`` holds the log-probs of frontier ``rows``; a completion pushed
+        # out of the ``beam`` best can never be returned
         done = np.flatnonzero(lp[:, eos] > -math.inf)
-        for row, end, r in zip(done.tolist(), (scores[done] + lp[done, eos]).tolist(),
-                               ranks[done].tolist()):
-            entry = (end, -t, -r, t, first + row)
-            (heapq.heappush if len(top) < beam else heapq.heappushpop)(top, entry)
+        for row, end in zip(rows[done].tolist(), (scores[rows[done]] + lp[done, eos]).tolist()):
+            (heapq.heappush if len(top) < beam else heapq.heappushpop)(top, (end, -t, -row))
 
     for t in range(max_len):
         if not lp.max() < math.inf:  # a NaN or +inf somewhere
@@ -165,7 +163,7 @@ def _search(stepper: Stepper, beam: int, max_len: int) -> tuple[list[Hypothesis]
             raise DecodeError(f"log-probability {lp[row, v]} for symbol {v} at decode step {t}")
         ext = scores[:, None] + lp
         if eos is not None:
-            complete(t, lp, scores, rank)
+            complete(t, lp, np.arange(len(scores)))
             ext[:, eos] = -math.inf
         ext = ext.ravel()
         limit = None if eos is not None and t == max_len - 1 else beam
@@ -178,31 +176,32 @@ def _search(stepper: Stepper, beam: int, max_len: int) -> tuple[list[Hypothesis]
         idx = np.flatnonzero(ext >= floor)
         if not len(idx):
             break
+        if limit is not None and limit < len(idx):
+            # equal scores keep the lower flat index: the parent first in
+            # payload order, then the lower symbol
+            idx = np.sort(idx[np.argsort(-ext[idx], kind="stable")[:limit]])
         rows, syms = np.divmod(idx, lp.shape[1])
-        order = np.lexsort((syms, rank[rows], -ext[idx]))[:limit]
-        rows, syms, scores = rows[order], syms[order], ext[idx[order]]
+        scores = ext[idx]
         back.append((rows.tolist(), syms.tolist()))
-        children = np.lexsort((syms, rank[rows]))
-        rank = np.empty_like(children)
-        rank[children] = np.arange(len(children))
         if t < max_len - 1:
             states, lp = stepper.advance(states[rows], syms)
-        elif eos is None:
+            continue
+        best = np.argsort(-scores, kind="stable")
+        if eos is None:
             # the parent states already consumed the final input position
-            return ([hypothesis(max_len, row, s) for row, s in enumerate(scores.tolist())],
-                    states[rows])
-        else:
-            for first in range(0, len(scores), beam):
-                if len(top) == beam and scores[first] < top[0][0]:
-                    break
-                page = slice(first, first + beam)
-                _, lp = stepper.advance(states[rows[page]], syms[page])
-                if not lp[:, eos].max() < math.inf:  # only the EOS column is read
-                    bad = lp[~(lp[:, eos] < math.inf), eos][0]
-                    raise DecodeError(f"log-probability {bad} for EOS at decode step {max_len}")
-                complete(max_len, lp, scores[page], rank[page], first)
-    return [hypothesis(step, row, score)
-            for score, _, _, step, row in sorted(top, reverse=True)], None
+            return ([hypothesis(max_len, row, score) for row, score
+                     in zip(best.tolist(), scores[best].tolist())], states[rows[best]])
+        for first in range(0, len(best), beam):
+            if len(top) == beam and scores[best[first]] < top[0][0]:
+                break
+            page = best[first:first + beam]
+            _, lp = stepper.advance(states[rows[page]], syms[page])
+            if not lp[:, eos].max() < math.inf:  # only the EOS column is read
+                bad = lp[~(lp[:, eos] < math.inf), eos][0]
+                raise DecodeError(f"log-probability {bad} for EOS at decode step {max_len}")
+            complete(max_len, lp, page)
+    return [hypothesis(-negt, -negrow, score)
+            for score, negt, negrow in sorted(top, reverse=True)], None
 
 
 class NlgStepper:

@@ -704,6 +704,66 @@ def test_nlu_test_line_with_the_end_of_word_marker_exits_3(line_workspace, text)
     assert "test.jsonl:1: U+2581 ('\u2581') is the tokenizer's end-of-word marker" in err, err
 
 
+SURROGATE = "\ud800"  # json.dumps writes the escape, whose string UTF-8 cannot encode
+
+
+def _spoil(text: bytes, fault: str) -> bytes:
+    """``text`` led by a byte that is not UTF-8, or replaced by JSON nested
+    100 000 deep or by an integer past Python's 4300-digit limit; a lone
+    surrogate goes into the JSON before it is written."""
+    return {"bytes": b"\xff" + text, "nesting": b"[" * 100_000,
+            "digits": b"[" + b"9" * 5000 + b"]"}.get(fault, text)
+
+
+@pytest.mark.parametrize("where, fault", [
+    *((where, fault) for where in ("config", "data", "checkpoint")
+      for fault in ("bytes", "nesting", "digits", "surrogate")),
+    ("out", "bytes")])
+def test_input_text_faults_exit_with_their_code_before_any_output(
+        line_workspace, tmp_path, capsys, where, fault):
+    """Each ``_spoil`` fault and a lone surrogate escape, in a config, a data
+    line or a checkpoint header, and a non-UTF-8 ``--out`` (a surrogate once
+    argv is decoded), exit with their documented code before any output,
+    naming their file in one line."""
+    out = tmp_path / ("out\udcff" if where == "out" else "out")
+    split, ckpt_dir, cfg = tmp_path / "nlu_test.jsonl", tmp_path / "ckpt", tmp_path / "c.json"
+    line = json.loads((line_workspace / "nlu_test.jsonl").read_text(encoding="utf-8"))
+    if (where, fault) == ("data", "surrogate"):
+        line["text"] += SURROGATE
+    text = json.dumps(line).encode() + b"\n"
+    split.write_bytes(_spoil(text, fault) if where == "data" else text)
+    ckpt_dir.mkdir()
+    for kind in data.MODEL_KINDS:
+        blob = (FIXTURE / f"{kind}.ckpt").read_bytes()
+        nl = blob.index(b"\n")
+        header = json.loads(blob[:nl])
+        if (where, fault) == ("checkpoint", "surrogate"):  # every inventory alike
+            header["labels"]["intents"] = [i + SURROGATE for i in header["labels"]["intents"]]
+        text = json.dumps(header).encode()
+        (ckpt_dir / f"{kind}.ckpt").write_bytes(
+            (_spoil(text, fault) if where == "checkpoint" and kind == "nlu" else text)
+            + blob[nl:])
+    test_path = str(split) + (SURROGATE if (where, fault) == ("config", "surrogate") else "")
+    text = json.dumps({"data": {"nlu_test": test_path},
+                       "decode": {"beam": 2, "max_len": 4, "k_intent": 1}}).encode()
+    cfg.write_bytes(_spoil(text, fault) if where == "config" else text)
+    if where == "out":
+        code = run("synth", "--out", out, "--train-size", "2", "--valid-size", "1",
+                   "--test-size", "1")
+    else:
+        code = run("dualinf", "--config", cfg, "--checkpoints", ckpt_dir, "--direction", "nlu",
+                   "--out", out)
+    err = capsys.readouterr().err
+    # the surrogate of a config value names the file the value names
+    culprit = {"config": test_path if fault == "surrogate" else cfg, "data": split,
+               "checkpoint": ckpt_dir / "nlu.ckpt", "out": out}[where]
+    error = {"out": "config"}.get(where, where)
+    assert code == {"config": 2, "data": 3, "checkpoint": 4}[error], err
+    assert err.startswith(f"{error} error:") and err.count("\n") == 1, err
+    assert repr(str(culprit))[1:-1] in err and "Traceback" not in err, err
+    assert not files_under(out)
+
+
 def test_manifest_defaults_match_published_recipe(tmp_path):
     out = tmp_path / "synth"
     assert run("synth", "--out", out, "--seed", "1") == 0
