@@ -380,7 +380,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        Path(cfg["out_dir"]).mkdir(parents=True, exist_ok=True)
+        try:
+            Path(cfg["out_dir"]).mkdir(parents=True, exist_ok=True)
+        except OSError as e:  # a file, or a path below one
+            raise ConfigError(f"cannot create output directory {cfg['out_dir']}: {e}") from None
         # an overflowing logit or a NaN parameter reaches an explicit check
         # that exits 3 or 4 and names it; numpy need not warn on the way
         with np.errstate(over="ignore", invalid="ignore"):

@@ -398,8 +398,11 @@ def _is_param_entry(entry) -> bool:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as e:  # a directory, say
+        raise CheckpointError(f"cannot read checkpoint {path}: {e}") from None
     nl = blob.find(b"\n")
     if nl < 0:
         raise CheckpointError(f"{path}: missing header line")

@@ -14,7 +14,8 @@ beam-search order. ``marg_in`` is constant per input, so it never changes an
 argmax; it is carried for reporting.
 
 Mask positions for frame scoring are drawn from generators derived from
-(seed, example index, candidate rank), which makes grid reuse bit-exact.
+(seed, example index, candidate rank), which makes grid reuse bit-exact; a
+frame without features draws none and scores 0.0 (``models.masked_frame_score``).
 An NLG beam reads its frame's features from ``models.nlg_frame_features``,
 the one feature routine; ``decode_split`` calls it once per split.
 """
@@ -79,10 +80,15 @@ class DualScore(Components):
     combined: float
 
 
+def _combined(alpha, beta, forward, backward, marg_out, marg_in):
+    """The combined score of the module docstring; on arrays, each entry is
+    the float it gives on floats."""
+    return alpha * forward + (1.0 - alpha) * (backward + beta * marg_out - beta * marg_in)
+
+
 def combine(c: Components, w: DualWeights) -> DualScore:
     return DualScore(c.forward, c.backward, c.marg_out, c.marg_in,
-                     w.alpha * c.forward + (1.0 - w.alpha) * (
-                         c.backward + w.beta * c.marg_out - w.beta * c.marg_in))
+                     _combined(w.alpha, w.beta, c.forward, c.backward, c.marg_out, c.marg_in))
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +324,9 @@ def candidate_frame(nlu_like, input_utt: Utterance, hyp: Hypothesis) -> Semantic
 
 
 def frame_marginal(mfm: MaskedFrameModel, frames: Sequence[SemanticFrame], rngs) -> list[float]:
-    """Each frame's pseudo log-likelihood, its masks drawn from its own
-    generator in ``rngs``."""
-    # a frame with no features has an empty pseudo-likelihood product: log 1
-    out = [0.0] * len(frames)
-    scored = [i for i, frame in enumerate(frames) if frame.n_features]
-    if scored:
-        values = masked_frame_score(mfm, [frames[i] for i in scored],
-                                    [rngs[i] for i in scored])
-        for i, value in zip(scored, values):
-            out[i] = value
-    return out
+    """``masked_frame_score``, named apart so a trace tells the marginal
+    components from other scorer calls."""
+    return masked_frame_score(mfm, frames, rngs)
 
 
 def dual_components_nlg(candidates: Sequence[Hypothesis],
@@ -430,10 +428,10 @@ def rerank_indices(cached: Sequence[CachedExample],
     """The rank ``rerank_index`` picks in each beam of ``cached`` at each of
     ``weights``, as a (weights, examples) array. Per example, one (weights,
     hypotheses) matrix of combined scores, each entry the float ``combine``
-    gives (the same operations in the same order); the pick is the first
-    rank with the highest combined score and, among those, the highest
-    forward score. The first NaN in (weight, example, rank) order raises,
-    as does an empty beam, which fails at the first weight pair."""
+    gives (both call ``_combined``); the pick is the first rank with the
+    highest combined score and, among those, the highest forward score. The
+    first NaN in (weight, example, rank) order raises, as does an empty
+    beam, which fails at the first weight pair."""
     alpha = np.array([w.alpha for w in weights])[:, None]
     beta = np.array([w.beta for w in weights])[:, None]
     picks = np.zeros((len(weights), len(cached)), dtype=np.intp)
@@ -445,7 +443,7 @@ def rerank_indices(cached: Sequence[CachedExample],
         f, b, o, m = np.array([(x.forward, x.backward, x.marg_out, x.marg_in)
                                for x in c.components]).T
         with np.errstate(invalid="ignore"):  # a NaN it makes raises below
-            combined = alpha * f + (1.0 - alpha) * (b + beta * o - beta * m)
+            combined = _combined(alpha, beta, f, b, o, m)
         nan = np.argwhere(np.isnan(combined))
         if len(nan):
             faults.append((nan[0][0], e, f"combined score of hypothesis {nan[0][1]} is NaN"))

@@ -57,8 +57,9 @@ tagger forwards step each distinct prefix among a stack's running rows once
 tags) and give its state and log-probs to every row that shares it; on
 ``tensor`` every row keeps its own path, so training graphs are unchanged.
 ``masked_frame_score`` scores each distinct (frame, masked feature) copy
-once and adds each frame's three draws in draw order. Every row keeps the
-floats of its one-row call.
+once and adds each frame's three draws in draw order; it alone scores a
+frame without features, 0.0 with no draw. Every row keeps the floats of its
+one-row call.
 """
 from __future__ import annotations
 
@@ -159,6 +160,19 @@ def _losses(ops, stacks: Sequence[tuple[list[int], object]], n: int):
     return ops.scale(ops.stack([t for _, t in stacks], where), -1.0)
 
 
+def _first_places(keys: Iterable) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the first row of each distinct key, in order of first
+    appearance, and each row's key's place among those firsts."""
+    seen: dict[object, int] = {}  # each distinct key's place among the firsts
+    first, place = [], []
+    for i, key in enumerate(keys):
+        if key not in seen:
+            seen[key] = len(first)
+            first.append(i)
+        place.append(seen[key])
+    return np.array(first, dtype=np.intp), np.array(place, dtype=np.intp)
+
+
 class _Prefixes:
     """Which running rows of a stack share their state so far. On ``nd`` two
     rows share it when their initial states are equal bit for bit and they
@@ -172,26 +186,15 @@ class _Prefixes:
     def __init__(self, ops, h):
         self.place = None
         if ops is nd:
-            self._group([row.tobytes() for row in h])
-
-    def _group(self, keys: Iterable) -> None:
-        seen: dict[object, int] = {}  # each distinct prefix's place among them
-        first, place = [], []
-        for r, key in enumerate(keys):
-            if key not in seen:
-                seen[key] = len(first)
-                first.append(r)
-            place.append(seen[key])
-        self.first = np.array(first, dtype=np.intp)
-        self.place = np.array(place, dtype=np.intp)
+            self.first, self.place = _first_places(row.tobytes() for row in h)
 
     def read(self, *ids: np.ndarray | None) -> None:
         """Extend each running row's prefix by its entry of each of ``ids``
         (one array per input, one id per running row; None for an input
         that no row reads at this step)."""
         if self.place is not None:
-            self._group(zip(self.place[:len(ids[0])].tolist(),
-                            *(i.tolist() for i in ids if i is not None)))
+            self.first, self.place = _first_places(zip(
+                self.place[:len(ids[0])].tolist(), *(i.tolist() for i in ids if i is not None)))
 
     def firsts(self, x):
         return x if self.place is None or x is None else x[self.first]
@@ -210,14 +213,8 @@ def _distinct_scores(losses, m, rows: Sequence, keys: Sequence) -> list[float]:
     in order of first appearance (so the first invalid row raises), and its
     value goes to every row with that key. A row's floats do not depend on
     the other rows of its stack, so they are its one-row call's."""
-    place: dict[object, int] = {}  # each key's place among the distinct rows
-    firsts = []
-    for i, key in enumerate(keys):
-        if key not in place:
-            place[key] = len(firsts)
-            firsts.append(i)
-    where = np.array([place[key] for key in keys], dtype=np.intp)
-    return (-losses(m, nd, m.arrays, [rows[i] for i in firsts])[where]).tolist()
+    first, place = _first_places(keys)
+    return (-losses(m, nd, m.arrays, [rows[i] for i in first.tolist()])[place]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +695,7 @@ def mfm_logits(m: MaskedFrameModel, ops, P, X):
 
 
 def _mfm_count(frame: SemanticFrame) -> int:
-    """The number of ``_frame_labels`` of ``frame``; it needs one to mask."""
+    """The number of ``_frame_labels`` of ``frame``; training needs one to mask."""
     if not frame.n_features:
         raise FrameError("frame has no features to mask")
     return frame.n_features
@@ -736,19 +733,23 @@ def masked_frame_score(m: MaskedFrameModel, frames: Sequence[SemanticFrame],
                        rngs: Sequence[np.random.Generator]) -> list[float]:
     """Pseudo log-likelihood of each frame: the log-probabilities of its true
     labels, one masked copy per uniform draw of a feature, three draws from
-    its generator (with replacement), added in draw order. Each distinct
-    (frame, masked feature) copy is scored once, by minus ``_mfm_losses`` on
-    ``nd`` over the distinct frames, each with its distinct draws as copies."""
-    draws = [rng.integers(0, _mfm_count(frame), size=3).tolist()
+    its generator (with replacement), added in draw order. A frame without
+    features has an empty product, log 1: it scores 0.0 and its generator is
+    never drawn. Each distinct (frame, masked feature) copy is scored once,
+    by minus ``_mfm_losses`` on ``nd`` over the distinct frames, each with
+    its distinct draws as copies."""
+    draws = [rng.integers(0, frame.n_features, size=3).tolist() if frame.n_features else None
              for frame, rng in zip(frames, rngs, strict=True)]
     copies: dict[SemanticFrame, dict[int, None]] = {}  # in order of first appearance
     for frame, js in zip(frames, draws):
-        copies.setdefault(frame, {}).update(dict.fromkeys(js))
+        if js:
+            copies.setdefault(frame, {}).update(dict.fromkeys(js))
     place = {key: p for p, key in enumerate((f, j) for f, js in copies.items() for j in js)}
     values = (-_mfm_losses(m, nd, m.arrays, list(copies),
                            [[[j] for j in js] for js in copies.values()])).tolist()
-    return [values[place[frame, a]] + values[place[frame, b]] + values[place[frame, c]]
-            for frame, (a, b, c) in zip(frames, draws)]
+    return [0.0 if js is None else
+            values[place[frame, js[0]]] + values[place[frame, js[1]]] + values[place[frame, js[2]]]
+            for frame, js in zip(frames, draws)]
 
 
 def mfm_loss_graph(m: MaskedFrameModel, frames: Sequence[SemanticFrame],

@@ -764,6 +764,33 @@ def test_input_text_faults_exit_with_their_code_before_any_output(
     assert not files_under(out)
 
 
+@pytest.mark.parametrize("where", ["data", "checkpoint", "out", "below_out"])
+def test_an_input_path_of_the_wrong_kind_exits_with_its_code(line_workspace, tmp_path, capsys,
+                                                             where):
+    """A data split or a checkpoint that is a directory, and an ``--out`` that
+    is a file or lies below one, exit with their documented code and one
+    line naming the path, with nothing written under ``--out``."""
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"")
+    out = {"out": afile, "below_out": afile / "sub"}.get(where, tmp_path / "out")
+    culprit = {"data": tmp_path / "nlg_test.jsonl",
+               "checkpoint": tmp_path / "ckpt" / "nlg.ckpt"}.get(where, out)
+    if where in ("data", "checkpoint"):
+        culprit.mkdir(parents=True)
+    split = culprit if where == "data" else line_workspace / "nlg_test.jsonl"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"data": {"nlg_test": str(split)},
+                               "decode": {"beam": 2, "max_len": 4}}))
+    code = run("eval", "--config", cfg, "--direction", "nlg", "--out", out, "--checkpoints",
+               tmp_path / "ckpt" if where == "checkpoint" else FIXTURE)
+    err = capsys.readouterr().err
+    error = where if where in ("data", "checkpoint") else "config"
+    assert code == {"config": 2, "data": 3, "checkpoint": 4}[error], err
+    assert err.startswith(f"{error} error:") and err.count("\n") == 1, err
+    assert str(culprit) in err and "Traceback" not in err, err
+    assert not files_under(out) and afile.read_bytes() == b""
+
+
 def test_manifest_defaults_match_published_recipe(tmp_path):
     out = tmp_path / "synth"
     assert run("synth", "--out", out, "--seed", "1") == 0

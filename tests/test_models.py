@@ -386,10 +386,31 @@ def test_mfm_single_feature_equals_three_single_masks(tiny_vocabs, tiny_models):
     assert total == pytest.approx(3 * single, rel=1e-12)
 
 
-def test_mfm_zero_features_rejected(tiny_models):
-    with pytest.raises(FrameError):
-        masked_frame_score(tiny_models["mfm"], [SemanticFrame(None, ())],
-                           [derive_rng(0, "mask")])
+def test_mfm_frames_without_features_score_zero_undrawn(tiny_corpus, tiny_models):
+    # a frame without features has an empty pseudo-likelihood product, log 1:
+    # in a shuffled mix it scores 0.0 and its generator is never drawn, and
+    # each other frame scores what it scores alone
+    _, nlg_raw = tiny_corpus
+    m = tiny_models["mfm"]
+    empty = SemanticFrame(None, ())
+    pool = [ex.frame for ex in nlg_raw if ex.frame.n_features][:6] + [empty] * 4
+    frames = [pool[i] for i in derive_rng(31, "shuffle").permutation(len(pool)).tolist()]
+    assert frames.index(empty) < max(i for i, f in enumerate(frames) if f.n_features)
+
+    def rngs():
+        return [derive_rng(31, "mask", i) for i in range(len(frames))]
+    drawn = rngs()
+    got = masked_frame_score(m, frames, drawn)
+    featured, fresh = [i for i, f in enumerate(frames) if f.n_features], rngs()
+    assert [got[i] for i in featured] == masked_frame_score(
+        m, [frames[i] for i in featured], [fresh[i] for i in featured])
+    for i, (frame, rng, fresh) in enumerate(zip(frames, drawn, rngs())):
+        if frame.n_features:
+            assert got[i] == masked_frame_score(m, [frame], [fresh])[0]
+        else:
+            assert repr(got[i]) == "0.0"
+            assert rng.bit_generator.state == fresh.bit_generator.state
+    assert masked_frame_score(m, [empty], [derive_rng(0, "mask")]) == [0.0]
 
 
 def test_mfm_intent_feature_counts(tiny_vocabs, tiny_models):
