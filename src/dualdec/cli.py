@@ -50,7 +50,7 @@ DEFAULTS: dict = {
     },
     "model": {"hidden": 200, "embedding": 50, "merges": 1000},
     "train": {"epochs": 10, "batch_size": 48, "teacher_forcing": 0.9,
-              "lr": 0.001, "clip": 5.0, "models": ["nlu", "nlg", "lm", "mfm"]},
+              "lr": 0.001, "clip": 5.0, "models": list(data.MODEL_KINDS)},
     "decode": {"beam": 20, "max_len": 60, "k_intent": 3},
     "dual": {"alpha": 0.5, "beta": 0.5, "grid_step": 0.1},
 }

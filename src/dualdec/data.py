@@ -97,9 +97,13 @@ def _load_lines(path, parse) -> list:
     return out
 
 
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _strings(d: dict, key: str) -> tuple[str, ...]:
     value = d[key]
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+    if not _is_strings(value):
         raise DataError(f"{key!r} must be a list of strings")
     return tuple(value)
 
@@ -133,11 +137,13 @@ def save_nlu(path, examples: Sequence[NluExample]) -> None:
 
 def _nlg_example(d: dict) -> NlgExample:
     fd = d["frame"]
-    slots = [(k, v) for k, v in fd["slots"]]
+    slots = fd["slots"]
+    if not (isinstance(slots, list) and all(isinstance(s, list) and len(s) == 2 for s in slots)):
+        raise DataError("'slots' must be a list of [key, value] pairs")
     for k, v in slots:
         if not isinstance(k, str):
             raise DataError(f"slot key must be a string, not {k!r}")
-        if not (isinstance(v, str) or isinstance(v, list) and all(isinstance(w, str) for w in v)):
+        if not (isinstance(v, str) or _is_strings(v)):
             raise DataError(f"value of slot {k!r} must be a string or a list of strings, not {v!r}")
         for w in [v] if isinstance(v, str) else v:
             check_plain(w)
@@ -425,6 +431,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: header lacks {', '.join(missing)}")
     if not (isinstance(header["params"], list) and all(map(_is_param_entry, header["params"]))):
         raise CheckpointError(f"{path}: header params must be [name, shape] pairs")
+    labels = header["labels"]
+    if not (isinstance(labels, dict) and _is_strings(labels.get("intents"))
+            and _is_strings(labels.get("slot_keys"))):
+        raise CheckpointError(f"{path}: header labels must hold lists of strings "
+                              f"'intents' and 'slot_keys'")
     payload = blob[nl + 1:]
     params: dict[str, np.ndarray] = {}
     offset = 0

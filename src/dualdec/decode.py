@@ -575,13 +575,12 @@ def weight_grid(step: float = 0.1) -> list[tuple[float, float]]:
 
 @dataclass
 class GridRow:
-    """One weight pair's report and the metrics it holds, in report field
-    order; rows whose pairs select the same hypotheses share both."""
+    """One weight pair's report; rows whose pairs select the same hypotheses
+    share it."""
 
     alpha: float
     beta: float
     report: metrics.EvalReport
-    metrics: dict[str, float]
 
 
 @dataclass
@@ -592,21 +591,21 @@ class GridResult:
 
     @property
     def metric_names(self) -> list[str]:
-        return list(self.rows[0].metrics) if self.rows else []
+        return list(self.rows[0].report.measured()) if self.rows else []
 
     @property
     def best(self) -> dict[str, tuple[float, float, float]]:
         """Per-metric argmax; earliest (alpha, beta) in row order wins ties."""
-        return {name: max(((r.alpha, r.beta, r.metrics[name]) for r in self.rows),
+        return {name: max(((r.alpha, r.beta, getattr(r.report, name)) for r in self.rows),
                           key=lambda top: top[2])
                 for name in self.metric_names}
 
     def to_csv(self) -> str:
-        lines = [",".join(["alpha", "beta"] + self.metric_names)]
+        names = self.metric_names
+        lines = [",".join(["alpha", "beta"] + names)]
         for row in self.rows:
-            vals = [repr(row.alpha), repr(row.beta)]
-            vals += [repr(row.metrics[name]) for name in self.metric_names]
-            lines.append(",".join(vals))
+            vals = [row.alpha, row.beta] + [getattr(row.report, name) for name in names]
+            lines.append(",".join(map(repr, vals)))
         return "\n".join(lines) + "\n"
 
 
@@ -617,17 +616,15 @@ def sweep(examples, bundle: ModelsBundle, direction: str,
     report each selection; a row's columns are its report's metrics. Pairs
     that select the same hypotheses share one report."""
     report_of = _reporter(direction, examples, bundle.vocabs, cached)
-    reports: dict[tuple[int, ...], tuple[metrics.EvalReport, dict[str, float]]] = {}
+    reports: dict[tuple[int, ...], metrics.EvalReport] = {}
     result = GridResult(direction)
     ranks = rerank_indices(cached, [DualWeights(a, b) for a, b in pairs]).tolist()
     for (a, b), picks in zip(pairs, ranks):
         result.selections[(a, b)] = picks
         key = tuple(picks)
         if key not in reports:
-            report = report_of(picks)
-            reports[key] = report, {k: getattr(report, k) for k in metrics.EvalReport.FIELDS
-                                    if not k.startswith("n_") and getattr(report, k) is not None}
-        result.rows.append(GridRow(a, b, *reports[key]))
+            reports[key] = report_of(picks)
+        result.rows.append(GridRow(a, b, reports[key]))
     return result
 
 

@@ -221,6 +221,12 @@ class EvalReport:
 
     FIELDS: ClassVar[tuple[str, ...]]  # the fields' names in declaration order
 
+    def measured(self) -> dict[str, float]:
+        """The measured metrics in field order: each field that is not an
+        ``n_*`` count and not None."""
+        return {k: v for k in self.FIELDS
+                if not k.startswith("n_") and (v := getattr(self, k)) is not None}
+
     def to_json(self) -> str:
         return json.dumps({k: getattr(self, k) for k in self.FIELDS}, sort_keys=True)
 
@@ -293,15 +299,12 @@ def evaluate_nlu(pred_intents, gold_intents, pred_tags, gold_tags) -> EvalReport
 
 
 def merge_reports(nlu: EvalReport | None, nlg: EvalReport | None) -> EvalReport:
+    """Both directions' measured metrics and nonzero counts in one report."""
     out = EvalReport()
     for part in (nlu, nlg):
-        if part is None:
-            continue
-        for k in EvalReport.FIELDS:
-            v = getattr(part, k)
-            if isinstance(v, int) and k.startswith("n_"):
-                if v:
-                    setattr(out, k, v)
-            elif v is not None:
+        if part is not None:
+            for k, v in part.measured().items():
                 setattr(out, k, v)
+            out.n_nlu = part.n_nlu or out.n_nlu
+            out.n_nlg = part.n_nlg or out.n_nlg
     return out

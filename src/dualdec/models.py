@@ -847,7 +847,7 @@ def train_model(kind: str, dataset: Sequence, config: TrainConfig, vocabs: Vocab
             T.backward(loss)
             norm = T.clip_grad_norm(model.params.values(), config.clip)
             _check_finite(kind, "gradient norm", norm, epoch, n_batch)
-            T.adam_step(model.params, {k: p.grad for k, p in model.params.items()}, state)
+            T.adam_step(model.params, state)
             epoch_loss += batch_loss * len(samples)
         losses.append(epoch_loss / len(dataset))
     return model, losses

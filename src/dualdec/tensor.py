@@ -751,25 +751,22 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
-              state: AdamState) -> None:
-    """One bias-corrected Adam update, applied to ``params`` in place."""
+def adam_step(params: Mapping[str, Tensor], state: AdamState) -> None:
+    """One bias-corrected Adam update of ``params`` in place, from each
+    parameter's own ``.grad``."""
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
     for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise ShapeError(f"adam_step: grad {g.shape} vs param {p.data.shape} for {name!r}")
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         m, v = state.m[name], state.v[name]
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += (1.0 - state.beta1) * p.grad
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+        v += (1.0 - state.beta2) * p.grad * p.grad
         p.data -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
 
 

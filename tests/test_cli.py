@@ -406,9 +406,14 @@ def _vocab_not_an_object(h):
     h["vocab"] = []
 
 
+def _intents_as_a_string(h):
+    # as many characters as there are intents, so every parameter shape fits
+    h["labels"]["intents"] = "abcdefghijklmnopqrstuvwxyz"[:len(h["labels"]["intents"])]
+
+
 # the four checkpoints must share one inventory, so these corrupt all four
 INVENTORY_CORRUPTIONS = (_labels_without_slot_keys, _vocab_without_marker,
-                         _vocab_not_an_object)
+                         _vocab_not_an_object, _intents_as_a_string)
 
 
 @pytest.mark.parametrize("corrupt", [_drop_params, _drop_config, _bad_param_entry,
@@ -433,6 +438,7 @@ def test_checkpoint_header_errors_exit_4_without_traceback(workspace, tmp_path, 
                "--out", tmp_path / "o") == 4
     err = capsys.readouterr().err
     assert err.startswith("checkpoint error:") and "Traceback" not in err
+    assert err.count("\n") == 1 and not files_under(tmp_path / "o")
 
 
 def test_checkpoint_listing_a_parameter_twice_exits_4(workspace, tmp_path, capsys):
@@ -554,6 +560,8 @@ def test_nan_step_distribution_from_finite_checkpoint_exits_3(workspace, tmp_pat
     ("nlu_train", {"text": "a b", "tags": ["O", "O"], "intent": 5}),
     ("nlg_train", {"frame": {"slots": [[5, "boston"]]}, "refs": ["boston"]}),
     ("nlg_train", {"frame": {"slots": [["city", [""]]]}, "refs": ["boston"]}),
+    ("nlg_train", {"frame": {"slots": {"to": "boston"}}, "refs": ["boston"]}),
+    ("nlg_train", {"frame": {"slots": ["ci"]}, "refs": ["boston"]}),
 ])
 def test_bad_field_shape_exits_3_with_line(tmp_path, capsys, loader, line):
     bad = tmp_path / "bad.jsonl"
@@ -565,6 +573,7 @@ def test_bad_field_shape_exits_3_with_line(tmp_path, capsys, loader, line):
     assert run("train", "--config", cfg, "--out", tmp_path / "o") == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and f"{bad}:1:" in err
+    assert err.count("\n") == 1 and not files_under(tmp_path / "o")
 
 
 # training splits with an empty utterance beside one that is not empty

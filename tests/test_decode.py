@@ -623,9 +623,9 @@ def test_grid_search_rows_selection_and_recompute_oracle(tiny_corpus, tiny_vocab
             assert rerank_index(scored) == picks[idx]
     # argmax per metric reproducible from the rows alone
     for name, (alpha, beta, value) in res.best.items():
-        best = max(res.rows, key=lambda r: r.metrics[name]).metrics[name]
+        best = max(getattr(r.report, name) for r in res.rows)
         assert value == best
-        first = next(r for r in res.rows if r.metrics[name] == best)
+        first = next(r for r in res.rows if getattr(r.report, name) == best)
         assert (alpha, beta) == (first.alpha, first.beta)
 
 

@@ -165,6 +165,18 @@ def test_merge_reports_combines_directions():
     assert rep.n_nlu == 1 and rep.n_nlg == 1
 
 
+def test_merge_reports_keeps_a_measured_zero_and_drops_a_zero_count():
+    nlg = M.evaluate_nlg(["a b"], [["a b"]])
+    assert nlg.bleu == 0.0 and nlg.n_nlu == 0
+    assert nlg.measured() == {"bleu": 0.0, "rouge1": 1.0, "rouge2": 1.0, "rougeL": 1.0}
+    nlu = M.EvalReport(slot_f1=0.5, n_nlu=3)
+    rep = M.merge_reports(nlu, nlg)
+    assert rep.bleu == 0.0 and rep.slot_f1 == 0.5
+    assert rep.n_nlu == 3 and rep.n_nlg == 1
+    rep = M.merge_reports(nlg, M.EvalReport(bleu=None, n_nlg=0))
+    assert rep.bleu == 0.0 and rep.n_nlg == 1
+
+
 # ---------------------------------------------------------------------------
 # the statistic-based metrics against the text-level implementations they
 # replaced, kept here verbatim
